@@ -2,8 +2,9 @@
 //!
 //! Loads a graph (snapshot or edge list), builds the freeze-time
 //! [`RelIndex`] (certain-edge condensation + component decomposition),
-//! and writes a format-v2 `.rgs` snapshot with the index section
-//! embedded, so later `relmax query` runs skip the rebuild. The stdout
+//! and writes a current-format `.rgs` snapshot with the index section
+//! embedded, so later `relmax query` runs skip the rebuild. The output may
+//! be the input file itself: the snapshot is replaced by rename. The stdout
 //! summary is deterministic: the index depends only on graph structure,
 //! never on seeds or thread counts.
 

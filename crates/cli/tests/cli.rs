@@ -721,6 +721,20 @@ fn corrupt_snapshots_are_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("checksum"));
 }
 
+/// `relmax index g.rgs -o g.rgs` re-saves a graph over the file it is
+/// mapped from: the write must replace the file, not truncate the pages
+/// under the mapping, and produce the out-of-place bytes.
+#[test]
+fn in_place_index_matches_out_of_place_bytes() {
+    let rgs = ingest_toy("inplace.rgs");
+    let out = tmp("inplace-out.rgs");
+    let (rgs, out) = (rgs.to_str().unwrap(), out.to_str().unwrap());
+    let mmap = [("RELMAX_MMAP", "on")];
+    stdout_of(&["index", rgs, "-o", out], &mmap);
+    stdout_of(&["index", rgs, "-o", rgs], &mmap);
+    assert_eq!(fs::read(rgs).unwrap(), fs::read(out).unwrap());
+}
+
 #[test]
 fn help_prints_usage_on_stdout() {
     let out = relmax(&["help"], &[]);

@@ -494,11 +494,12 @@ fn compact_now(state: &ServerState) -> Response {
         Metrics::add(&state.metrics.compaction_failures_total, 1);
         return Response::json(500, json::error(&format!("{out_path}: {e}")));
     }
-    // Install the generation through the trusted zero-copy path over the
-    // file just written: the swapped-in columns live in the page cache
-    // instead of keeping a second heap copy alive, and the geometry
-    // re-validation catches torn writes. The heap copy is the (bit-
-    // identical) fallback if mapping is disabled or fails.
+    // Install the generation through the trusted reopen of the file just
+    // written: mapped by default, the swapped-in columns live in the page
+    // cache instead of keeping a second heap copy alive (under
+    // `RELMAX_MMAP=off` they borrow one heap buffer read from the file),
+    // and the geometry re-validation catches torn writes. The folded
+    // graph in hand is the (bit-identical) fallback if the reopen fails.
     let csr = match snapshot::open_full_trusted(&out_path) {
         Ok((mapped, _)) => mapped,
         Err(_) => csr,

@@ -107,18 +107,22 @@ impl<T: Pod> Block<T> {
         })
     }
 
-    /// True when the block borrows a mapping (no heap copy of the data).
+    /// True when the block borrows a kernel memory map (no heap copy of
+    /// the data). A block over a heap-backed [`Mapping`] reports `false`:
+    /// its bytes are a heap copy even though they are borrowed.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, Repr::Mapped { .. })
+        matches!(&self.repr, Repr::Mapped { keep, .. } if keep.is_mmap())
     }
 
     /// Heap bytes attributable to this block: the `Vec` capacity for
-    /// owned blocks, zero for mapped ones (the mapping's pages are
+    /// owned blocks, the viewed bytes for blocks over a heap-backed
+    /// mapping, zero for memory-mapped ones (the mapping's pages are
     /// shared, demand-paged, and accounted once at the graph level).
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
-            Repr::Mapped { .. } => 0,
+            Repr::Mapped { keep, .. } if keep.is_mmap() => 0,
+            Repr::Mapped { len, .. } => len * std::mem::size_of::<T>(),
         }
     }
 
@@ -230,6 +234,16 @@ mod tests {
         let c = mapped.clone();
         assert!(c.is_mapped());
         assert_eq!(c, mapped);
+    }
+
+    #[test]
+    fn blocks_over_a_heap_backing_count_as_heap() {
+        let bytes = [7u8; 64];
+        let map = Arc::new(Mapping::read(&bytes[..], bytes.len()).expect("heap read"));
+        let b: Block<u64> = Block::from_mapping(&map, 0, 8).expect("in range");
+        assert_eq!(&*b, &[u64::from_le_bytes([7; 8]); 8][..]);
+        assert!(!b.is_mapped());
+        assert_eq!(b.heap_bytes(), 64);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Streaming FNV-1a (64-bit): the checksum behind `.rgs` integrity.
 //!
 //! The hash itself is the classic byte-at-a-time fold — what the
-//! snapshot layer needs is the *streaming* shape: writers feed sections
-//! as they encode and readers feed chunks as they arrive, so neither
-//! side ever materializes a second copy of a multi-GB payload just to
-//! hash it.
+//! snapshot writer needs is the *streaming* shape: it feeds columns as
+//! it encodes, so it never materializes a second copy of a multi-GB
+//! payload just to hash it. Readers hash the sections of the one buffer
+//! they parse with [`fnv1a`].
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

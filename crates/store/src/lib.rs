@@ -8,16 +8,17 @@
 //!   (x86_64/aarch64) it is a real `mmap(2)` issued through a minimal
 //!   raw-syscall shim (same spirit as the AVX-512 runtime detection in
 //!   `relmax-sampling`: reach for the platform feature directly, keep a
-//!   portable fallback). Elsewhere it is a 64-byte-aligned heap buffer
-//!   filled by buffered reads — identical safe API, identical alignment
+//!   portable fallback). Elsewhere, and on request
+//!   ([`Mapping::open_heap`], [`Mapping::read`]), it is a 64-byte-aligned
+//!   heap buffer filled by reads — identical safe API, identical alignment
 //!   guarantees, just not shared with the page cache.
 //! - [`Block`] — an array that is either owned (`Vec<T>`) or borrowed
 //!   from a [`Mapping`]. `Deref<Target = [T]>` makes the two cases
 //!   indistinguishable to every consumer; the mapped case performs O(1)
 //!   allocation no matter how large the array is.
 //! - [`Fnv64`] — the streaming FNV-1a hasher behind per-section
-//!   checksums, so writers and readers hash bytes as they pass instead
-//!   of buffering a payload copy.
+//!   checksums, so writers hash columns as they pass instead of
+//!   buffering a payload copy.
 //!
 //! The crate deliberately knows nothing about graphs: `relmax-ugraph`
 //! layers the `.rgs` v3 section layout on top.

@@ -4,8 +4,10 @@
 //! `memmap2`, just the two instructions the kernel ABI asks for — so a
 //! multi-GB snapshot becomes addressable without copying a byte and
 //! resident memory grows only with the pages a query actually touches.
-//! Every other platform gets a 64-byte-aligned heap buffer filled by
-//! buffered reads: the same `&[u8]` comes out, it just costs one copy.
+//! The other backing is a 64-byte-aligned heap buffer filled by reads:
+//! the same `&[u8]` comes out, it just costs one copy. [`Mapping::open`]
+//! takes it on platforms without the syscall shim; [`Mapping::open_heap`]
+//! and [`Mapping::read`] take it on purpose.
 //!
 //! Safety model: the mapping is `MAP_PRIVATE` + `PROT_READ` over an open
 //! file descriptor. The pointer stays valid until `Drop` runs `munmap`.
@@ -15,16 +17,18 @@
 //! rename, never truncate in place, which is why the API can stay safe.
 
 use crate::SECTION_ALIGN;
+use std::alloc::Layout;
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
 /// A read-only view of an entire file, 64-byte-aligned at its base.
 ///
-/// Obtain one with [`Mapping::open`]; get the bytes with
-/// [`Mapping::as_bytes`]. Whether the view is a true memory map or a
-/// heap copy is observable only through [`Mapping::is_mmap`] (and the
-/// process's resident-set size).
+/// Obtain one with [`Mapping::open`] (a kernel map where available),
+/// [`Mapping::open_heap`] or [`Mapping::read`] (an aligned heap copy);
+/// get the bytes with [`Mapping::as_bytes`]. Whether the view is a true
+/// memory map or a heap copy is observable only through
+/// [`Mapping::is_mmap`] (and the process's resident-set size).
 #[derive(Debug)]
 pub struct Mapping {
     ptr: *const u8,
@@ -37,9 +41,10 @@ enum Backing {
     /// A live kernel mapping; `Drop` issues `munmap`.
     #[allow(dead_code)] // constructed only on mmap-capable targets
     Mmap,
-    /// The portable fallback: an aligned heap allocation we own.
-    Heap { layout: std::alloc::Layout },
-    /// Zero-length file: no allocation, no syscall, dangling base.
+    /// An aligned heap allocation we own; `layout.size()` is its capacity,
+    /// of which the first `len` bytes are filled.
+    Heap { layout: Layout },
+    /// Zero-length view: no allocation, no syscall, dangling base.
     Empty,
 }
 
@@ -49,23 +54,13 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Map (or read) the whole file at `path`.
+    /// Map the whole file at `path`; on targets without the mmap shim,
+    /// read it into the heap backing instead.
     pub fn open(path: &Path) -> io::Result<Mapping> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "file larger than the address space",
-            ));
-        }
-        let len = len as usize;
+        let file = File::open(path)?;
+        let len = file_len(&file)?;
         if len == 0 {
-            return Ok(Mapping {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                len: 0,
-                backing: Backing::Empty,
-            });
+            return Ok(Mapping::empty());
         }
         if let Some(ptr) = sys::mmap_readonly(&file, len)? {
             return Ok(Mapping {
@@ -74,42 +69,80 @@ impl Mapping {
                 backing: Backing::Mmap,
             });
         }
-        // Portable fallback: aligned heap buffer + buffered read.
-        let layout = std::alloc::Layout::from_size_align(len, SECTION_ALIGN)
+        Mapping::read(file, len)
+    }
+
+    /// Read the whole file at `path` into the heap backing, on every
+    /// target: one aligned buffer, no kernel mapping.
+    pub fn open_heap(path: &Path) -> io::Result<Mapping> {
+        let file = File::open(path)?;
+        let len = file_len(&file)?;
+        Mapping::read(file, len)
+    }
+
+    /// Read `r` to its end into a 64-byte-aligned heap buffer. `size_hint`
+    /// is the expected length: a reader that yields exactly that many
+    /// bytes costs one allocation, a longer one grows the buffer.
+    pub fn read<R: Read>(mut r: R, size_hint: usize) -> io::Result<Mapping> {
+        let mut m = Mapping::empty();
+        loop {
+            let cap = match m.backing {
+                Backing::Heap { layout } => layout.size(),
+                _ => 0,
+            };
+            if m.len == cap {
+                // One byte past the hint observes EOF without a second
+                // allocation; past that, double.
+                m.grow(size_hint.saturating_add(1).max(2 * cap).max(4096))?;
+                continue;
+            }
+            // SAFETY: `ptr[len..cap]` is allocated, zero-initialized by
+            // `grow`, and owned by `m`.
+            let spare =
+                unsafe { std::slice::from_raw_parts_mut(m.ptr.add(m.len) as *mut u8, cap - m.len) };
+            match r.read(spare) {
+                Ok(0) => return Ok(m),
+                Ok(n) => m.len += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn empty() -> Mapping {
+        Mapping {
+            ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
+            len: 0,
+            backing: Backing::Empty,
+        }
+    }
+
+    /// Resize the heap backing to `cap` bytes (more than it has), keeping
+    /// its contents and its alignment and zeroing the new tail. Only heap
+    /// and empty views are ever grown.
+    fn grow(&mut self, cap: usize) -> io::Result<()> {
+        let layout = Layout::from_size_align(cap, SECTION_ALIGN)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // SAFETY: len > 0, so the layout is non-zero-sized.
-        let ptr = unsafe { std::alloc::alloc(layout) };
+        // SAFETY: `cap > 0`. A heap backing was allocated with `old`, and
+        // `old.size() < cap`, so the zeroed tail lies inside the new block.
+        let ptr = unsafe {
+            match self.backing {
+                Backing::Heap { layout: old } => {
+                    let p = std::alloc::realloc(self.ptr as *mut u8, old, cap);
+                    if !p.is_null() {
+                        p.add(old.size()).write_bytes(0, cap - old.size());
+                    }
+                    p
+                }
+                _ => std::alloc::alloc_zeroed(layout),
+            }
+        };
         if ptr.is_null() {
             std::alloc::handle_alloc_error(layout);
         }
-        // SAFETY: we own `ptr[0..len]` exclusively until it is published.
-        let buf = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-        let mut filled = 0;
-        while filled < len {
-            match file.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    // SAFETY: same layout the block was allocated with.
-                    unsafe { std::alloc::dealloc(ptr, layout) };
-                    return Err(e);
-                }
-            }
-        }
-        if filled != len {
-            // SAFETY: same layout the block was allocated with.
-            unsafe { std::alloc::dealloc(ptr, layout) };
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "file shrank while being read",
-            ));
-        }
-        Ok(Mapping {
-            ptr,
-            len,
-            backing: Backing::Heap { layout },
-        })
+        self.ptr = ptr;
+        self.backing = Backing::Heap { layout };
+        Ok(())
     }
 
     /// The mapped bytes. Zero-copy for the lifetime of the `Mapping`.
@@ -151,7 +184,7 @@ impl Drop for Mapping {
         match self.backing {
             Backing::Mmap => sys::munmap(self.ptr, self.len),
             Backing::Heap { layout } => {
-                // SAFETY: allocated in `open` with exactly this layout.
+                // SAFETY: allocated in `grow` with exactly this layout.
                 unsafe { std::alloc::dealloc(self.ptr as *mut u8, layout) }
             }
             Backing::Empty => {}
@@ -164,6 +197,15 @@ impl Drop for Mapping {
 /// fallback serves the same API.
 pub fn mmap_supported() -> bool {
     sys::SUPPORTED
+}
+
+fn file_len(file: &File) -> io::Result<usize> {
+    usize::try_from(file.metadata()?.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "file larger than the address space",
+        )
+    })
 }
 
 #[cfg(all(
@@ -325,9 +367,27 @@ mod tests {
     }
 
     #[test]
+    fn heap_backing_reads_to_the_end_whatever_the_hint() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(20_000).collect();
+        for hint in [0, 1, 8192, data.len(), 50_000] {
+            let m = Mapping::read(&data[..], hint).expect("read into heap");
+            assert_eq!(m.as_bytes(), &data[..], "hint {hint}");
+            assert_eq!(m.base() as usize % SECTION_ALIGN, 0, "base not aligned");
+            assert!(!m.is_mmap());
+        }
+        assert!(Mapping::read(&b""[..], 0).unwrap().is_empty());
+        let p = tmp("heap", &data);
+        let m = Mapping::open_heap(&p).expect("open heap");
+        assert_eq!(m.as_bytes(), &data[..]);
+        assert!(!m.is_mmap());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
     fn missing_file_is_an_io_error() {
         let p = std::env::temp_dir().join("relmax-store-definitely-missing.bin");
         assert!(Mapping::open(&p).is_err());
+        assert!(Mapping::open_heap(&p).is_err());
     }
 
     #[test]

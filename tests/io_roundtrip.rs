@@ -180,7 +180,7 @@ fn v1_fixture_still_loads_after_version_bumps() {
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
         1,
-        "fixture must stay format v1 — regenerate it only on purpose"
+        "fixture must stay format v1: it pins the legacy layout"
     );
 
     let mut g = UncertainGraph::new(5, true);
@@ -219,20 +219,6 @@ fn v2_fixture_graph() -> UncertainGraph {
     g
 }
 
-/// Regenerates the committed v2 fixture. Deliberately `#[ignore]`d: the
-/// fixture must only change on purpose, with the format history in view.
-/// `cargo test --test io_roundtrip regenerate_v2_fixture -- --ignored`
-#[test]
-#[ignore = "writes tests/fixtures/tiny_v2.rgs — run only to regenerate it"]
-fn regenerate_v2_fixture() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tiny_v2.rgs");
-    let csr = v2_fixture_graph().freeze();
-    let idx = RelIndex::build(&csr);
-    let mut bytes = Vec::new();
-    snapshot::write_v2_full(&csr, Some(&idx.section()), &mut bytes).unwrap();
-    std::fs::write(path, &bytes).unwrap();
-}
-
 /// The committed pre-v3 fixture: a format-v2 `.rgs` (single payload
 /// hash, embedded index section) must keep loading after the v3 bump —
 /// through the heap reader *and* through the zero-copy entry point
@@ -245,7 +231,7 @@ fn v2_fixture_loads_identically_on_both_paths() {
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
         2,
-        "fixture must stay format v2 — regenerate it only on purpose"
+        "fixture must stay format v2: it pins the legacy layout"
     );
 
     let expected = v2_fixture_graph().freeze();
@@ -359,6 +345,129 @@ fn v3_malformed_section_tables_are_rejected() {
             "prefix of {len} bytes accepted"
         );
     }
+}
+
+/// Recompute every checksum a mutated image carries, so structural
+/// validation — not the hash — has to catch the damage: the payload hash
+/// of a v1/v2 file; the section checksums and table hash of a v3 file,
+/// as far as its (possibly lying) table stays inside the bytes.
+fn repair_checksums(b: &mut [u8]) {
+    let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    if b.len() < 64 {
+        return;
+    }
+    // The header hash covers [52, end): the payload of a v1/v2 file, the
+    // table of a v3 file (whose entries carry the section checksums).
+    let legacy = word(b, 4) < 3;
+    let end = if legacy {
+        b.len()
+    } else {
+        64 + word(b, 52) as usize * snapshot::SECTION_ENTRY_BYTES
+    };
+    if end > b.len() {
+        return;
+    }
+    for pos in (64..end)
+        .step_by(snapshot::SECTION_ENTRY_BYTES)
+        .filter(|_| !legacy)
+    {
+        let at = |i: usize| u64::from_le_bytes(b[pos + i..pos + i + 8].try_into().unwrap());
+        let (off, len) = (at(8) as usize, at(16) as usize);
+        if let Some(sec) = off.checked_add(len).and_then(|e| b.get(off..e)) {
+            let sum = snapshot::fnv1a(sec);
+            b[pos + 24..pos + 32].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+    let hash = snapshot::fnv1a(&b[52..end]);
+    b[44..52].copy_from_slice(&hash.to_le_bytes());
+}
+
+/// Seeded mutation loop over `.rgs` bytes: byte flips, truncations,
+/// extensions and lying header sizes, each with and without repaired
+/// checksums, over a v3 file with an index section and both legacy
+/// fixtures. No reader may panic, and the byte reader and the mapped open
+/// — one parser over two backings — must agree on every input: the same
+/// graph, or the same error variant.
+#[test]
+fn mutated_snapshots_never_panic_and_read_agrees_with_map_full() {
+    let csr = v2_fixture_graph().freeze();
+    let v3 = snapshot::to_bytes_full(&csr, Some(&RelIndex::build(&csr).section()));
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/");
+    let inputs = [
+        v3,
+        std::fs::read(format!("{fixtures}tiny_v1.rgs")).unwrap(),
+        std::fs::read(format!("{fixtures}tiny_v2.rgs")).unwrap(),
+    ];
+    let path = std::env::temp_dir().join(format!("relmax-io-mutant-{}.rgs", std::process::id()));
+    let mut rng = StdRng::seed_from_u64(0x0108);
+    let (mut accepted, mut variants) = (0, std::collections::HashSet::new());
+    for original in &inputs {
+        for round in 0..400 {
+            let mut b = original.clone();
+            let what = match round % 4 {
+                0 => {
+                    // Half the flips land in the header and table.
+                    let hi = if rng.gen_bool(0.5) {
+                        b.len().min(192)
+                    } else {
+                        b.len()
+                    };
+                    let i = rng.gen_range(0..hi);
+                    b[i] ^= rng.gen_range(1..=255u8);
+                    format!("flip byte {i}")
+                }
+                1 => {
+                    b.truncate(rng.gen_range(0..b.len()));
+                    format!("truncate to {}", b.len())
+                }
+                2 => {
+                    let extra = rng.gen_range(1..80);
+                    b.extend((0..extra).map(|_| rng.gen_range(0..=255u8)));
+                    format!("extend by {extra}")
+                }
+                _ => {
+                    let at = [12, 20, 28, 36][rng.gen_range(0..4)];
+                    let old = u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+                    let lie = match rng.gen_range(0..3) {
+                        0 => old.wrapping_add(rng.gen_range(1..4)),
+                        1 => old.wrapping_sub(1),
+                        _ => u32::MAX as u64,
+                    };
+                    b[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                    format!("header word {at} says {lie}")
+                }
+            };
+            if round % 8 >= 4 {
+                repair_checksums(&mut b);
+            }
+            std::fs::write(&path, &b).unwrap();
+            let read = snapshot::read_full(&b[..]);
+            let mapped = snapshot::map_full(&path);
+            let _ = snapshot::map_full_trusted(&path);
+            let agree = match (&read, &mapped) {
+                (Ok(x), Ok(y)) => x == y,
+                (Err(x), Err(y)) => std::mem::discriminant(x) == std::mem::discriminant(y),
+                _ => false,
+            };
+            assert!(
+                agree,
+                "{what}: read {:?} vs map_full {:?}",
+                read.as_ref().err(),
+                mapped.as_ref().err()
+            );
+            match read {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    variants.insert(std::mem::discriminant(&e));
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    // The loop must reach past the first checks: some mutants still load,
+    // and the rejections span the error taxonomy.
+    assert!(accepted > 0, "no mutant loaded");
+    assert!(variants.len() >= 6, "only {variants:?} rejections");
 }
 
 /// The zero-copy contract, end to end: `save` → {`load_full`,

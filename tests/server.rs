@@ -1052,6 +1052,46 @@ fn update_storm_is_monotonic_and_drains_through_compaction() {
     assert!(!r.body.contains("\"reliability\":0,"), "{}", r.body);
 }
 
+/// Under the default mapped backing, each compaction writes the new
+/// snapshot beside `<base>.compacted.rgs` and renames it over: the second
+/// fold replaces the file the first one installed (and the server still
+/// maps) instead of truncating it, so the server stays up and answers.
+#[cfg(unix)]
+#[test]
+fn repeated_compactions_replace_the_mapped_snapshot_by_rename() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = scratch("upd-recompact");
+    let rgs = ingest_toy(&dir);
+    let srv = Server::spawn(&rgs, &["--threads", "2"], &[("RELMAX_MMAP", "on")]);
+    let addr = &srv.addr;
+    let compacted = format!("{}.compacted.rgs", rgs.display());
+    let body = "% seed 5\nst 0 15\nfrom 0\n";
+    let tail = |s: &str| s[s.find("\"results\":").unwrap()..].to_string();
+    let mut inode = None;
+    for ups in ["insert 15 0 0.5\n", "setp 0 1 0.9\n"] {
+        let r = update(addr, ups);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let before = query(addr, body);
+        assert_eq!(before.status, 200, "{}", before.body);
+        let c = compact(addr);
+        assert_eq!(c.status, 200, "{}", c.body);
+        assert!(c.body.contains("\"compacted\":true"), "{}", c.body);
+        let after = query(addr, body);
+        assert_eq!(after.status, 200, "{}", after.body);
+        assert_eq!(
+            tail(&after.body),
+            tail(&before.body),
+            "compaction moved results"
+        );
+        let ino = std::fs::metadata(&compacted)
+            .expect("compacted snapshot")
+            .ino();
+        assert_ne!(Some(ino), inode, "compaction rewrote the snapshot in place");
+        inode = Some(ino);
+    }
+    assert_eq!(json_u64(&query(addr, body).body, "generation"), 5);
+}
+
 #[test]
 fn compaction_runs_off_the_query_path() {
     let dir = scratch("upd-nonblock");
