@@ -20,6 +20,7 @@ use relmax_gen::workload::{self, QuerySpec};
 use relmax_sampling::{
     BatchEstimate, BatchQuery, Budget, Estimator, McEstimator, ParallelRuntime, RssEstimator,
 };
+use relmax_server::state::batch_query;
 use relmax_ugraph::edgelist::EdgeListOptions;
 use relmax_ugraph::index::index_enabled;
 use relmax_ugraph::{CsrGraph, ProbGraph, RelIndex};
@@ -172,15 +173,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             )));
         }
     }
+    let batch_queries: Vec<BatchQuery> = specs.iter().map(|q| batch_query(q, hop_bound)).collect();
     // Constrained shapes (set/hops, or anything hop-bounded) need an
     // estimator that supports them; fail loudly rather than silently
     // answering the unconstrained query.
     if estimator == EstimatorKind::Rss {
-        let offender = specs.iter().find(|q| {
-            matches!(q, QuerySpec::Set(..) | QuerySpec::Hops(..))
-                || (hop_bound.is_some() && q.hop_boundable())
-        });
-        if let Some(q) = offender {
+        let offender = batch_queries.iter().position(BatchQuery::is_constrained);
+        if let Some(q) = offender.map(|i| &specs[i]) {
             return Err(opts::run_err(format!(
                 "the rss estimator does not support constrained query shapes \
                  (found `{q}`{}); use --estimator mc",
@@ -219,23 +218,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         workload::write_workload(&emitted, &mut f)
             .map_err(|e| opts::run_err(format!("{path}: {e}")))?;
     }
-
-    let batch_queries: Vec<BatchQuery> = specs
-        .iter()
-        .map(|q| match q {
-            QuerySpec::St(s, t) => match hop_bound {
-                Some(d) => BatchQuery::StWithin(*s, *t, d),
-                None => BatchQuery::St(*s, *t),
-            },
-            QuerySpec::From(s) => BatchQuery::From(*s),
-            QuerySpec::To(t) => BatchQuery::To(*t),
-            QuerySpec::Set(sources, targets) => {
-                BatchQuery::Set(sources.clone(), targets.clone(), hop_bound)
-            }
-            QuerySpec::TopK(s, k) => BatchQuery::TopK(*s, *k),
-            QuerySpec::Hops(s, t) => BatchQuery::Hops(*s, *t),
-        })
-        .collect();
 
     // Parallel across queries, serial within each estimate; every result
     // is bit-identical at every thread count either way.

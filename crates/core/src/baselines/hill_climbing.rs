@@ -8,7 +8,7 @@
 //! `relmax-sampling`) keeps the argmax comparisons stable.
 //!
 //! Each round's candidate sweep runs through
-//! [`Estimator::scan_candidates`] — the sample-sharded shared-world
+//! [`Estimator::scan_estimates`] — the sample-sharded shared-world
 //! kernel for MC, a parallel per-overlay map otherwise — and the argmax
 //! reads the gains in candidate order, so the selection is bit-identical
 //! to the historical serial push/pop loop at every thread count.

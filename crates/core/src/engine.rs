@@ -46,7 +46,6 @@
 
 use relmax_sampling::{
     BatchEstimate, BatchQuery, Budget, Estimate, Estimator, HopsEstimate, ParallelRuntime,
-    QueryBatch,
 };
 use relmax_ugraph::index::{index_enabled, RelIndex, StPlan};
 use relmax_ugraph::{
@@ -262,11 +261,13 @@ impl<E: Estimator> QueryEngine<E> {
     /// components has an endpoint *in* them), so the base plan's Certain /
     /// Impossible verdicts remain exact. Any update touching either
     /// component sends the query to sampling on the overlay.
+    ///
+    /// `None` without a delta: the estimator then decides for itself.
     fn delta_shortcircuit(&self, s: NodeId, t: NodeId) -> Option<Estimate> {
+        let delta = self.delta.as_ref()?;
         if s == t {
             return Some(Estimate::exact(1.0));
         }
-        let delta = self.delta.as_ref()?;
         let idx = self.index.as_ref()?;
         let (cs, ct) = (idx.component(s), idx.component(t));
         if delta.touched_nodes().any(|v| {
@@ -309,86 +310,66 @@ impl<E: Estimator> QueryEngine<E> {
         Ok(())
     }
 
-    /// Execute `target` against a concrete graph (the frozen snapshot, or
-    /// the delta overlay when updates are pending). Monomorphized per
-    /// graph type, so both paths inline the estimator's full BFS.
-    fn dispatch<G: ProbGraph>(
-        &self,
-        g: &G,
-        target: Target,
-        budget: Budget,
-    ) -> Result<QueryAnswer, QueryError> {
+    /// Reject `q` before anything samples: a node outside the graph (the
+    /// first one, in argument order), or a constrained shape this engine's
+    /// estimator cannot answer.
+    fn check(&self, q: &BatchQuery) -> Result<(), QueryError> {
+        for v in q.nodes() {
+            self.check_node(v)?;
+        }
+        if q.is_constrained() && !self.est.supports_constrained() {
+            return Err(QueryError::UnsupportedShape { shape: q.shape() });
+        }
+        Ok(())
+    }
+
+    /// Answer one [`check`](Self::check)ed query against a concrete graph
+    /// (the frozen snapshot, or the delta overlay when updates are
+    /// pending) — the one place a query shape meets an estimator call.
+    /// Monomorphized per graph type, so both paths inline the estimator's
+    /// full BFS.
+    fn answer<G: ProbGraph>(&self, g: &G, q: &BatchQuery, budget: Budget) -> BatchEstimate {
+        const CHECKED: &str = "check() rejects shapes the estimator does not support";
         let est = &self.est;
-        Ok(match target {
-            Target::St(s, t) => {
-                self.check_node(s)?;
-                self.check_node(t)?;
-                QueryAnswer::Scalar(est.st_estimate(g, s, t, budget))
-            }
-            Target::From(s) => {
-                self.check_node(s)?;
-                QueryAnswer::Vector(est.from_estimates(g, s, budget))
-            }
-            Target::To(t) => {
-                self.check_node(t)?;
-                QueryAnswer::Vector(est.to_estimates(g, t, budget))
-            }
+        match q {
+            // With a delta attached the estimator runs detached, so the
+            // engine supplies the structural st short-circuits itself —
+            // keeping `QueryEngine::st_shortcircuit` a mirror of every
+            // st answer, solo or batched, under mutation.
+            BatchQuery::St(s, t) => BatchEstimate::Scalar(
+                self.delta_shortcircuit(*s, *t)
+                    .unwrap_or_else(|| est.st_estimate(g, *s, *t, budget)),
+            ),
+            BatchQuery::From(s) => BatchEstimate::Vector(est.from_estimates(g, *s, budget)),
+            BatchQuery::To(t) => BatchEstimate::Vector(est.to_estimates(g, *t, budget)),
+            BatchQuery::StWithin(s, t, d) => BatchEstimate::Scalar(
+                est.st_within_estimate(g, *s, *t, *d, budget)
+                    .expect(CHECKED),
+            ),
+            BatchQuery::Set(sources, targets, d) => BatchEstimate::Scalar(
+                est.set_estimate(g, sources, targets, *d, budget)
+                    .expect(CHECKED),
+            ),
+            BatchQuery::TopK(s, k) => BatchEstimate::Ranking(est.topk_estimates(g, *s, *k, budget)),
+            BatchQuery::Hops(s, t) => BatchEstimate::Hops(
+                est.expected_hops_estimate(g, *s, *t, budget)
+                    .expect(CHECKED),
+            ),
+        }
+    }
+
+    /// Execute an already-checked `target` against a concrete graph.
+    fn dispatch<G: ProbGraph>(&self, g: &G, target: &Target, budget: Budget) -> QueryAnswer {
+        match target {
+            Target::One(q) => self.answer(g, q, budget).into(),
             Target::Pairwise(sources, targets) => {
-                for &v in sources.iter().chain(&targets) {
-                    self.check_node(v)?;
-                }
-                QueryAnswer::Matrix(est.pairwise_estimates(g, &sources, &targets, budget))
+                QueryAnswer::Matrix(self.est.pairwise_estimates(g, sources, targets, budget))
             }
-            Target::StWithin(s, t, max_hops) => {
-                self.check_node(s)?;
-                self.check_node(t)?;
-                let e = est
-                    .st_within_estimate(g, s, t, max_hops, budget)
-                    .ok_or(QueryError::UnsupportedShape { shape: "st_within" })?;
-                QueryAnswer::Scalar(e)
-            }
-            Target::Set(sources, targets, max_hops) => {
-                for &v in sources.iter().chain(&targets) {
-                    self.check_node(v)?;
-                }
-                let e = est
-                    .set_estimate(g, &sources, &targets, max_hops, budget)
-                    .ok_or(QueryError::UnsupportedShape { shape: "set" })?;
-                QueryAnswer::Scalar(e)
-            }
-            Target::TopK(s, k) => {
-                self.check_node(s)?;
-                QueryAnswer::Ranking(est.topk_estimates(g, s, k, budget))
-            }
-            Target::Hops(s, t) => {
-                self.check_node(s)?;
-                self.check_node(t)?;
-                let h = est
-                    .expected_hops_estimate(g, s, t, budget)
-                    .ok_or(QueryError::UnsupportedShape { shape: "hops" })?;
-                QueryAnswer::Hops(h)
-            }
-            Target::Batch(queries) => {
-                for q in &queries {
-                    self.check_node(q.max_node())?;
-                    // `run_budgeted` has no per-item error channel (it fans
-                    // out over a runtime), so unsupported shapes must be
-                    // rejected before the batch starts.
-                    if q.is_constrained() && !est.supports_constrained() {
-                        let shape = match q {
-                            BatchQuery::StWithin(..) => "st_within",
-                            BatchQuery::Set(..) => "set",
-                            BatchQuery::Hops(..) => "hops",
-                            _ => unreachable!("is_constrained covers exactly these shapes"),
-                        };
-                        return Err(QueryError::UnsupportedShape { shape });
-                    }
-                }
-                QueryAnswer::Batch(
-                    QueryBatch::new(self.runtime).run_budgeted(est, g, &queries, budget),
-                )
-            }
-        })
+            Target::Batch(queries) => QueryAnswer::Batch(
+                self.runtime
+                    .map(queries.len(), |i| self.answer(g, &queries[i], budget)),
+            ),
+        }
     }
 }
 
@@ -450,14 +431,8 @@ impl<E: Estimator + Clone> QueryEngine<E> {
 /// The query target a [`ReliabilityQuery`] resolves to.
 #[derive(Debug, Clone)]
 enum Target {
-    St(NodeId, NodeId),
-    From(NodeId),
-    To(NodeId),
+    One(BatchQuery),
     Pairwise(Vec<NodeId>, Vec<NodeId>),
-    StWithin(NodeId, NodeId, u32),
-    Set(Vec<NodeId>, Vec<NodeId>, Option<u32>),
-    TopK(NodeId, usize),
-    Hops(NodeId, NodeId),
     Batch(Vec<BatchQuery>),
 }
 
@@ -476,22 +451,26 @@ pub struct ReliabilityQuery<'e, E: Estimator> {
 }
 
 impl<E: Estimator> ReliabilityQuery<'_, E> {
-    /// Target: the single pair `R(s, t)`.
-    pub fn st(mut self, s: NodeId, t: NodeId) -> Self {
-        self.target = Some(Target::St(s, t));
+    /// Target: one query of any [`BatchQuery`] shape — what the
+    /// shape-specific methods below build.
+    pub fn target(mut self, query: BatchQuery) -> Self {
+        self.target = Some(Target::One(query));
         self
+    }
+
+    /// Target: the single pair `R(s, t)`.
+    pub fn st(self, s: NodeId, t: NodeId) -> Self {
+        self.target(BatchQuery::St(s, t))
     }
 
     /// Target: `R(s, v)` for every node `v`.
-    pub fn from(mut self, s: NodeId) -> Self {
-        self.target = Some(Target::From(s));
-        self
+    pub fn from(self, s: NodeId) -> Self {
+        self.target(BatchQuery::From(s))
     }
 
     /// Target: `R(v, t)` for every node `v`.
-    pub fn to(mut self, t: NodeId) -> Self {
-        self.target = Some(Target::To(t));
-        self
+    pub fn to(self, t: NodeId) -> Self {
+        self.target(BatchQuery::To(t))
     }
 
     /// Target: the full `|sources| × |targets|` reliability matrix.
@@ -504,50 +483,46 @@ impl<E: Estimator> ReliabilityQuery<'_, E> {
     /// world contains an `s → t` path of at most `max_hops` edges.
     /// `max_hops = 0` degenerates to `s == t`. Requires an estimator with
     /// [`Estimator::supports_constrained`].
-    pub fn st_within(mut self, s: NodeId, t: NodeId, max_hops: u32) -> Self {
-        self.target = Some(Target::StWithin(s, t, max_hops));
-        self
+    pub fn st_within(self, s: NodeId, t: NodeId, max_hops: u32) -> Self {
+        self.target(BatchQuery::StWithin(s, t, max_hops))
     }
 
     /// Target: set reliability — the probability that *any* source reaches
     /// *any* target, estimated in one shared-world pass (not a combination
     /// of per-pair estimates). Requires [`Estimator::supports_constrained`].
-    pub fn set(mut self, sources: &[NodeId], targets: &[NodeId]) -> Self {
-        self.target = Some(Target::Set(sources.to_vec(), targets.to_vec(), None));
-        self
+    pub fn set(self, sources: &[NodeId], targets: &[NodeId]) -> Self {
+        self.target(BatchQuery::Set(sources.to_vec(), targets.to_vec(), None))
     }
 
     /// Target: hop-bounded set reliability — [`ReliabilityQuery::set`]
     /// where every witnessing path must use at most `max_hops` edges.
-    pub fn set_within(mut self, sources: &[NodeId], targets: &[NodeId], max_hops: u32) -> Self {
-        self.target = Some(Target::Set(
+    pub fn set_within(self, sources: &[NodeId], targets: &[NodeId], max_hops: u32) -> Self {
+        self.target(BatchQuery::Set(
             sources.to_vec(),
             targets.to_vec(),
             Some(max_hops),
-        ));
-        self
+        ))
     }
 
     /// Target: the `k` most reliable targets from `s`, ranked by estimated
     /// reliability (descending), ties broken by ascending node id. The
     /// source itself is excluded. Works with every estimator (it rides on
     /// [`Estimator::from_estimates`]).
-    pub fn topk(mut self, s: NodeId, k: usize) -> Self {
-        self.target = Some(Target::TopK(s, k));
-        self
+    pub fn topk(self, s: NodeId, k: usize) -> Self {
+        self.target(BatchQuery::TopK(s, k))
     }
 
     /// Target: expected reliable hop distance — the mean shortest-path hop
     /// count from `s` to `t` over worlds where `t` is reachable, paired
     /// with the reliability estimate itself. Requires
     /// [`Estimator::supports_constrained`].
-    pub fn expected_hops(mut self, s: NodeId, t: NodeId) -> Self {
-        self.target = Some(Target::Hops(s, t));
-        self
+    pub fn expected_hops(self, s: NodeId, t: NodeId) -> Self {
+        self.target(BatchQuery::Hops(s, t))
     }
 
     /// Target: a heterogeneous batch of queries, answered in order and
-    /// fanned out over the engine's runtime.
+    /// fanned out over the engine's runtime. Every query is checked
+    /// before any of them samples.
     pub fn batch(mut self, queries: &[BatchQuery]) -> Self {
         self.target = Some(Target::Batch(queries.to_vec()));
         self
@@ -576,25 +551,23 @@ impl<E: Estimator> ReliabilityQuery<'_, E> {
         let engine = self.engine;
         let budget = self.budget.unwrap_or(engine.default_budget);
         let target = self.target.ok_or(QueryError::MissingTarget)?;
-        match &engine.delta {
-            Some(delta) => {
-                // The estimator is detached when a delta is attached, so
-                // the engine supplies the structural st short-circuits
-                // itself — keeping the coalescing accessor's contract
-                // ([`QueryEngine::st_shortcircuit`] mirrors `st` answers
-                // exactly) intact under mutation.
-                if let Target::St(s, t) = &target {
-                    let (s, t) = (*s, *t);
-                    engine.check_node(s)?;
-                    engine.check_node(t)?;
-                    if let Some(e) = engine.delta_shortcircuit(s, t) {
-                        return Ok(QueryAnswer::Scalar(e));
-                    }
+        match &target {
+            Target::One(q) => engine.check(q)?,
+            Target::Pairwise(sources, targets) => {
+                for &v in sources.iter().chain(targets) {
+                    engine.check_node(v)?;
                 }
-                engine.dispatch(delta.as_ref(), target, budget)
             }
-            None => engine.dispatch(engine.csr.as_ref(), target, budget),
+            Target::Batch(queries) => {
+                for q in queries {
+                    engine.check(q)?;
+                }
+            }
         }
+        Ok(match &engine.delta {
+            Some(delta) => engine.dispatch(delta.as_ref(), &target, budget),
+            None => engine.dispatch(engine.csr.as_ref(), &target, budget),
+        })
     }
 }
 
@@ -667,6 +640,17 @@ impl QueryAnswer {
     }
 }
 
+impl From<BatchEstimate> for QueryAnswer {
+    fn from(answer: BatchEstimate) -> Self {
+        match answer {
+            BatchEstimate::Scalar(e) => QueryAnswer::Scalar(e),
+            BatchEstimate::Vector(v) => QueryAnswer::Vector(v),
+            BatchEstimate::Ranking(r) => QueryAnswer::Ranking(r),
+            BatchEstimate::Hops(h) => QueryAnswer::Hops(h),
+        }
+    }
+}
+
 /// Why a [`ReliabilityQuery`] could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -728,15 +712,15 @@ mod tests {
     fn st_matches_direct_estimator_call() {
         let g = bridge();
         let est = McEstimator::new(4_000, 11);
-        let direct = est.st_reliability(&g.freeze(), NodeId(0), NodeId(3));
+        let direct = est.st_estimate(&g.freeze(), NodeId(0), NodeId(3), est.budget);
         let engine = QueryEngine::new(&g, est);
         let answer = engine.query().st(NodeId(0), NodeId(3)).run().unwrap();
-        assert_eq!(answer.scalar().unwrap().value, direct);
+        assert_eq!(answer.scalar().unwrap(), &direct);
         // Shorthand form agrees.
         let e = engine
             .st(NodeId(0), NodeId(3), Budget::fixed(4_000))
             .unwrap();
-        assert_eq!(e.value, direct);
+        assert_eq!(e, direct);
     }
 
     #[test]
@@ -764,13 +748,22 @@ mod tests {
         let queries = vec![
             BatchQuery::St(NodeId(0), NodeId(3)),
             BatchQuery::From(NodeId(1)),
+            BatchQuery::To(NodeId(3)),
+            BatchQuery::St(NodeId(3), NodeId(0)),
         ];
         let serial = QueryEngine::new(&g, est.clone());
         let parallel = QueryEngine::new(&g, est).with_runtime(ParallelRuntime::new(4));
         let a = serial.query().batch(&queries).run().unwrap();
         let b = parallel.query().batch(&queries).run().unwrap();
         assert_eq!(a, b); // bit-identical across batch runtimes
-        assert_eq!(a.batch().unwrap().len(), 2);
+                          // Entry i is exactly the solo answer to query i.
+        assert_eq!(a.batch().unwrap().len(), queries.len());
+        for (q, entry) in queries.iter().zip(a.batch().unwrap()) {
+            let solo = serial.query().target(q.clone()).run().unwrap();
+            assert_eq!(QueryAnswer::from(entry.clone()), solo, "{q:?}");
+        }
+        let empty = parallel.query().batch(&[]).run().unwrap();
+        assert_eq!(empty.batch().unwrap(), &[]);
     }
 
     #[test]
@@ -815,8 +808,13 @@ mod tests {
         let csr = g.freeze();
         let engine = QueryEngine::from_snapshot(csr.clone(), RssEstimator::new(1_000, 9));
         let answer = engine.query().st(NodeId(0), NodeId(3)).run().unwrap();
-        let direct = RssEstimator::new(1_000, 9).st_reliability(&csr, NodeId(0), NodeId(3));
-        assert_eq!(answer.scalar().unwrap().value, direct);
+        let direct = RssEstimator::new(1_000, 9).st_estimate(
+            &csr,
+            NodeId(0),
+            NodeId(3),
+            Budget::fixed(1_000),
+        );
+        assert_eq!(answer.scalar().unwrap(), &direct);
     }
 
     #[test]
@@ -839,6 +837,20 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, QueryError::NodeOutOfRange { .. }));
+        // Solo and batched queries name the first out-of-range node, in
+        // argument order.
+        let first = QueryError::NodeOutOfRange {
+            node: NodeId(9),
+            nodes: 4,
+        };
+        let err = engine.query().st(NodeId(9), NodeId(50)).run().unwrap_err();
+        assert_eq!(err, first);
+        let batch = [
+            BatchQuery::St(NodeId(0), NodeId(1)),
+            BatchQuery::Set(vec![NodeId(0), NodeId(9)], vec![NodeId(50)], None),
+        ];
+        let err = engine.query().batch(&batch).run().unwrap_err();
+        assert_eq!(err, first);
     }
 
     #[test]
@@ -1048,6 +1060,56 @@ mod tests {
             .unwrap();
         assert_eq!(bridged.st_shortcircuit(NodeId(0), NodeId(5)).unwrap(), None);
         assert!(bridged.st(NodeId(0), NodeId(5), budget).unwrap().value > 0.0);
+    }
+
+    #[test]
+    fn delta_batches_answer_like_solo_queries() {
+        // Components {0,1,2,3} (certain cycle {0,1}), {4,5}, {6,7}; the
+        // update touches {4,5} only.
+        let mut g = UncertainGraph::new(8, true);
+        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        g.add_edge(NodeId(1), NodeId(0), 1.0).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 0.6).unwrap();
+        g.add_edge(NodeId(2), NodeId(3), 0.5).unwrap();
+        g.add_edge(NodeId(4), NodeId(5), 0.7).unwrap();
+        g.add_edge(NodeId(6), NodeId(7), 0.4).unwrap();
+        let budget = Budget::fixed(1_000);
+        let updated = QueryEngine::from_snapshot(g.freeze(), McEstimator::new(1_000, 3))
+            .apply_delta(&[GraphUpdate::SetProb {
+                src: NodeId(4),
+                dst: NodeId(5),
+                prob: 0.9,
+            }])
+            .unwrap();
+        let pairs = [
+            (NodeId(0), NodeId(6)), // impossible: untouched components
+            (NodeId(0), NodeId(1)), // certain: one certain supernode
+            (NodeId(0), NodeId(3)), // sampled on the overlay
+            (NodeId(0), NodeId(5)), // sampled: touched component
+        ];
+        let queries: Vec<_> = pairs.iter().map(|&(s, t)| BatchQuery::St(s, t)).collect();
+        for threads in [1, 3] {
+            let engine = updated.clone().with_runtime(ParallelRuntime::new(threads));
+            let batch = engine.query().batch(&queries).budget(budget).run().unwrap();
+            for (&(s, t), entry) in pairs.iter().zip(batch.batch().unwrap()) {
+                let solo = engine.st(s, t, budget).unwrap();
+                assert_eq!(
+                    entry,
+                    &BatchEstimate::Scalar(solo),
+                    "st {s:?} {t:?} at {threads} thread(s)"
+                );
+            }
+            let effort: Vec<_> = batch
+                .batch()
+                .unwrap()
+                .iter()
+                .map(|e| e.sampling_effort())
+                .collect();
+            assert_eq!(
+                effort,
+                [(0, true), (0, false), (1_000, false), (1_000, false)]
+            );
+        }
     }
 
     #[test]

@@ -129,8 +129,8 @@ mod tests {
         // the sum of s-t reliabilities, which MC can verify independently.
         let g = line();
         let mc = McEstimator::new(60_000, 9);
-        let from0 = mc.reliability_from(&g, NodeId(0));
-        let expect: f64 = from0[1] + from0[2];
+        let from0 = mc.from_estimates(&g, NodeId(0), mc.budget);
+        let expect: f64 = from0[1].value + from0[2].value;
         let spread = influence_spread(&g, &[NodeId(0)], Some(&[NodeId(1), NodeId(2)]), 60_000, 9);
         assert!(
             (spread - expect).abs() < 0.02,

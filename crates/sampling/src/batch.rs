@@ -1,43 +1,40 @@
-//! Batched query execution: one freeze, many queries, deterministic order.
+//! The query vocabulary of a batch workload: [`BatchQuery`] shapes and
+//! their [`BatchEstimate`] answers.
 //!
 //! Serving a workload file means answering hundreds of independent
-//! reliability queries against the *same* graph. The naive loop pays the
-//! `O(n + m)` freeze per run anyway (good), but leaves the queries serial
-//! and re-derives per-query plumbing at every call site. [`QueryBatch`] is
-//! the shared entry point: freeze (or accept a frozen snapshot) once, then
-//! fan the queries out over a [`ParallelRuntime`].
+//! reliability queries against the *same* graph. `relmax_core::QueryEngine`
+//! answers them: it freezes the graph once, checks every query up front,
+//! then fans the batch out over its [`crate::ParallelRuntime`]. This
+//! module only names the shapes and their answers.
 //!
 //! ## Determinism
 //!
-//! Batch results inherit the PR-2 contract: **bit-identical output at
-//! every thread count**. Each query's answer is already
-//! thread-count-independent (estimator kernels shard samples with
-//! stateless coin keys and fixed merges), and the batch layer adds no new
-//! ordering freedom — [`ParallelRuntime::map`] returns results in query
-//! index order no matter which worker computed what. Two runs of the same
-//! workload under `RELMAX_THREADS=1` and `=64` therefore produce the same
-//! bytes.
+//! Batch results inherit the workspace determinism contract
+//! (`docs/determinism.md`): **bit-identical output at every thread
+//! count**. Each query's answer is already thread-count-independent
+//! (estimator kernels shard samples with stateless coin keys and fixed
+//! merges), and the batch fan-out adds no new ordering freedom — [`crate::ParallelRuntime::map`] returns results
+//! in query index order no matter which worker computed what. Two runs of
+//! the same workload under `RELMAX_THREADS=1` and `=64` therefore produce
+//! the same bytes.
 //!
 //! Parallelism composes multiplicatively here, so the intended shape is:
 //! **parallel across queries, serial within each estimate** — construct
 //! the estimator with [`crate::McEstimator::new`] (serial runtime) and
-//! give the batch the parallel runtime. The inverse (serial batch,
+//! give the engine the parallel runtime. The inverse (serial batch,
 //! parallel estimator) is equally correct and better for a handful of
 //! giant queries; both at once oversubscribes but still yields identical
 //! bits.
 
-use crate::convergence::{Budget, Estimate, HopsEstimate};
-use crate::runtime::ParallelRuntime;
-use crate::Estimator;
-use relmax_ugraph::{CsrGraph, NodeId, ProbGraph, UncertainGraph};
+use crate::convergence::{Estimate, HopsEstimate};
+use relmax_ugraph::NodeId;
 
 /// One reliability query in a batch workload.
 ///
 /// The constrained shapes ([`BatchQuery::StWithin`], [`BatchQuery::Set`],
 /// [`BatchQuery::Hops`]) are only answerable by estimators whose
-/// [`Estimator::supports_constrained`] is true — callers must check
-/// *before* batching (the batch executor panics on an unsupported shape,
-/// because its per-query fan-out has no error channel). Top-k works for
+/// [`crate::Estimator::supports_constrained`] is true; the engine rejects
+/// them for other estimators before anything samples. Top-k works for
 /// every estimator (it is a ranking over `from_estimates`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchQuery {
@@ -60,81 +57,49 @@ pub enum BatchQuery {
 }
 
 impl BatchQuery {
-    /// The largest node id this query references (for bounds validation).
-    /// Empty set sides reference no node and report `NodeId(0)`.
-    pub fn max_node(&self) -> NodeId {
+    /// Every node this query references, in argument order (sources
+    /// before targets) — the order the engine validates them in.
+    pub fn nodes(&self) -> Vec<NodeId> {
         match self {
             BatchQuery::St(s, t) | BatchQuery::Hops(s, t) | BatchQuery::StWithin(s, t, _) => {
-                NodeId(s.0.max(t.0))
+                vec![*s, *t]
             }
-            BatchQuery::From(s) | BatchQuery::TopK(s, _) => *s,
-            BatchQuery::To(t) => *t,
-            BatchQuery::Set(sources, targets, _) => NodeId(
-                sources
-                    .iter()
-                    .chain(targets)
-                    .map(|v| v.0)
-                    .max()
-                    .unwrap_or(0),
-            ),
+            BatchQuery::From(v) | BatchQuery::To(v) | BatchQuery::TopK(v, _) => vec![*v],
+            BatchQuery::Set(sources, targets, _) => [sources.as_slice(), targets].concat(),
         }
     }
 
+    /// The largest node id this query references (for bounds validation).
+    /// Empty set sides reference no node and report `NodeId(0)`.
+    pub fn max_node(&self) -> NodeId {
+        self.nodes().into_iter().max().unwrap_or(NodeId(0))
+    }
+
     /// Whether answering this query requires
-    /// [`Estimator::supports_constrained`].
+    /// [`crate::Estimator::supports_constrained`].
     pub fn is_constrained(&self) -> bool {
         matches!(
             self,
             BatchQuery::StWithin(..) | BatchQuery::Set(..) | BatchQuery::Hops(..)
         )
     }
-}
 
-/// The answer to one [`BatchQuery`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchResult {
-    /// Scalar `R(s, t)` for an [`BatchQuery::St`] / [`BatchQuery::StWithin`]
-    /// / [`BatchQuery::Set`] query.
-    Scalar(f64),
-    /// Per-node reliability vector for a [`BatchQuery::From`] /
-    /// [`BatchQuery::To`] query, indexed by node id.
-    Vector(Vec<f64>),
-    /// Ranked `(target, reliability)` pairs for a [`BatchQuery::TopK`]
-    /// query, most reliable first.
-    Ranking(Vec<(NodeId, f64)>),
-    /// `(reliability, expected hops)` for a [`BatchQuery::Hops`] query.
-    Hops(f64, f64),
-}
-
-impl BatchResult {
-    /// Summary statistics `(nonzero, mean, max)` over the result's
-    /// reliability values — the scalar case counts itself as one node.
-    /// Used by table-style output where a full vector does not fit.
-    pub fn summary(&self) -> (usize, f64, f64) {
+    /// The shape's name, as it appears in results and errors (`"st"`,
+    /// `"from"`, `"to"`, `"st_within"`, `"set"`, `"topk"`, `"hops"`).
+    pub fn shape(&self) -> &'static str {
         match self {
-            BatchResult::Scalar(r) | BatchResult::Hops(r, _) => summarize(std::slice::from_ref(r)),
-            BatchResult::Vector(v) => summarize(v.as_slice()),
-            BatchResult::Ranking(pairs) => {
-                let values: Vec<f64> = pairs.iter().map(|&(_, r)| r).collect();
-                summarize(&values)
-            }
+            BatchQuery::St(..) => "st",
+            BatchQuery::From(_) => "from",
+            BatchQuery::To(_) => "to",
+            BatchQuery::StWithin(..) => "st_within",
+            BatchQuery::Set(..) => "set",
+            BatchQuery::TopK(..) => "topk",
+            BatchQuery::Hops(..) => "hops",
         }
     }
 }
 
-fn summarize(values: &[f64]) -> (usize, f64, f64) {
-    let nonzero = values.iter().filter(|&&r| r > 0.0).count();
-    let mean = if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    };
-    let max = values.iter().cloned().fold(0.0f64, f64::max);
-    (nonzero, mean, max)
-}
-
-/// The rich answer to one [`BatchQuery`]: the same shape as
-/// [`BatchResult`], but carrying full [`Estimate`]s.
+/// The answer to one [`BatchQuery`], carrying full [`Estimate`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchEstimate {
     /// Scalar estimate for a [`BatchQuery::St`] / [`BatchQuery::StWithin`]
@@ -152,22 +117,16 @@ pub enum BatchEstimate {
 }
 
 impl BatchEstimate {
-    /// Drop the uncertainty information, keeping only point values.
-    pub fn values(&self) -> BatchResult {
-        match self {
-            BatchEstimate::Scalar(e) => BatchResult::Scalar(e.value),
-            BatchEstimate::Vector(v) => BatchResult::Vector(v.iter().map(|e| e.value).collect()),
-            BatchEstimate::Ranking(pairs) => {
-                BatchResult::Ranking(pairs.iter().map(|&(v, e)| (v, e.value)).collect())
-            }
-            BatchEstimate::Hops(h) => BatchResult::Hops(h.reliability.value, h.expected_hops),
-        }
-    }
-
     /// Summary statistics `(nonzero, mean, max)` over the point values —
-    /// see [`BatchResult::summary`].
+    /// a scalar or hops answer counts itself as one node. Used by
+    /// table-style output where a full vector does not fit.
     pub fn summary(&self) -> (usize, f64, f64) {
-        self.values().summary()
+        match self {
+            BatchEstimate::Scalar(e) => summarize(std::iter::once(e.value)),
+            BatchEstimate::Vector(v) => summarize(v.iter().map(|e| e.value)),
+            BatchEstimate::Ranking(pairs) => summarize(pairs.iter().map(|(_, e)| e.value)),
+            BatchEstimate::Hops(h) => summarize(std::iter::once(h.reliability.value)),
+        }
     }
 
     /// Worlds spent answering this query and whether an accuracy budget
@@ -202,255 +161,60 @@ impl BatchEstimate {
     }
 }
 
-/// A batch executor: a [`ParallelRuntime`] plus the run entry points.
-///
-/// ```
-/// use relmax_sampling::batch::{BatchQuery, BatchResult, QueryBatch};
-/// use relmax_sampling::{McEstimator, ParallelRuntime};
-/// use relmax_ugraph::{NodeId, UncertainGraph};
-///
-/// let mut g = UncertainGraph::new(3, true);
-/// g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
-/// g.add_edge(NodeId(1), NodeId(2), 0.8).unwrap();
-///
-/// let queries = [
-///     BatchQuery::St(NodeId(0), NodeId(2)),
-///     BatchQuery::From(NodeId(0)),
-/// ];
-/// let est = McEstimator::new(10_000, 7); // serial per query
-/// let serial = QueryBatch::new(ParallelRuntime::serial()).freeze_and_run(&est, &g, &queries);
-/// let par = QueryBatch::new(ParallelRuntime::new(4)).freeze_and_run(&est, &g, &queries);
-/// assert_eq!(serial, par); // bit-identical at any thread count
-/// assert!(matches!(serial[0], BatchResult::Scalar(_)));
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryBatch {
-    /// Executor the queries are fanned out on.
-    pub runtime: ParallelRuntime,
-}
-
-impl QueryBatch {
-    /// Batch executor over `runtime`.
-    pub fn new(runtime: ParallelRuntime) -> Self {
-        QueryBatch { runtime }
-    }
-
-    /// Run every query against an already-frozen (or otherwise traversal-
-    /// ready) graph under `budget`, returning rich answers in query order.
-    pub fn run_budgeted<E: Estimator, G: ProbGraph>(
-        &self,
-        est: &E,
-        g: &G,
-        queries: &[BatchQuery],
-        budget: Budget,
-    ) -> Vec<BatchEstimate> {
-        const UNSUPPORTED: &str = "estimator does not support constrained query shapes; \
-             check Estimator::supports_constrained before batching";
-        self.runtime.map(queries.len(), |i| match &queries[i] {
-            BatchQuery::St(s, t) => BatchEstimate::Scalar(est.st_estimate(g, *s, *t, budget)),
-            BatchQuery::From(s) => BatchEstimate::Vector(est.from_estimates(g, *s, budget)),
-            BatchQuery::To(t) => BatchEstimate::Vector(est.to_estimates(g, *t, budget)),
-            BatchQuery::StWithin(s, t, d) => BatchEstimate::Scalar(
-                est.st_within_estimate(g, *s, *t, *d, budget)
-                    .expect(UNSUPPORTED),
-            ),
-            BatchQuery::Set(sources, targets, max_hops) => BatchEstimate::Scalar(
-                est.set_estimate(g, sources, targets, *max_hops, budget)
-                    .expect(UNSUPPORTED),
-            ),
-            BatchQuery::TopK(s, k) => BatchEstimate::Ranking(est.topk_estimates(g, *s, *k, budget)),
-            BatchQuery::Hops(s, t) => BatchEstimate::Hops(
-                est.expected_hops_estimate(g, *s, *t, budget)
-                    .expect(UNSUPPORTED),
-            ),
-        })
-    }
-
-    /// Value-only batch run at the estimator's default budget (the
-    /// pre-`Budget` entry point; prefer [`QueryBatch::run_budgeted`]).
-    pub fn run<E: Estimator, G: ProbGraph>(
-        &self,
-        est: &E,
-        g: &G,
-        queries: &[BatchQuery],
-    ) -> Vec<BatchResult> {
-        self.run_budgeted(est, g, queries, est.default_budget())
-            .iter()
-            .map(BatchEstimate::values)
-            .collect()
-    }
-
-    /// Freeze the graph once, then [`QueryBatch::run_budgeted`] the whole
-    /// workload against the snapshot — the amortized path a CLI/server
-    /// should take for any batch worth its name.
-    pub fn freeze_and_run_budgeted<E: Estimator>(
-        &self,
-        est: &E,
-        g: &UncertainGraph,
-        queries: &[BatchQuery],
-        budget: Budget,
-    ) -> Vec<BatchEstimate> {
-        let csr = CsrGraph::freeze(g);
-        self.run_budgeted(est, &csr, queries, budget)
-    }
-
-    /// Value-only [`QueryBatch::freeze_and_run_budgeted`] at the
-    /// estimator's default budget.
-    pub fn freeze_and_run<E: Estimator>(
-        &self,
-        est: &E,
-        g: &UncertainGraph,
-        queries: &[BatchQuery],
-    ) -> Vec<BatchResult> {
-        let csr = CsrGraph::freeze(g);
-        self.run(est, &csr, queries)
-    }
+fn summarize(values: impl Iterator<Item = f64> + Clone) -> (usize, f64, f64) {
+    let len = values.clone().count();
+    let nonzero = values.clone().filter(|&r| r > 0.0).count();
+    let mean = if len == 0 {
+        0.0
+    } else {
+        values.clone().sum::<f64>() / len as f64
+    };
+    let max = values.fold(0.0f64, f64::max);
+    (nonzero, mean, max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{McEstimator, RssEstimator};
-
-    fn bridge() -> UncertainGraph {
-        let mut g = UncertainGraph::new(4, true);
-        g.add_edge(NodeId(0), NodeId(1), 0.6).unwrap();
-        g.add_edge(NodeId(0), NodeId(2), 0.4).unwrap();
-        g.add_edge(NodeId(1), NodeId(3), 0.5).unwrap();
-        g.add_edge(NodeId(2), NodeId(3), 0.7).unwrap();
-        g
-    }
-
-    fn workload() -> Vec<BatchQuery> {
-        vec![
-            BatchQuery::St(NodeId(0), NodeId(3)),
-            BatchQuery::St(NodeId(1), NodeId(2)),
-            BatchQuery::From(NodeId(0)),
-            BatchQuery::To(NodeId(3)),
-            BatchQuery::St(NodeId(3), NodeId(0)),
-        ]
-    }
-
-    #[test]
-    fn matches_direct_estimator_calls() {
-        let g = bridge();
-        let csr = g.freeze();
-        let est = McEstimator::new(4_000, 11);
-        let results = QueryBatch::new(ParallelRuntime::serial()).run(&est, &csr, &workload());
-        assert_eq!(
-            results[0],
-            BatchResult::Scalar(est.st_reliability(&csr, NodeId(0), NodeId(3)))
-        );
-        assert_eq!(
-            results[2],
-            BatchResult::Vector(est.reliability_from(&csr, NodeId(0)))
-        );
-        assert_eq!(
-            results[3],
-            BatchResult::Vector(est.reliability_to(&csr, NodeId(3)))
-        );
-    }
-
-    #[test]
-    fn bit_identical_across_thread_counts() {
-        let g = bridge();
-        let est = McEstimator::new(4_000, 23);
-        let serial =
-            QueryBatch::new(ParallelRuntime::serial()).freeze_and_run(&est, &g, &workload());
-        for threads in [2, 3, 8] {
-            let par = QueryBatch::new(ParallelRuntime::new(threads)).freeze_and_run(
-                &est,
-                &g,
-                &workload(),
-            );
-            assert_eq!(serial, par, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn freeze_and_run_matches_adjacency_run() {
-        let g = bridge();
-        let est = RssEstimator::new(2_000, 5);
-        let batch = QueryBatch::new(ParallelRuntime::new(2));
-        let frozen = batch.freeze_and_run(&est, &g, &workload());
-        let direct = batch.run(&est, &g, &workload());
-        assert_eq!(frozen, direct);
-    }
 
     #[test]
     fn summaries() {
-        assert_eq!(BatchResult::Scalar(0.5).summary(), (1, 0.5, 0.5));
-        assert_eq!(BatchResult::Scalar(0.0).summary(), (0, 0.0, 0.0));
-        let (nz, mean, max) = BatchResult::Vector(vec![0.0, 0.5, 1.0]).summary();
+        let scalar = |v| BatchEstimate::Scalar(Estimate::exact(v));
+        assert_eq!(scalar(0.5).summary(), (1, 0.5, 0.5));
+        assert_eq!(scalar(0.0).summary(), (0, 0.0, 0.0));
+        let vector = BatchEstimate::Vector([0.0, 0.5, 1.0].map(Estimate::exact).to_vec());
+        let (nz, mean, max) = vector.summary();
         assert_eq!(nz, 2);
         assert!((mean - 0.5).abs() < 1e-12);
         assert_eq!(max, 1.0);
+        let ranking = BatchEstimate::Ranking(vec![(NodeId(2), Estimate::exact(0.25))]);
+        assert_eq!(ranking.summary(), (1, 0.25, 0.25));
+        assert_eq!(BatchEstimate::Vector(Vec::new()).summary(), (0, 0.0, 0.0));
     }
 
     #[test]
-    fn max_node_bounds() {
+    fn shape_metadata() {
         assert_eq!(BatchQuery::St(NodeId(3), NodeId(9)).max_node(), NodeId(9));
         assert_eq!(BatchQuery::From(NodeId(4)).max_node(), NodeId(4));
-    }
-
-    #[test]
-    fn constrained_batch_matches_direct_calls_at_any_thread_count() {
-        let g = bridge();
-        let csr = g.freeze();
-        let est = McEstimator::new(2_048, 11);
-        let b = Budget::fixed(2_048);
-        let queries = vec![
+        let set = BatchQuery::Set(vec![NodeId(0)], vec![NodeId(2), NodeId(3)], Some(2));
+        assert_eq!(set.max_node(), NodeId(3));
+        assert_eq!(BatchQuery::Set(vec![], vec![], None).max_node(), NodeId(0));
+        assert_eq!(
+            BatchQuery::StWithin(NodeId(5), NodeId(2), 3).nodes(),
+            [NodeId(5), NodeId(2)]
+        );
+        assert_eq!(set.nodes(), [NodeId(0), NodeId(2), NodeId(3)]);
+        let constrained = [
             BatchQuery::StWithin(NodeId(0), NodeId(3), 2),
-            BatchQuery::Set(vec![NodeId(0)], vec![NodeId(2), NodeId(3)], Some(2)),
-            BatchQuery::TopK(NodeId(0), 2),
+            set,
             BatchQuery::Hops(NodeId(0), NodeId(3)),
         ];
-        let serial =
-            QueryBatch::new(ParallelRuntime::serial()).run_budgeted(&est, &csr, &queries, b);
-        assert_eq!(
-            serial[0],
-            BatchEstimate::Scalar(
-                est.st_within_estimate(&csr, NodeId(0), NodeId(3), 2, b)
-                    .unwrap()
-            )
-        );
-        assert_eq!(
-            serial[1],
-            BatchEstimate::Scalar(
-                est.set_estimate(&csr, &[NodeId(0)], &[NodeId(2), NodeId(3)], Some(2), b)
-                    .unwrap()
-            )
-        );
-        assert_eq!(
-            serial[2],
-            BatchEstimate::Ranking(est.topk_estimates(&csr, NodeId(0), 2, b))
-        );
-        assert_eq!(
-            serial[3],
-            BatchEstimate::Hops(
-                est.expected_hops_estimate(&csr, NodeId(0), NodeId(3), b)
-                    .unwrap()
-            )
-        );
-        for threads in [2, 4] {
-            let par = QueryBatch::new(ParallelRuntime::new(threads))
-                .run_budgeted(&est, &csr, &queries, b);
-            assert_eq!(serial, par, "threads={threads}");
+        for q in &constrained {
+            assert!(q.is_constrained(), "{q:?}");
         }
-        // Shape metadata used by validation layers.
-        assert!(queries[0].is_constrained());
-        assert!(!queries[2].is_constrained());
-        assert_eq!(queries[1].max_node(), NodeId(3));
-        assert!(est.supports_constrained());
-        assert!(!RssEstimator::new(10, 1).supports_constrained());
-    }
-
-    #[test]
-    fn empty_workload() {
-        let g = bridge();
-        let est = McEstimator::new(10, 1);
-        assert!(QueryBatch::default()
-            .freeze_and_run(&est, &g, &[])
-            .is_empty());
+        let names: Vec<_> = constrained.iter().map(BatchQuery::shape).collect();
+        assert_eq!(names, ["st_within", "set", "hops"]);
+        assert!(!BatchQuery::TopK(NodeId(0), 2).is_constrained());
+        assert!(!BatchQuery::To(NodeId(1)).is_constrained());
     }
 }

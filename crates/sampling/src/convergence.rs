@@ -530,7 +530,10 @@ where
         let mut rho_sum = 0.0;
         for &(s, t) in queries {
             let estimates: Vec<f64> = (0..reps)
-                .map(|seed| make(z, seed).st_reliability(g, s, t))
+                .map(|seed| {
+                    let est = make(z, seed);
+                    est.st_estimate(g, s, t, est.default_budget()).value
+                })
                 .collect();
             rho_sum += dispersion_ratio(&estimates);
         }

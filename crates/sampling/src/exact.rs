@@ -71,13 +71,14 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 0.5).unwrap();
         let ex = ExactEstimator::new();
         // 1 - (1 - 0.25)^2 = 0.4375
-        assert!((ex.st_reliability(&g, NodeId(0), NodeId(3)) - 0.4375).abs() < 1e-12);
-        let from = ex.reliability_from(&g, NodeId(0));
-        assert_eq!(from[0], 1.0);
-        assert!((from[1] - 0.5).abs() < 1e-12);
-        let to = ex.reliability_to(&g, NodeId(3));
-        assert!((to[1] - 0.5).abs() < 1e-12);
-        assert_eq!(to[3], 1.0);
+        let b = ex.default_budget();
+        assert!((ex.st_estimate(&g, NodeId(0), NodeId(3), b).value - 0.4375).abs() < 1e-12);
+        let from = ex.from_estimates(&g, NodeId(0), b);
+        assert_eq!(from[0].value, 1.0);
+        assert!((from[1].value - 0.5).abs() < 1e-12);
+        let to = ex.to_estimates(&g, NodeId(3), b);
+        assert!((to[1].value - 0.5).abs() < 1e-12);
+        assert_eq!(to[3].value, 1.0);
     }
 
     #[test]
@@ -89,9 +90,10 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 0.4).unwrap();
         let ex = ExactEstimator::new();
         let csr = g.freeze();
+        let b = ex.default_budget();
         assert_eq!(
-            ex.st_reliability(&g, NodeId(0), NodeId(3)),
-            ex.st_reliability(&csr, NodeId(0), NodeId(3)),
+            ex.st_estimate(&g, NodeId(0), NodeId(3), b),
+            ex.st_estimate(&csr, NodeId(0), NodeId(3), b),
         );
     }
 }

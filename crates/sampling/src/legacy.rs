@@ -170,7 +170,7 @@ impl DynMcEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Estimator, McEstimator};
+    use crate::{Estimate, Estimator, McEstimator};
     use relmax_ugraph::{CsrGraph, NodeId, UncertainGraph};
 
     fn bridge_graph() -> UncertainGraph {
@@ -190,22 +190,24 @@ mod tests {
         for seed in [0u64, 1, 7, 99] {
             let legacy = DynMcEstimator::new(4_000, seed);
             let new = McEstimator::new(4_000, seed);
+            let b = new.budget;
+            let values = |v: Vec<Estimate>| v.into_iter().map(|e| e.value).collect::<Vec<_>>();
             // Legacy dyn walk on adjacency vs monomorphized walk on either layout.
             assert_eq!(
                 legacy.st_reliability(&g, NodeId(0), NodeId(3)),
-                new.st_reliability(&g, NodeId(0), NodeId(3)),
+                new.st_estimate(&g, NodeId(0), NodeId(3), b).value,
             );
             assert_eq!(
                 legacy.st_reliability(&g, NodeId(0), NodeId(3)),
-                new.st_reliability(&csr, NodeId(0), NodeId(3)),
+                new.st_estimate(&csr, NodeId(0), NodeId(3), b).value,
             );
             assert_eq!(
                 legacy.reliability_from(&g, NodeId(0)),
-                new.reliability_from(&csr, NodeId(0)),
+                values(new.from_estimates(&csr, NodeId(0), b)),
             );
             assert_eq!(
                 legacy.reliability_to(&g, NodeId(3)),
-                new.reliability_to(&csr, NodeId(3)),
+                values(new.to_estimates(&csr, NodeId(3), b)),
             );
         }
     }

@@ -76,7 +76,7 @@ pub mod packed;
 pub mod rss;
 pub mod runtime;
 
-pub use batch::{BatchEstimate, BatchQuery, BatchResult, QueryBatch};
+pub use batch::{BatchEstimate, BatchQuery};
 pub use convergence::{
     converged_sample_size, dispersion_ratio, AdaptivePlan, Budget, Estimate, HopsEstimate,
 };
@@ -99,16 +99,35 @@ use std::sync::Arc;
 ///
 /// ## Budgets and estimates
 ///
-/// The required methods take an explicit [`Budget`] — a fixed world count
+/// Every query method takes an explicit [`Budget`] — a fixed world count
 /// or an accuracy target with deterministic adaptive stopping (see
-/// [`convergence`]) — and return rich [`Estimate`]s carrying standard
-/// errors, confidence intervals, and the worlds actually spent. The
-/// historical `f64`-returning methods ([`Estimator::st_reliability`] and
-/// friends) survive as thin shims over the budgeted ones, evaluated at
-/// [`Estimator::default_budget`]; prefer the budgeted forms (or the
-/// `QueryEngine` facade in `relmax-core`) in new code.
+/// [`convergence`]) — and returns rich [`Estimate`]s carrying standard
+/// errors, confidence intervals, and the worlds actually spent. Callers
+/// without a budget of their own pass [`Estimator::default_budget`];
+/// callers that want shape checks, batching, and index plumbing handled
+/// for them use the `QueryEngine` facade in `relmax-core`.
+///
+/// ```
+/// use relmax_sampling::{Estimator, McEstimator};
+/// use relmax_ugraph::{ExtraEdge, NodeId, UncertainGraph};
+///
+/// let mut g = UncertainGraph::new(3, true);
+/// g.add_edge(NodeId(0), NodeId(1), 0.9).unwrap();
+/// let csr = g.freeze();
+/// let mc = McEstimator::new(20_000, 7);
+/// let budget = mc.default_budget(); // 20 000 worlds
+/// assert_eq!(mc.st_estimate(&csr, NodeId(0), NodeId(2), budget).value, 0.0);
+/// // One shared-world scan judges every candidate edge on the same worlds.
+/// let candidates = [
+///     ExtraEdge { src: NodeId(1), dst: NodeId(2), prob: 0.8 },
+///     ExtraEdge { src: NodeId(2), dst: NodeId(0), prob: 0.8 }, // useless direction
+/// ];
+/// let gains = mc.scan_estimates(&csr, NodeId(0), NodeId(2), &candidates, budget);
+/// assert!((gains[0].value - 0.72).abs() < 0.01); // 0.9 * 0.8 via the new edge
+/// assert_eq!(gains[1].value, 0.0);
+/// ```
 pub trait Estimator: Sync {
-    /// The budget used by the value-only compatibility shims — normally
+    /// The budget a caller without one of its own should pass — normally
     /// the configuration the estimator was constructed with.
     fn default_budget(&self) -> Budget;
 
@@ -361,80 +380,5 @@ pub trait Estimator: Sync {
         Self: Clone + Sized,
     {
         self.clone()
-    }
-
-    // ------------------------------------------------------------------
-    // Value-only compatibility shims (pre-QueryEngine API).
-    // ------------------------------------------------------------------
-
-    /// Deprecated shim: `R(s, t, G)` as a bare `f64` at the default
-    /// budget. Kept so pre-`Budget` call sites compile; new code should
-    /// use [`Estimator::st_estimate`].
-    fn st_reliability<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId) -> f64 {
-        self.st_estimate(g, s, t, self.default_budget()).value
-    }
-
-    /// Deprecated shim over [`Estimator::from_estimates`] (values only,
-    /// default budget).
-    fn reliability_from<G: ProbGraph>(&self, g: &G, s: NodeId) -> Vec<f64> {
-        self.from_estimates(g, s, self.default_budget())
-            .into_iter()
-            .map(|e| e.value)
-            .collect()
-    }
-
-    /// Deprecated shim over [`Estimator::to_estimates`] (values only,
-    /// default budget).
-    fn reliability_to<G: ProbGraph>(&self, g: &G, t: NodeId) -> Vec<f64> {
-        self.to_estimates(g, t, self.default_budget())
-            .into_iter()
-            .map(|e| e.value)
-            .collect()
-    }
-
-    /// Deprecated shim over [`Estimator::pairwise_estimates`] (values
-    /// only, default budget).
-    fn pairwise_reliability<G: ProbGraph>(
-        &self,
-        g: &G,
-        sources: &[NodeId],
-        targets: &[NodeId],
-    ) -> Vec<Vec<f64>> {
-        self.pairwise_estimates(g, sources, targets, self.default_budget())
-            .into_iter()
-            .map(|row| row.into_iter().map(|e| e.value).collect())
-            .collect()
-    }
-
-    /// Deprecated shim over [`Estimator::scan_estimates`] (values only,
-    /// default budget).
-    ///
-    /// ```
-    /// use relmax_sampling::{Estimator, McEstimator};
-    /// use relmax_ugraph::{ExtraEdge, NodeId, UncertainGraph};
-    ///
-    /// let mut g = UncertainGraph::new(3, true);
-    /// g.add_edge(NodeId(0), NodeId(1), 0.9).unwrap();
-    /// let csr = g.freeze();
-    /// let candidates = [
-    ///     ExtraEdge { src: NodeId(1), dst: NodeId(2), prob: 0.8 },
-    ///     ExtraEdge { src: NodeId(2), dst: NodeId(0), prob: 0.8 }, // useless direction
-    /// ];
-    /// let mc = McEstimator::new(20_000, 7);
-    /// let gains = mc.scan_candidates(&csr, NodeId(0), NodeId(2), &candidates);
-    /// assert!((gains[0] - 0.72).abs() < 0.01); // 0.9 * 0.8 via the new edge
-    /// assert_eq!(gains[1], 0.0);
-    /// ```
-    fn scan_candidates<G: ProbGraph>(
-        &self,
-        g: &G,
-        s: NodeId,
-        t: NodeId,
-        candidates: &[ExtraEdge],
-    ) -> Vec<f64> {
-        self.scan_estimates(g, s, t, candidates, self.default_budget())
-            .into_iter()
-            .map(|e| e.value)
-            .collect()
     }
 }

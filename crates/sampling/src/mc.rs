@@ -37,24 +37,23 @@ use std::sync::Arc;
 ///
 /// ```
 /// use relmax_ugraph::{UncertainGraph, NodeId};
-/// use relmax_sampling::{Estimator, McEstimator};
+/// use relmax_sampling::{Budget, Estimator, McEstimator};
 ///
 /// let mut g = UncertainGraph::new(3, true);
 /// g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
 /// g.add_edge(NodeId(1), NodeId(2), 0.8).unwrap();
 /// let mc = McEstimator::new(20_000, 7);
-/// let r = mc.st_reliability(&g.freeze(), NodeId(0), NodeId(2));
-/// assert!((r - 0.4).abs() < 0.02);
-/// assert_eq!(r, mc.st_reliability(&g, NodeId(0), NodeId(2))); // layout-independent
-/// assert_eq!(
-///     r,
-///     McEstimator::with_threads(20_000, 7, 4).st_reliability(&g, NodeId(0), NodeId(2)),
-/// ); // thread-count-independent
+/// let budget = Budget::fixed(20_000);
+/// let r = mc.st_estimate(&g.freeze(), NodeId(0), NodeId(2), budget);
+/// assert!((r.value - 0.4).abs() < 0.02);
+/// assert_eq!(r, mc.st_estimate(&g, NodeId(0), NodeId(2), budget)); // layout-independent
+/// let par = McEstimator::with_threads(20_000, 7, 4);
+/// assert_eq!(r, par.st_estimate(&g, NodeId(0), NodeId(2), budget)); // thread-count-independent
 /// ```
 #[derive(Debug, Clone)]
 pub struct McEstimator {
-    /// Default sampling budget (used by the value-only shims and as the
-    /// fallback when callers pass no per-query budget).
+    /// Default sampling budget ([`Estimator::default_budget`]: the
+    /// fallback for callers with no per-query budget of their own).
     pub budget: Budget,
     /// Seed for the coin-flip hash; same seed ⇒ same worlds.
     pub seed: u64,
@@ -1001,7 +1000,7 @@ mod tests {
         let g = bridge_graph();
         let exact = st_reliability_enumerate(&g, NodeId(0), NodeId(3)).unwrap();
         let mc = McEstimator::new(40_000, 11);
-        let est = mc.st_reliability(&g, NodeId(0), NodeId(3));
+        let est = mc.st_estimate(&g, NodeId(0), NodeId(3), mc.budget).value;
         assert!((est - exact).abs() < 0.01, "est={est} exact={exact}");
     }
 
@@ -1009,47 +1008,55 @@ mod tests {
     fn vector_from_matches_st() {
         let g = bridge_graph();
         let mc = McEstimator::new(20_000, 5);
-        let vec_from = mc.reliability_from(&g, NodeId(0));
-        let st = mc.st_reliability(&g, NodeId(0), NodeId(3));
+        let vec_from = mc.from_estimates(&g, NodeId(0), mc.budget);
+        let st = mc.st_estimate(&g, NodeId(0), NodeId(3), mc.budget);
         // Same worlds (same seed/coin keys), so the estimates agree closely.
-        assert!((vec_from[3] - st).abs() < 0.01);
-        assert_eq!(vec_from[0], 1.0);
+        assert!((vec_from[3].value - st.value).abs() < 0.01);
+        assert_eq!(vec_from[0].value, 1.0);
     }
 
     #[test]
     fn vector_to_matches_reverse_reachability() {
         let g = bridge_graph();
         let mc = McEstimator::new(20_000, 5);
-        let to_t = mc.reliability_to(&g, NodeId(3));
+        let to_t = mc.to_estimates(&g, NodeId(3), mc.budget);
         let exact_from_1 = st_reliability_enumerate(&g, NodeId(1), NodeId(3)).unwrap();
         assert!(
-            (to_t[1] - exact_from_1).abs() < 0.01,
+            (to_t[1].value - exact_from_1).abs() < 0.01,
             "{} vs {exact_from_1}",
-            to_t[1]
+            to_t[1].value
         );
-        assert_eq!(to_t[3], 1.0);
+        assert_eq!(to_t[3].value, 1.0);
     }
 
     #[test]
     fn deterministic_under_seed() {
         let g = bridge_graph();
-        let a = McEstimator::new(5_000, 3).st_reliability(&g, NodeId(0), NodeId(3));
-        let b = McEstimator::new(5_000, 3).st_reliability(&g, NodeId(0), NodeId(3));
-        assert_eq!(a, b);
-        let c = McEstimator::new(5_000, 4).st_reliability(&g, NodeId(0), NodeId(3));
-        assert_ne!(a, c); // overwhelmingly likely
+        let st = |seed| {
+            McEstimator::new(5_000, seed)
+                .st_estimate(&g, NodeId(0), NodeId(3), Budget::fixed(5_000))
+                .value
+        };
+        assert_eq!(st(3), st(3));
+        assert_ne!(st(3), st(4)); // overwhelmingly likely
     }
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
         let g = bridge_graph();
-        let serial = McEstimator::new(10_000, 9).st_reliability(&g, NodeId(0), NodeId(3));
-        let parallel =
-            McEstimator::with_threads(10_000, 9, 4).st_reliability(&g, NodeId(0), NodeId(3));
-        assert_eq!(serial, parallel);
-        let sv = McEstimator::new(10_000, 9).reliability_from(&g, NodeId(0));
-        let pv = McEstimator::with_threads(10_000, 9, 4).reliability_from(&g, NodeId(0));
-        assert_eq!(sv, pv);
+        let (serial, parallel) = (
+            McEstimator::new(10_000, 9),
+            McEstimator::with_threads(10_000, 9, 4),
+        );
+        let b = Budget::fixed(10_000);
+        assert_eq!(
+            serial.st_estimate(&g, NodeId(0), NodeId(3), b),
+            parallel.st_estimate(&g, NodeId(0), NodeId(3), b)
+        );
+        assert_eq!(
+            serial.from_estimates(&g, NodeId(0), b),
+            parallel.from_estimates(&g, NodeId(0), b)
+        );
     }
 
     #[test]
@@ -1057,17 +1064,18 @@ mod tests {
         let g = bridge_graph();
         let csr = CsrGraph::freeze(&g);
         let mc = McEstimator::new(8_000, 17);
+        let b = mc.budget;
         assert_eq!(
-            mc.st_reliability(&g, NodeId(0), NodeId(3)),
-            mc.st_reliability(&csr, NodeId(0), NodeId(3)),
+            mc.st_estimate(&g, NodeId(0), NodeId(3), b),
+            mc.st_estimate(&csr, NodeId(0), NodeId(3), b),
         );
         assert_eq!(
-            mc.reliability_from(&g, NodeId(0)),
-            mc.reliability_from(&csr, NodeId(0))
+            mc.from_estimates(&g, NodeId(0), b),
+            mc.from_estimates(&csr, NodeId(0), b)
         );
         assert_eq!(
-            mc.reliability_to(&g, NodeId(3)),
-            mc.reliability_to(&csr, NodeId(3))
+            mc.to_estimates(&g, NodeId(3), b),
+            mc.to_estimates(&csr, NodeId(3), b)
         );
     }
 
@@ -1075,7 +1083,8 @@ mod tests {
     fn source_equals_target() {
         let g = bridge_graph();
         let mc = McEstimator::new(10, 0);
-        assert_eq!(mc.st_reliability(&g, NodeId(2), NodeId(2)), 1.0);
+        let e = mc.st_estimate(&g, NodeId(2), NodeId(2), mc.budget);
+        assert_eq!(e, Estimate::exact(1.0));
     }
 
     #[test]
@@ -1083,7 +1092,7 @@ mod tests {
         let mut g = UncertainGraph::new(2, false);
         g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
         let mc = McEstimator::new(40_000, 2);
-        let r = mc.st_reliability(&g, NodeId(0), NodeId(1));
+        let r = mc.st_estimate(&g, NodeId(0), NodeId(1), mc.budget).value;
         assert!((r - 0.5).abs() < 0.01, "r={r}");
     }
 
@@ -1091,7 +1100,7 @@ mod tests {
     fn works_on_overlays_with_common_random_numbers() {
         let g = bridge_graph();
         let mc = McEstimator::new(30_000, 13);
-        let base = mc.st_reliability(&g, NodeId(0), NodeId(3));
+        let base = mc.st_estimate(&g, NodeId(0), NodeId(3), mc.budget).value;
         // Adding an edge can only help: with CRN this holds sample by
         // sample, so the estimates themselves must be monotone.
         let view = GraphView::new(
@@ -1102,7 +1111,7 @@ mod tests {
                 prob: 0.5,
             }],
         );
-        let boosted = mc.st_reliability(&view, NodeId(0), NodeId(3));
+        let boosted = mc.st_estimate(&view, NodeId(0), NodeId(3), mc.budget).value;
         assert!(boosted >= base, "boosted={boosted} base={base}");
         let exact = {
             let owned = view.materialize();
@@ -1124,8 +1133,10 @@ mod tests {
             prob: 0.5,
         }];
         let mc = McEstimator::new(10_000, 13);
-        let over_adj = mc.st_reliability(&GraphView::new(&g, extra.clone()), NodeId(0), NodeId(3));
-        let over_csr = mc.st_reliability(&GraphView::new(&csr, extra), NodeId(0), NodeId(3));
+        let over_adj = GraphView::new(&g, extra.clone());
+        let over_adj = mc.st_estimate(&over_adj, NodeId(0), NodeId(3), mc.budget);
+        let over_csr = GraphView::new(&csr, extra);
+        let over_csr = mc.st_estimate(&over_csr, NodeId(0), NodeId(3), mc.budget);
         assert_eq!(over_adj, over_csr);
     }
 
@@ -1133,15 +1144,16 @@ mod tests {
     fn pairwise_matrix_agrees_with_individual_queries() {
         let g = bridge_graph();
         let mc = McEstimator::new(10_000, 21);
-        let m = mc.pairwise_reliability(&g, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
+        let b = mc.budget;
+        let m = mc.pairwise_estimates(&g, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)], b);
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].len(), 2);
         // The shared-world single pass is bit-identical to the per-source
         // vector estimates (the memoized flips are the same hashed flips).
-        let direct = mc.reliability_from(&g, NodeId(1));
+        let direct = mc.from_estimates(&g, NodeId(1), b);
         assert_eq!(m[1][1], direct[3]);
         assert_eq!(m[1][0], direct[2]);
-        let from0 = mc.reliability_from(&g, NodeId(0));
+        let from0 = mc.from_estimates(&g, NodeId(0), b);
         assert_eq!(m[0][1], from0[3]);
     }
 
@@ -1150,9 +1162,10 @@ mod tests {
         let g = bridge_graph();
         let sources = [NodeId(0), NodeId(1)];
         let targets = [NodeId(2), NodeId(3)];
-        let serial = McEstimator::new(6_000, 31).pairwise_reliability(&g, &sources, &targets);
+        let b = Budget::fixed(6_000);
+        let serial = McEstimator::new(6_000, 31).pairwise_estimates(&g, &sources, &targets, b);
         let parallel =
-            McEstimator::with_threads(6_000, 31, 3).pairwise_reliability(&g, &sources, &targets);
+            McEstimator::with_threads(6_000, 31, 3).pairwise_estimates(&g, &sources, &targets, b);
         assert_eq!(serial, parallel);
     }
 
@@ -1160,8 +1173,8 @@ mod tests {
     fn pairwise_handles_sources_in_targets() {
         let g = bridge_graph();
         let mc = McEstimator::new(100, 1);
-        let m = mc.pairwise_reliability(&g, &[NodeId(0)], &[NodeId(0), NodeId(3)]);
-        assert_eq!(m[0][0], 1.0); // a node always reaches itself
+        let m = mc.pairwise_estimates(&g, &[NodeId(0)], &[NodeId(0), NodeId(3)], mc.budget);
+        assert_eq!(m[0][0].value, 1.0); // a node always reaches itself
     }
 
     #[test]
@@ -1227,13 +1240,13 @@ mod tests {
         s: NodeId,
         t: NodeId,
         cands: &[ExtraEdge],
-    ) -> Vec<f64> {
+    ) -> Vec<Estimate> {
         let mut view = GraphView::empty(g);
         cands
             .iter()
             .map(|&c| {
                 view.push_extra(c);
-                let r = mc.st_reliability(&view, s, t);
+                let r = mc.st_estimate(&view, s, t, mc.budget);
                 view.pop_extra();
                 r
             })
@@ -1273,7 +1286,7 @@ mod tests {
         ];
         let mc = McEstimator::new(4_000, 19);
         assert_eq!(
-            mc.scan_candidates(&csr, NodeId(0), NodeId(3), &cands),
+            mc.scan_estimates(&csr, NodeId(0), NodeId(3), &cands, mc.budget),
             naive_scan(&mc, &csr, NodeId(0), NodeId(3), &cands),
         );
     }
@@ -1305,7 +1318,7 @@ mod tests {
         ];
         let mc = McEstimator::new(4_000, 23);
         assert_eq!(
-            mc.scan_candidates(&csr, NodeId(0), NodeId(4), &cands),
+            mc.scan_estimates(&csr, NodeId(0), NodeId(4), &cands, mc.budget),
             naive_scan(&mc, &csr, NodeId(0), NodeId(4), &cands),
         );
     }
@@ -1326,15 +1339,12 @@ mod tests {
                 prob: 0.3,
             },
         ];
+        let b = Budget::fixed(5_000);
         let serial =
-            McEstimator::new(5_000, 41).scan_candidates(&csr, NodeId(0), NodeId(3), &cands);
+            McEstimator::new(5_000, 41).scan_estimates(&csr, NodeId(0), NodeId(3), &cands, b);
         for threads in [2, 4, 8] {
-            let par = McEstimator::with_threads(5_000, 41, threads).scan_candidates(
-                &csr,
-                NodeId(0),
-                NodeId(3),
-                &cands,
-            );
+            let par = McEstimator::with_threads(5_000, 41, threads);
+            let par = par.scan_estimates(&csr, NodeId(0), NodeId(3), &cands, b);
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -1403,7 +1413,7 @@ mod tests {
         let g = bridge_graph();
         let mc = McEstimator::new(2_000, 11);
         let est = mc.st_estimate(&g, NodeId(0), NodeId(3), Budget::fixed(2_000));
-        assert_eq!(est.value, mc.st_reliability(&g, NodeId(0), NodeId(3)));
+        assert_eq!(est, mc.st_estimate(&g, NodeId(0), NodeId(3), mc.budget));
         assert_eq!(est.samples_used, 2_000);
         assert!(!est.stopped_early);
         assert!(est.ci_low < est.value && est.value < est.ci_high);
@@ -1833,15 +1843,18 @@ mod tests {
     fn scan_handles_degenerate_inputs() {
         let g = bridge_graph();
         let mc = McEstimator::new(100, 5);
-        assert!(mc.scan_candidates(&g, NodeId(0), NodeId(3), &[]).is_empty());
+        let b = mc.budget;
+        assert!(mc
+            .scan_estimates(&g, NodeId(0), NodeId(3), &[], b)
+            .is_empty());
         let cands = [ExtraEdge {
             src: NodeId(0),
             dst: NodeId(3),
             prob: 0.5,
         }];
         assert_eq!(
-            mc.scan_candidates(&g, NodeId(2), NodeId(2), &cands),
-            vec![1.0]
+            mc.scan_estimates(&g, NodeId(2), NodeId(2), &cands, b),
+            vec![Estimate::exact(1.0)]
         );
     }
 }

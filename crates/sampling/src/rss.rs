@@ -74,19 +74,18 @@ fn child_stream(stream: u64, i: usize) -> u64 {
 ///
 /// ```
 /// use relmax_ugraph::{UncertainGraph, NodeId};
-/// use relmax_sampling::{Estimator, RssEstimator};
+/// use relmax_sampling::{Budget, Estimator, RssEstimator};
 ///
 /// let mut g = UncertainGraph::new(3, true);
 /// g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
 /// g.add_edge(NodeId(1), NodeId(2), 0.8).unwrap();
 /// let rss = RssEstimator::new(10_000, 7);
-/// let r = rss.st_reliability(&g, NodeId(0), NodeId(2));
-/// assert!((r - 0.4).abs() < 0.02);
+/// let budget = Budget::fixed(10_000);
+/// let r = rss.st_estimate(&g, NodeId(0), NodeId(2), budget);
+/// assert!((r.value - 0.4).abs() < 0.02);
 /// // Leaves run in parallel without changing a single bit:
-/// assert_eq!(
-///     r,
-///     RssEstimator::with_threads(10_000, 7, 4).st_reliability(&g, NodeId(0), NodeId(2)),
-/// );
+/// let par = RssEstimator::with_threads(10_000, 7, 4);
+/// assert_eq!(r, par.st_estimate(&g, NodeId(0), NodeId(2), budget));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RssEstimator {
@@ -749,7 +748,7 @@ mod tests {
         let g = fan_graph();
         let exact = st_reliability_enumerate(&g, NodeId(0), NodeId(4)).unwrap();
         let rss = RssEstimator::new(20_000, 3);
-        let est = rss.st_reliability(&g, NodeId(0), NodeId(4));
+        let est = rss.st_estimate(&g, NodeId(0), NodeId(4), rss.budget).value;
         assert!((est - exact).abs() < 0.01, "est={est} exact={exact}");
     }
 
@@ -760,7 +759,8 @@ mod tests {
         let mut sum = 0.0;
         let reps = 400;
         for seed in 0..reps {
-            sum += RssEstimator::new(64, seed).st_reliability(&g, NodeId(0), NodeId(4));
+            let rss = RssEstimator::new(64, seed);
+            sum += rss.st_estimate(&g, NodeId(0), NodeId(4), rss.budget).value;
         }
         let mean = sum / reps as f64;
         assert!((mean - exact).abs() < 0.02, "mean={mean} exact={exact}");
@@ -775,11 +775,20 @@ mod tests {
             let mean = estimates.iter().sum::<f64>() / estimates.len() as f64;
             estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / estimates.len() as f64
         };
+        let b = Budget::fixed(z);
         let mc: Vec<f64> = (0..reps)
-            .map(|seed| McEstimator::new(z, seed).st_reliability(&g, NodeId(0), NodeId(4)))
+            .map(|seed| {
+                McEstimator::new(z, seed)
+                    .st_estimate(&g, NodeId(0), NodeId(4), b)
+                    .value
+            })
             .collect();
         let rss: Vec<f64> = (0..reps)
-            .map(|seed| RssEstimator::new(z, seed).st_reliability(&g, NodeId(0), NodeId(4)))
+            .map(|seed| {
+                RssEstimator::new(z, seed)
+                    .st_estimate(&g, NodeId(0), NodeId(4), b)
+                    .value
+            })
             .collect();
         let (vm, vr) = (var(&mc), var(&rss));
         assert!(vr < vm, "RSS variance {vr} should beat MC variance {vm}");
@@ -789,42 +798,48 @@ mod tests {
     fn vector_mode_matches_st_mode() {
         let g = fan_graph();
         let rss = RssEstimator::new(20_000, 9);
-        let from_s = rss.reliability_from(&g, NodeId(0));
-        let st = rss.st_reliability(&g, NodeId(0), NodeId(4));
-        assert!((from_s[4] - st).abs() < 0.02, "{} vs {st}", from_s[4]);
-        assert_eq!(from_s[0], 1.0);
+        let from_s = rss.from_estimates(&g, NodeId(0), rss.budget);
+        let st = rss.st_estimate(&g, NodeId(0), NodeId(4), rss.budget).value;
+        assert!(
+            (from_s[4].value - st).abs() < 0.02,
+            "{:?} vs {st}",
+            from_s[4]
+        );
+        assert_eq!(from_s[0].value, 1.0);
     }
 
     #[test]
     fn reverse_vector_tracks_exact() {
         let g = fan_graph();
         let rss = RssEstimator::new(20_000, 9);
-        let to_t = rss.reliability_to(&g, NodeId(4));
+        let to_t = rss.to_estimates(&g, NodeId(4), rss.budget);
         let exact = st_reliability_enumerate(&g, NodeId(1), NodeId(4)).unwrap();
-        assert!((to_t[1] - exact).abs() < 0.02);
-        assert_eq!(to_t[4], 1.0);
+        assert!((to_t[1].value - exact).abs() < 0.02);
+        assert_eq!(to_t[4].value, 1.0);
     }
 
     #[test]
     fn deterministic_under_seed() {
         let g = fan_graph();
-        let a = RssEstimator::new(1000, 5).st_reliability(&g, NodeId(0), NodeId(4));
-        let b = RssEstimator::new(1000, 5).st_reliability(&g, NodeId(0), NodeId(4));
-        assert_eq!(a, b);
+        let st = || {
+            RssEstimator::new(1000, 5).st_estimate(&g, NodeId(0), NodeId(4), Budget::fixed(1000))
+        };
+        assert_eq!(st(), st());
     }
 
     #[test]
     fn parallel_leaves_are_bit_identical_to_serial() {
         let g = fan_graph();
         let serial = RssEstimator::new(4_000, 11);
-        let st = serial.st_reliability(&g, NodeId(0), NodeId(4));
-        let from = serial.reliability_from(&g, NodeId(0));
-        let to = serial.reliability_to(&g, NodeId(4));
+        let b = serial.budget;
+        let st = serial.st_estimate(&g, NodeId(0), NodeId(4), b);
+        let from = serial.from_estimates(&g, NodeId(0), b);
+        let to = serial.to_estimates(&g, NodeId(4), b);
         for threads in [2, 4, 8] {
             let par = RssEstimator::with_threads(4_000, 11, threads);
-            assert_eq!(st, par.st_reliability(&g, NodeId(0), NodeId(4)));
-            assert_eq!(from, par.reliability_from(&g, NodeId(0)));
-            assert_eq!(to, par.reliability_to(&g, NodeId(4)));
+            assert_eq!(st, par.st_estimate(&g, NodeId(0), NodeId(4), b));
+            assert_eq!(from, par.from_estimates(&g, NodeId(0), b));
+            assert_eq!(to, par.to_estimates(&g, NodeId(4), b));
         }
     }
 
@@ -835,17 +850,18 @@ mod tests {
         let g = fan_graph();
         let csr = CsrGraph::freeze(&g);
         let rss = RssEstimator::new(5_000, 23);
+        let b = rss.budget;
         assert_eq!(
-            rss.st_reliability(&g, NodeId(0), NodeId(4)),
-            rss.st_reliability(&csr, NodeId(0), NodeId(4)),
+            rss.st_estimate(&g, NodeId(0), NodeId(4), b),
+            rss.st_estimate(&csr, NodeId(0), NodeId(4), b),
         );
         assert_eq!(
-            rss.reliability_from(&g, NodeId(0)),
-            rss.reliability_from(&csr, NodeId(0))
+            rss.from_estimates(&g, NodeId(0), b),
+            rss.from_estimates(&csr, NodeId(0), b)
         );
         assert_eq!(
-            rss.reliability_to(&g, NodeId(4)),
-            rss.reliability_to(&csr, NodeId(4))
+            rss.to_estimates(&g, NodeId(4), b),
+            rss.to_estimates(&csr, NodeId(4), b)
         );
     }
 
@@ -859,7 +875,7 @@ mod tests {
             ..RssEstimator::new(2_000, 3)
         };
         let est = rss.st_estimate(&g, NodeId(0), NodeId(4), Budget::fixed(2_000));
-        assert_eq!(est.value, rss.st_reliability(&g, NodeId(0), NodeId(4)));
+        assert_eq!(est, rss.st_estimate(&g, NodeId(0), NodeId(4), rss.budget));
         assert_eq!(est.samples_used, 2_000);
         assert!(est.stderr >= 0.0);
         // Sampled strata leave a nonzero Hoeffding envelope.
@@ -911,10 +927,7 @@ mod tests {
         let g = fan_graph();
         let rss = RssEstimator::new(1_000, 9);
         let ests = rss.from_estimates(&g, NodeId(0), Budget::fixed(1_000));
-        let values = rss.reliability_from(&g, NodeId(0));
-        for (e, v) in ests.iter().zip(&values) {
-            assert_eq!(e.value, *v);
-        }
+        assert_eq!(ests, rss.from_estimates(&g, NodeId(0), rss.budget));
         assert_eq!(ests[0].value, 1.0);
         assert_eq!(ests[0].stderr, 0.0);
         assert_eq!((ests[0].ci_low, ests[0].ci_high), (1.0, 1.0));
@@ -926,9 +939,15 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
         let rss = RssEstimator::new(8, 0);
-        assert_eq!(rss.st_reliability(&g, NodeId(0), NodeId(2)), 1.0);
-        let from = rss.reliability_from(&g, NodeId(0));
-        assert_eq!(from, vec![1.0, 1.0, 1.0]);
+        assert_eq!(
+            rss.st_estimate(&g, NodeId(0), NodeId(2), rss.budget).value,
+            1.0
+        );
+        let from = rss.from_estimates(&g, NodeId(0), rss.budget);
+        assert_eq!(
+            from.iter().map(|e| e.value).collect::<Vec<_>>(),
+            vec![1.0; 3]
+        );
     }
 
     #[test]
@@ -936,6 +955,9 @@ mod tests {
         let mut g = UncertainGraph::new(3, true);
         g.add_edge(NodeId(0), NodeId(1), 0.9).unwrap();
         let rss = RssEstimator::new(100, 1);
-        assert_eq!(rss.st_reliability(&g, NodeId(0), NodeId(2)), 0.0);
+        assert_eq!(
+            rss.st_estimate(&g, NodeId(0), NodeId(2), rss.budget).value,
+            0.0
+        );
     }
 }

@@ -7,8 +7,9 @@
 //! format has no pairwise line), but render here alongside the rest.
 
 use crate::json;
+use crate::state::batch_query;
 use relmax_gen::workload::QuerySpec;
-use relmax_sampling::{BatchEstimate, Estimate};
+use relmax_sampling::{BatchEstimate, BatchQuery, Estimate};
 use relmax_ugraph::NodeId;
 
 fn node_array(nodes: &[NodeId]) -> String {
@@ -18,42 +19,39 @@ fn node_array(nodes: &[NodeId]) -> String {
 /// One workload-query result as a JSON object — the exact shape `relmax
 /// query --format json` prints per entry. `max_hops` is the *effective*
 /// hop bound for this run (CLI `--max-hops` or the `% max-hops`
-/// directive); it reshapes `st` entries into `st_within` and stamps `set`
-/// entries, and is ignored by every shape the bound does not apply to
-/// (see `QuerySpec::hop_boundable`).
+/// directive); the entry renders the query [`batch_query`] resolves under
+/// it, so a bounded `st` prints as `st_within` and a bounded `set` carries
+/// its bound.
 pub fn result_entry(q: &QuerySpec, max_hops: Option<u32>, r: &BatchEstimate) -> String {
-    let bound = max_hops.filter(|_| q.hop_boundable());
-    match (q, r) {
-        (QuerySpec::St(s, t), BatchEstimate::Scalar(e)) => match bound {
-            Some(d) => format!(
-                "{{\"kind\":\"st_within\",\"s\":{},\"t\":{},\"max_hops\":{d},\"reliability\":{},{}}}",
-                s.0,
-                t.0,
-                json::num(e.value),
-                json::estimate_fields(e),
-            ),
-            None => format!(
-                "{{\"kind\":\"st\",\"s\":{},\"t\":{},\"reliability\":{},{}}}",
-                s.0,
-                t.0,
-                json::num(e.value),
-                json::estimate_fields(e),
-            ),
-        },
-        (QuerySpec::Set(sources, targets), BatchEstimate::Scalar(e)) => {
+    match (batch_query(q, max_hops), r) {
+        (BatchQuery::St(s, t), BatchEstimate::Scalar(e)) => format!(
+            "{{\"kind\":\"st\",\"s\":{},\"t\":{},\"reliability\":{},{}}}",
+            s.0,
+            t.0,
+            json::num(e.value),
+            json::estimate_fields(e),
+        ),
+        (BatchQuery::StWithin(s, t, d), BatchEstimate::Scalar(e)) => format!(
+            "{{\"kind\":\"st_within\",\"s\":{},\"t\":{},\"max_hops\":{d},\"reliability\":{},{}}}",
+            s.0,
+            t.0,
+            json::num(e.value),
+            json::estimate_fields(e),
+        ),
+        (BatchQuery::Set(sources, targets, bound), BatchEstimate::Scalar(e)) => {
             let hops = match bound {
                 Some(d) => format!("\"max_hops\":{d},"),
                 None => String::new(),
             };
             format!(
                 "{{\"kind\":\"set\",\"sources\":{},\"targets\":{},{hops}\"reliability\":{},{}}}",
-                node_array(sources),
-                node_array(targets),
+                node_array(&sources),
+                node_array(&targets),
                 json::num(e.value),
                 json::estimate_fields(e),
             )
         }
-        (QuerySpec::TopK(s, k), BatchEstimate::Ranking(pairs)) => {
+        (BatchQuery::TopK(s, k), BatchEstimate::Ranking(pairs)) => {
             let (z, early) = r.sampling_effort();
             format!(
                 "{{\"kind\":\"topk\",\"s\":{},\"k\":{k},\"samples_used\":{z},\"stopped_early\":{early},\"targets\":{}}}",
@@ -66,7 +64,7 @@ pub fn result_entry(q: &QuerySpec, max_hops: Option<u32>, r: &BatchEstimate) -> 
                 ))),
             )
         }
-        (QuerySpec::Hops(s, t), BatchEstimate::Hops(h)) => format!(
+        (BatchQuery::Hops(s, t), BatchEstimate::Hops(h)) => format!(
             "{{\"kind\":\"hops\",\"s\":{},\"t\":{},\"reliability\":{},\"expected_hops\":{},\"hop_sum\":{},{}}}",
             s.0,
             t.0,
@@ -75,12 +73,8 @@ pub fn result_entry(q: &QuerySpec, max_hops: Option<u32>, r: &BatchEstimate) -> 
             h.hop_sum,
             json::estimate_fields(&h.reliability),
         ),
-        (q, BatchEstimate::Vector(estimates)) => {
-            let (kind, node) = match q {
-                QuerySpec::From(s) => ("from", s.0),
-                QuerySpec::To(t) => ("to", t.0),
-                _ => unreachable!("{q} cannot yield a vector"),
-            };
+        (q @ (BatchQuery::From(v) | BatchQuery::To(v)), BatchEstimate::Vector(estimates)) => {
+            let (kind, node) = (q.shape(), v.0);
             let (nonzero, mean, max) = r.summary();
             let (z, early) = r.sampling_effort();
             format!(
@@ -91,7 +85,7 @@ pub fn result_entry(q: &QuerySpec, max_hops: Option<u32>, r: &BatchEstimate) -> 
                 json::array(estimates.iter().map(|e| json::num(e.value)))
             )
         }
-        (q, r) => unreachable!("{q} cannot yield a {r:?}"),
+        (q, r) => unreachable!("{q:?} cannot yield a {r:?}"),
     }
 }
 

@@ -20,7 +20,7 @@ use crate::http::{self, HttpError, Request, Response};
 use crate::json;
 use crate::metrics::Metrics;
 use crate::render;
-use crate::state::{load_snapshot, AnyEngine, EngineKind, SharedSnapshot, Snapshot};
+use crate::state::{batch_query, load_snapshot, AnyEngine, EngineKind, SharedSnapshot, Snapshot};
 use crate::work::{spawn_compute_pool, Job, JobQueue, Slot};
 use relmax_core::QueryAnswer;
 use relmax_gen::updates::{self, UpdateRequest};
@@ -626,27 +626,21 @@ fn query(state: &ServerState, body: &[u8]) -> Response {
     // estimator that supports them; reject with a 422 naming the first
     // offender before anything is enqueued — never a silent fallback.
     if !engine.supports_constrained() {
-        for (i, spec) in request.specs.iter().enumerate() {
-            let constrained = match spec {
-                WireSpec::Query(q @ (QuerySpec::St(..) | QuerySpec::Set(..))) => {
-                    max_hops.is_some() && q.hop_boundable() || matches!(q, QuerySpec::Set(..))
-                }
-                WireSpec::Query(QuerySpec::Hops(..)) => true,
-                _ => false,
-            };
-            if constrained {
-                return Response::json(
-                    422,
-                    json::error_at_query(
-                        i + 1,
-                        &format!(
-                            "estimator \"{}\" does not support constrained query shapes \
-                             (set/hops/max-hops); use the mc estimator",
-                            state.config.estimator.name()
-                        ),
+        let offender = request.specs.iter().position(
+            |spec| matches!(spec, WireSpec::Query(q) if batch_query(q, max_hops).is_constrained()),
+        );
+        if let Some(i) = offender {
+            return Response::json(
+                422,
+                json::error_at_query(
+                    i + 1,
+                    &format!(
+                        "estimator \"{}\" does not support constrained query shapes \
+                         (set/hops/max-hops); use the mc estimator",
+                        state.config.estimator.name()
                     ),
-                );
-            }
+                ),
+            );
         }
     }
     let mut answers = Vec::with_capacity(request.specs.len());

@@ -4,7 +4,7 @@
 
 use relmax_core::{QueryAnswer, QueryEngine, QueryError};
 use relmax_gen::workload::{QuerySpec, WireSpec};
-use relmax_sampling::{Budget, Estimate, McEstimator, RssEstimator};
+use relmax_sampling::{BatchQuery, Budget, Estimate, McEstimator, RssEstimator};
 use relmax_ugraph::edgelist::{self, EdgeListOptions};
 use relmax_ugraph::index::index_enabled;
 use relmax_ugraph::{snapshot, CsrGraph, DeltaOverlay, NodeId, RelIndex};
@@ -281,8 +281,7 @@ impl AnyEngine {
     }
 
     /// Run one wire query spec under `budget`. `max_hops` is the
-    /// request-level `% max-hops` bound; it turns `st` into `st_within`
-    /// and bounds `set`, and is ignored by every other shape.
+    /// request-level `% max-hops` bound, applied by [`batch_query`].
     pub fn run_spec(
         &self,
         spec: &WireSpec,
@@ -292,18 +291,9 @@ impl AnyEngine {
         macro_rules! run {
             ($e:expr) => {{
                 let q = $e.query().budget(budget);
-                match (spec, max_hops) {
-                    (WireSpec::Query(QuerySpec::St(s, t)), Some(d)) => q.st_within(*s, *t, d),
-                    (WireSpec::Query(QuerySpec::St(s, t)), None) => q.st(*s, *t),
-                    (WireSpec::Query(QuerySpec::From(s)), _) => q.from(*s),
-                    (WireSpec::Query(QuerySpec::To(t)), _) => q.to(*t),
-                    (WireSpec::Query(QuerySpec::Set(srcs, dsts)), Some(d)) => {
-                        q.set_within(srcs, dsts, d)
-                    }
-                    (WireSpec::Query(QuerySpec::Set(srcs, dsts)), None) => q.set(srcs, dsts),
-                    (WireSpec::Query(QuerySpec::TopK(s, k)), _) => q.topk(*s, *k),
-                    (WireSpec::Query(QuerySpec::Hops(s, t)), _) => q.expected_hops(*s, *t),
-                    (WireSpec::Pairwise { sources, targets }, _) => q.pairwise(sources, targets),
+                match spec {
+                    WireSpec::Query(q_spec) => q.target(batch_query(q_spec, max_hops)),
+                    WireSpec::Pairwise { sources, targets } => q.pairwise(sources, targets),
                 }
                 .run()
             }};
@@ -312,6 +302,26 @@ impl AnyEngine {
             AnyEngine::Mc(e) => run!(e),
             AnyEngine::Rss(e) => run!(e),
         }
+    }
+}
+
+/// The engine query a workload spec asks for under the effective hop
+/// bound `max_hops` (CLI `--max-hops`, or a `% max-hops` directive): a
+/// bounded `st` becomes `st_within` and a `set` carries the bound; every
+/// other shape ignores it (see `QuerySpec::hop_boundable`). `relmax query`
+/// and `POST /query` both resolve specs here, so they agree on the query
+/// *and* on whether it is constrained ([`BatchQuery::is_constrained`]).
+pub fn batch_query(q: &QuerySpec, max_hops: Option<u32>) -> BatchQuery {
+    match (q, max_hops) {
+        (QuerySpec::St(s, t), Some(d)) => BatchQuery::StWithin(*s, *t, d),
+        (QuerySpec::St(s, t), None) => BatchQuery::St(*s, *t),
+        (QuerySpec::From(s), _) => BatchQuery::From(*s),
+        (QuerySpec::To(t), _) => BatchQuery::To(*t),
+        (QuerySpec::Set(sources, targets), d) => {
+            BatchQuery::Set(sources.clone(), targets.clone(), d)
+        }
+        (QuerySpec::TopK(s, k), _) => BatchQuery::TopK(*s, *k),
+        (QuerySpec::Hops(s, t), _) => BatchQuery::Hops(*s, *t),
     }
 }
 
@@ -397,6 +407,62 @@ mod tests {
         let spec = WireSpec::Query(QuerySpec::St(NodeId(0), NodeId(2)));
         let solo = mc.run_spec(&spec, budget, None).unwrap();
         assert_eq!(solo.scalar().unwrap(), &vec[2]);
+    }
+
+    #[test]
+    fn batch_query_applies_the_hop_bound_where_it_belongs() {
+        let (s, t) = (NodeId(0), NodeId(2));
+        let set = QuerySpec::Set(vec![s], vec![NodeId(1), t]);
+        let cases = [
+            (
+                QuerySpec::St(s, t),
+                BatchQuery::St(s, t),
+                BatchQuery::StWithin(s, t, 2),
+            ),
+            (QuerySpec::From(s), BatchQuery::From(s), BatchQuery::From(s)),
+            (QuerySpec::To(t), BatchQuery::To(t), BatchQuery::To(t)),
+            (
+                set,
+                BatchQuery::Set(vec![s], vec![NodeId(1), t], None),
+                BatchQuery::Set(vec![s], vec![NodeId(1), t], Some(2)),
+            ),
+            (
+                QuerySpec::TopK(s, 3),
+                BatchQuery::TopK(s, 3),
+                BatchQuery::TopK(s, 3),
+            ),
+            (
+                QuerySpec::Hops(s, t),
+                BatchQuery::Hops(s, t),
+                BatchQuery::Hops(s, t),
+            ),
+        ];
+        for (spec, unbounded, bounded) in cases {
+            assert_eq!(batch_query(&spec, None), unbounded, "{spec}");
+            assert_eq!(
+                batch_query(&spec, Some(2)),
+                bounded,
+                "{spec} under max-hops 2"
+            );
+            // The bound reaches exactly the hop-boundable shapes.
+            assert_eq!(unbounded != bounded, spec.hop_boundable(), "{spec}");
+        }
+        // Constrained: set and hops always, st only under a bound.
+        let constrained = |spec: &QuerySpec, d| batch_query(spec, d).is_constrained();
+        assert!(!constrained(&QuerySpec::St(s, t), None));
+        assert!(constrained(&QuerySpec::St(s, t), Some(2)));
+        for spec in [QuerySpec::Set(vec![s], vec![t]), QuerySpec::Hops(s, t)] {
+            assert!(
+                constrained(&spec, None) && constrained(&spec, Some(2)),
+                "{spec}"
+            );
+        }
+        for spec in [QuerySpec::From(s), QuerySpec::To(t), QuerySpec::TopK(s, 3)] {
+            assert!(
+                !constrained(&spec, None) && !constrained(&spec, Some(2)),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

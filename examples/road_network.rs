@@ -46,7 +46,9 @@ fn main() {
     );
 
     let est = McEstimator::new(8_000, 3);
-    let base = est.st_reliability(&g, depot, warehouse);
+    let base = est
+        .st_estimate(&g, depot, warehouse, est.default_budget())
+        .value;
     let mrp = most_reliable_path(&g, depot, warehouse).expect("grid is connected");
     println!(
         "Depot -> warehouse: reliability {base:.3}, most reliable path prob {:.4} ({} hops)\n",

@@ -48,7 +48,9 @@ fn main() {
         ("diagonal pair", diag.0, diag.1),
     ] {
         let query = StQuery::new(s, t, 3, zeta).with_hop_limit(None);
-        let base = est.st_reliability(&lab.graph, s, t);
+        let base = est
+            .st_estimate(&lab.graph, s, t, est.default_budget())
+            .value;
         let out = BatchEdgeSelector
             .select_with_candidates(&lab.graph, &query, &candidates, &est)
             .expect("BE is infallible");

@@ -20,8 +20,9 @@
 //!   estimators behind the generic [`sampling::Estimator`] trait
 //!   (monomorphized per graph type — no virtual dispatch in the
 //!   per-world BFS), with seed-keyed common random numbers, plus the
-//!   deterministic parallel runtime and the batched query entry
-//!   ([`sampling::QueryBatch`]) behind `relmax query`;
+//!   deterministic parallel runtime and the batch query vocabulary
+//!   ([`sampling::BatchQuery`]) that [`core::QueryEngine`] answers
+//!   behind `relmax query`;
 //! - [`paths`] — most-reliable-path machinery (Dijkstra, top-l paths,
 //!   the layered-graph exact solver for the restricted problem);
 //! - [`centrality`] — degree / betweenness / eigenvector analysis used by
@@ -75,9 +76,10 @@
 //!
 //! // Estimates are layout-independent for a fixed seed:
 //! let frozen = g.freeze();
+//! let budget = estimator.default_budget();
 //! assert_eq!(
-//!     estimator.st_reliability(&g, NodeId(0), NodeId(5)),
-//!     estimator.st_reliability(&frozen, NodeId(0), NodeId(5)),
+//!     estimator.st_estimate(&g, NodeId(0), NodeId(5), budget),
+//!     estimator.st_estimate(&frozen, NodeId(0), NodeId(5), budget),
 //! );
 //! ```
 

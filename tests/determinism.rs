@@ -58,32 +58,33 @@ fn mc_kernels_bit_identical_across_thread_matrix() {
         let (g, cands, s, t) = random_instance(&mut rng, trial % 2 == 0);
         let seed = rng.gen::<u64>();
         let reference = McEstimator::new(600, seed);
-        let st = reference.st_reliability(&g, s, t);
-        let from = reference.reliability_from(&g, s);
-        let to = reference.reliability_to(&g, t);
-        let pairwise = reference.pairwise_reliability(&g, &[s, t], &[t, s]);
-        let scan = reference.scan_candidates(&g, s, t, &cands);
+        let b = reference.default_budget();
+        let st = reference.st_estimate(&g, s, t, b);
+        let from = reference.from_estimates(&g, s, b);
+        let to = reference.to_estimates(&g, t, b);
+        let pairwise = reference.pairwise_estimates(&g, &[s, t], &[t, s], b);
+        let scan = reference.scan_estimates(&g, s, t, &cands, b);
         for threads in THREAD_MATRIX {
             let mc = McEstimator::with_threads(600, seed, threads);
             assert_eq!(
                 st,
-                mc.st_reliability(&g, s, t),
+                mc.st_estimate(&g, s, t, b),
                 "st trial {trial} t{threads}"
             );
             assert_eq!(
                 from,
-                mc.reliability_from(&g, s),
+                mc.from_estimates(&g, s, b),
                 "from trial {trial} t{threads}"
             );
-            assert_eq!(to, mc.reliability_to(&g, t), "to trial {trial} t{threads}");
+            assert_eq!(to, mc.to_estimates(&g, t, b), "to trial {trial} t{threads}");
             assert_eq!(
                 pairwise,
-                mc.pairwise_reliability(&g, &[s, t], &[t, s]),
+                mc.pairwise_estimates(&g, &[s, t], &[t, s], b),
                 "pairwise trial {trial} t{threads}"
             );
             assert_eq!(
                 scan,
-                mc.scan_candidates(&g, s, t, &cands),
+                mc.scan_estimates(&g, s, t, &cands, b),
                 "scan trial {trial} t{threads}"
             );
         }
@@ -97,22 +98,27 @@ fn rss_kernels_bit_identical_across_thread_matrix() {
         let (g, _cands, s, t) = random_instance(&mut rng, trial % 2 == 0);
         let seed = rng.gen::<u64>();
         let reference = RssEstimator::new(400, seed);
-        let st = reference.st_reliability(&g, s, t);
-        let from = reference.reliability_from(&g, s);
-        let to = reference.reliability_to(&g, t);
+        let b = reference.default_budget();
+        let st = reference.st_estimate(&g, s, t, b);
+        let from = reference.from_estimates(&g, s, b);
+        let to = reference.to_estimates(&g, t, b);
         for threads in THREAD_MATRIX {
             let rss = RssEstimator::with_threads(400, seed, threads);
             assert_eq!(
                 st,
-                rss.st_reliability(&g, s, t),
+                rss.st_estimate(&g, s, t, b),
                 "st trial {trial} t{threads}"
             );
             assert_eq!(
                 from,
-                rss.reliability_from(&g, s),
+                rss.from_estimates(&g, s, b),
                 "from trial {trial} t{threads}"
             );
-            assert_eq!(to, rss.reliability_to(&g, t), "to trial {trial} t{threads}");
+            assert_eq!(
+                to,
+                rss.to_estimates(&g, t, b),
+                "to trial {trial} t{threads}"
+            );
         }
     }
 }
@@ -122,15 +128,17 @@ fn repeated_runs_are_identical_even_in_parallel() {
     let mut rng = StdRng::seed_from_u64(0xD3);
     let (g, cands, s, t) = random_instance(&mut rng, true);
     let mc = McEstimator::with_threads(2_000, 0xAB, 4);
-    assert_eq!(mc.st_reliability(&g, s, t), mc.st_reliability(&g, s, t));
-    assert_eq!(mc.reliability_from(&g, s), mc.reliability_from(&g, s));
+    let b = mc.default_budget();
+    assert_eq!(mc.st_estimate(&g, s, t, b), mc.st_estimate(&g, s, t, b));
+    assert_eq!(mc.from_estimates(&g, s, b), mc.from_estimates(&g, s, b));
     assert_eq!(
-        mc.scan_candidates(&g, s, t, &cands),
-        mc.scan_candidates(&g, s, t, &cands)
+        mc.scan_estimates(&g, s, t, &cands, b),
+        mc.scan_estimates(&g, s, t, &cands, b)
     );
     let rss = RssEstimator::with_threads(1_000, 0xAB, 4);
-    assert_eq!(rss.st_reliability(&g, s, t), rss.st_reliability(&g, s, t));
-    assert_eq!(rss.reliability_to(&g, t), rss.reliability_to(&g, t));
+    let b = rss.default_budget();
+    assert_eq!(rss.st_estimate(&g, s, t, b), rss.st_estimate(&g, s, t, b));
+    assert_eq!(rss.to_estimates(&g, t, b), rss.to_estimates(&g, t, b));
 }
 
 /// The shared-world scan kernel must agree bit-for-bit with the reference
@@ -146,28 +154,31 @@ fn scan_candidates_matches_reference_overlay_scan() {
             continue;
         }
         let seed = rng.gen::<u64>();
-        let naive = |est: &dyn Fn(&GraphView<UncertainGraph>) -> f64| -> Vec<f64> {
+        let naive = |est: &dyn Fn(&GraphView<UncertainGraph>) -> Estimate| -> Vec<Estimate> {
             cands
                 .iter()
                 .map(|&c| est(&GraphView::new(&g, vec![c])))
                 .collect()
         };
         let mc = McEstimator::new(500, seed);
+        let b = mc.default_budget();
         assert_eq!(
-            mc.scan_candidates(&g, s, t, &cands),
-            naive(&|view| mc.st_reliability(view, s, t)),
+            mc.scan_estimates(&g, s, t, &cands, b),
+            naive(&|view| mc.st_estimate(view, s, t, b)),
             "MC trial {trial}"
         );
         let rss = RssEstimator::new(200, seed);
+        let b = rss.default_budget();
         assert_eq!(
-            rss.scan_candidates(&g, s, t, &cands),
-            naive(&|view| rss.st_reliability(view, s, t)),
+            rss.scan_estimates(&g, s, t, &cands, b),
+            naive(&|view| rss.st_estimate(view, s, t, b)),
             "RSS trial {trial}"
         );
         let exact = ExactEstimator::new();
+        let b = exact.default_budget();
         assert_eq!(
-            exact.scan_candidates(&g, s, t, &cands),
-            naive(&|view| exact.st_reliability(view, s, t)),
+            exact.scan_estimates(&g, s, t, &cands, b),
+            naive(&|view| exact.st_estimate(view, s, t, b)),
             "exact trial {trial}"
         );
     }
@@ -575,13 +586,15 @@ fn parallel_estimates_layout_independent() {
         let seed = rng.gen::<u64>();
         for threads in [2, 8] {
             let mc = McEstimator::with_threads(500, seed, threads);
-            assert_eq!(mc.st_reliability(&g, s, t), mc.st_reliability(&csr, s, t));
+            let b = mc.default_budget();
+            assert_eq!(mc.st_estimate(&g, s, t, b), mc.st_estimate(&csr, s, t, b));
             assert_eq!(
-                mc.scan_candidates(&g, s, t, &cands),
-                mc.scan_candidates(&csr, s, t, &cands)
+                mc.scan_estimates(&g, s, t, &cands, b),
+                mc.scan_estimates(&csr, s, t, &cands, b)
             );
             let rss = RssEstimator::with_threads(300, seed, threads);
-            assert_eq!(rss.st_reliability(&g, s, t), rss.st_reliability(&csr, s, t));
+            let b = rss.default_budget();
+            assert_eq!(rss.st_estimate(&g, s, t, b), rss.st_estimate(&csr, s, t, b));
         }
     }
 }

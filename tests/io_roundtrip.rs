@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relmax::gen::workload::{self, QuerySpec};
 use relmax::prelude::*;
-use relmax::sampling::{BatchQuery, QueryBatch};
+use relmax::sampling::BatchQuery;
 use relmax::ugraph::edgelist::{self, EdgeListOptions};
 use relmax::ugraph::snapshot::{self, SnapshotError};
 use relmax::ugraph::RelIndex;
@@ -88,14 +88,15 @@ fn estimates_are_bit_identical_across_the_whole_io_pipeline() {
         let loaded = snapshot::read(&snapshot::to_bytes(&parsed.freeze())[..]).unwrap();
 
         let mc = McEstimator::new(2_000, 7);
-        let reference = mc.st_reliability(&g, s, t);
-        assert_eq!(reference, mc.st_reliability(&loaded, s, t));
+        let b = mc.default_budget();
+        let reference = mc.st_estimate(&g, s, t, b);
+        assert_eq!(reference, mc.st_estimate(&loaded, s, t, b));
         let mc4 = McEstimator::with_threads(2_000, 7, 4);
-        assert_eq!(reference, mc4.st_reliability(&loaded, s, t));
+        assert_eq!(reference, mc4.st_estimate(&loaded, s, t, b));
         let rss = RssEstimator::new(1_000, 11);
         assert_eq!(
-            rss.st_reliability(&g, s, t),
-            rss.st_reliability(&loaded, s, t)
+            rss.st_estimate(&g, s, t, rss.budget),
+            rss.st_estimate(&loaded, s, t, rss.budget)
         );
     }
     assert!(compared >= 20, "only {compared} non-trivial graphs drawn");
@@ -115,11 +116,15 @@ fn batch_results_survive_snapshot_and_thread_count() {
             })
             .collect();
         let est = McEstimator::new(1_000, 13);
-        let direct = QueryBatch::default().freeze_and_run(&est, &g, &queries);
+        let run = |csr: CsrGraph, threads| {
+            let engine = QueryEngine::from_parts(csr, None, est.clone())
+                .with_runtime(relmax::sampling::ParallelRuntime::new(threads));
+            engine.query().batch(&queries).run().unwrap()
+        };
+        let direct = run(g.freeze(), 1);
         let loaded = snapshot::read(&snapshot::to_bytes(&g.freeze())[..]).unwrap();
         for threads in [1, 4] {
-            let via_snapshot = QueryBatch::new(relmax::sampling::ParallelRuntime::new(threads))
-                .run(&est, &loaded, &queries);
+            let via_snapshot = run(loaded.clone(), threads);
             assert_eq!(direct, via_snapshot, "threads={threads}");
         }
     }
@@ -253,9 +258,10 @@ fn v2_fixture_loads_identically_on_both_paths() {
     // Same estimates from both loads, serial and sharded.
     for threads in [1, 4] {
         let mc = McEstimator::with_threads(1_000, 7, threads);
+        let b = mc.default_budget();
         assert_eq!(
-            mc.st_reliability(&heap, NodeId(0), NodeId(3)),
-            mc.st_reliability(&mapped, NodeId(0), NodeId(3)),
+            mc.st_estimate(&heap, NodeId(0), NodeId(3), b),
+            mc.st_estimate(&mapped, NodeId(0), NodeId(3), b),
         );
     }
 }
@@ -495,10 +501,11 @@ fn heap_and_mapped_loads_answer_identically_for_random_graphs() {
         let (s, t) = (NodeId(0), NodeId(g.num_nodes() as u32 - 1));
         for threads in [1, 4] {
             let mc = McEstimator::with_threads(500, 7, threads);
-            let reference = mc.st_reliability(&csr, s, t);
-            assert_eq!(reference, mc.st_reliability(&heap, s, t));
-            assert_eq!(reference, mc.st_reliability(&mapped, s, t));
-            assert_eq!(reference, mc.st_reliability(&trusted, s, t));
+            let b = mc.default_budget();
+            let reference = mc.st_estimate(&csr, s, t, b);
+            assert_eq!(reference, mc.st_estimate(&heap, s, t, b));
+            assert_eq!(reference, mc.st_estimate(&mapped, s, t, b));
+            assert_eq!(reference, mc.st_estimate(&trusted, s, t, b));
         }
     }
     let _ = std::fs::remove_file(&path);

@@ -127,11 +127,12 @@ fn observation4_direct_st_edge_is_always_optimal_to_include() {
             .collect();
         let mut best_with_st = {
             let view = GraphView::new(&g, vec![st_edge]);
-            est.st_reliability(&view, s, t)
+            est.st_estimate(&view, s, t, est.default_budget()).value
         };
         for &o in &others {
             let view = GraphView::new(&g, vec![st_edge, o]);
-            best_with_st = best_with_st.max(est.st_reliability(&view, s, t));
+            let r = est.st_estimate(&view, s, t, est.default_budget()).value;
+            best_with_st = best_with_st.max(r);
         }
         assert!(
             best_with_st >= es.new_reliability - 1e-9,

@@ -73,11 +73,14 @@ fn fixtures() -> Vec<(UncertainGraph, NodeId, NodeId)> {
 #[test]
 fn mc_within_hoeffding_bound_of_exact() {
     let z = 4_000;
+    let b = Budget::fixed(z);
     let eps = hoeffding_eps(z, 1e-8);
     for (g, s, t) in fixtures() {
         let exact = st_reliability_enumerate(&g, s, t).unwrap();
         for seed in 0..8u64 {
-            let est = McEstimator::new(z, 0x5747 + seed).st_reliability(&g, s, t);
+            let est = McEstimator::new(z, 0x5747 + seed)
+                .st_estimate(&g, s, t, b)
+                .value;
             assert!(
                 (est - exact).abs() <= eps,
                 "MC seed {seed}: |{est} - {exact}| > {eps}"
@@ -91,11 +94,14 @@ fn mc_within_hoeffding_bound_of_exact() {
 #[test]
 fn rss_within_hoeffding_bound_of_exact() {
     let z = 4_000;
+    let b = Budget::fixed(z);
     let eps = hoeffding_eps(z, 1e-8);
     for (g, s, t) in fixtures() {
         let exact = st_reliability_enumerate(&g, s, t).unwrap();
         for seed in 0..8u64 {
-            let est = RssEstimator::new(z, 0x5747 + seed).st_reliability(&g, s, t);
+            let est = RssEstimator::new(z, 0x5747 + seed)
+                .st_estimate(&g, s, t, b)
+                .value;
             assert!(
                 (est - exact).abs() <= eps,
                 "RSS seed {seed}: |{est} - {exact}| > {eps}"
@@ -111,12 +117,13 @@ fn estimators_are_unbiased_over_seeds() {
     let (g, s, t) = (fan_graph(), NodeId(0), NodeId(4));
     let exact = st_reliability_enumerate(&g, s, t).unwrap();
     let reps = 200u64;
+    let b = Budget::fixed(256);
     let mc_mean = (0..reps)
-        .map(|seed| McEstimator::new(256, seed).st_reliability(&g, s, t))
+        .map(|seed| McEstimator::new(256, seed).st_estimate(&g, s, t, b).value)
         .sum::<f64>()
         / reps as f64;
     let rss_mean = (0..reps)
-        .map(|seed| RssEstimator::new(256, seed).st_reliability(&g, s, t))
+        .map(|seed| RssEstimator::new(256, seed).st_estimate(&g, s, t, b).value)
         .sum::<f64>()
         / reps as f64;
     assert!(
@@ -136,16 +143,17 @@ fn estimators_are_unbiased_over_seeds() {
 fn rss_variance_at_most_mc_variance() {
     let (g, s, t) = (fan_graph(), NodeId(0), NodeId(4));
     let z = 128;
+    let b = Budget::fixed(z);
     let reps = 100u64;
     let var = |estimates: &[f64]| {
         let mean = estimates.iter().sum::<f64>() / estimates.len() as f64;
         estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / estimates.len() as f64
     };
     let mc: Vec<f64> = (0..reps)
-        .map(|seed| McEstimator::new(z, seed).st_reliability(&g, s, t))
+        .map(|seed| McEstimator::new(z, seed).st_estimate(&g, s, t, b).value)
         .collect();
     let rss: Vec<f64> = (0..reps)
-        .map(|seed| RssEstimator::new(z, seed).st_reliability(&g, s, t))
+        .map(|seed| RssEstimator::new(z, seed).st_estimate(&g, s, t, b).value)
         .collect();
     let (vm, vr) = (var(&mc), var(&rss));
     assert!(
@@ -173,17 +181,18 @@ fn scan_candidates_within_hoeffding_bound_of_exact_overlays() {
         },
     ];
     let z = 4_000;
+    let b = Budget::fixed(z);
     let eps = hoeffding_eps(z, 1e-8);
     for seed in 0..8u64 {
-        let scans = McEstimator::new(z, 0x1234 + seed).scan_candidates(&g, s, t, &cands);
+        let scans = McEstimator::new(z, 0x1234 + seed).scan_estimates(&g, s, t, &cands, b);
         for (i, &c) in cands.iter().enumerate() {
             let view = GraphView::new(&g, vec![c]);
             let owned = view.materialize();
             let exact = st_reliability_enumerate(&owned, s, t).unwrap();
             assert!(
-                (scans[i] - exact).abs() <= eps,
+                (scans[i].value - exact).abs() <= eps,
                 "seed {seed} cand {i}: |{} - {exact}| > {eps}",
-                scans[i]
+                scans[i].value
             );
         }
     }
@@ -354,13 +363,14 @@ fn estimates_are_probabilities() {
         for threads in [1, 4] {
             let mc = McEstimator::with_threads(1_000, 7, threads);
             let rss = RssEstimator::with_threads(500, 7, threads);
-            let within = |x: f64| (0.0..=1.0 + 1e-12).contains(&x);
-            assert!(within(mc.st_reliability(&g, s, t)));
-            assert!(within(rss.st_reliability(&g, s, t)));
-            assert!(mc.reliability_from(&g, s).into_iter().all(within));
-            assert!(rss.reliability_from(&g, s).into_iter().all(within));
-            assert!(mc.reliability_to(&g, t).into_iter().all(within));
-            assert!(rss.reliability_to(&g, t).into_iter().all(within));
+            let (bm, br) = (mc.default_budget(), rss.default_budget());
+            let within = |e: Estimate| (0.0..=1.0 + 1e-12).contains(&e.value);
+            assert!(within(mc.st_estimate(&g, s, t, bm)));
+            assert!(within(rss.st_estimate(&g, s, t, br)));
+            assert!(mc.from_estimates(&g, s, bm).into_iter().all(within));
+            assert!(rss.from_estimates(&g, s, br).into_iter().all(within));
+            assert!(mc.to_estimates(&g, t, bm).into_iter().all(within));
+            assert!(rss.to_estimates(&g, t, br).into_iter().all(within));
         }
     }
 }
