@@ -41,13 +41,14 @@ fn main() {
     }
     eprintln!("  geomean speedup: {:.2}x", bench.geomean_speedup());
     eprintln!(
-        "  packed kernel vs scalar reference ({} nodes, {} edges, simd: {}):",
+        "  packed kernel vs scalar reference (watts_strogatz: {} nodes, {} edges; simd: {}):",
         bench.packed.nodes, bench.packed.edges, bench.packed.simd
     );
     for c in &bench.packed.kernels {
         eprintln!(
-            "  {:<18} scalar {:>9.2?}  packed {:>9.2?}  speedup {:>5.2}x  bit-identical: {}",
+            "  {:<15} {:<15} scalar {:>9.2?}  packed {:>9.2?}  speedup {:>5.2}x  bit-identical: {}",
             c.kernel,
+            c.graph,
             std::time::Duration::from_secs_f64(c.scalar_s),
             std::time::Duration::from_secs_f64(c.packed_s),
             c.speedup(),

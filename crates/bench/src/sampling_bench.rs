@@ -90,8 +90,12 @@ impl AdaptiveScenario {
 /// the lane-packed kernel and the scalar reference kernel.
 #[derive(Debug, Clone)]
 pub struct PackedComparison {
-    /// What was measured ("mc_st", "mc_from", "candidate_scan").
+    /// What was measured ("mc_st", "mc_from", "candidate_scan",
+    /// "mc_st_local").
     pub kernel: &'static str,
+    /// The graph it ran on: "watts_strogatz" (the scenario graph) or
+    /// "ring_chords".
+    pub graph: &'static str,
     /// Sampled worlds per invocation.
     pub samples: usize,
     /// Seconds for the scalar reference kernel (`RELMAX_KERNEL=scalar`).
@@ -113,9 +117,9 @@ impl PackedComparison {
 /// the scalar reference kernel on a production-sized graph.
 #[derive(Debug, Clone)]
 pub struct PackedScenario {
-    /// Nodes in the packed-scenario graph.
+    /// Nodes in the packed-scenario (Watts–Strogatz) graph.
     pub nodes: usize,
-    /// Edges (coins) in the packed-scenario graph.
+    /// Edges (coins) in the packed-scenario (Watts–Strogatz) graph.
     pub edges: usize,
     /// Whether the AVX-512 hash path was active on this host.
     pub simd: bool,
@@ -283,8 +287,9 @@ impl SamplingBench {
         ));
         for (i, c) in p.kernels.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"samples\": {}, \"scalar_s\": {:.6}, \"packed_s\": {:.6}, \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
+                "    {{\"kernel\": \"{}\", \"graph\": \"{}\", \"samples\": {}, \"scalar_s\": {:.6}, \"packed_s\": {:.6}, \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
                 c.kernel,
+                c.graph,
                 c.samples,
                 c.scalar_s,
                 c.packed_s,
@@ -426,9 +431,12 @@ pub fn run_adaptive_scenario(
 /// The graph is deliberately production-sized (100k nodes, ~500k edges
 /// at full size): per sampled world the scalar kernel re-streams the
 /// whole CSR neighborhood structure, while the packed kernel streams it
-/// once per 64 worlds — the regime the packed kernel exists for. `smoke`
-/// shrinks the graph and budgets to CI scale (bit-identity is still
-/// asserted; speedups of the tiny run are not meaningful).
+/// once per 64 worlds — the regime the packed kernel exists for. The
+/// `mc_st_local` row covers the opposite regime on a ring-chords graph:
+/// `s-t` pairs 2–5 hops apart, where each block's front is a few nodes
+/// wide and crawls along the ring. `smoke` shrinks the graphs and budgets
+/// to CI scale (bit-identity is still asserted; speedups of the tiny run
+/// are not meaningful).
 pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
     let (nodes, k, st_z, from_z, scan_z, cands) = if smoke {
         (4_000, 10, 256, 128, 64, 20)
@@ -452,6 +460,7 @@ pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
     let (packed_st, packed_st_s) = best_of(reps, || packed.st_estimate(&csr, s, t, st_budget));
     kernels.push(PackedComparison {
         kernel: "mc_st",
+        graph: "watts_strogatz",
         samples: st_z,
         scalar_s: scalar_st_s,
         packed_s: packed_st_s,
@@ -465,6 +474,7 @@ pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
         best_of(reps, || packed.from_estimates(&csr, s, from_budget));
     kernels.push(PackedComparison {
         kernel: "mc_from",
+        graph: "watts_strogatz",
         samples: from_z,
         scalar_s: scalar_from_s,
         packed_s: packed_from_s,
@@ -481,10 +491,42 @@ pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
     });
     kernels.push(PackedComparison {
         kernel: "candidate_scan",
+        graph: "watts_strogatz",
         samples: scan_z,
         scalar_s: scalar_scan_s,
         packed_s: packed_scan_s,
         bit_identical: scalar_scan == packed_scan,
+    });
+
+    // Local pairs on a directed ring-chords graph (out-degree 4, strides
+    // 1..=4): offsets 5..=20 are exactly 2–5 hops; the first pair wraps
+    // past node 0. Timed as one batch of st queries.
+    let (ring_nodes, ring_pairs) = if smoke { (4_000, 4) } else { (100_000, 20) };
+    let ring = CsrGraph::freeze(&synth::RingChords::new(ring_nodes, 4, 0x71).to_graph());
+    let pairs: Vec<(NodeId, NodeId)> = (0..ring_pairs)
+        .map(|i| {
+            let s = (ring_nodes as u32 - 10 + i * 7919) % ring_nodes as u32;
+            let t = (s + 20 - (i * 7) % 16) % ring_nodes as u32;
+            (NodeId(s), NodeId(t))
+        })
+        .collect();
+    let batch = |est: &McEstimator| -> Vec<_> {
+        pairs
+            .iter()
+            .map(|&(s, t)| est.st_estimate(&ring, s, t, st_budget))
+            .collect()
+    };
+    let _ = batch(&packed);
+    let _ = batch(&scalar);
+    let (scalar_local, scalar_local_s) = best_of(reps, || batch(&scalar));
+    let (packed_local, packed_local_s) = best_of(reps, || batch(&packed));
+    kernels.push(PackedComparison {
+        kernel: "mc_st_local",
+        graph: "ring_chords",
+        samples: st_z,
+        scalar_s: scalar_local_s,
+        packed_s: packed_local_s,
+        bit_identical: scalar_local == packed_local,
     });
 
     PackedScenario {
@@ -930,7 +972,7 @@ mod tests {
             assert!(c.bit_identical, "{} estimates diverged", c.kernel);
             assert!(c.dyn_s > 0.0 && c.csr_s > 0.0);
         }
-        assert_eq!(bench.packed.kernels.len(), 3);
+        assert_eq!(bench.packed.kernels.len(), 4);
         for c in &bench.packed.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
             assert!(c.scalar_s > 0.0 && c.packed_s > 0.0);
@@ -947,7 +989,7 @@ mod tests {
     #[test]
     fn packed_scenario_is_bit_identical_at_smoke_scale() {
         let scenario = run_packed_scenario(true);
-        assert_eq!(scenario.kernels.len(), 3);
+        assert_eq!(scenario.kernels.len(), 4);
         for c in &scenario.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
         }

@@ -71,6 +71,10 @@ pub struct McEstimator {
     pub index: Option<Arc<RelIndex>>,
 }
 
+/// An indexed `s-t` query that must sample: the index, the endpoints
+/// mapped to supernodes, and the plan's node mask (see [`StPlan`]).
+type IndexedSample<'a> = (&'a RelIndex, NodeId, NodeId, Option<Vec<u64>>);
+
 impl McEstimator {
     /// Serial estimator with a fixed budget of `samples` worlds under
     /// `seed`.
@@ -138,6 +142,33 @@ impl McEstimator {
             ci_high: 0.0,
             samples_used: 0,
             stopped_early: true,
+        }
+    }
+
+    /// Plan an `s-t` query once. `Ok` is the structural answer: `s == t`,
+    /// or an attached index proving the pair certainly or never
+    /// connected. `Err` says what to sample: the index's condensed graph
+    /// between the mapped endpoints under the plan's node mask, or `None`
+    /// to sample `g` itself.
+    fn st_route<G: ProbGraph>(
+        &self,
+        g: &G,
+        s: NodeId,
+        t: NodeId,
+    ) -> Result<Estimate, Option<IndexedSample<'_>>> {
+        if s == t {
+            return Ok(Estimate::exact(1.0));
+        }
+        let Some(idx) = self.active_index(g) else {
+            return Err(None);
+        };
+        match idx.st_plan(s, t) {
+            // Same certain supernode: connected in every world.
+            StPlan::Certain => Ok(Estimate::exact(1.0)),
+            // No possible world connects them: structurally 0.0, decided
+            // without sampling a single world.
+            StPlan::Impossible => Ok(Self::impossible_estimate()),
+            StPlan::Sample { s, t, mask } => Err(Some((idx, s, t, mask))),
         }
     }
 
@@ -468,27 +499,21 @@ impl Estimator for McEstimator {
 
     fn st_estimate<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId, budget: Budget) -> Estimate {
         budget.assert_valid();
-        if let Some(decided) = self.st_shortcircuit(g, s, t) {
-            return decided;
+        match self.st_route(g, s, t) {
+            Ok(decided) => decided,
+            Err(None) => self.st_sampled(g, s, t, budget),
+            // Sample on the condensed graph, masked to the supernodes
+            // that can lie on an s-t path. Both transformations preserve
+            // every world's verdict, and coins stay keyed to original
+            // ids, so hit counts — and hence the Estimate — are
+            // bit-identical to unindexed sampling.
+            Err(Some((idx, s, t, mask))) => match mask {
+                Some(mask) => {
+                    self.st_sampled(&PrunedGraph::new(idx.condensed(), &mask), s, t, budget)
+                }
+                None => self.st_sampled(idx.condensed(), s, t, budget),
+            },
         }
-        if let Some(idx) = self.active_index(g) {
-            // Certain/Impossible plans were consumed by `st_shortcircuit`;
-            // what remains is sampling on the condensed graph, masked to
-            // the supernodes that can lie on an s-t path. Both
-            // transformations preserve every world's verdict, and coins
-            // stay keyed to original ids, so hit counts — and hence the
-            // Estimate — are bit-identical to unindexed sampling.
-            if let StPlan::Sample { s, t, mask } = idx.st_plan(s, t) {
-                return match mask {
-                    Some(mask) => {
-                        self.st_sampled(&PrunedGraph::new(idx.condensed(), &mask), s, t, budget)
-                    }
-                    None => self.st_sampled(idx.condensed(), s, t, budget),
-                };
-            }
-            unreachable!("short-circuit plans are handled above");
-        }
-        self.st_sampled(g, s, t, budget)
     }
 
     fn from_estimates<G: ProbGraph>(&self, g: &G, s: NodeId, budget: Budget) -> Vec<Estimate> {
@@ -616,17 +641,7 @@ impl Estimator for McEstimator {
     }
 
     fn st_shortcircuit<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId) -> Option<Estimate> {
-        if s == t {
-            return Some(Estimate::exact(1.0));
-        }
-        match self.active_index(g)?.st_plan(s, t) {
-            // Same certain supernode: connected in every world.
-            StPlan::Certain => Some(Estimate::exact(1.0)),
-            // No possible world connects them: structurally 0.0, decided
-            // without sampling a single world.
-            StPlan::Impossible => Some(Self::impossible_estimate()),
-            StPlan::Sample { .. } => None,
-        }
+        self.st_route(g, s, t).ok()
     }
 
     fn coalescable_st(&self) -> bool {

@@ -45,6 +45,21 @@
 //! progress are skipped without hashing at all. `BENCH_sampling.json`
 //! (see `docs/benchmarks.md`) records the measured speedup on the
 //! 100k-node packed benchmark scenario.
+//!
+//! A fixpoint round also costs only what its frontier needs. The
+//! frontier is a bitmap of `n/64` words, and sweeping all of them is
+//! cheap next to a wide front (a Watts–Strogatz flood puts a thousand
+//! nodes into a few hundred words). It is ruinous for a thin one: on a
+//! ring-chords graph a block's few unresolved lanes crawl along the ring
+//! for hundreds of rounds, four nodes per round, and a 100k-node sweep
+//! reads 1,563 words each time. So each round picks its form from the
+//! previous round's frontier: with fewer nodes than `1/16` of the
+//! bitmap's words it runs **sparse**, walking a sorted list of the
+//! frontier's nonzero words and listing the next frontier's words with a
+//! branchless push as it deposits; otherwise it runs **dense**, sweeping
+//! the bitmap with bitmap-only deposits. Both walk the frontier in
+//! ascending node order, so they step the same arcs and hash the same
+//! coins.
 
 use crate::coins::{splitmix64, SAMPLE_MUL};
 use relmax_ugraph::{CoinId, ExtraEdge, NodeId, ProbGraph};
@@ -311,20 +326,41 @@ struct NodeLanes {
     pending: u64,
 }
 
-/// Node state plus the frontier bitmaps of the level-synchronous
-/// fixpoint: `cur`/`next` hold one bit per node ("has pending lanes this
-/// round / next round"), `live` accumulates every node touched in the
-/// block so the next block clears `O(touched)` state instead of `O(n)`.
+/// Node state plus the frontier of the level-synchronous fixpoint:
+/// `cur`/`next` are this round's and the next round's [`Frontier`],
+/// `live` accumulates every node touched in the block so the next block
+/// clears `O(touched)` node state instead of `O(n)`.
 #[derive(Debug, Default)]
 struct LaneScratch {
     state: Vec<NodeLanes>,
-    cur: Vec<u64>,
-    next: Vec<u64>,
+    cur: Frontier,
+    next: Frontier,
     live: Vec<u64>,
     /// Frontier snapshot buffer of [`fixpoint_levels`]: `(node, lanes)`
     /// pairs drained from `cur`/`pending` before a round propagates, so
     /// deposits made during the round cannot leak into it.
     wave: Vec<(u32, u64)>,
+}
+
+/// The nodes queued for one fixpoint round: a bitmap with one bit per
+/// node ("has pending lanes"), plus the indices of its nonzero words when
+/// whatever filled it kept them (the seeds and sparse rounds do; see
+/// [`Rounds`]).
+#[derive(Debug, Default)]
+struct Frontier {
+    bits: Vec<u64>,
+    /// Listed word indices, appended by a branchless push: the slot at
+    /// `len` is always written and `len` only advances on a word's first
+    /// deposit, so `words` holds one spare slot beyond `bits`.
+    words: Vec<u32>,
+    len: usize,
+}
+
+impl Frontier {
+    fn resize(&mut self, words: usize) {
+        self.bits.resize(words, 0);
+        self.words.resize(words + 1, 0);
+    }
 }
 
 impl LaneScratch {
@@ -334,26 +370,30 @@ impl LaneScratch {
         let words = n.div_ceil(LANES);
         if self.state.len() < n {
             self.state.resize(n, NodeLanes::default());
-            self.cur.resize(words, 0);
-            self.next.resize(words, 0);
+            self.cur.resize(words);
+            self.next.resize(words);
             self.live.resize(words, 0);
         }
         // Sweep the full live bitmap (not just this graph's prefix) so a
-        // scratch reused across graphs of different sizes stays clean.
+        // scratch reused across graphs of different sizes stays clean;
+        // frontier bits are a subset of `live`, so this also clears the
+        // frontier an `s-t` early exit left behind.
         for wi in 0..self.live.len() {
             let mut w = self.live[wi];
             if w == 0 {
                 continue;
             }
             self.live[wi] = 0;
-            self.cur[wi] = 0;
-            self.next[wi] = 0;
+            self.cur.bits[wi] = 0;
+            self.next.bits[wi] = 0;
             while w != 0 {
                 let v = wi * LANES + w.trailing_zeros() as usize;
                 w &= w - 1;
                 self.state[v] = NodeLanes::default();
             }
         }
+        self.cur.len = 0;
+        self.next.len = 0;
     }
 
     /// Seed the fixpoint: mark `v` reached in `lanes` and queue it.
@@ -364,7 +404,11 @@ impl LaneScratch {
             pending: lanes,
         };
         let (w, b) = (v.index() >> 6, v.index() & 63);
-        self.cur[w] |= 1 << b;
+        if self.cur.bits[w] == 0 {
+            self.cur.words[self.cur.len] = w as u32;
+            self.cur.len += 1;
+        }
+        self.cur.bits[w] |= 1 << b;
         self.live[w] |= 1 << b;
     }
 
@@ -418,8 +462,122 @@ fn with_coin_memo<R>(f: impl FnOnce(&mut CoinMemo) -> R) -> R {
     with_pooled(&MEMO_POOL, f)
 }
 
+/// A round runs sparse while the previous round's frontier held fewer
+/// than `1 / SPARSE_RATIO` as many nodes as the bitmap has words.
+const SPARSE_RATIO: usize = 16;
+
+/// Round-to-round bookkeeping shared by [`fixpoint`] and
+/// [`fixpoint_levels`]: how many nodes the last frontier held, and
+/// whether the current frontier's words are listed.
+///
+/// A **sparse** round (the previous frontier was small next to the `n/64`
+/// bitmap words) walks the sorted word list of the current frontier —
+/// `O(frontier)` — and lists the next frontier's words as it deposits. A
+/// **dense** round sweeps every bitmap word, and its deposits run the
+/// bitmap-only code; rounds are monomorphized on the choice, so dense
+/// rounds carry no list bookkeeping per arc. The threshold counts nodes
+/// because a sparse round's extra cost is per arc, and a dense round's is
+/// per word. Both visit the frontier in ascending node order, so a round
+/// steps the same arcs and hashes the same coins either way.
+struct Rounds {
+    /// Bitmap words covering the graph's nodes.
+    words: usize,
+    /// Nodes in the last frontier walked (the seeds' words before the
+    /// first round).
+    front: usize,
+    /// Whether the current frontier's words are listed.
+    listed: bool,
+}
+
+impl Rounds {
+    /// State after [`LaneScratch::seed`]: the seeds' words are listed.
+    fn seeded(ls: &LaneScratch, n: usize) -> Rounds {
+        Rounds {
+            words: n.div_ceil(LANES),
+            front: ls.cur.len,
+            listed: true,
+        }
+    }
+
+    /// Whether the next round runs sparse.
+    #[inline]
+    fn sparse(&self) -> bool {
+        self.front * SPARSE_RATIO < self.words
+    }
+
+    /// Visit every node of `cur` in ascending order, clearing it as it
+    /// goes: through the sorted word list when the round is sparse and
+    /// the list is valid, else by sweeping all words. Returns the number
+    /// of nodes visited.
+    #[inline(always)]
+    fn walk(&self, sparse: bool, cur: &mut Frontier, mut visit: impl FnMut(usize)) -> usize {
+        let Frontier { bits, words, len } = cur;
+        let mut walked = 0;
+        if sparse && self.listed {
+            let listed = &mut words[..*len];
+            listed.sort_unstable();
+            for &wi in listed.iter() {
+                walked += walk_word(bits, wi as usize, &mut visit);
+            }
+        } else {
+            for wi in 0..self.words {
+                walked += walk_word(bits, wi, &mut visit);
+            }
+        }
+        *len = 0;
+        walked
+    }
+
+    /// Account for a finished round that visited `walked` nodes; its
+    /// deposits listed the next frontier's words iff it was sparse.
+    #[inline]
+    fn advance(&mut self, sparse: bool, walked: usize) {
+        #[cfg(test)]
+        tests::ROUNDS.with(|r| r.borrow_mut().push(sparse));
+        self.listed = sparse;
+        self.front = walked;
+    }
+}
+
+/// Visit the set bits of frontier word `wi` as node ids, clearing it;
+/// returns how many there were.
+#[inline(always)]
+fn walk_word(bits: &mut [u64], wi: usize, visit: &mut impl FnMut(usize)) -> usize {
+    let mut w = bits[wi];
+    if w == 0 {
+        return 0;
+    }
+    bits[wi] = 0;
+    let nodes = w.count_ones() as usize;
+    while w != 0 {
+        let v = wi * LANES + w.trailing_zeros() as usize;
+        w &= w - 1;
+        visit(v);
+    }
+    nodes
+}
+
+/// Queue node `u` for the next round if `add` gave it new lanes, and mark
+/// it live. A sparse round also lists the word on its first deposit with
+/// a branchless push (the slot is always written; `len` advances only
+/// when the word was empty), so the per-arc code stays branch-free.
+#[inline(always)]
+fn enqueue<const SPARSE: bool>(frontier: &mut Frontier, live: &mut [u64], u: usize, add: u64) {
+    let nz = (add != 0) as u64;
+    let (uw, ub) = (u >> 6, u & 63);
+    if SPARSE {
+        let old = frontier.bits[uw];
+        frontier.bits[uw] = old | nz << ub;
+        frontier.words[frontier.len] = uw as u32;
+        frontier.len += ((old == 0) as usize) & nz as usize;
+    } else {
+        frontier.bits[uw] |= nz << ub;
+    }
+    live[uw] |= nz << ub;
+}
+
 /// Run the packed frontier fixpoint for one block: level-synchronous
-/// rounds over the frontier bitmap until no lane makes progress.
+/// rounds over the frontier until a round finds it empty.
 ///
 /// Processing the frontier in rounds (and in ascending node order within
 /// a round) makes lanes that reach a node at the same BFS depth arrive
@@ -442,7 +600,7 @@ fn fixpoint<G: ProbGraph>(
     prune: Option<NodeId>,
 ) {
     let base_mul = block.base_mul();
-    let words = g.num_nodes().div_ceil(LANES);
+    let mut rounds = Rounds::seeded(ls, g.num_nodes());
     loop {
         if let Some(t) = prune {
             // Every live lane has its verdict: the whole block is done.
@@ -452,48 +610,66 @@ fn fixpoint<G: ProbGraph>(
                 return;
             }
         }
-        let mut any = 0u64;
-        for wi in 0..words {
-            let mut w = ls.cur[wi];
-            if w == 0 {
-                continue;
-            }
-            ls.cur[wi] = 0;
-            while w != 0 {
-                let v = wi * LANES + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let mut new_bits = ls.state[v].pending;
-                ls.state[v].pending = 0;
-                if let Some(t) = prune {
-                    new_bits &= !ls.state[t.index()].reached;
-                }
-                if new_bits == 0 {
-                    continue;
-                }
-                let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
-                    let mask = memo.get(seed, base_mul, c, th);
-                    let st = &mut ls.state[u.index()];
-                    let add = new_bits & mask & !st.reached;
-                    st.reached |= add;
-                    st.pending |= add;
-                    let nz = (add != 0) as u64;
-                    let (uw, ub) = (u.index() >> 6, u.index() & 63);
-                    ls.next[uw] |= nz << ub;
-                    ls.live[uw] |= nz << ub;
-                    any |= add;
-                };
-                if reverse {
-                    g.in_flips(NodeId(v as u32)).for_each(&mut step);
-                } else {
-                    g.out_flips(NodeId(v as u32)).for_each(&mut step);
-                }
-            }
-        }
-        if any == 0 {
+        let sparse = rounds.sparse();
+        let walked = if sparse {
+            fixpoint_round::<true, G>(g, seed, base_mul, ls, memo, reverse, prune, &rounds)
+        } else {
+            fixpoint_round::<false, G>(g, seed, base_mul, ls, memo, reverse, prune, &rounds)
+        };
+        if walked == 0 {
             return;
         }
         std::mem::swap(&mut ls.cur, &mut ls.next);
+        rounds.advance(sparse, walked);
     }
+}
+
+/// One round of [`fixpoint`]: propagate every frontier node's pending
+/// lanes along its arcs into `next`. Returns the nodes walked. (Progress
+/// is not tracked per arc: a round without it leaves `next` empty, and
+/// the next round's walk finds nothing.)
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fixpoint_round<const SPARSE: bool, G: ProbGraph>(
+    g: &G,
+    seed: u64,
+    base_mul: u64,
+    ls: &mut LaneScratch,
+    memo: &mut CoinMemo,
+    reverse: bool,
+    prune: Option<NodeId>,
+    rounds: &Rounds,
+) -> usize {
+    let LaneScratch {
+        state,
+        cur,
+        next,
+        live,
+        ..
+    } = ls;
+    rounds.walk(SPARSE, cur, |v| {
+        let mut new_bits = state[v].pending;
+        state[v].pending = 0;
+        if let Some(t) = prune {
+            new_bits &= !state[t.index()].reached;
+        }
+        if new_bits == 0 {
+            return;
+        }
+        let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
+            let mask = memo.get(seed, base_mul, c, th);
+            let st = &mut state[u.index()];
+            let add = new_bits & mask & !st.reached;
+            st.reached |= add;
+            st.pending |= add;
+            enqueue::<SPARSE>(next, live, u.index(), add);
+        };
+        if reverse {
+            g.in_flips(NodeId(v as u32)).for_each(&mut step);
+        } else {
+            g.out_flips(NodeId(v as u32)).for_each(&mut step);
+        }
+    })
 }
 
 /// Run the *strictly* level-synchronous packed fixpoint for one block,
@@ -521,7 +697,7 @@ fn fixpoint_levels<G: ProbGraph>(
     max_hops: u32,
 ) -> (u64, u64) {
     let base_mul = block.base_mul();
-    let words = g.num_nodes().div_ceil(LANES);
+    let mut rounds = Rounds::seeded(ls, g.num_nodes());
     // Lanes where a target is already reached at seed time: depth 0.
     let mut hit = 0u64;
     for &t in targets {
@@ -533,43 +709,27 @@ fn fixpoint_levels<G: ProbGraph>(
     let mut wave = std::mem::take(&mut ls.wave);
     while hit != block.mask && round < max_hops {
         round += 1;
-        // Snapshot the frontier before touching any state.
+        // Snapshot the frontier before touching any state; the drained
+        // bitmap and its word list then collect this round's deposits.
+        let sparse = rounds.sparse();
         wave.clear();
-        for wi in 0..words {
-            let mut w = ls.cur[wi];
-            if w == 0 {
-                continue;
+        let state = &mut ls.state;
+        let walked = rounds.walk(sparse, &mut ls.cur, |v| {
+            let new_bits = state[v].pending & !hit;
+            state[v].pending = 0;
+            if new_bits != 0 {
+                wave.push((v as u32, new_bits));
             }
-            ls.cur[wi] = 0;
-            while w != 0 {
-                let v = wi * LANES + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let new_bits = ls.state[v].pending & !hit;
-                ls.state[v].pending = 0;
-                if new_bits != 0 {
-                    wave.push((v as u32, new_bits));
-                }
-            }
-        }
+        });
         if wave.is_empty() {
             break;
         }
-        let mut any = 0u64;
-        for &(v, new_bits) in &wave {
-            let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
-                let mask = memo.get(seed, base_mul, c, th);
-                let st = &mut ls.state[u.index()];
-                let add = new_bits & mask & !st.reached;
-                st.reached |= add;
-                st.pending |= add;
-                let nz = (add != 0) as u64;
-                let (uw, ub) = (u.index() >> 6, u.index() & 63);
-                ls.cur[uw] |= nz << ub;
-                ls.live[uw] |= nz << ub;
-                any |= add;
-            };
-            g.out_flips(NodeId(v)).for_each(&mut step);
+        if sparse {
+            levels_round::<true, G>(g, seed, base_mul, ls, memo, &wave);
+        } else {
+            levels_round::<false, G>(g, seed, base_mul, ls, memo, &wave);
         }
+        rounds.advance(sparse, walked);
         // Lanes whose first target arrival is this round.
         let mut fresh = 0u64;
         for &t in targets {
@@ -578,12 +738,38 @@ fn fixpoint_levels<G: ProbGraph>(
         fresh &= !hit & block.mask;
         depth_sum += round as u64 * fresh.count_ones() as u64;
         hit |= fresh;
-        if any == 0 {
-            break;
-        }
     }
     ls.wave = wave;
     (hit, depth_sum)
+}
+
+/// One round of [`fixpoint_levels`]: propagate the snapshotted `wave`
+/// along out-arcs into the (drained) `cur` frontier. A round without
+/// progress leaves `cur` empty, so the next round's wave is empty. Kept
+/// out of line so each mode's arc loop gets the registers to itself.
+#[inline(never)]
+fn levels_round<const SPARSE: bool, G: ProbGraph>(
+    g: &G,
+    seed: u64,
+    base_mul: u64,
+    ls: &mut LaneScratch,
+    memo: &mut CoinMemo,
+    wave: &[(u32, u64)],
+) {
+    let LaneScratch {
+        state, cur, live, ..
+    } = ls;
+    for &(v, new_bits) in wave {
+        let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
+            let mask = memo.get(seed, base_mul, c, th);
+            let st = &mut state[u.index()];
+            let add = new_bits & mask & !st.reached;
+            st.reached |= add;
+            st.pending |= add;
+            enqueue::<SPARSE>(cur, live, u.index(), add);
+        };
+        g.out_flips(NodeId(v)).for_each(&mut step);
+    }
 }
 
 /// Packed set-reliability counts for the absolute sample range `lo..hi`:
@@ -949,6 +1135,96 @@ mod tests {
                 })
                 .sum();
             assert_eq!(st_hits(&g, 11, s, t, lo, hi), scalar, "range {lo}..{hi}");
+        }
+    }
+
+    thread_local! {
+        /// Whether each finished fixpoint round on this thread ran sparse.
+        pub(super) static ROUNDS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Take the round modes recorded so far, as a string of `s`/`d`.
+    fn take_rounds() -> String {
+        ROUNDS.with(|r| {
+            r.take()
+                .iter()
+                .map(|&sp| if sp { 's' } else { 'd' })
+                .collect()
+        })
+    }
+
+    /// Per-world forward reach over stateless coins (`seed`, worlds
+    /// `lo..hi`), summed per node: the reference for `reach_counts`.
+    fn world_reach_counts(g: &UncertainGraph, seed: u64, s: NodeId, lo: u64, hi: u64) -> Vec<u64> {
+        let mut counts = vec![0u64; g.num_nodes()];
+        for sample in lo..hi {
+            let mut reach = vec![false; g.num_nodes()];
+            reach[s.index()] = true;
+            let mut stack = vec![s];
+            while let Some(v) = stack.pop() {
+                g.out_flips(v).for_each(|(u, th, c)| {
+                    if !reach[u.index()] && coin_raw(seed, sample, c) < th {
+                        reach[u.index()] = true;
+                        stack.push(u);
+                    }
+                });
+            }
+            for (c, r) in counts.iter_mut().zip(reach) {
+                *c += r as u64;
+            }
+        }
+        counts
+    }
+
+    /// 4096 nodes (64 frontier words): a thin chain from node 4090 that
+    /// wraps past node 0, a fan-out from node 2 into 60 words, a funnel
+    /// back into node 3000, and a second thin chain.
+    fn funnel_graph() -> UncertainGraph {
+        let mut g = UncertainGraph::new(4096, true);
+        let chain: Vec<u32> = (4090..4096).chain(0..3).collect();
+        for w in chain.windows(2) {
+            g.add_edge(NodeId(w[0]), NodeId(w[1]), 0.95).unwrap();
+        }
+        for i in 1..61 {
+            g.add_edge(NodeId(2), NodeId(64 * i + 5), 0.9).unwrap();
+            g.add_edge(NodeId(64 * i + 5), NodeId(3000), 0.5).unwrap();
+        }
+        for v in 3000..3010 {
+            g.add_edge(NodeId(v), NodeId(v + 1), 0.9).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn rounds_switch_sparse_dense_sparse_and_match_per_world_bfs() {
+        let g = funnel_graph();
+        let s = NodeId(4090);
+        for (lo, hi) in [(0u64, 64u64), (3, 200)] {
+            take_rounds();
+            let mut counts = vec![0u64; g.num_nodes()];
+            reach_counts(&g, 21, s, false, lo, hi, &mut counts);
+            assert_eq!(
+                counts,
+                world_reach_counts(&g, 21, s, lo, hi),
+                "range {lo}..{hi}"
+            );
+            // Per block: one-node rounds along the chain run sparse, so
+            // does the round that walks the 60 fan-out nodes; the round
+            // after it sweeps (dense), and the second chain runs sparse.
+            let rounds = take_rounds();
+            assert!(rounds.starts_with("ssssssssssdsss"), "{rounds}");
+            // Strict level-synchronous rounds take the same sparse and
+            // dense paths.
+            let targets = [NodeId(3008), NodeId(1)];
+            for max_hops in [Some(3), Some(14), None] {
+                let want = world_set_moments(&g, 21, &[s], &targets, max_hops, lo, hi);
+                let got = set_counts(&g, 21, &[s], &targets, max_hops, lo, hi);
+                assert_eq!(got, want, "max_hops={max_hops:?} range {lo}..{hi}");
+            }
+            let deep = set_counts(&g, 21, &[s], &[NodeId(3008)], None, lo, hi);
+            assert!(deep.0 > 0, "some world must cross the funnel");
+            let rounds = take_rounds();
+            assert!(rounds.contains("sdsss"), "{rounds}");
         }
     }
 

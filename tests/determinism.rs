@@ -598,3 +598,209 @@ fn parallel_estimates_layout_independent() {
         }
     }
 }
+
+/// Every sampled shape of one `(s, t)` instance, as one estimator answers
+/// it: the comparison unit of the thin-front suites below.
+#[derive(Debug, PartialEq)]
+struct ShapeAnswers {
+    st: Estimate,
+    from: Vec<Estimate>,
+    to: Vec<Estimate>,
+    pairwise: Vec<Vec<Estimate>>,
+    scan: Vec<Estimate>,
+    set: Estimate,
+    set_within: Estimate,
+    st_within: Estimate,
+    hops: relmax::sampling::HopsEstimate,
+}
+
+fn shape_answers(
+    est: &McEstimator,
+    g: &CsrGraph,
+    s: NodeId,
+    t: NodeId,
+    cands: &[CandidateEdge],
+    budget: relmax::sampling::Budget,
+) -> ShapeAnswers {
+    use relmax::sampling::Estimator;
+    let n = g.num_nodes() as u32;
+    let (s2, t2) = (NodeId((s.0 + 7) % n), NodeId((t.0 + 3) % n));
+    ShapeAnswers {
+        st: est.st_estimate(g, s, t, budget),
+        from: est.from_estimates(g, s, budget),
+        to: est.to_estimates(g, t, budget),
+        pairwise: est.pairwise_estimates(g, &[s, s2], &[t, t2, s], budget),
+        scan: est.scan_estimates(g, s, t, cands, budget),
+        set: est
+            .set_estimate(g, &[s, s2], &[t, t2], None, budget)
+            .unwrap(),
+        set_within: est
+            .set_estimate(g, &[s, s2], &[t, t2], Some(4), budget)
+            .unwrap(),
+        st_within: est.st_within_estimate(g, s, t, 3, budget).unwrap(),
+        hops: est.expected_hops_estimate(g, s, t, budget).unwrap(),
+    }
+}
+
+/// Directed ring-chords graph (`v → v + j mod n` for `j` in `1..=k`):
+/// every BFS front is a few consecutive nodes that crawls along the ring,
+/// so multi-word graphs run thin (sparse) fixpoint rounds for thousands of
+/// rounds. `s` sits just before node 0, so fronts wrap past it, and the
+/// candidates (strides above `k`, and backward arcs) are all missing.
+fn ring_instance(n: usize, k: usize, seed: u64) -> (CsrGraph, NodeId, NodeId, Vec<CandidateEdge>) {
+    let g = relmax::gen::synth::RingChords::new(n, k, seed).to_graph();
+    let n32 = n as u32;
+    let s = n32 - 3;
+    let t = (s + 2 * k as u32 + 1) % n32;
+    let cands = vec![
+        CandidateEdge {
+            src: NodeId(s),
+            dst: NodeId((s + k as u32 + 1) % n32),
+            prob: 0.6,
+        },
+        CandidateEdge {
+            src: NodeId((s + 2) % n32),
+            dst: NodeId((t + k as u32 + 2) % n32),
+            prob: 0.4,
+        },
+        CandidateEdge {
+            src: NodeId(t),
+            dst: NodeId(s),
+            prob: 0.8,
+        },
+    ];
+    (CsrGraph::freeze(&g), NodeId(s), NodeId(t), cands)
+}
+
+/// Undirected random graph with about three uncertain edges per node: an
+/// expander whose BFS front covers most bitmap words within a few rounds.
+fn wide_front_instance(n: usize, seed: u64) -> (CsrGraph, NodeId, NodeId, Vec<CandidateEdge>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = UncertainGraph::new(n, false);
+    for v in 0..n as u32 {
+        for _ in 0..3 {
+            let u = rng.gen_range(0..n as u32);
+            if u != v && !g.has_edge(NodeId(v), NodeId(u)) {
+                g.add_edge(NodeId(v), NodeId(u), rng.gen_range(0.2..0.9))
+                    .unwrap();
+            }
+        }
+    }
+    let (s, t) = (NodeId(n as u32 - 1), NodeId(1));
+    let mut cands = Vec::new();
+    while cands.len() < 3 {
+        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        if u != v && !g.has_edge(NodeId(u), NodeId(v)) {
+            cands.push(CandidateEdge {
+                src: NodeId(u),
+                dst: NodeId(v),
+                prob: 0.5,
+            });
+        }
+    }
+    (CsrGraph::freeze(&g), s, t, cands)
+}
+
+/// Directed funnel: a thin chain that wraps past node 0, a fan-out over
+/// most bitmap words, a funnel back into one node, and another thin
+/// chain — so one block's rounds go sparse → dense → sparse.
+fn funnel_instance() -> (CsrGraph, NodeId, NodeId, Vec<CandidateEdge>) {
+    let n = 4096u32;
+    let mut g = UncertainGraph::new(n as usize, true);
+    let mut edge = |a: u32, b: u32, p: f64| g.add_edge(NodeId(a), NodeId(b), p).unwrap();
+    // Chain 4090 → … → 4095 → 0 → 1 → 2.
+    let chain: Vec<u32> = (4090..n).chain(0..3).collect();
+    for w in chain.windows(2) {
+        edge(w[0], w[1], 0.95);
+    }
+    // Node 2 fans out to one node in each of 60 words, which all funnel
+    // into node 3000; a second chain leaves it.
+    for i in 1..61 {
+        edge(2, 64 * i + 5, 0.9);
+        edge(64 * i + 5, 3000, 0.5);
+    }
+    for v in 3000..3010 {
+        edge(v, v + 1, 0.9);
+    }
+    let cands = vec![
+        CandidateEdge {
+            src: NodeId(1),
+            dst: NodeId(3005),
+            prob: 0.5,
+        },
+        CandidateEdge {
+            src: NodeId(64 * 7 + 5),
+            dst: NodeId(3009),
+            prob: 0.7,
+        },
+    ];
+    (CsrGraph::freeze(&g), NodeId(4090), NodeId(3008), cands)
+}
+
+/// Packed == scalar on graphs that span many frontier words: thin
+/// ring-chords fronts (n ∈ {130, 1000, 5000}, k ∈ {1, 2, 4}) that wrap
+/// past node 0, a wide-front undirected expander, and a funnel whose
+/// rounds switch sparse → dense → sparse — every sampled shape, at
+/// threads 1/2/4, with masked tail blocks.
+#[test]
+fn packed_kernel_matches_scalar_on_multi_word_fronts() {
+    use relmax::sampling::{Budget, Kernel};
+    // World counts are not multiples of 64: every run ends in a masked
+    // tail block, and the thread shards split blocks unevenly. Dense
+    // instances get the fewest worlds to keep debug runs short.
+    let mut instances = Vec::new();
+    for (i, &n) in [130usize, 1000, 5000].iter().enumerate() {
+        for (j, (k, z)) in [(1usize, 1234usize), (2, 577), (4, 100)]
+            .into_iter()
+            .enumerate()
+        {
+            let label = format!("ring n={n} k={k}");
+            instances.push((label, z, ring_instance(n, k, (i * 3 + j) as u64)));
+        }
+    }
+    instances.push((
+        "wide front".to_string(),
+        130,
+        wide_front_instance(2000, 0xD9),
+    ));
+    instances.push(("funnel".to_string(), 577, funnel_instance()));
+    for (trial, (label, z, (g, s, t, cands))) in instances.iter().enumerate() {
+        let z = *z;
+        let seed = 0x7417 + trial as u64;
+        let budget = Budget::fixed(z);
+        let scalar = McEstimator::new(z, seed).with_kernel(Kernel::Scalar);
+        let want = shape_answers(&scalar, g, *s, *t, cands, budget);
+        for threads in [1, 2, 4] {
+            let packed = McEstimator::with_threads(z, seed, threads).with_kernel(Kernel::Packed);
+            let got = shape_answers(&packed, g, *s, *t, cands, budget);
+            assert_eq!(want, got, "{label} z={z} t{threads}");
+        }
+    }
+}
+
+/// The packed kernel pools its per-thread scratch across calls. Running a
+/// large graph, then a small one, then the large one again on one thread
+/// must answer exactly like each graph on a fresh thread (fresh pools):
+/// whatever a query leaves in the pooled scratch — early-exit frontier
+/// bits, word lists sized for another graph — is cleared before reuse.
+#[test]
+fn packed_scratch_reuse_across_graph_sizes_stays_clean() {
+    use relmax::sampling::{Budget, Kernel};
+    let large = ring_instance(5000, 2, 11);
+    let small = ring_instance(130, 4, 12);
+    let budget = Budget::fixed(577);
+    let est = McEstimator::with_threads(577, 0x5c, 1).with_kernel(Kernel::Packed);
+    let run = |(g, s, t, cands): &(CsrGraph, NodeId, NodeId, Vec<CandidateEdge>)| {
+        shape_answers(&est, g, *s, *t, cands, budget)
+    };
+    let fresh = |inst: &(CsrGraph, NodeId, NodeId, Vec<CandidateEdge>)| {
+        std::thread::scope(|scope| scope.spawn(|| run(inst)).join().unwrap())
+    };
+    let (want_large, want_small) = (fresh(&large), fresh(&small));
+    assert_eq!(run(&large), want_large, "large, first");
+    assert_eq!(run(&small), want_small, "small after large");
+    assert_eq!(run(&large), want_large, "large after small");
+    let scalar = McEstimator::new(577, 0x5c).with_kernel(Kernel::Scalar);
+    let (g, s, t, cands) = &small;
+    assert_eq!(shape_answers(&scalar, g, *s, *t, cands, budget), want_small);
+}
