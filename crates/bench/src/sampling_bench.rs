@@ -231,6 +231,8 @@ pub struct SamplingBench {
     pub edges: usize,
     /// Sampled worlds per kernel invocation.
     pub samples: usize,
+    /// Hardware threads of the host that ran the report (its `nproc`).
+    pub host_threads: usize,
     /// Per-kernel comparisons.
     pub kernels: Vec<Comparison>,
     /// Lane-packed kernel versus the scalar reference kernel.
@@ -263,6 +265,7 @@ impl SamplingBench {
             self.nodes, self.edges
         ));
         out.push_str(&format!("  \"samples\": {},\n", self.samples));
+        out.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
         out.push_str("  \"kernels\": [\n");
         for (i, c) in self.kernels.iter().enumerate() {
             out.push_str(&format!(
@@ -885,6 +888,7 @@ pub fn run(samples: usize, pipeline_queries: usize, packed_smoke: bool) -> Sampl
         nodes: g.num_nodes(),
         edges: g.num_edges(),
         samples,
+        host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernels,
         packed,
         index,

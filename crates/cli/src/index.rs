@@ -66,11 +66,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         stats.components,
         stats.certain_arcs,
         if csr.is_directed() {
-            if stats.closure {
-                ", reachability closure".to_string()
-            } else {
-                ", BFS fallback".to_string()
-            }
+            format!(", {} possible SCCs", stats.possible_sccs)
         } else {
             format!(", {} biconnected blocks", stats.blocks)
         },

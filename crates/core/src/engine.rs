@@ -47,7 +47,7 @@
 use relmax_sampling::{
     BatchEstimate, BatchQuery, Budget, Estimate, Estimator, HopsEstimate, ParallelRuntime,
 };
-use relmax_ugraph::index::{index_enabled, RelIndex, StPlan};
+use relmax_ugraph::index::{index_enabled, RelIndex, StVerdict};
 use relmax_ugraph::{
     CsrGraph, DeltaOverlay, GraphError, GraphUpdate, NodeId, ProbGraph, UncertainGraph,
 };
@@ -276,12 +276,12 @@ impl<E: Estimator> QueryEngine<E> {
         }) {
             return None;
         }
-        match idx.st_plan(s, t) {
-            StPlan::Certain => Some(Estimate::exact(1.0)),
+        match idx.st_verdict(s, t) {
+            StVerdict::Certain => Some(Estimate::exact(1.0)),
             // Mirrors the estimator's impossible short-circuit exactly:
             // structurally 0.0, zero worlds, stopped before its budget in
             // the strongest sense.
-            StPlan::Impossible => Some(Estimate {
+            StVerdict::Impossible => Some(Estimate {
                 value: 0.0,
                 stderr: 0.0,
                 ci_low: 0.0,
@@ -289,7 +289,7 @@ impl<E: Estimator> QueryEngine<E> {
                 samples_used: 0,
                 stopped_early: true,
             }),
-            StPlan::Sample { .. } => None,
+            StVerdict::Sample => None,
         }
     }
 

@@ -5,7 +5,7 @@ use crate::convergence::{drive_budget, worst_bernoulli_half_width, Budget, Estim
 use crate::packed::{self, Kernel};
 use crate::runtime::ParallelRuntime;
 use crate::Estimator;
-use relmax_ugraph::index::{PrunedGraph, RelIndex, StPlan};
+use relmax_ugraph::index::{PrunedGraph, RelIndex, StPlan, StVerdict};
 use relmax_ugraph::{
     flip_threshold, with_scratch, with_scratch_pair, CoinId, ExtraEdge, NodeId, ProbGraph,
 };
@@ -808,7 +808,7 @@ impl McEstimator {
             Some(idx) => sources.iter().all(|&s| {
                 targets
                     .iter()
-                    .all(|&t| matches!(idx.st_plan(s, t), StPlan::Impossible))
+                    .all(|&t| idx.st_verdict(s, t) == StVerdict::Impossible)
             }),
             None => false,
         }

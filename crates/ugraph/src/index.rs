@@ -10,20 +10,25 @@
 //!    subgraph (connected components, for undirected graphs) collapse into
 //!    *supernodes*. Sampling then runs on the condensed graph — fewer nodes,
 //!    fewer arcs — while every surviving arc keeps its **original coin id**,
-//!    which is what keeps estimates bit-identical (see below).
+//!    which is what keeps estimates bit-identical (see below). When nothing
+//!    collapses, the condensed graph *is* the graph: it shares the
+//!    snapshot's columns instead of copying them.
 //! 2. **Possible-graph components + blocks.** Over the graph of edges with
 //!    `p > 0` ("possible" edges), connected components are world-independent
 //!    *separators*: an s-t query across components is 0.0 in every world and
 //!    short-circuits without sampling. For undirected graphs the index
 //!    additionally computes the biconnected blocks and the block-cut tree,
-//!    so an s-t query prunes to the union of blocks on the tree path between
-//!    `s` and `t` — the exact set of nodes that can lie on a simple s-t path.
-//! 3. **Reachability closure / per-query BFS.** For directed graphs the
-//!    index keeps per-supernode forward/reverse reachability bitsets over
-//!    the possible graph (chunked rows, built only while the condensed graph
-//!    is small) or falls back to one BFS pair per query. An s-t query prunes
-//!    to `fwd(s) ∩ rev(t)`, and short-circuits to 0.0 when `t` is not even
-//!    possibly reachable.
+//!    rooted once per component, so an s-t query prunes to the union of
+//!    blocks on the tree path between `s` and `t` — the exact set of nodes
+//!    that can lie on a simple s-t path — by walking only that path.
+//! 3. **Possible-graph SCC DAG.** For directed graphs the index labels the
+//!    strongly connected components of the condensed possible graph and
+//!    keeps the DAG over them. An s-t query prunes to `fwd(s) ∩ rev(t)`:
+//!    when `s` and `t` share an SCC that is the SCC itself (no mask at all
+//!    when it is a sink), otherwise the SCCs that both a forward DAG walk
+//!    from `s` and a reverse walk from `t` reach. The query short-circuits
+//!    to 0.0 when `t` is not even possibly reachable. No plan runs a BFS
+//!    over the graph.
 //!
 //! ## Why pruning preserves bit-identity
 //!
@@ -46,15 +51,6 @@
 use crate::csr::CsrGraph;
 use crate::{flip_threshold, CoinId, NodeId, ProbGraph};
 use std::sync::OnceLock;
-
-/// Largest condensed-graph node count for which the directed reachability
-/// closure (per-supernode forward/reverse bitsets) is precomputed. Beyond
-/// it, s-t queries fall back to one BFS pair on the condensed graph.
-const CLOSURE_NODE_LIMIT: usize = 1024;
-
-/// Arc-count companion to [`CLOSURE_NODE_LIMIT`]: dense small graphs skip
-/// the closure too, keeping index construction `O(n + m)`-ish.
-const CLOSURE_ARC_LIMIT: usize = 1 << 17;
 
 static ENV_INDEX: OnceLock<bool> = OnceLock::new();
 
@@ -103,19 +99,64 @@ pub struct IndexStats {
     /// Biconnected blocks of the condensed possible graph (undirected
     /// graphs only; 0 for directed).
     pub blocks: usize,
-    /// Whether the directed reachability closure was precomputed.
-    pub closure: bool,
+    /// Strongly connected components of the condensed possible graph
+    /// (directed graphs only; 0 for undirected).
+    pub possible_sccs: usize,
 }
 
-/// Per-supernode forward/reverse reachability bitsets over the possible
-/// graph (directed graphs below [`CLOSURE_NODE_LIMIT`] only).
+/// Lists of `u32` keyed by `0..len`, flattened: list `k` is
+/// `items[off[k]..off[k + 1]]`.
 #[derive(Debug, Clone, PartialEq)]
-struct Closure {
-    words: usize,
-    /// Row `s`: the supernodes possibly reachable *from* `s` (self included).
-    fwd: Vec<u64>,
-    /// Row `t`: the supernodes that possibly *reach* `t` (self included).
-    rev: Vec<u64>,
+struct Lists {
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Lists {
+    /// Group `(key, item)` pairs by key, keeping pair order within a list.
+    fn group<I: Iterator<Item = (u32, u32)> + Clone>(keys: usize, pairs: I) -> Lists {
+        let mut off = vec![0u32; keys + 1];
+        for (k, _) in pairs.clone() {
+            off[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            off[k + 1] += off[k];
+        }
+        let mut cursor = off.clone();
+        let mut items = vec![0u32; off[keys] as usize];
+        for (k, x) in pairs {
+            items[cursor[k as usize] as usize] = x;
+            cursor[k as usize] += 1;
+        }
+        Lists { off, items }
+    }
+
+    fn row(&self, k: u32) -> &[u32] {
+        &self.items[self.off[k as usize] as usize..self.off[k as usize + 1] as usize]
+    }
+}
+
+/// Strongly connected components of the condensed possible graph and the
+/// DAG over them (directed graphs only).
+#[derive(Debug, Clone, PartialEq)]
+struct Sccs {
+    /// Supernode → SCC. Tarjan emits an SCC only after every SCC it
+    /// reaches, so each DAG arc runs from a higher id to a lower one.
+    of: Vec<u32>,
+    /// Member supernodes of each SCC, ascending.
+    members: Lists,
+    /// DAG successors of each SCC, deduplicated; an SCC without any is a
+    /// sink.
+    succ: Lists,
+    /// DAG predecessors of each SCC.
+    pred: Lists,
+}
+
+/// The possible-graph structure an s-t mask is read from.
+#[derive(Debug, Clone, PartialEq)]
+enum Paths {
+    Directed(Sccs),
+    Undirected(Blocks),
 }
 
 /// Biconnected blocks + block-cut tree of the condensed possible graph
@@ -129,8 +170,11 @@ struct Blocks {
     /// vertices, `num_blocks + cut_index` for cut vertices, `u32::MAX` for
     /// edgeless supernodes.
     attach: Vec<u32>,
-    /// Block-cut tree adjacency: blocks `0..num_blocks`, then cut vertices.
-    adj: Vec<Vec<u32>>,
+    /// Block-cut tree (blocks `0..num_blocks`, then cut vertices), rooted
+    /// once per component: each tree node's parent (a root is its own) and
+    /// its depth below the root.
+    parent: Vec<u32>,
+    depth: Vec<u32>,
 }
 
 /// How an s-t query should run, as decided by [`RelIndex::st_plan`].
@@ -154,6 +198,18 @@ pub enum StPlan {
         /// Bitset over condensed node ids; `None` disables masking.
         mask: Option<Vec<u64>>,
     },
+}
+
+/// What structure alone says about an s-t pair, as decided by
+/// [`RelIndex::st_verdict`]: [`StPlan`] without the mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StVerdict {
+    /// Connected in every world: `R(s, t) = 1` exactly.
+    Certain,
+    /// Connected in no world: `R(s, t) = 0` exactly.
+    Impossible,
+    /// Only sampling can tell.
+    Sample,
 }
 
 /// Freeze-time reliability index over one [`CsrGraph`] — certain-edge
@@ -196,28 +252,21 @@ pub struct RelIndex {
     comp_size: Vec<u32>,
     num_comps: usize,
     condensed: CsrGraph,
-    closure: Option<Closure>,
-    blocks: Option<Blocks>,
+    paths: Paths,
 }
 
 impl RelIndex {
-    /// Build the index for a frozen graph. `O(n + m)` plus, for small
-    /// directed graphs (at most `CLOSURE_NODE_LIMIT` supernodes), the
-    /// reachability closure.
+    /// Build the index for a frozen graph: `O(n + m)`.
     pub fn build(csr: &CsrGraph) -> RelIndex {
-        let n = csr.num_nodes;
-        let raw = if csr.directed {
-            certain_sccs_directed(csr)
-        } else {
-            certain_components_undirected(csr)
-        };
-        let (super_of, num_super) = canonicalize(raw, n);
+        // Over symmetric undirected arcs, SCCs are connected components.
+        let (raw, _) = tarjan(csr, |p| p == 1.0);
+        let (super_of, num_super) = canonicalize(raw, csr.num_nodes);
         Self::assemble(csr, super_of, num_super)
     }
 
     /// Reconstruct the index from its persisted [`IndexSection`], verifying
     /// that the labels are structurally valid for `csr`. The derived
-    /// structures (condensed graph, components, blocks, closure) are
+    /// structures (condensed graph, components, blocks, SCC DAG) are
     /// rebuilt deterministically, so a round-tripped index equals a freshly
     /// built one.
     pub fn from_section(csr: &CsrGraph, section: &IndexSection) -> Result<RelIndex, String> {
@@ -272,18 +321,10 @@ impl RelIndex {
         for &c in &comp_of_super {
             comp_size[c as usize] += 1;
         }
-        let closure = if condensed.directed
-            && num_super <= CLOSURE_NODE_LIMIT
-            && condensed.out_dst.len() <= CLOSURE_ARC_LIMIT
-        {
-            Some(build_closure(&condensed))
+        let paths = if condensed.directed {
+            Paths::Directed(Sccs::build(&condensed))
         } else {
-            None
-        };
-        let blocks = if condensed.directed {
-            None
-        } else {
-            Some(build_blocks(&condensed))
+            Paths::Undirected(build_blocks(&condensed))
         };
         RelIndex {
             directed: csr.directed,
@@ -296,8 +337,7 @@ impl RelIndex {
             comp_size,
             num_comps,
             condensed,
-            closure,
-            blocks,
+            paths,
         }
     }
 
@@ -387,145 +427,210 @@ impl RelIndex {
             .collect()
     }
 
-    /// Decide how an s-t query over the *original* node ids should run.
-    /// See [`StPlan`].
-    pub fn st_plan(&self, s: NodeId, t: NodeId) -> StPlan {
-        let ss = self.super_of[s.index()];
-        let tt = self.super_of[t.index()];
+    /// What structure alone says about an s-t query over the *original*
+    /// node ids: certain supernodes, then possible-graph components, then
+    /// (directed) reachability in the SCC DAG. Builds no mask.
+    pub fn st_verdict(&self, s: NodeId, t: NodeId) -> StVerdict {
+        self.verdict(self.super_of[s.index()], self.super_of[t.index()])
+    }
+
+    fn verdict(&self, ss: u32, tt: u32) -> StVerdict {
         if ss == tt {
-            return StPlan::Certain;
+            return StVerdict::Certain;
         }
         if self.comp_of_super[ss as usize] != self.comp_of_super[tt as usize] {
-            return StPlan::Impossible;
+            return StVerdict::Impossible;
         }
-        let mask = if self.directed {
-            match self.directed_mask(ss, tt) {
-                Ok(mask) => mask,
-                Err(Unreachable) => return StPlan::Impossible,
+        match &self.paths {
+            Paths::Directed(sc) if sc.forward(sc.of[ss as usize], sc.of[tt as usize]).is_none() => {
+                StVerdict::Impossible
             }
-        } else {
-            self.undirected_mask(ss, tt)
-        };
-        StPlan::Sample {
-            s: NodeId(ss),
-            t: NodeId(tt),
-            mask,
+            _ => StVerdict::Sample,
+        }
+    }
+
+    /// Decide how an s-t query over the *original* node ids should run:
+    /// [`RelIndex::st_verdict`], plus the node mask when it says sample.
+    pub fn st_plan(&self, s: NodeId, t: NodeId) -> StPlan {
+        let (ss, tt) = (self.super_of[s.index()], self.super_of[t.index()]);
+        match self.verdict(ss, tt) {
+            StVerdict::Certain => StPlan::Certain,
+            StVerdict::Impossible => StPlan::Impossible,
+            StVerdict::Sample => StPlan::Sample {
+                s: NodeId(ss),
+                t: NodeId(tt),
+                mask: match &self.paths {
+                    Paths::Directed(sc) => self.directed_mask(sc, ss, tt),
+                    Paths::Undirected(bl) => self.undirected_mask(bl, ss, tt),
+                },
+            },
         }
     }
 
     /// Summary counters for display and tests.
     pub fn stats(&self) -> IndexStats {
+        let (blocks, possible_sccs) = match &self.paths {
+            Paths::Directed(sc) => (0, sc.succ.off.len() - 1),
+            Paths::Undirected(bl) => (bl.num_blocks, 0),
+        };
         IndexStats {
             nodes: self.nodes,
             supernodes: self.num_super,
             components: self.num_comps,
             certain_arcs: self.certain_arcs,
-            blocks: self.blocks.as_ref().map_or(0, |b| b.num_blocks),
-            closure: self.closure.is_some(),
+            blocks,
+            possible_sccs,
         }
     }
 
-    /// Forward ∩ reverse possible reachability between two supernodes of a
-    /// directed graph. `Err(Unreachable)` when `tt` is not possibly
-    /// reachable at all; `Ok(None)` when the mask would admit everything
-    /// forward-reachable anyway (masking would cost without pruning).
-    fn directed_mask(&self, ss: u32, tt: u32) -> Result<Option<Vec<u64>>, Unreachable> {
-        let words = self.num_super.div_ceil(64);
-        let (fwd, rev);
-        let (frow, rrow): (&[u64], &[u64]) = match &self.closure {
-            Some(cl) => (
-                &cl.fwd[ss as usize * words..][..words],
-                &cl.rev[tt as usize * words..][..words],
-            ),
-            None => {
-                fwd = reach_bits(&self.condensed, ss, false);
-                if !bit(&fwd, tt) {
-                    return Err(Unreachable);
+    /// `fwd(ss) ∩ rev(tt)` over the possible graph of a directed graph, for
+    /// a pair the verdict left to sampling: the SCCs the forward walk from
+    /// `ss` reaches and the reverse walk from `tt` reaches back. `None` when
+    /// every SCC forward-reachable from `ss` reaches `tt` (masking would
+    /// cost without pruning) — for a shared SCC, exactly when it is a sink.
+    fn directed_mask(&self, sc: &Sccs, ss: u32, tt: u32) -> Option<Vec<u64>> {
+        let (cs, ct) = (sc.of[ss as usize], sc.of[tt as usize]);
+        let (mut mark, escaped) = sc.forward(cs, ct).expect("verdict said reachable");
+        // Reverse walk from ct, confined to the forward set: its SCCs lie
+        // in ct..=cs, and any SCC on a path between two of them is in it.
+        mark[0] |= REV;
+        let mut stack = vec![ct];
+        while let Some(c) = stack.pop() {
+            for &p in sc.pred.row(c) {
+                if p <= cs && mark[(p - ct) as usize] == FWD {
+                    mark[(p - ct) as usize] |= REV;
+                    stack.push(p);
                 }
-                rev = reach_bits(&self.condensed, tt, true);
-                (&fwd, &rev)
             }
-        };
-        if !bit(frow, tt) {
-            return Err(Unreachable);
         }
-        let mut mask = vec![0u64; words];
-        let (mut kept, mut forward) = (0u32, 0u32);
-        for w in 0..words {
-            mask[w] = frow[w] & rrow[w];
-            kept += mask[w].count_ones();
-            forward += frow[w].count_ones();
+        if !escaped && !mark.contains(&FWD) {
+            return None;
         }
-        Ok(if kept == forward { None } else { Some(mask) })
+        let mut mask = vec![0u64; self.num_super.div_ceil(64)];
+        for c in (ct..=cs).filter(|c| mark[(c - ct) as usize] == FWD | REV) {
+            for &v in sc.members.row(c) {
+                mask[v as usize >> 6] |= 1u64 << (v & 63);
+            }
+        }
+        Some(mask)
     }
 
     /// Union of blocks on the block-cut tree path between two supernodes of
     /// an undirected graph — the exact set of supernodes that can lie on a
-    /// simple s-t path. `None` when the path covers the whole component.
-    fn undirected_mask(&self, ss: u32, tt: u32) -> Option<Vec<u64>> {
-        let bl = self.blocks.as_ref()?;
+    /// simple s-t path. `None` when the path covers the whole component,
+    /// decided from block sizes before any mask is allocated.
+    fn undirected_mask(&self, bl: &Blocks, ss: u32, tt: u32) -> Option<Vec<u64>> {
         let (a, b) = (bl.attach[ss as usize], bl.attach[tt as usize]);
-        if a == u32::MAX || b == u32::MAX {
+        // Consecutive blocks on a tree path share one cut vertex and no
+        // other two share any node, so k path blocks hold Σ|B| − (k − 1).
+        let (mut sum, mut k) = (0usize, 0usize);
+        bl.path(a, b, |x| {
+            sum += bl.members[x as usize].len();
+            k += 1;
+        });
+        if sum + 1 - k >= self.comp_size[self.comp_of_super[ss as usize] as usize] as usize {
             return None;
         }
-        // BFS on the block-cut tree from a to b.
-        let total = bl.adj.len();
-        let mut parent = vec![u32::MAX; total];
-        let mut queue = std::collections::VecDeque::new();
-        parent[a as usize] = a;
-        queue.push_back(a);
-        let mut found = a == b;
-        while let Some(x) = queue.pop_front() {
-            if found {
-                break;
+        let mut mask = vec![0u64; self.num_super.div_ceil(64)];
+        bl.path(a, b, |x| {
+            for &v in &bl.members[x as usize] {
+                mask[v as usize >> 6] |= 1u64 << (v & 63);
             }
-            for &y in &bl.adj[x as usize] {
-                if parent[y as usize] == u32::MAX {
-                    parent[y as usize] = x;
-                    if y == b {
-                        found = true;
-                        break;
-                    }
-                    queue.push_back(y);
-                }
-            }
-        }
-        if !found {
-            return None; // same component but no tree path: be conservative
-        }
-        let words = self.num_super.div_ceil(64);
-        let mut mask = vec![0u64; words];
-        let mut walk = b;
-        loop {
-            if (walk as usize) < bl.num_blocks {
-                for &v in &bl.members[walk as usize] {
-                    mask[v as usize >> 6] |= 1u64 << (v & 63);
-                }
-            }
-            if walk == a {
-                break;
-            }
-            walk = parent[walk as usize];
-        }
-        // Endpoints are members of path blocks already; set defensively.
-        mask[ss as usize >> 6] |= 1u64 << (ss & 63);
-        mask[tt as usize >> 6] |= 1u64 << (tt & 63);
-        let kept: u32 = mask.iter().map(|w| w.count_ones()).sum();
-        let comp = self.comp_of_super[ss as usize] as usize;
-        if kept >= self.comp_size[comp] {
-            None
-        } else {
-            Some(mask)
-        }
+        });
+        Some(mask)
     }
 }
 
-/// Marker for "t is not possibly reachable" inside [`RelIndex::st_plan`].
-struct Unreachable;
+/// Marks of an SCC-DAG walk: reached forward from `s`, and back from `t`.
+const FWD: u8 = 1;
+const REV: u8 = 2;
 
-#[inline]
-fn bit(words: &[u64], i: u32) -> bool {
-    words[i as usize >> 6] >> (i & 63) & 1 == 1
+impl Sccs {
+    fn build(g: &CsrGraph) -> Sccs {
+        let (of, num) = tarjan(g, |p| p > 0.0);
+        let members = Lists::group(num, of.iter().enumerate().map(|(v, &c)| (c, v as u32)));
+        let mut succ = Lists {
+            off: vec![0],
+            items: Vec::new(),
+        };
+        let mut last = vec![u32::MAX; num];
+        for c in 0..num as u32 {
+            for &v in members.row(c) {
+                let v = v as usize;
+                for a in g.out_off[v] as usize..g.out_off[v + 1] as usize {
+                    let d = of[g.out_dst[a] as usize];
+                    if g.out_prob[a] > 0.0 && d != c && last[d as usize] != c {
+                        last[d as usize] = c;
+                        succ.items.push(d);
+                    }
+                }
+            }
+            succ.off.push(succ.items.len() as u32);
+        }
+        let pred = Lists::group(
+            num,
+            (0..num as u32).flat_map(|c| succ.row(c).iter().map(move |&d| (d, c))),
+        );
+        Sccs {
+            of,
+            members,
+            succ,
+            pred,
+        }
+    }
+
+    /// Forward DAG walk from SCC `cs`, confined to the ids `ct..=cs` (DAG
+    /// arcs descend, so no other SCC reaches `ct`): `None` when it misses
+    /// `ct`, else the per-SCC marks (index `c - ct`) and whether the walk
+    /// left the range.
+    fn forward(&self, cs: u32, ct: u32) -> Option<(Vec<u8>, bool)> {
+        if ct > cs {
+            return None;
+        }
+        let mut mark = vec![0u8; (cs - ct) as usize + 1];
+        mark[(cs - ct) as usize] = FWD;
+        let mut escaped = false;
+        let mut stack = vec![cs];
+        while let Some(c) = stack.pop() {
+            for &d in self.succ.row(c) {
+                if d < ct {
+                    escaped = true;
+                } else if mark[(d - ct) as usize] == 0 {
+                    mark[(d - ct) as usize] = FWD;
+                    stack.push(d);
+                }
+            }
+        }
+        (mark[0] == FWD).then_some((mark, escaped))
+    }
+}
+
+impl Blocks {
+    /// Call `f` with each block on the tree path between tree nodes `a` and
+    /// `b` of one component, climbing both ends to their lowest common
+    /// ancestor.
+    fn path(&self, mut a: u32, mut b: u32, mut f: impl FnMut(u32)) {
+        let mut visit = |x: u32| {
+            if (x as usize) < self.num_blocks {
+                f(x);
+            }
+        };
+        while self.depth[a as usize] > self.depth[b as usize] {
+            visit(a);
+            a = self.parent[a as usize];
+        }
+        while self.depth[b as usize] > self.depth[a as usize] {
+            visit(b);
+            b = self.parent[b as usize];
+        }
+        while a != b {
+            visit(a);
+            visit(b);
+            a = self.parent[a as usize];
+            b = self.parent[b as usize];
+        }
+        visit(a);
+    }
 }
 
 /// Renumber arbitrary component labels canonically: first appearance in
@@ -544,37 +649,11 @@ fn canonicalize(mut labels: Vec<u32>, n: usize) -> (Vec<u32>, usize) {
     (labels, next as usize)
 }
 
-/// Connected components of the `p == 1.0` subgraph of an undirected graph.
-fn certain_components_undirected(csr: &CsrGraph) -> Vec<u32> {
-    let n = csr.num_nodes;
-    let mut label = vec![u32::MAX; n];
-    let mut stack = Vec::new();
-    let mut next = 0u32;
-    for v in 0..n {
-        if label[v] != u32::MAX {
-            continue;
-        }
-        label[v] = next;
-        stack.push(v as u32);
-        while let Some(x) = stack.pop() {
-            let xi = x as usize;
-            for a in csr.out_off[xi] as usize..csr.out_off[xi + 1] as usize {
-                let u = csr.out_dst[a];
-                if csr.out_prob[a] == 1.0 && label[u as usize] == u32::MAX {
-                    label[u as usize] = next;
-                    stack.push(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
-}
-
-/// Strongly connected components of the `p == 1.0` subgraph of a directed
-/// graph (iterative Tarjan).
-fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
-    let n = csr.num_nodes;
+/// Strongly connected components of `g` over the out-arcs whose probability
+/// passes `keep` (iterative Tarjan), numbered in emission order: an SCC is
+/// emitted only after every SCC it reaches. Returns the labels and count.
+fn tarjan(g: &CsrGraph, keep: impl Fn(f64) -> bool) -> (Vec<u32>, usize) {
+    let n = g.num_nodes;
     let mut disc = vec![0u32; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
@@ -592,18 +671,18 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
         low[root as usize] = timer;
         stack.push(root);
         on_stack[root as usize] = true;
-        call.push((root, csr.out_off[root as usize]));
+        call.push((root, g.out_off[root as usize]));
         while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
             let vi = v as usize;
-            let end = csr.out_off[vi + 1];
+            let end = g.out_off[vi + 1];
             let mut descended = false;
             while *cursor < end {
                 let a = *cursor as usize;
                 *cursor += 1;
-                if csr.out_prob[a] != 1.0 {
+                if !keep(g.out_prob[a]) {
                     continue;
                 }
-                let u = csr.out_dst[a];
+                let u = g.out_dst[a];
                 let ui = u as usize;
                 if disc[ui] == 0 {
                     timer += 1;
@@ -611,7 +690,7 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
                     low[ui] = timer;
                     stack.push(u);
                     on_stack[ui] = true;
-                    call.push((u, csr.out_off[ui]));
+                    call.push((u, g.out_off[ui]));
                     descended = true;
                     break;
                 } else if on_stack[ui] {
@@ -639,7 +718,7 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
             }
         }
     }
-    comp
+    (comp, count as usize)
 }
 
 /// Build the condensed sampling graph: supernodes as nodes, every arc whose
@@ -647,21 +726,25 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
 /// original probability and coin id, intra-supernode arcs dropped. The coin
 /// table is carried over verbatim (coin ids must stay stable), with coin
 /// endpoints remapped to supernodes.
+///
+/// When nothing merges and no self-loop would be dropped, that graph is
+/// `csr` itself, so it is cloned instead: for a mapped snapshot a clone
+/// shares the mapping rather than copying every column.
 fn build_condensed(csr: &CsrGraph, super_of: &[u32], num_super: usize) -> CsrGraph {
+    let loop_free = |off: &[u32], dst: &[u32]| {
+        (1..off.len()).all(|v| !dst[off[v - 1] as usize..off[v] as usize].contains(&(v as u32 - 1)))
+    };
+    if num_super == csr.num_nodes
+        && loop_free(&csr.out_off, &csr.out_dst)
+        && loop_free(&csr.in_off, &csr.in_dst)
+    {
+        return csr.clone();
+    }
     // Members of each supernode in ascending node order.
-    let mut start = vec![0u32; num_super + 1];
-    for &s in super_of {
-        start[s as usize + 1] += 1;
-    }
-    for i in 0..num_super {
-        start[i + 1] += start[i];
-    }
-    let mut cursor = start.clone();
-    let mut members = vec![0u32; csr.num_nodes];
-    for (v, &s) in super_of.iter().enumerate() {
-        members[cursor[s as usize] as usize] = v as u32;
-        cursor[s as usize] += 1;
-    }
+    let members = Lists::group(
+        num_super,
+        super_of.iter().enumerate().map(|(v, &s)| (s, v as u32)),
+    );
 
     let build_side = |off: &[u32], dst: &[u32], prob: &[f64], coin: &[u32]| {
         let mut n_off = Vec::with_capacity(num_super + 1);
@@ -669,12 +752,12 @@ fn build_condensed(csr: &CsrGraph, super_of: &[u32], num_super: usize) -> CsrGra
         let mut n_prob = Vec::new();
         let mut n_coin = Vec::new();
         n_off.push(0u32);
-        for su in 0..num_super {
-            for &v in &members[start[su] as usize..start[su + 1] as usize] {
+        for su in 0..num_super as u32 {
+            for &v in members.row(su) {
                 let vi = v as usize;
                 for a in off[vi] as usize..off[vi + 1] as usize {
                     let d = super_of[dst[a] as usize];
-                    if d as usize != su {
+                    if d != su {
                         n_dst.push(d);
                         n_prob.push(prob[a]);
                         n_coin.push(coin[a]);
@@ -685,7 +768,6 @@ fn build_condensed(csr: &CsrGraph, super_of: &[u32], num_super: usize) -> CsrGra
         }
         (n_off, n_dst, n_prob, n_coin)
     };
-
     let (out_off, out_dst, out_prob, out_coin) =
         build_side(&csr.out_off, &csr.out_dst, &csr.out_prob, &csr.out_coin);
     let out_thresh: Vec<u64> = out_prob.iter().map(|&p| flip_threshold(p)).collect();
@@ -756,45 +838,6 @@ fn possible_components(g: &CsrGraph) -> (Vec<u32>, usize) {
         next += 1;
     }
     (label, next as usize)
-}
-
-/// Possible-reachability bitset from `start` (forward, or reverse over the
-/// in-side). The start node's own bit is set.
-fn reach_bits(g: &CsrGraph, start: u32, reverse: bool) -> Vec<u64> {
-    let words = g.num_nodes.div_ceil(64);
-    let mut seen = vec![0u64; words];
-    seen[start as usize >> 6] |= 1u64 << (start & 63);
-    let mut stack = vec![start];
-    let (off, dst, prob) = if reverse {
-        (&g.in_off, &g.in_dst, &g.in_prob)
-    } else {
-        (&g.out_off, &g.out_dst, &g.out_prob)
-    };
-    while let Some(x) = stack.pop() {
-        let xi = x as usize;
-        for a in off[xi] as usize..off[xi + 1] as usize {
-            let u = dst[a];
-            if prob[a] > 0.0 && !bit(&seen, u) {
-                seen[u as usize >> 6] |= 1u64 << (u & 63);
-                stack.push(u);
-            }
-        }
-    }
-    seen
-}
-
-/// Forward/reverse possible-reachability closure (small directed graphs).
-fn build_closure(g: &CsrGraph) -> Closure {
-    let n = g.num_nodes;
-    let words = n.div_ceil(64);
-    let mut fwd = vec![0u64; n * words];
-    let mut rev = vec![0u64; n * words];
-    for v in 0..n as u32 {
-        let row = v as usize * words;
-        fwd[row..row + words].copy_from_slice(&reach_bits(g, v, false));
-        rev[row..row + words].copy_from_slice(&reach_bits(g, v, true));
-    }
-    Closure { words, fwd, rev }
 }
 
 /// Biconnected blocks and block-cut tree of an undirected possible graph
@@ -919,7 +962,7 @@ fn build_blocks(g: &CsrGraph) -> Blocks {
             }
         }
     }
-    let attach = (0..n)
+    let attach: Vec<u32> = (0..n)
         .map(|v| {
             if cut_idx[v] != u32::MAX {
                 num_blocks as u32 + cut_idx[v]
@@ -928,11 +971,32 @@ fn build_blocks(g: &CsrGraph) -> Blocks {
             }
         })
         .collect();
+    // Root each component's tree at its lowest-numbered tree node.
+    let mut parent = vec![u32::MAX; adj.len()];
+    let mut depth = vec![0u32; adj.len()];
+    let mut stack = Vec::new();
+    for root in 0..adj.len() as u32 {
+        if parent[root as usize] != u32::MAX {
+            continue;
+        }
+        parent[root as usize] = root;
+        stack.push(root);
+        while let Some(x) = stack.pop() {
+            for &y in &adj[x as usize] {
+                if parent[y as usize] == u32::MAX {
+                    parent[y as usize] = x;
+                    depth[y as usize] = depth[x as usize] + 1;
+                    stack.push(y);
+                }
+            }
+        }
+    }
     Blocks {
         num_blocks,
         members,
         attach,
-        adj,
+        parent,
+        depth,
     }
 }
 
@@ -1047,6 +1111,10 @@ mod tests {
 
     fn freeze(g: &UncertainGraph) -> CsrGraph {
         g.freeze()
+    }
+
+    fn bit(words: &[u64], i: u32) -> bool {
+        words[i as usize >> 6] >> (i & 63) & 1 == 1
     }
 
     #[test]
@@ -1223,7 +1291,7 @@ mod tests {
         assert_eq!(s.components, 2);
         assert_eq!(s.certain_arcs, 2); // undirected edge counted on both sides
         assert!(s.blocks >= 1);
-        assert!(!s.closure);
+        assert_eq!(s.possible_sccs, 0); // undirected
     }
 
     #[test]
@@ -1235,5 +1303,310 @@ mod tests {
         assert!(!idx.matches(2, 2, true)); // overlay view: one extra coin
         assert!(!idx.matches(3, 1, true));
         assert!(!idx.matches(2, 1, false));
+    }
+    #[test]
+    fn directed_shared_scc_plans_without_a_walk() {
+        // Ring 0 -> 1 -> 2 -> 0 feeding a sink ring 3 -> 4 -> 3.
+        let mut g = UncertainGraph::new(5, true);
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)] {
+            g.add_edge(NodeId(a), NodeId(b), 0.5).unwrap();
+        }
+        let idx = RelIndex::build(&freeze(&g));
+        assert_eq!(idx.stats().possible_sccs, 2);
+        // A sink SCC holds everything its members reach: no mask.
+        assert!(matches!(
+            idx.st_plan(NodeId(3), NodeId(4)),
+            StPlan::Sample { mask: None, .. }
+        ));
+        // A non-sink SCC prunes to its own members.
+        let StPlan::Sample {
+            mask: Some(mask), ..
+        } = idx.st_plan(NodeId(0), NodeId(2))
+        else {
+            panic!("expected a masked plan");
+        };
+        assert_eq!(
+            (0..5).filter(|&v| bit(&mask, v)).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(idx.st_verdict(NodeId(4), NodeId(0)), StVerdict::Impossible);
+        assert_eq!(idx.st_verdict(NodeId(0), NodeId(4)), StVerdict::Sample);
+    }
+
+    /// Possible-reachability bitset from `start` (forward, or reverse over
+    /// the in-side), start included.
+    fn reach_bits(g: &CsrGraph, start: u32, reverse: bool) -> Vec<u64> {
+        let mut seen = vec![0u64; g.num_nodes.div_ceil(64)];
+        seen[start as usize >> 6] |= 1u64 << (start & 63);
+        let mut stack = vec![start];
+        let (off, dst, prob) = if reverse {
+            (&g.in_off, &g.in_dst, &g.in_prob)
+        } else {
+            (&g.out_off, &g.out_dst, &g.out_prob)
+        };
+        while let Some(x) = stack.pop() {
+            for a in off[x as usize] as usize..off[x as usize + 1] as usize {
+                let u = dst[a];
+                if prob[a] > 0.0 && !bit(&seen, u) {
+                    seen[u as usize >> 6] |= 1u64 << (u & 63);
+                    stack.push(u);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The per-query planner the SCC DAG and the rooted block-cut tree
+    /// replaced: a forward and a reverse BFS over the whole condensed graph
+    /// (directed), or a BFS from `s` to `t` through the block–node
+    /// incidence (undirected), whose unique path crosses exactly the
+    /// block-cut tree path.
+    fn oracle_plan(idx: &RelIndex, s: NodeId, t: NodeId) -> StPlan {
+        let (ss, tt) = (idx.super_of[s.index()], idx.super_of[t.index()]);
+        if ss == tt {
+            return StPlan::Certain;
+        }
+        if idx.comp_of_super[ss as usize] != idx.comp_of_super[tt as usize] {
+            return StPlan::Impossible;
+        }
+        let ones = |w: &[u64]| w.iter().map(|x| x.count_ones()).sum::<u32>();
+        let mask = if idx.directed {
+            let fwd = reach_bits(&idx.condensed, ss, false);
+            if !bit(&fwd, tt) {
+                return StPlan::Impossible;
+            }
+            let rev = reach_bits(&idx.condensed, tt, true);
+            let mask: Vec<u64> = fwd.iter().zip(&rev).map(|(f, r)| f & r).collect();
+            (ones(&mask) != ones(&fwd)).then_some(mask)
+        } else {
+            let Paths::Undirected(bl) = &idx.paths else {
+                unreachable!("undirected index");
+            };
+            let members = &bl.members;
+            let mut blocks_of = vec![Vec::new(); idx.num_super];
+            for (b, mem) in members.iter().enumerate() {
+                for &v in mem {
+                    blocks_of[v as usize].push(b);
+                }
+            }
+            let mut via = vec![usize::MAX; idx.num_super];
+            let mut entered_from = vec![u32::MAX; members.len()];
+            let mut queue = std::collections::VecDeque::from([ss]);
+            via[ss as usize] = 0;
+            while let Some(v) = queue.pop_front() {
+                for &b in &blocks_of[v as usize] {
+                    if entered_from[b] == u32::MAX {
+                        entered_from[b] = v;
+                        for &u in &members[b] {
+                            if via[u as usize] == usize::MAX {
+                                via[u as usize] = b;
+                                queue.push_back(u);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut mask = vec![0u64; idx.num_super.div_ceil(64)];
+            let mut v = tt;
+            while v != ss {
+                let b = via[v as usize];
+                for &u in &members[b] {
+                    mask[u as usize >> 6] |= 1u64 << (u & 63);
+                }
+                v = entered_from[b];
+            }
+            let comp = idx.comp_of_super[ss as usize] as usize;
+            (ones(&mask) < idx.comp_size[comp]).then_some(mask)
+        };
+        StPlan::Sample {
+            s: NodeId(ss),
+            t: NodeId(tt),
+            mask,
+        }
+    }
+
+    /// A probability that is certain one time in five and impossible one
+    /// time in ten.
+    fn prob(rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        match rng.gen_range(0..10) {
+            0 | 1 => 1.0,
+            2 => 0.0,
+            _ => rng.gen_range(0.05..0.95),
+        }
+    }
+
+    /// Directed: layered clusters with arcs mostly pointing to later
+    /// layers, so the possible graph has many SCCs and a deep DAG.
+    fn layered_directed(seed: u64, n: u32, arcs: usize) -> UncertainGraph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let layers = rng.gen_range(1..=6);
+        let mut g = UncertainGraph::new(n as usize, true);
+        for _ in 0..arcs {
+            let (mut a, mut b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a * layers / n > b * layers / n && rng.gen_bool(0.9) {
+                std::mem::swap(&mut a, &mut b);
+            }
+            let p = prob(&mut rng);
+            let _ = g.add_edge(NodeId(a), NodeId(b), p); // self-loops, dups skipped
+        }
+        g
+    }
+
+    /// Undirected: cycles with chords ("blobs") joined in a random tree by
+    /// bridges, with pendant paths hung off random nodes and a few isolated
+    /// nodes left over.
+    fn blobs_undirected(seed: u64) -> UncertainGraph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(8u32..60);
+        let mut g = UncertainGraph::new(n as usize, false);
+        let mut v = 0u32;
+        let mut placed = Vec::new();
+        while v + 3 < n * 3 / 4 {
+            let size = rng.gen_range(1..=6).min(n - v);
+            for i in 1..size {
+                let p = prob(&mut rng);
+                let _ = g.add_edge(NodeId(v + i - 1), NodeId(v + i), p);
+            }
+            if size > 2 {
+                let p = prob(&mut rng);
+                let _ = g.add_edge(NodeId(v), NodeId(v + size - 1), p);
+                if rng.gen_bool(0.5) {
+                    let (a, b) = (rng.gen_range(v..v + size), rng.gen_range(v..v + size));
+                    let _ = g.add_edge(NodeId(a), NodeId(b), p);
+                }
+            }
+            if !placed.is_empty() && rng.gen_bool(0.85) {
+                let old: u32 = placed[rng.gen_range(0..placed.len())];
+                let p = prob(&mut rng);
+                let _ = g.add_edge(NodeId(old), NodeId(rng.gen_range(v..v + size)), p);
+            }
+            placed.extend(v..v + size);
+            v += size;
+        }
+        while v < n && rng.gen_bool(0.8) {
+            let p = prob(&mut rng);
+            let _ = g.add_edge(NodeId(rng.gen_range(0..v)), NodeId(v), p);
+            v += 1;
+        }
+        g
+    }
+
+    /// Ring-chords: `v -> v + 1` and `v -> v + 3` around a ring.
+    fn ring_chords(n: u32, directed: bool) -> UncertainGraph {
+        let mut g = UncertainGraph::new(n as usize, directed);
+        for v in 0..n {
+            for step in [1, 3] {
+                let p = 0.3 + 0.6 * f64::from((v * 7 + step) % 10) / 10.0;
+                let _ = g.add_edge(NodeId(v), NodeId((v + step) % n), p);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn plans_match_the_bfs_planner_on_every_pair() {
+        use rand::{Rng, SeedableRng};
+        let mut graphs = Vec::new();
+        for seed in 0..40u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(20u32..70);
+            let arcs = rng.gen_range(n as usize..n as usize * 3);
+            graphs.push(layered_directed(seed, n, arcs));
+            // The former reachability-closure range: tiny and dense.
+            let n = rng.gen_range(2u32..12);
+            graphs.push(layered_directed(seed + 1000, n, n as usize * 2));
+            graphs.push(blobs_undirected(seed));
+        }
+        graphs.push(ring_chords(50, true));
+        graphs.push(ring_chords(50, false));
+        // [certain, impossible, unmasked sample, masked sample]
+        let (mut seen_dir, mut seen_und) = ([0usize; 4], [0usize; 4]);
+        for g in &graphs {
+            let idx = RelIndex::build(&freeze(g));
+            let n = g.num_nodes() as u32;
+            for s in 0..n {
+                for t in 0..n {
+                    let (s, t) = (NodeId(s), NodeId(t));
+                    let plan = idx.st_plan(s, t);
+                    assert_eq!(plan, oracle_plan(&idx, s, t), "plan({s:?}, {t:?}) on {g:?}");
+                    let (verdict, case) = match plan {
+                        StPlan::Certain => (StVerdict::Certain, 0),
+                        StPlan::Impossible => (StVerdict::Impossible, 1),
+                        StPlan::Sample { mask: None, .. } => (StVerdict::Sample, 2),
+                        StPlan::Sample { .. } => (StVerdict::Sample, 3),
+                    };
+                    assert_eq!(idx.st_verdict(s, t), verdict);
+                    let seen = if g.is_directed() {
+                        &mut seen_dir
+                    } else {
+                        &mut seen_und
+                    };
+                    seen[case] += 1;
+                }
+            }
+        }
+        // Every outcome occurs often, so no branch is checked vacuously.
+        assert!(
+            seen_dir.iter().chain(&seen_und).all(|&c| c > 100),
+            "{seen_dir:?} {seen_und:?}"
+        );
+    }
+
+    #[test]
+    fn identity_condensation_is_the_graph_itself() {
+        let mut g = UncertainGraph::new(4, true);
+        g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap(); // one-way certain
+        g.add_edge(NodeId(2), NodeId(0), 0.0).unwrap();
+        for csr in [
+            freeze(&g),
+            freeze(&ring_chords(30, false)),
+            freeze(&ring_chords(30, true)),
+        ] {
+            let idx = RelIndex::build(&csr);
+            assert!(idx.is_identity());
+            assert!(idx.condensed() == &csr);
+        }
+
+        // A self-loop is the one arc an identity condensation still drops.
+        let mut looped = freeze(&g);
+        looped.out_dst = vec![0u32, 2, 0].into(); // 0 -> 0 replaces 0 -> 1
+        looped.in_off = vec![0u32, 2, 2, 3, 3].into();
+        looped.in_dst = vec![2u32, 0, 1].into();
+        looped.in_prob = vec![0.0, 0.5, 1.0].into();
+        looped.in_coin = vec![2u32, 0, 1].into();
+        looped.in_thresh = looped
+            .in_prob
+            .iter()
+            .map(|&p| flip_threshold(p))
+            .collect::<Vec<_>>()
+            .into();
+        let idx = RelIndex::build(&looped);
+        assert!(idx.is_identity());
+        assert_eq!(&idx.condensed().out_dst[..], &[2, 0]);
+        assert_eq!(&idx.condensed().in_dst[..], &[2, 1]);
+    }
+
+    #[test]
+    fn mapped_identity_condensation_shares_the_mapping_and_round_trips() {
+        let csr = freeze(&ring_chords(40, true));
+        let built = RelIndex::build(&csr);
+        assert!(built.is_identity(), "no certain edges: nothing condenses");
+        let path =
+            std::env::temp_dir().join(format!("relmax-index-ident-{}.rgs", std::process::id()));
+        crate::snapshot::save_full(&csr, Some(&built.section()), &path).unwrap();
+        let (mapped, section) = crate::snapshot::map_full(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let back = RelIndex::from_section(&mapped, &section.unwrap()).unwrap();
+        assert!(back == built);
+        assert!(back.condensed() == &mapped);
+        if mapped.out_dst.is_mapped() {
+            // Shared, not copied: the same bytes of the same mapping.
+            assert_eq!(back.condensed().out_dst.as_ptr(), mapped.out_dst.as_ptr());
+            assert_eq!(back.condensed().in_prob.as_ptr(), mapped.in_prob.as_ptr());
+        }
     }
 }

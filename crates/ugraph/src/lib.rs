@@ -69,7 +69,7 @@ pub use csr::CsrGraph;
 pub use delta::{DeltaOverlay, GraphUpdate};
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, NodeId, UncertainGraph};
-pub use index::{IndexSection, PrunedGraph, RelIndex, StPlan};
+pub use index::{IndexSection, PrunedGraph, RelIndex, StPlan, StVerdict};
 pub use scratch::{with_scratch, with_scratch_pair, TraversalScratch};
 pub use view::{ExtraEdge, GraphView};
 pub use world::PossibleWorld;
