@@ -11,7 +11,10 @@ pub struct ReliablePath {
     pub nodes: Vec<NodeId>,
     /// Coin ids of the traversed edges, aligned with consecutive node pairs.
     pub coins: Vec<CoinId>,
-    /// Product of edge probabilities along the path.
+    /// Product of edge probabilities along the path, computed as
+    /// `exp(−Σ −ln p)` (for a Yen path, the root's plain product times
+    /// that of the spur), so it can differ from the plain product by
+    /// rounding.
     pub prob: f64,
 }
 
@@ -61,7 +64,8 @@ impl PartialOrd for HeapEntry {
 }
 
 /// The most reliable path from `s` to `t`, or `None` if every `s → t` path
-/// has probability 0 (including the unreachable case).
+/// has probability 0 (including the unreachable case, and paths whose
+/// probability underflows to `0.0`).
 ///
 /// ```
 /// use relmax_ugraph::{UncertainGraph, NodeId};
@@ -79,10 +83,10 @@ pub fn most_reliable_path<G: ProbGraph>(g: &G, s: NodeId, t: NodeId) -> Option<R
     most_reliable_path_filtered(g, s, t, |_| false, |_| false)
 }
 
-/// [`most_reliable_path`] with node and coin filters (used by Yen's spur
-/// search). A node for which `node_banned` returns true is never entered;
-/// a coin for which `coin_banned` returns true is never traversed. `s`
-/// itself is always allowed.
+/// [`most_reliable_path`] with node and coin filters. A node for which
+/// `node_banned` returns true is never entered; a coin for which
+/// `coin_banned` returns true is never traversed. `s` itself is always
+/// allowed.
 pub fn most_reliable_path_filtered<G, FN, FC>(
     g: &G,
     s: NodeId,
@@ -95,60 +99,118 @@ where
     FN: Fn(NodeId) -> bool,
     FC: Fn(CoinId) -> bool,
 {
-    let n = g.num_nodes();
-    if s == t {
-        return Some(ReliablePath {
-            nodes: vec![s],
-            coins: vec![],
-            prob: 1.0,
-        });
+    Search::new(g.num_nodes()).run(g, s, t, 1.0, 0.0, |u, c| node_banned(u) || coin_banned(c))
+}
+
+/// Dijkstra state sized once for a graph and reused across searches (Yen
+/// runs one search per spur node). A search resets only the nodes it
+/// touched, so one that stops early costs what it explored, not `O(n)`.
+pub(crate) struct Search {
+    dist: Vec<f64>,
+    /// Tree arc into each reached node; only read along a settled path,
+    /// whose nodes were all relaxed in the current search.
+    parent: Vec<(NodeId, CoinId)>,
+    done: Vec<bool>,
+    /// Nodes whose `dist` is finite, for the reset.
+    touched: Vec<NodeId>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Search {
+    /// Scratch for searches over a graph of `n` nodes.
+    pub(crate) fn new(n: usize) -> Search {
+        Search {
+            dist: vec![f64::INFINITY; n],
+            parent: vec![(NodeId(0), 0); n],
+            done: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
     }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<(NodeId, CoinId)>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[s.index()] = 0.0;
-    heap.push(HeapEntry {
-        weight: 0.0,
-        node: s,
-    });
-    while let Some(HeapEntry { weight, node: v }) = heap.pop() {
-        if done[v.index()] {
-            continue;
-        }
-        done[v.index()] = true;
-        if v == t {
-            break;
-        }
-        for (u, p, c) in g.out_arcs(v) {
-            if p <= 0.0 || done[u.index()] || node_banned(u) || coin_banned(c) {
+
+    /// The most reliable `s → t` path that takes no arc `(u, c)` with
+    /// `blocked(u, c)`, priced as a continuation of a root of probability
+    /// `root_prob`: the returned path's `prob` is `root_prob ·
+    /// exp(−weight)`.
+    ///
+    /// The search stops, returning `None`, at the first settled weight `w`
+    /// whose `root_prob · exp(−w)` is `0.0` or below `floor`. Weights
+    /// settle in nondecreasing order and that expression is monotone in
+    /// `w`, so every path it cuts off would have been priced the same way
+    /// below the bound: the test is exact, not a heuristic.
+    pub(crate) fn run<G, F>(
+        &mut self,
+        g: &G,
+        s: NodeId,
+        t: NodeId,
+        root_prob: f64,
+        floor: f64,
+        blocked: F,
+    ) -> Option<ReliablePath>
+    where
+        G: ProbGraph,
+        F: Fn(NodeId, CoinId) -> bool,
+    {
+        let mut found = None;
+        self.dist[s.index()] = 0.0;
+        self.touched.push(s);
+        self.heap.push(HeapEntry {
+            weight: 0.0,
+            node: s,
+        });
+        while let Some(HeapEntry { weight, node: v }) = self.heap.pop() {
+            if self.done[v.index()] {
                 continue;
             }
-            let w = weight + neg_log(p);
-            if w < dist[u.index()] {
-                dist[u.index()] = w;
-                parent[u.index()] = Some((v, c));
-                heap.push(HeapEntry { weight: w, node: u });
+            let prob = root_prob * (-weight).exp();
+            if prob == 0.0 || prob < floor {
+                break;
+            }
+            self.done[v.index()] = true;
+            if v == t {
+                found = Some(prob);
+                break;
+            }
+            for (u, p, c) in g.out_arcs(v) {
+                if p <= 0.0 || self.done[u.index()] || blocked(u, c) {
+                    continue;
+                }
+                let w = weight + neg_log(p);
+                let d = &mut self.dist[u.index()];
+                if w < *d {
+                    if *d == f64::INFINITY {
+                        self.touched.push(u);
+                    }
+                    *d = w;
+                    self.parent[u.index()] = (v, c);
+                    self.heap.push(HeapEntry { weight: w, node: u });
+                }
             }
         }
+        let path = found.map(|prob| self.trace(s, t, prob));
+        for v in self.touched.drain(..) {
+            self.dist[v.index()] = f64::INFINITY;
+            self.done[v.index()] = false;
+        }
+        self.heap.clear();
+        path
     }
-    if !dist[t.index()].is_finite() {
-        return None;
+
+    /// The settled `s → t` path, read back along `parent`.
+    fn trace(&self, s: NodeId, t: NodeId, prob: f64) -> ReliablePath {
+        let mut nodes = vec![t];
+        let mut coins = Vec::new();
+        let mut cur = t;
+        while cur != s {
+            let (prev, coin) = self.parent[cur.index()];
+            coins.push(coin);
+            nodes.push(prev);
+            cur = prev;
+        }
+        nodes.reverse();
+        coins.reverse();
+        ReliablePath { nodes, coins, prob }
     }
-    // Reconstruct.
-    let mut nodes = vec![t];
-    let mut coins = Vec::new();
-    let mut cur = t;
-    while let Some((prev, coin)) = parent[cur.index()] {
-        coins.push(coin);
-        nodes.push(prev);
-        cur = prev;
-    }
-    nodes.reverse();
-    coins.reverse();
-    debug_assert_eq!(nodes[0], s);
-    let prob = (-dist[t.index()]).exp();
-    Some(ReliablePath { nodes, coins, prob })
 }
 
 /// `−ln p`, clamping `p = 1` to exactly 0 to keep weights non-negative.

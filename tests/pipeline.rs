@@ -186,3 +186,25 @@ fn selection_identical_when_driven_from_frozen_estimates() {
     let b = BatchEdgeSelector.select(&g, &q, &est).unwrap();
     assert_eq!(a.added, b.added);
 }
+
+#[test]
+fn be_finishes_at_ring_offset_five() {
+    // With strides of at most 4, about 15 simple s→t paths stay near a
+    // ring-offset-5 pair; every other path circles the 20k-node ring and
+    // its probability underflows to 0. The top-l search must stop there
+    // instead of deviating at each node of such a path.
+    use relmax::gen::synth::RingChords;
+    use std::time::{Duration, Instant};
+    let g = RingChords::new(20_000, 4, 3).to_graph();
+    let est = McEstimator::new(200, 5);
+    let q = StQuery::new(NodeId(100), NodeId(105), 2, 0.5);
+    let started = Instant::now();
+    let out = BatchEdgeSelector.select(&g, &q, &est).expect("BE runs");
+    let elapsed = started.elapsed();
+    assert!(out.added.len() <= q.k, "budget violated");
+    assert!(out.gain() >= 0.0, "negative gain {}", out.gain());
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "BE took {elapsed:?} at ring offset 5"
+    );
+}
