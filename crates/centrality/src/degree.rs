@@ -1,12 +1,21 @@
 //! Probability-weighted degree centrality (§3.3).
 
-use relmax_ugraph::{NodeId, UncertainGraph};
+use relmax_ugraph::{NodeId, ProbGraph};
 
 /// Degree centrality of every node: the sum of incident edge probabilities
 /// (in + out). This is the paper's "aggregated edge probabilities"
 /// definition — a node with many strong connections is a hub.
-pub fn degree_centrality(g: &UncertainGraph) -> Vec<f64> {
-    g.nodes().map(|v| g.weighted_degree(v)).collect()
+pub fn degree_centrality<G: ProbGraph>(g: &G) -> Vec<f64> {
+    (0..g.num_nodes() as u32)
+        .map(NodeId)
+        .map(|v| {
+            let mut sum: f64 = g.out_arcs(v).map(|(_, p, _)| p).sum();
+            if g.is_directed() {
+                sum += g.in_arcs(v).map(|(_, p, _)| p).sum::<f64>();
+            }
+            sum
+        })
+        .collect()
 }
 
 /// Indices of the `k` highest-scoring nodes, best first, ties broken by
@@ -26,6 +35,7 @@ pub fn top_k_nodes(scores: &[f64], k: usize) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relmax_ugraph::UncertainGraph;
 
     #[test]
     fn hub_scores_highest() {

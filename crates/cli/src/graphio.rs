@@ -4,7 +4,10 @@
 //! snapshot or a text edge list; the format is detected by sniffing the
 //! magic bytes, never by file extension. Loading a snapshot yields the
 //! exact [`CsrGraph`] that was frozen at ingest time (bit-identical
-//! estimates); loading text takes the parse → freeze path.
+//! estimates); loading text takes the parse → freeze path. Every
+//! subcommand runs on that frozen form — `select` included, whose
+//! selectors read the snapshot directly — so no snapshot is ever thawed
+//! back into a mutable graph.
 
 use crate::opts::{run_err, CliError};
 use relmax_ugraph::edgelist::{self, EdgeListOptions};
@@ -37,16 +40,6 @@ impl LoadedGraph {
         match self {
             LoadedGraph::Snapshot(c, section) => (*c, section),
             LoadedGraph::Text(g) => (g.freeze(), None),
-        }
-    }
-
-    /// The mutable form (free for text, one `thaw` for snapshots).
-    pub fn into_mutable(self) -> Result<UncertainGraph, CliError> {
-        match self {
-            LoadedGraph::Snapshot(c, _) => c
-                .thaw()
-                .map_err(|e| run_err(format!("snapshot cannot thaw to a mutable graph: {e}"))),
-            LoadedGraph::Text(g) => Ok(g),
         }
     }
 }

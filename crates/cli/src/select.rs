@@ -2,11 +2,11 @@
 //!
 //! Wraps [`relmax_core::AnySelector`]: pick a method by its table name,
 //! build the [`StQuery`] from flags, run the full pipeline (search-space
-//! elimination, then selection) under a sampling [`Budget`] — `--samples`
-//! for a fixed world count, `--eps/--delta/--max-samples` for an accuracy
-//! target — and report the chosen edges plus before/after reliability
-//! (with confidence intervals in JSON and `--verbose-estimates` table
-//! output).
+//! elimination, then selection) on the loaded snapshot under a sampling
+//! [`Budget`] — `--samples` for a fixed world count,
+//! `--eps/--delta/--max-samples` for an accuracy target — and report the
+//! chosen edges plus before/after reliability (with confidence intervals
+//! in JSON and `--verbose-estimates` table output).
 
 use crate::graphio;
 use crate::jsonfmt;
@@ -16,7 +16,7 @@ use relmax_bench::table::Table;
 use relmax_core::{AnySelector, EdgeSelector, Outcome, StQuery};
 use relmax_sampling::{Budget, Estimate, McEstimator, ParallelRuntime, RssEstimator};
 use relmax_ugraph::edgelist::EdgeListOptions;
-use relmax_ugraph::NodeId;
+use relmax_ugraph::{NodeId, ProbGraph};
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), CliError> {
@@ -90,7 +90,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let started = std::time::Instant::now();
     let loaded = graphio::load(&graph_path, &text_opts)?;
     graphio::warn_ignored_text_flags(&loaded, &text_flags, &graph_path);
-    let g = loaded.into_mutable()?;
+    let g = loaded.into_frozen();
     for (what, v) in [("--source", s), ("--target", t)] {
         if v as usize >= g.num_nodes() {
             return Err(opts::run_err(format!(

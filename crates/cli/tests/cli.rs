@@ -160,6 +160,61 @@ fn select_is_byte_identical_across_thread_counts() {
     assert_eq!(t1, t4);
 }
 
+/// `select` reads an updated snapshot's live arcs: after a delete or a
+/// re-probe its base reliability is `relmax query`'s answer on the same
+/// snapshot, seed and budget. (Thawing the snapshot instead brought
+/// deleted edges back and failed on re-probed pairs.)
+#[test]
+fn select_on_updated_snapshots_sees_the_live_graph() {
+    let rgs = ingest_toy("select-updated.rgs");
+    let queries = tmp("select-updated-q.txt");
+    fs::write(&queries, "st 0 15\n").unwrap();
+    for (name, script) in [("delete", "delete 0 1\n"), ("setp", "setp 0 1 0.9\n")] {
+        let updates = tmp(&format!("select-updated-{name}.txt"));
+        let updated = tmp(&format!("select-updated-{name}.rgs"));
+        fs::write(&updates, script).unwrap();
+        stdout_of(
+            &[
+                "update",
+                rgs.to_str().unwrap(),
+                "--updates",
+                updates.to_str().unwrap(),
+                "-o",
+                updated.to_str().unwrap(),
+            ],
+            &[],
+        );
+        let common = ["--samples", "1000", "--seed", "42", "--format", "json"];
+        let mut select = vec![
+            "select",
+            updated.to_str().unwrap(),
+            "--method",
+            "BE",
+            "--source",
+            "0",
+            "--target",
+            "15",
+            "-k",
+            "2",
+        ];
+        select.extend(common);
+        let mut query = vec!["query", updated.to_str().unwrap(), "--queries"];
+        query.push(queries.to_str().unwrap());
+        query.extend(common);
+        let selected = stdout_of(&select, &[]);
+        let answered = stdout_of(&query, &[]);
+        let field = |text: &str, key: &str| -> String {
+            let at = text.find(key).unwrap_or_else(|| panic!("{key} in {text}")) + key.len();
+            text[at..].split([',', '}']).next().unwrap().to_string()
+        };
+        assert_eq!(
+            field(&selected, "\"base_reliability\":"),
+            field(&answered, "\"reliability\":"),
+            "{name}: select and query disagree on the updated snapshot"
+        );
+    }
+}
+
 #[test]
 fn query_golden_output() {
     let rgs = ingest_toy("golden.rgs");

@@ -10,7 +10,7 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_centrality::{betweenness_centrality, degree_centrality};
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::UncertainGraph;
+use relmax_ugraph::CsrGraph;
 
 /// Which centrality drives the ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +56,9 @@ impl EdgeSelector for CentralitySelector {
         }
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -91,7 +91,7 @@ impl EdgeSelector for CentralitySelector {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     /// Hub-and-spoke graph: node 1 is the hub.
     fn hub() -> UncertainGraph {

@@ -12,7 +12,8 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_centrality::leading_eigen;
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::UncertainGraph;
+use relmax_ugraph::fxhash::FxHashSet;
+use relmax_ugraph::{CsrGraph, NodeId, ProbGraph};
 
 /// Algorithm 2: leading-eigenvalue edge addition.
 #[derive(Debug, Clone, Copy)]
@@ -37,9 +38,9 @@ impl EdgeSelector for EigenSelector {
         "EO"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -68,16 +69,23 @@ impl EdgeSelector for EigenSelector {
 /// right-eigenscore nodes and keep the `k` best missing pairs. Provided
 /// for parity with the paper's description; the harness normally goes
 /// through [`EigenSelector`] with an explicit candidate set.
-pub fn eigen_topk_pairs(g: &UncertainGraph, k: usize, zeta: f64) -> Vec<CandidateEdge> {
+pub fn eigen_topk_pairs<G: ProbGraph>(g: &G, k: usize, zeta: f64) -> Vec<CandidateEdge> {
     use relmax_centrality::degree::top_k_nodes;
     let eig = leading_eigen(g, 200, 1e-10);
-    let (din, dout) = g.max_degrees();
+    let nodes = (0..g.num_nodes() as u32).map(NodeId);
+    let (din, dout) = nodes.fold((0, 0), |(din, dout), v| {
+        (
+            din.max(g.in_arcs(v).count()),
+            dout.max(g.out_arcs(v).count()),
+        )
+    });
     let i_set = top_k_nodes(&eig.left, k + din);
     let j_set = top_k_nodes(&eig.right, k + dout);
     let mut pairs: Vec<(f64, CandidateEdge)> = Vec::new();
     for &i in &i_set {
+        let adjacent: FxHashSet<u32> = g.out_arcs(i).map(|(v, _, _)| v.0).collect();
         for &j in &j_set {
-            if i != j && !g.has_edge(i, j) {
+            if i != j && !adjacent.contains(&j.0) {
                 pairs.push((
                     eig.left[i.index()] * eig.right[j.index()],
                     CandidateEdge {
@@ -92,7 +100,7 @@ pub fn eigen_topk_pairs(g: &UncertainGraph, k: usize, zeta: f64) -> Vec<Candidat
     pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("never NaN"));
     pairs.dedup_by(|a, b| {
         // For undirected graphs (i, j) and (j, i) are the same edge.
-        !g.directed()
+        !g.is_directed()
             && ((a.1.src == b.1.src && a.1.dst == b.1.dst)
                 || (a.1.src == b.1.dst && a.1.dst == b.1.src))
     });
@@ -103,7 +111,7 @@ pub fn eigen_topk_pairs(g: &UncertainGraph, k: usize, zeta: f64) -> Vec<Candidat
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::UncertainGraph;
 
     /// Core triangle (high eigen-centrality) plus two pendant nodes.
     fn core_periphery() -> UncertainGraph {

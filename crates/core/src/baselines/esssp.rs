@@ -14,7 +14,7 @@ use crate::candidates::CandidateEdge;
 use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator, ParallelRuntime};
-use relmax_ugraph::{CsrGraph, GraphView, NodeId, ProbGraph, UncertainGraph};
+use relmax_ugraph::{CsrGraph, GraphView, NodeId, ProbGraph};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -87,7 +87,7 @@ fn expected_distances<G: ProbGraph>(g: &G, start: NodeId, reverse: bool) -> Vec<
 /// remain disconnected contribute a large constant, so connecting a
 /// disconnected pair always beats shortening a connected one.
 pub fn select_esssp(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     sources: &[NodeId],
     targets: &[NodeId],
     candidates: &[CandidateEdge],
@@ -101,9 +101,7 @@ pub fn select_esssp(
             DISCONNECTED
         }
     };
-    // The per-round Dijkstra sweeps all walk the same base graph.
-    let csr = CsrGraph::freeze(g);
-    let mut view = GraphView::empty(&csr);
+    let mut view = GraphView::empty(g);
     let mut chosen: Vec<CandidateEdge> = Vec::with_capacity(k);
     let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
     for _round in 0..k {
@@ -148,7 +146,7 @@ pub fn select_esssp(
                     let cur = clamp(from_s[si][t.index()]);
                     let via = clamp(from_s[si][c.src.index()] + w + to_t[ti][c.dst.index()]);
                     let mut d = cur.min(via);
-                    if !g.directed() {
+                    if !g.is_directed() {
                         let via_rev =
                             clamp(from_s[si][c.dst.index()] + w + to_t[ti][c.src.index()]);
                         d = d.min(via_rev);
@@ -181,9 +179,9 @@ impl EdgeSelector for EssspSelector {
         "ESSSP"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -198,6 +196,7 @@ impl EdgeSelector for EssspSelector {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
+    use relmax_ugraph::UncertainGraph;
 
     #[test]
     fn connects_a_disconnected_pair_first() {
@@ -217,7 +216,7 @@ mod tests {
                 prob: 0.9,
             }, // parallel, useless
         ];
-        let picked = select_esssp(&g, &[NodeId(0)], &[NodeId(3)], &cands, 1);
+        let picked = select_esssp(&g.freeze(), &[NodeId(0)], &[NodeId(3)], &cands, 1);
         assert_eq!(picked.len(), 1);
         assert_eq!((picked[0].src, picked[0].dst), (NodeId(1), NodeId(2)));
     }
@@ -242,7 +241,7 @@ mod tests {
                 prob: 0.5,
             },
         ];
-        let picked = select_esssp(&g, &[NodeId(0)], &[NodeId(3)], &cands, 1);
+        let picked = select_esssp(&g.freeze(), &[NodeId(0)], &[NodeId(3)], &cands, 1);
         assert_eq!(picked[0].prob, 0.5);
     }
 
@@ -266,7 +265,13 @@ mod tests {
                 prob: 0.9,
             }, // reaches only 3
         ];
-        let picked = select_esssp(&g, &[NodeId(0)], &[NodeId(3), NodeId(4)], &cands, 1);
+        let picked = select_esssp(
+            &g.freeze(),
+            &[NodeId(0)],
+            &[NodeId(3), NodeId(4)],
+            &cands,
+            1,
+        );
         assert_eq!((picked[0].src, picked[0].dst), (NodeId(1), NodeId(2)));
     }
 
@@ -297,7 +302,7 @@ mod tests {
             dst: NodeId(2),
             prob: 0.0,
         }];
-        let picked = select_esssp(&g, &[NodeId(0)], &[NodeId(2)], &cands, 1);
+        let picked = select_esssp(&g.freeze(), &[NodeId(0)], &[NodeId(2)], &cands, 1);
         assert!(picked.is_empty());
     }
 }

@@ -7,11 +7,9 @@
 
 use crate::candidates::CandidateEdge;
 use crate::query::StQuery;
-use crate::selector::{
-    finish_outcome_budgeted, finish_outcome_frozen_budgeted, EdgeSelector, Outcome, SelectError,
-};
+use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::{CsrGraph, GraphView, UncertainGraph};
+use relmax_ugraph::{CsrGraph, GraphView};
 
 /// Exhaustive subset search.
 #[derive(Debug, Clone, Copy)]
@@ -45,9 +43,9 @@ impl EdgeSelector for ExactSelector {
         "ES"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -64,14 +62,12 @@ impl EdgeSelector for ExactSelector {
                 k,
             });
         }
-        // One frozen snapshot serves every subset evaluation.
-        let csr = CsrGraph::freeze(g);
         // Iterate k-subsets in lexicographic order with an index vector.
         let mut idx: Vec<usize> = (0..k).collect();
         let mut best: Option<(f64, Vec<usize>)> = None;
         loop {
             let extra: Vec<CandidateEdge> = idx.iter().map(|&i| candidates[i]).collect();
-            let view = GraphView::new(&csr, extra);
+            let view = GraphView::new(g, extra);
             let r = est.st_estimate(&view, query.s, query.t, budget).value;
             if best.as_ref().is_none_or(|(br, _)| r > *br) {
                 best = Some((r, idx.clone()));
@@ -93,9 +89,7 @@ impl EdgeSelector for ExactSelector {
                 if i == 0 {
                     let (_, chosen) = best.expect("at least one subset evaluated");
                     let added = chosen.into_iter().map(|i| candidates[i]).collect();
-                    return Ok(finish_outcome_frozen_budgeted(
-                        &csr, query, added, est, budget,
-                    ));
+                    return Ok(finish_outcome_budgeted(g, query, added, est, budget));
                 }
             }
         }
@@ -106,7 +100,7 @@ impl EdgeSelector for ExactSelector {
 mod tests {
     use super::*;
     use relmax_sampling::ExactEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn finds_the_true_optimum() {

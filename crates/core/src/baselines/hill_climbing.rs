@@ -15,9 +15,9 @@
 
 use crate::candidates::CandidateEdge;
 use crate::query::StQuery;
-use crate::selector::{finish_outcome_frozen_budgeted, EdgeSelector, Outcome, SelectError};
+use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::{CsrGraph, GraphView, UncertainGraph};
+use relmax_ugraph::{CsrGraph, GraphView};
 
 /// Algorithm 1: greedy marginal-gain selection.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,20 +28,19 @@ impl EdgeSelector for HillClimbingSelector {
         "HC"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
         budget: Budget,
     ) -> Result<Outcome, SelectError> {
         let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
-        // `k · |cand|` estimator calls all walk the same base graph:
-        // freeze it once and scan candidates as overlays on the snapshot.
-        let csr = CsrGraph::freeze(g);
-        let mut view = GraphView::empty(&csr);
-        let mut current = est.st_estimate(&csr, query.s, query.t, budget).value;
+        // `k · |cand|` estimator calls all walk the same base snapshot:
+        // candidates are scanned as overlays on it.
+        let mut view = GraphView::empty(g);
+        let mut current = est.st_estimate(g, query.s, query.t, budget).value;
         let mut added = Vec::with_capacity(query.k);
         while added.len() < query.k && !remaining.is_empty() {
             // One shared-world scan evaluates every remaining candidate on
@@ -61,9 +60,7 @@ impl EdgeSelector for HillClimbingSelector {
             added.push(chosen);
             current += gain;
         }
-        Ok(finish_outcome_frozen_budgeted(
-            &csr, query, added, est, budget,
-        ))
+        Ok(finish_outcome_budgeted(g, query, added, est, budget))
     }
 }
 
@@ -71,7 +68,7 @@ impl EdgeSelector for HillClimbingSelector {
 mod tests {
     use super::*;
     use relmax_sampling::{ExactEstimator, McEstimator};
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn completes_a_broken_two_hop_route() {

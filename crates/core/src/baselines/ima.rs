@@ -12,13 +12,13 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_influence::influence_spread;
 use relmax_sampling::{Budget, Estimator, ParallelRuntime};
-use relmax_ugraph::{CsrGraph, GraphView, NodeId, UncertainGraph};
+use relmax_ugraph::{CsrGraph, GraphView, NodeId};
 
 /// Greedy IMA selection: `k` candidates maximizing IC spread from
 /// `sources` into `targets`, estimated with `samples` cascades under
 /// `seed`.
 pub fn select_ima(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     sources: &[NodeId],
     targets: &[NodeId],
     candidates: &[CandidateEdge],
@@ -26,9 +26,7 @@ pub fn select_ima(
     samples: usize,
     seed: u64,
 ) -> Vec<CandidateEdge> {
-    // Every cascade simulation walks the same base graph: freeze once.
-    let csr = CsrGraph::freeze(g);
-    let mut view = GraphView::empty(&csr);
+    let mut view = GraphView::empty(g);
     let mut chosen = Vec::with_capacity(k);
     let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
     let mut current = influence_spread(&view, sources, Some(targets), samples, seed);
@@ -83,9 +81,9 @@ impl EdgeSelector for ImaSelector {
         "IMA"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -108,6 +106,7 @@ impl EdgeSelector for ImaSelector {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
+    use relmax_ugraph::UncertainGraph;
 
     #[test]
     fn picks_the_spread_maximizing_edge() {
@@ -128,7 +127,7 @@ mod tests {
             }, // one target
         ];
         let picked = select_ima(
-            &g,
+            &g.freeze(),
             &[NodeId(0)],
             &[NodeId(2), NodeId(3)],
             &cands,
@@ -160,7 +159,15 @@ mod tests {
                 prob: 0.5,
             },
         ];
-        let picked = select_ima(&g, &[NodeId(0)], &[NodeId(2), NodeId(3)], &cands, 2, 500, 2);
+        let picked = select_ima(
+            &g.freeze(),
+            &[NodeId(0)],
+            &[NodeId(2), NodeId(3)],
+            &cands,
+            2,
+            500,
+            2,
+        );
         assert_eq!(picked.len(), 2);
     }
 

@@ -10,7 +10,7 @@ use crate::candidates::CandidateEdge;
 use crate::query::StQuery;
 use crate::selector::{finish_outcome_with_solo_estimates, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::{CsrGraph, UncertainGraph};
+use relmax_ugraph::CsrGraph;
 
 /// The individual top-`k` baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,20 +21,18 @@ impl EdgeSelector for IndividualTopKSelector {
         "TopK"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
         budget: Budget,
     ) -> Result<Outcome, SelectError> {
-        // One frozen snapshot serves every per-candidate evaluation; the
-        // scan walks each sampled world once for all candidates and hands
-        // back scores in candidate order (thread-count-independent).
-        let csr = CsrGraph::freeze(g);
-        let base = est.st_estimate(&csr, query.s, query.t, budget).value;
-        let scores = est.scan_estimates(&csr, query.s, query.t, candidates, budget);
+        // The scan walks each sampled world once for all candidates and
+        // hands back scores in candidate order (thread-count-independent).
+        let base = est.st_estimate(g, query.s, query.t, budget).value;
+        let scores = est.scan_estimates(g, query.s, query.t, candidates, budget);
         let mut scored: Vec<(f64, usize)> =
             scores.iter().map(|r| r.value - base).zip(0..).collect();
         scored.sort_by(|a, b| {
@@ -51,7 +49,7 @@ impl EdgeSelector for IndividualTopKSelector {
         // snapshot — exactly the solo estimates the outcome surfaces, so
         // no second scan pass is needed.
         Ok(finish_outcome_with_solo_estimates(
-            &csr,
+            g,
             query,
             added,
             added_estimates,
@@ -65,7 +63,7 @@ impl EdgeSelector for IndividualTopKSelector {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn picks_the_obviously_best_edges() {

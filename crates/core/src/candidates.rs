@@ -2,7 +2,7 @@
 
 use relmax_ugraph::fxhash::FxHashSet;
 use relmax_ugraph::traverse::within_hops;
-use relmax_ugraph::{NodeId, UncertainGraph};
+use relmax_ugraph::{NodeId, ProbGraph};
 
 /// A missing edge that may be added: re-export of the overlay edge type so
 /// candidate lists plug directly into [`relmax_ugraph::GraphView`].
@@ -23,36 +23,13 @@ impl CandidateSpace {
     /// For undirected graphs each unordered pair appears once. This is the
     /// paper's unreduced search space — quadratic; intended for small
     /// graphs and for the "without elimination" ablations (Table 4).
-    pub fn all_missing(g: &UncertainGraph, zeta: f64, h: Option<u32>) -> Vec<CandidateEdge> {
+    pub fn all_missing<G: ProbGraph>(g: &G, zeta: f64, h: Option<u32>) -> Vec<CandidateEdge> {
         let n = g.num_nodes() as u32;
         let mut out = Vec::new();
         for u in 0..n {
-            let allowed: Option<FxHashSet<u32>> = h.map(|hops| {
-                within_hops(g, NodeId(u), hops)
-                    .into_iter()
-                    .map(|v| v.0)
-                    .collect()
-            });
-            let vs: Box<dyn Iterator<Item = u32>> = if g.directed() {
-                Box::new(0..n)
-            } else {
-                Box::new((u + 1)..n)
-            };
-            for v in vs {
-                if v == u || g.has_edge(NodeId(u), NodeId(v)) {
-                    continue;
-                }
-                if let Some(set) = &allowed {
-                    if !set.contains(&v) {
-                        continue;
-                    }
-                }
-                out.push(CandidateEdge {
-                    src: NodeId(u),
-                    dst: NodeId(v),
-                    prob: zeta,
-                });
-            }
+            let lo = if g.is_directed() { 0 } else { u + 1 };
+            let vs: Vec<NodeId> = (lo..n).map(NodeId).collect();
+            out.extend(Self::missing_from(g, NodeId(u), &vs, zeta, h));
         }
         out
     }
@@ -60,8 +37,8 @@ impl CandidateSpace {
     /// Candidate edges from `cs × ct` (Algorithm 4, line 3): pairs
     /// `(u, v)` with `u ∈ cs`, `v ∈ ct`, `u ≠ v`, `(u, v) ∉ E`, subject to
     /// the `h`-hop constraint; probability `zeta`.
-    pub fn from_node_sets(
-        g: &UncertainGraph,
+    pub fn from_node_sets<G: ProbGraph>(
+        g: &G,
         cs: &[NodeId],
         ct: &[NodeId],
         zeta: f64,
@@ -70,32 +47,46 @@ impl CandidateSpace {
         let mut out = Vec::new();
         let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
         for &u in cs {
-            let allowed: Option<FxHashSet<u32>> =
-                h.map(|hops| within_hops(g, u, hops).into_iter().map(|v| v.0).collect());
-            for &v in ct {
-                if u == v || g.has_edge(u, v) {
-                    continue;
-                }
-                if let Some(set) = &allowed {
-                    if !set.contains(&v.0) {
-                        continue;
-                    }
-                }
-                let key = if g.directed() || u.0 <= v.0 {
-                    (u.0, v.0)
+            for c in Self::missing_from(g, u, ct, zeta, h) {
+                let (a, b) = (c.src.0, c.dst.0);
+                let key = if g.is_directed() || a <= b {
+                    (a, b)
                 } else {
-                    (v.0, u.0)
+                    (b, a)
                 };
                 if seen.insert(key) {
-                    out.push(CandidateEdge {
-                        src: u,
-                        dst: v,
-                        prob: zeta,
-                    });
+                    out.push(c);
                 }
             }
         }
         out
+    }
+
+    /// The pairs `(u, v)`, `v ∈ vs` in order, that are not `u` itself, not
+    /// an existing edge (an out-arc of `u`, which for undirected graphs
+    /// covers both orientations) and within `h` hops of `u`.
+    fn missing_from<G: ProbGraph>(
+        g: &G,
+        u: NodeId,
+        vs: &[NodeId],
+        zeta: f64,
+        h: Option<u32>,
+    ) -> Vec<CandidateEdge> {
+        let adjacent: FxHashSet<u32> = g.out_arcs(u).map(|(v, _, _)| v.0).collect();
+        let allowed: Option<FxHashSet<u32>> =
+            h.map(|hops| within_hops(g, u, hops).into_iter().map(|v| v.0).collect());
+        vs.iter()
+            .filter(|&&v| {
+                v != u
+                    && !adjacent.contains(&v.0)
+                    && allowed.as_ref().is_none_or(|set| set.contains(&v.0))
+            })
+            .map(|&v| CandidateEdge {
+                src: u,
+                dst: v,
+                prob: zeta,
+            })
+            .collect()
     }
 
     /// Remap candidate probabilities with a per-pair function (Table 16:
@@ -115,6 +106,7 @@ impl CandidateSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relmax_ugraph::UncertainGraph;
 
     fn path4() -> UncertainGraph {
         let mut g = UncertainGraph::new(4, false);

@@ -11,7 +11,7 @@
 use crate::candidates::{CandidateEdge, CandidateSpace};
 use crate::query::StQuery;
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::{CsrGraph, NodeId, UncertainGraph};
+use relmax_ugraph::{AsCsr, NodeId};
 
 /// Algorithm 4: compute `C(s)`, `C(t)` and the reduced candidate-edge set.
 #[derive(Debug, Clone, Copy)]
@@ -29,27 +29,26 @@ impl SearchSpaceElimination {
 
     /// The top-`r` nodes by reliability from `s` (always containing `s`)
     /// and the top-`r` by reliability to `t` (always containing `t`),
-    /// with both whole-graph sweeps spending `budget`.
+    /// with both whole-graph sweeps spending `budget` on one snapshot.
     ///
     /// Nodes with zero estimated reliability are never kept (they cannot
     /// participate in any reliable path).
-    pub fn candidate_nodes_budgeted<E: Estimator>(
+    pub fn candidate_nodes_budgeted<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         s: NodeId,
         t: NodeId,
         est: &E,
         budget: Budget,
     ) -> (Vec<NodeId>, Vec<NodeId>) {
-        // Both whole-graph sweeps run on one frozen snapshot.
-        let csr = CsrGraph::freeze(g);
+        let csr = g.as_csr();
         let from_s: Vec<f64> = est
-            .from_estimates(&csr, s, budget)
+            .from_estimates(&*csr, s, budget)
             .into_iter()
             .map(|e| e.value)
             .collect();
         let to_t: Vec<f64> = est
-            .to_estimates(&csr, t, budget)
+            .to_estimates(&*csr, t, budget)
             .into_iter()
             .map(|e| e.value)
             .collect();
@@ -58,9 +57,9 @@ impl SearchSpaceElimination {
 
     /// [`SearchSpaceElimination::candidate_nodes_budgeted`] at the
     /// estimator's default budget (pre-`Budget` shim).
-    pub fn candidate_nodes<E: Estimator>(
+    pub fn candidate_nodes<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         s: NodeId,
         t: NodeId,
         est: &E,
@@ -70,23 +69,24 @@ impl SearchSpaceElimination {
 
     /// Full Algorithm 4: `C(s) × C(t)` minus existing edges, intersected
     /// with the query's `h`-hop constraint, each with probability `ζ`,
-    /// under `budget`.
-    pub fn candidate_edges_budgeted<E: Estimator>(
+    /// under `budget` — all on one snapshot of `g`.
+    pub fn candidate_edges_budgeted<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &StQuery,
         est: &E,
         budget: Budget,
     ) -> Vec<CandidateEdge> {
-        let (cs, ct) = self.candidate_nodes_budgeted(g, query.s, query.t, est, budget);
-        CandidateSpace::from_node_sets(g, &cs, &ct, query.zeta, query.h)
+        let csr = g.as_csr();
+        let (cs, ct) = self.candidate_nodes_budgeted(&*csr, query.s, query.t, est, budget);
+        CandidateSpace::from_node_sets(&*csr, &cs, &ct, query.zeta, query.h)
     }
 
     /// [`SearchSpaceElimination::candidate_edges_budgeted`] at the
     /// estimator's default budget (pre-`Budget` shim).
-    pub fn candidate_edges<E: Estimator>(
+    pub fn candidate_edges<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &StQuery,
         est: &E,
     ) -> Vec<CandidateEdge> {
@@ -119,6 +119,7 @@ fn top_r(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
+    use relmax_ugraph::UncertainGraph;
 
     /// Two parallel 3-hop corridors s->t plus a far-off appendage that
     /// elimination should discard.

@@ -13,7 +13,7 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_paths::improve_most_reliable_path;
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::UncertainGraph;
+use relmax_ugraph::CsrGraph;
 
 /// Problem-2-exact selector ("MRP" in the tables).
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,9 +24,9 @@ impl EdgeSelector for MrpSelector {
         "MRP"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -43,7 +43,7 @@ impl EdgeSelector for MrpSelector {
 mod tests {
     use super::*;
     use relmax_sampling::ExactEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn mrp_completes_the_strongest_single_path() {

@@ -23,7 +23,7 @@ use crate::selector::EdgeSelector;
 use relmax_centrality::leading_eigen;
 use relmax_sampling::{Budget, Estimator};
 use relmax_ugraph::fxhash::FxHashSet;
-use relmax_ugraph::{CsrGraph, GraphView, NodeId, UncertainGraph};
+use relmax_ugraph::{AsCsr, CsrGraph, GraphView, NodeId, UncertainGraph};
 
 /// Aggregate function `F` over pair reliabilities (Problem 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,8 +190,9 @@ impl MultiSelector {
         est: &E,
         budget: Budget,
     ) -> MultiOutcome {
-        let candidates = multi_candidates_budgeted(g, query, est, budget);
-        self.select_with_candidates_budgeted(g, query, &candidates, est, budget)
+        let csr = g.as_csr();
+        let candidates = multi_candidates_budgeted(&*csr, query, est, budget);
+        self.select_on(g, &csr, query, &candidates, est, budget)
     }
 
     /// [`MultiSelector::select_budgeted`] at the estimator's default
@@ -227,15 +228,29 @@ impl MultiSelector {
         est: &E,
         budget: Budget,
     ) -> MultiOutcome {
+        self.select_on(g, &g.as_csr(), query, candidates, est, budget)
+    }
+
+    /// The selection proper, on `csr` = `g`'s snapshot; the Min/Max
+    /// refinement grows its own mutable copy of `g`.
+    fn select_on<E: Estimator>(
+        &self,
+        g: &UncertainGraph,
+        csr: &CsrGraph,
+        query: &MultiQuery,
+        candidates: &[CandidateEdge],
+        est: &E,
+        budget: Budget,
+    ) -> MultiOutcome {
         let added = match self.method {
             MultiMethod::BatchEdge => match query.aggregate {
-                Aggregate::Average => select_avg_batch(g, query, candidates, est, budget),
+                Aggregate::Average => select_avg_batch(csr, query, candidates, est, budget),
                 Aggregate::Minimum => select_extremum(g, query, candidates, est, budget, true),
                 Aggregate::Maximum => select_extremum(g, query, candidates, est, budget, false),
             },
-            MultiMethod::HillClimbing => select_hc_multi(g, query, candidates, est, budget),
+            MultiMethod::HillClimbing => select_hc_multi(csr, query, candidates, est, budget),
             MultiMethod::Eigen => {
-                let eig = leading_eigen(g, 200, 1e-10);
+                let eig = leading_eigen(csr, 200, 1e-10);
                 let mut order: Vec<usize> = (0..candidates.len()).collect();
                 let score = |c: &CandidateEdge| eig.left[c.src.index()] * eig.right[c.dst.index()];
                 order.sort_by(|&a, &b| {
@@ -251,10 +266,10 @@ impl MultiSelector {
                     .collect()
             }
             MultiMethod::Esssp => {
-                select_esssp(g, &query.sources, &query.targets, candidates, query.k)
+                select_esssp(csr, &query.sources, &query.targets, candidates, query.k)
             }
             MultiMethod::Ima => select_ima(
-                g,
+                csr,
                 &query.sources,
                 &query.targets,
                 candidates,
@@ -263,12 +278,11 @@ impl MultiSelector {
                 self.ima_seed,
             ),
         };
-        // Before/after evaluation on one frozen snapshot (shared worlds).
-        let csr = CsrGraph::freeze(g);
+        // Before/after evaluation on one snapshot (shared worlds).
         let base_value = query
             .aggregate
-            .fold(&pairwise_values(est, &csr, query, budget));
-        let view = GraphView::new(&csr, added.clone());
+            .fold(&pairwise_values(est, csr, query, budget));
+        let view = GraphView::new(csr, added.clone());
         let new_value = query
             .aggregate
             .fold(&pairwise_values(est, &view, query, budget));
@@ -296,22 +310,21 @@ fn pairwise_values<E: Estimator, G: relmax_ugraph::ProbGraph>(
 
 /// Union-based search-space elimination for multi queries (§6.1): `C(s)`
 /// for every source and `C(t)` for every target, then candidate edges
-/// from the unioned sets, under `budget`.
-pub fn multi_candidates_budgeted<E: Estimator>(
-    g: &UncertainGraph,
+/// from the unioned sets, under `budget` — all on one snapshot of `g`.
+pub fn multi_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
+    g: &G,
     query: &MultiQuery,
     est: &E,
     budget: Budget,
 ) -> Vec<CandidateEdge> {
-    // Every per-source/per-target sweep walks the same base graph.
-    let csr = CsrGraph::freeze(g);
+    let csr = g.as_csr();
     let values = |ests: Vec<relmax_sampling::Estimate>| -> Vec<f64> {
         ests.into_iter().map(|e| e.value).collect()
     };
     let mut cs: Vec<NodeId> = Vec::new();
     let mut seen_s: FxHashSet<u32> = FxHashSet::default();
     for &s in &query.sources {
-        let from = values(est.from_estimates(&csr, s, budget));
+        let from = values(est.from_estimates(&*csr, s, budget));
         for v in top_r_nodes(&from, query.r, s) {
             if seen_s.insert(v.0) {
                 cs.push(v);
@@ -321,20 +334,20 @@ pub fn multi_candidates_budgeted<E: Estimator>(
     let mut ct: Vec<NodeId> = Vec::new();
     let mut seen_t: FxHashSet<u32> = FxHashSet::default();
     for &t in &query.targets {
-        let to = values(est.to_estimates(&csr, t, budget));
+        let to = values(est.to_estimates(&*csr, t, budget));
         for v in top_r_nodes(&to, query.r, t) {
             if seen_t.insert(v.0) {
                 ct.push(v);
             }
         }
     }
-    CandidateSpace::from_node_sets(g, &cs, &ct, query.zeta, query.h)
+    CandidateSpace::from_node_sets(&*csr, &cs, &ct, query.zeta, query.h)
 }
 
 /// [`multi_candidates_budgeted`] at the estimator's default budget
 /// (pre-`Budget` shim).
-pub fn multi_candidates<E: Estimator>(
-    g: &UncertainGraph,
+pub fn multi_candidates<G: AsCsr + ?Sized, E: Estimator>(
+    g: &G,
     query: &MultiQuery,
     est: &E,
 ) -> Vec<CandidateEdge> {
@@ -364,7 +377,7 @@ fn top_r_nodes(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
 
 /// §6.1: Average aggregate via one global path-batch selection.
 fn select_avg_batch<E: Estimator>(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     query: &MultiQuery,
     candidates: &[CandidateEdge],
     est: &E,
@@ -492,7 +505,8 @@ fn select_extremum<E: Estimator>(
     let mut chosen: Vec<CandidateEdge> = Vec::new();
     let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
     while chosen.len() < query.k && !remaining.is_empty() {
-        let matrix = pairwise_values(est, &working.freeze(), query, budget);
+        let snapshot = working.freeze();
+        let matrix = pairwise_values(est, &snapshot, query, budget);
         // Pairs in priority order (ascending reliability for Min,
         // descending for Max). If the extremal pair cannot be improved by
         // any remaining candidate, fall back to the next one rather than
@@ -519,7 +533,7 @@ fn select_extremum<E: Estimator>(
                 .with_r(query.r)
                 .with_l(query.l);
             let out = BatchEdgeSelector
-                .select_with_candidates_budgeted(&working, &q, &remaining, est, budget)
+                .select_with_candidates_budgeted(&snapshot, &q, &remaining, est, budget)
                 .expect("BE is infallible");
             if out.added.is_empty() {
                 continue;
@@ -542,20 +556,19 @@ fn select_extremum<E: Estimator>(
 /// Greedy hill climbing on the aggregate objective (generalized
 /// Algorithm 1; the paper's strongest — and slowest — competitor).
 fn select_hc_multi<E: Estimator>(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     query: &MultiQuery,
     candidates: &[CandidateEdge],
     est: &E,
     budget: Budget,
 ) -> Vec<CandidateEdge> {
-    // `k · |cand|` pairwise evaluations over one frozen snapshot.
-    let csr = CsrGraph::freeze(g);
-    let mut view = GraphView::empty(&csr);
+    // `k · |cand|` pairwise evaluations over one snapshot.
+    let mut view = GraphView::empty(g);
     let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
     let mut chosen = Vec::new();
     let mut current = query
         .aggregate
-        .fold(&pairwise_values(est, &csr, query, budget));
+        .fold(&pairwise_values(est, g, query, budget));
     while chosen.len() < query.k && !remaining.is_empty() {
         let mut best: Option<(f64, usize)> = None;
         for (ci, &c) in remaining.iter().enumerate() {

@@ -16,7 +16,7 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator};
 use relmax_ugraph::fxhash::{FxHashMap, FxHashSet};
-use relmax_ugraph::UncertainGraph;
+use relmax_ugraph::CsrGraph;
 
 /// The proposed method: batch-edge selection.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,9 +57,9 @@ impl EdgeSelector for BatchEdgeSelector {
         "BE"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -140,7 +140,7 @@ mod tests {
     use crate::path_selection::tests::fig4c;
     use crate::path_selection::IndividualPathSelector;
     use relmax_sampling::{ExactEstimator, McEstimator};
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn fig4c_be_finds_the_optimal_pair() {

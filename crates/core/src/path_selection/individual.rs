@@ -12,7 +12,7 @@ use crate::query::StQuery;
 use crate::selector::{finish_outcome_budgeted, EdgeSelector, Outcome, SelectError};
 use relmax_sampling::{Budget, Estimator};
 use relmax_ugraph::fxhash::FxHashSet;
-use relmax_ugraph::UncertainGraph;
+use relmax_ugraph::CsrGraph;
 
 /// Algorithm 5: individual path inclusion.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,9 +23,9 @@ impl EdgeSelector for IndividualPathSelector {
         "IP"
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -76,7 +76,7 @@ mod tests {
     use super::*;
     use crate::path_selection::tests::fig4c;
     use relmax_sampling::ExactEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn fig4c_ip_greedily_takes_the_strongest_path() {

@@ -14,7 +14,7 @@ use crate::query::StQuery;
 use relmax_paths::top_l_reliable_paths;
 use relmax_sampling::{Budget, Estimator};
 use relmax_ugraph::fxhash::{FxHashMap, FxHashSet};
-use relmax_ugraph::{CoinId, GraphView, NodeId, UncertainGraph};
+use relmax_ugraph::{CoinId, CsrGraph, GraphView, NodeId, ProbGraph, UncertainGraph};
 
 /// A top-`l` path annotated with the candidate edges it traverses.
 #[derive(Debug, Clone)]
@@ -32,12 +32,12 @@ pub(crate) struct LabeledPath {
 /// Extract the top-`l` most reliable `s → t` paths in `G⁺ = G ∪
 /// candidates` and label them (§5.1.2 + Algorithm 6 line 4).
 pub(crate) fn labeled_paths(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     query: &StQuery,
     candidates: &[CandidateEdge],
 ) -> Vec<LabeledPath> {
     let view = GraphView::new(g, candidates.to_vec());
-    let base_coins = g.num_edges() as CoinId;
+    let base_coins = g.num_coins() as CoinId;
     top_l_reliable_paths(&view, query.s, query.t, query.l)
         .into_iter()
         .map(|p| {
@@ -65,18 +65,14 @@ pub(crate) fn labeled_paths(
 /// re-materializing one per evaluation is cheap and keeps every method
 /// estimator-agnostic.
 pub(crate) struct SubgraphEval<'a> {
-    g: &'a UncertainGraph,
+    g: &'a CsrGraph,
     candidates: &'a [CandidateEdge],
     s: NodeId,
     t: NodeId,
 }
 
 impl<'a> SubgraphEval<'a> {
-    pub(crate) fn new(
-        g: &'a UncertainGraph,
-        candidates: &'a [CandidateEdge],
-        query: &StQuery,
-    ) -> Self {
+    pub(crate) fn new(g: &'a CsrGraph, candidates: &'a [CandidateEdge], query: &StQuery) -> Self {
         SubgraphEval {
             g,
             candidates,
@@ -109,7 +105,7 @@ impl<'a> SubgraphEval<'a> {
 /// `None` for an empty path set. The remap sends original node ids to
 /// subgraph ids.
 pub(crate) fn build_subgraph(
-    g: &UncertainGraph,
+    g: &CsrGraph,
     candidates: &[CandidateEdge],
     paths: &[&LabeledPath],
 ) -> Option<(UncertainGraph, FxHashMap<u32, u32>)> {
@@ -120,14 +116,14 @@ pub(crate) fn build_subgraph(
     if coins.is_empty() {
         return None;
     }
-    let base_coins = g.num_edges() as CoinId;
+    let base_coins = g.num_coins() as CoinId;
     let mut order: Vec<CoinId> = coins.into_iter().collect();
     order.sort_unstable(); // determinism
     let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(order.len());
     for c in order {
         let (u, v, p) = if c < base_coins {
-            let e = g.edge(relmax_ugraph::EdgeId(c));
-            (e.src, e.dst, e.prob)
+            let (u, v) = g.coin_endpoints(c);
+            (u, v, g.coin_prob(c))
         } else {
             let ce = &candidates[(c - base_coins) as usize];
             (ce.src, ce.dst, ce.prob)
@@ -141,7 +137,7 @@ pub(crate) fn build_subgraph(
         let next = remap.len() as u32;
         remap.entry(v.0).or_insert(next);
     }
-    let mut sub = UncertainGraph::with_capacity(remap.len(), g.directed(), edges.len());
+    let mut sub = UncertainGraph::with_capacity(remap.len(), g.is_directed(), edges.len());
     for (u, v, p) in edges {
         sub.add_edge(NodeId(remap[&u.0]), NodeId(remap[&v.0]), p)
             .expect("deduplicated coins produce unique edges");
@@ -153,6 +149,7 @@ pub(crate) fn build_subgraph(
 mod tests {
     use super::*;
     use relmax_sampling::ExactEstimator;
+    use relmax_ugraph::UncertainGraph;
 
     /// The paper's Figure 4(c) run-through graph: blue edges C→B (0.9) and
     /// C→t (0.3); candidates s→B, s→C, B→t, all with ζ = 0.5.
@@ -185,6 +182,7 @@ mod tests {
     #[test]
     fn labels_identify_candidate_edges() {
         let (g, cands, q) = fig4c();
+        let g = g.freeze();
         let paths = labeled_paths(&g, &q, &cands);
         // sBt (0.25), sCBt (0.225), sCt (0.15).
         assert_eq!(paths.len(), 3);
@@ -199,6 +197,7 @@ mod tests {
     #[test]
     fn subgraph_reliability_matches_hand_computation() {
         let (g, cands, q) = fig4c();
+        let g = g.freeze();
         let paths = labeled_paths(&g, &q, &cands);
         let eval = SubgraphEval::new(&g, &cands, &q);
         let est = ExactEstimator::new();
@@ -223,10 +222,23 @@ mod tests {
             dst: NodeId(2),
             prob: 0.5,
         }];
-        let paths = labeled_paths(&g, &q, &cands);
+        let paths = labeled_paths(&g.freeze(), &q, &cands);
         assert_eq!(paths.len(), 2);
         let existing: Vec<_> = paths.iter().filter(|p| p.label.is_empty()).collect();
         assert_eq!(existing.len(), 1);
         assert!((existing[0].prob - 0.64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn labels_count_retired_coins() {
+        // A deleted edge keeps its coin, so candidate coins start after
+        // every coin ever allocated, not after the live edges.
+        let (mut g, cands, q) = fig4c();
+        g.add_edge(NodeId(3), NodeId(0), 0.4).unwrap();
+        g.delete_edge(NodeId(3), NodeId(0)).unwrap();
+        assert_eq!(g.num_coins(), g.num_edges() + 1);
+        let paths = labeled_paths(&g.freeze(), &q, &cands);
+        let labels: Vec<_> = paths.iter().map(|p| p.label.clone()).collect();
+        assert_eq!(labels, vec![vec![0, 2], vec![1, 2], vec![1]]);
     }
 }

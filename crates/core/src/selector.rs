@@ -12,7 +12,7 @@ use crate::mrp::MrpSelector;
 use crate::path_selection::{BatchEdgeSelector, IndividualPathSelector};
 use crate::query::StQuery;
 use relmax_sampling::{Budget, Estimate, Estimator};
-use relmax_ugraph::{CsrGraph, GraphView, UncertainGraph};
+use relmax_ugraph::{AsCsr, CsrGraph, GraphView};
 use std::fmt;
 
 /// Result of running a selection method on a query.
@@ -82,6 +82,12 @@ impl std::error::Error for SelectError {}
 /// conveniences apply Algorithm 4 first, which is how the paper's §8
 /// experiments run.
 ///
+/// Every method runs on a [`CsrGraph`] snapshot and sees its candidates
+/// as the `G⁺` overlay ([`GraphView`] over the snapshot). The provided
+/// entry points accept anything [`AsCsr`] and convert once: a loaded
+/// snapshot is borrowed as is, an [`relmax_ugraph::UncertainGraph`] is
+/// frozen once per call.
+///
 /// Every method consumes a [`Budget`] — the knob that used to be a raw
 /// `num_samples` — and its [`Outcome`] surfaces rich [`Estimate`]s. The
 /// budget-less methods are thin shims at the estimator's
@@ -94,22 +100,35 @@ pub trait EdgeSelector {
     /// Short name used in result tables ("HC", "MRP", "IP", "BE", ...).
     fn name(&self) -> &'static str;
 
-    /// Choose up to `query.k` edges from `candidates`, spending `budget`
-    /// per reliability estimate.
-    fn select_with_candidates_budgeted<E: Estimator>(
+    /// Choose up to `query.k` edges from `candidates` on the snapshot `g`,
+    /// spending `budget` per reliability estimate.
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
         budget: Budget,
     ) -> Result<Outcome, SelectError>;
 
+    /// [`EdgeSelector::select_on_snapshot`] on any graph that converts to
+    /// a snapshot.
+    fn select_with_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
+        &self,
+        g: &G,
+        query: &StQuery,
+        candidates: &[CandidateEdge],
+        est: &E,
+        budget: Budget,
+    ) -> Result<Outcome, SelectError> {
+        self.select_on_snapshot(&g.as_csr(), query, candidates, est, budget)
+    }
+
     /// [`EdgeSelector::select_with_candidates_budgeted`] at the
     /// estimator's default budget (pre-`Budget` shim).
-    fn select_with_candidates<E: Estimator>(
+    fn select_with_candidates<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -118,24 +137,25 @@ pub trait EdgeSelector {
     }
 
     /// End-to-end run: search-space elimination with `query.r`, then
-    /// selection, everything under `budget`.
-    fn select_budgeted<E: Estimator>(
+    /// selection, everything under `budget` and on one snapshot.
+    fn select_budgeted<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &StQuery,
         est: &E,
         budget: Budget,
     ) -> Result<Outcome, SelectError> {
-        let cands =
-            SearchSpaceElimination::new(query.r).candidate_edges_budgeted(g, query, est, budget);
-        self.select_with_candidates_budgeted(g, query, &cands, est, budget)
+        let csr = g.as_csr();
+        let cands = SearchSpaceElimination::new(query.r)
+            .candidate_edges_budgeted(&*csr, query, est, budget);
+        self.select_on_snapshot(&csr, query, &cands, est, budget)
     }
 
     /// [`EdgeSelector::select_budgeted`] at the estimator's default
     /// budget (pre-`Budget` shim).
-    fn select<E: Estimator>(
+    fn select<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &StQuery,
         est: &E,
     ) -> Result<Outcome, SelectError> {
@@ -144,24 +164,10 @@ pub trait EdgeSelector {
 }
 
 /// Build an [`Outcome`]: estimate base and post-addition reliability for a
-/// chosen edge set, on one frozen snapshot of the input graph (common
-/// random numbers make the two estimates directly comparable), plus the
-/// per-edge estimates of each chosen edge alone. Shared by every selector
-/// implementation.
+/// chosen edge set on the snapshot (common random numbers make the two
+/// estimates directly comparable), plus the per-edge estimates of each
+/// chosen edge alone. Shared by every selector implementation.
 pub fn finish_outcome_budgeted<E: Estimator>(
-    g: &UncertainGraph,
-    query: &StQuery,
-    added: Vec<CandidateEdge>,
-    est: &E,
-    budget: Budget,
-) -> Outcome {
-    finish_outcome_frozen_budgeted(&CsrGraph::freeze(g), query, added, est, budget)
-}
-
-/// [`finish_outcome_budgeted`] against an already-frozen snapshot — for
-/// selectors that froze the base graph for their own inner loop and
-/// should not pay a second `O(n + m)` freeze per query.
-pub fn finish_outcome_frozen_budgeted<E: Estimator>(
     csr: &CsrGraph,
     query: &StQuery,
     added: Vec<CandidateEdge>,
@@ -172,7 +178,7 @@ pub fn finish_outcome_frozen_budgeted<E: Estimator>(
     finish_outcome_with_solo_estimates(csr, query, added, added_estimates, est, budget)
 }
 
-/// [`finish_outcome_frozen_budgeted`] for selectors that already hold the
+/// [`finish_outcome_budgeted`] for selectors that already hold the
 /// per-edge solo estimates (e.g. from their own candidate scan over the
 /// base snapshot): skips the extra scan pass. `added_estimates[i]` must
 /// estimate `R(s, t, G + {added[i]})` on the base snapshot under the
@@ -197,28 +203,6 @@ pub fn finish_outcome_with_solo_estimates<E: Estimator>(
         added_estimates,
         added,
     }
-}
-
-/// [`finish_outcome_budgeted`] at the estimator's default budget
-/// (pre-`Budget` shim).
-pub fn finish_outcome<E: Estimator>(
-    g: &UncertainGraph,
-    query: &StQuery,
-    added: Vec<CandidateEdge>,
-    est: &E,
-) -> Outcome {
-    finish_outcome_budgeted(g, query, added, est, est.default_budget())
-}
-
-/// [`finish_outcome_frozen_budgeted`] at the estimator's default budget
-/// (pre-`Budget` shim).
-pub fn finish_outcome_frozen<E: Estimator>(
-    csr: &CsrGraph,
-    query: &StQuery,
-    added: Vec<CandidateEdge>,
-    est: &E,
-) -> Outcome {
-    finish_outcome_frozen_budgeted(csr, query, added, est, est.default_budget())
 }
 
 /// Closed dispatch over every selection method in the crate.
@@ -397,45 +381,27 @@ impl EdgeSelector for AnySelector {
         }
     }
 
-    fn select_with_candidates_budgeted<E: Estimator>(
+    fn select_on_snapshot<E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &CsrGraph,
         query: &StQuery,
         candidates: &[CandidateEdge],
         est: &E,
         budget: Budget,
     ) -> Result<Outcome, SelectError> {
         match self {
-            AnySelector::TopK(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::HillClimbing(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Centrality(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Eigen(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Mrp(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
+            AnySelector::TopK(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::HillClimbing(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Centrality(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Eigen(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Mrp(s) => s.select_on_snapshot(g, query, candidates, est, budget),
             AnySelector::IndividualPath(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
+                s.select_on_snapshot(g, query, candidates, est, budget)
             }
-            AnySelector::BatchEdge(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Exact(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Esssp(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
-            AnySelector::Ima(s) => {
-                s.select_with_candidates_budgeted(g, query, candidates, est, budget)
-            }
+            AnySelector::BatchEdge(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Exact(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Esssp(s) => s.select_on_snapshot(g, query, candidates, est, budget),
+            AnySelector::Ima(s) => s.select_on_snapshot(g, query, candidates, est, budget),
         }
     }
 }
@@ -444,7 +410,7 @@ impl EdgeSelector for AnySelector {
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
-    use relmax_ugraph::NodeId;
+    use relmax_ugraph::{NodeId, UncertainGraph};
 
     #[test]
     fn outcome_gain_is_difference() {
@@ -470,7 +436,7 @@ mod tests {
             dst: NodeId(2),
             prob: 0.9,
         }];
-        let o = finish_outcome(&g, &q, added, &est);
+        let o = finish_outcome_budgeted(&g.freeze(), &q, added, &est, est.default_budget());
         assert_eq!(o.base_reliability, 0.0);
         assert!(
             (o.new_reliability - 0.45).abs() < 0.02,
@@ -522,7 +488,7 @@ mod tests {
             dst: NodeId(2),
             prob: 0.9,
         }];
-        let o = finish_outcome_budgeted(&g, &q, added, &est, Budget::fixed(4_000));
+        let o = finish_outcome_budgeted(&g.freeze(), &q, added, &est, Budget::fixed(4_000));
         assert_eq!(o.base_estimate.value, o.base_reliability);
         assert_eq!(o.new_estimate.value, o.new_reliability);
         assert_eq!(o.added_estimates.len(), 1);

@@ -41,6 +41,9 @@ pub struct Metrics {
     /// Abandoned compactions (lost the install race to a concurrent
     /// update or reload, or failed to persist the snapshot).
     pub compaction_failures_total: AtomicU64,
+    /// Compute-worker panics caught while answering a job (the job and
+    /// its coalesced mates answered `500`; the worker kept serving).
+    pub worker_panics_total: AtomicU64,
 }
 
 impl Metrics {
@@ -60,6 +63,7 @@ impl Metrics {
             update_failures_total: AtomicU64::new(0),
             compactions_total: AtomicU64::new(0),
             compaction_failures_total: AtomicU64::new(0),
+            worker_panics_total: AtomicU64::new(0),
         }
     }
 
@@ -145,6 +149,10 @@ impl Metrics {
                 .load(Ordering::Relaxed)
                 .to_string(),
         );
+        line(
+            "worker_panics_total",
+            self.worker_panics_total.load(Ordering::Relaxed).to_string(),
+        );
         line("queue_depth", queue_depth.to_string());
         line("queue_cap", queue_cap.to_string());
         line("threads", threads.to_string());
@@ -185,6 +193,7 @@ mod tests {
             "update_failures_total ",
             "compactions_total ",
             "compaction_failures_total ",
+            "worker_panics_total 0",
             "queue_depth 1",
             "queue_cap 64",
             "threads 2",

@@ -23,6 +23,7 @@ use relmax_gen::workload::{QuerySpec, WireSpec};
 use relmax_sampling::Budget;
 use relmax_ugraph::NodeId;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -31,11 +32,23 @@ use std::time::Duration;
 /// here are unexpected and map to `500`).
 pub type JobResult = Result<QueryAnswer, String>;
 
+/// What a job's requester sees when the compute worker unwinds before
+/// answering it (the `500` body).
+pub const WORKER_PANICKED: &str = "compute worker panicked";
+
 /// A one-shot result slot the submitting IO worker blocks on.
 #[derive(Debug, Default)]
 pub struct Slot {
-    result: Mutex<Option<JobResult>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+enum SlotState {
+    #[default]
+    Empty,
+    Ready(JobResult),
+    Taken,
 }
 
 impl Slot {
@@ -46,20 +59,33 @@ impl Slot {
 
     /// Deliver the result (exactly once) and wake the waiter.
     pub fn fill(&self, r: JobResult) {
-        let mut slot = self.result.lock().expect("slot lock");
-        debug_assert!(slot.is_none(), "a slot is filled exactly once");
-        *slot = Some(r);
+        let filled = self.fill_if_empty(r);
+        debug_assert!(filled, "a slot is filled exactly once");
+    }
+
+    /// Deliver `r` unless a result was already delivered, and say whether
+    /// `r` was delivered. Never panics, so a drop guard may call it while
+    /// unwinding (every state change is one assignment, so a poisoned
+    /// lock still guards a valid state).
+    fn fill_if_empty(&self, r: JobResult) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if !matches!(*state, SlotState::Empty) {
+            return false;
+        }
+        *state = SlotState::Ready(r);
         self.cv.notify_all();
+        true
     }
 
     /// Block until the result arrives.
     pub fn wait(&self) -> JobResult {
-        let mut slot = self.result.lock().expect("slot lock");
+        let mut state = self.state.lock().expect("slot lock");
         loop {
-            if let Some(r) = slot.take() {
-                return r;
+            match std::mem::replace(&mut *state, SlotState::Taken) {
+                SlotState::Ready(r) => return r,
+                other => *state = other,
             }
-            slot = self.cv.wait(slot).expect("slot lock");
+            state = self.cv.wait(state).expect("slot lock");
         }
     }
 }
@@ -79,8 +105,17 @@ pub struct Job {
     /// The request's `% max-hops` bound, applied to hop-boundable specs
     /// by the engine dispatch.
     pub max_hops: Option<u32>,
-    /// Where the answer goes.
+    /// Where the answer goes. A job dropped unanswered — its worker
+    /// panicked, or the queue was torn down — fills it with
+    /// [`WORKER_PANICKED`], so the requester answers `500` instead of
+    /// blocking forever.
     pub slot: Arc<Slot>,
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        self.slot.fill_if_empty(Err(WORKER_PANICKED.to_string()));
+    }
 }
 
 /// The identity two st jobs must share to be answered from one `from`
@@ -181,6 +216,11 @@ impl JobQueue {
 /// inserts a post-dequeue sleep (the `RELMAX_SERVE_TEST_SLOW_MS` test
 /// hook) so tests can deterministically pile compatible jobs behind an
 /// inflight one.
+///
+/// A panic while answering a job is caught and counted in
+/// `worker_panics_total`; the worker goes on to the next job. Unwinding
+/// drops the job (and any coalesced mates it stole), whose drop guards
+/// answer their requesters with [`WORKER_PANICKED`].
 pub fn spawn_compute_pool(
     threads: usize,
     queue: Arc<JobQueue>,
@@ -195,7 +235,10 @@ pub fn spawn_compute_pool(
             if let Some(d) = slow {
                 std::thread::sleep(d);
             }
-            process(job, &queue, &metrics);
+            let answered = catch_unwind(AssertUnwindSafe(|| process(job, &queue, &metrics)));
+            if answered.is_err() {
+                Metrics::add(&metrics.worker_panics_total, 1);
+            }
         });
     }
 }
@@ -359,6 +402,52 @@ mod tests {
         process(j, &queue, &m);
         other_slot.wait().unwrap();
         src_slot.wait().unwrap();
+    }
+
+    #[test]
+    fn dropping_an_unanswered_job_fails_its_requester() {
+        let snap = chain_snapshot();
+        let (job, slot) = st_job(&snap, 0, 2, 9);
+        let waiter = {
+            let slot = slot.clone();
+            std::thread::spawn(move || slot.wait())
+        };
+        // What unwinding out of `process` does to the job it was answering.
+        drop(job);
+        assert_eq!(waiter.join().unwrap(), Err(WORKER_PANICKED.to_string()));
+
+        // An answered job's guard leaves the delivered result alone.
+        let (job, slot) = st_job(&snap, 0, 2, 9);
+        process(job, &JobQueue::new(), &Metrics::new());
+        assert!(slot.wait().is_ok());
+    }
+
+    #[test]
+    fn a_panicking_worker_answers_500_and_keeps_serving() {
+        let snap = chain_snapshot();
+        let queue = JobQueue::new();
+        // A coalesced mate whose target is out of range makes the worker
+        // index past the shared `from` vector, as a bug in a worker
+        // would. Requests validate nodes before enqueueing, so only a
+        // test reaches this. Both jobs are queued before the worker
+        // starts, so the first one steals the second.
+        let (first, first_slot) = st_job(&snap, 0, 2, 9);
+        let (bad, bad_slot) = st_job(&snap, 0, 99, 9);
+        queue.push(first);
+        queue.push(bad);
+        let metrics = Arc::new(Metrics::new());
+        spawn_compute_pool(1, queue.clone(), metrics.clone(), None);
+        assert!(first_slot.wait().is_ok());
+        assert_eq!(bad_slot.wait(), Err(WORKER_PANICKED.to_string()));
+        let (next, next_slot) = st_job(&snap, 0, 3, 9);
+        queue.push(next);
+        assert!(next_slot.wait().is_ok());
+        assert_eq!(
+            metrics
+                .worker_panics_total
+                .load(std::sync::atomic::Ordering::Relaxed),
+            1
+        );
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! [`crate::GraphView::new`]`(&csr, extra)` — the overlay adds a handful of
 //! bucket lookups on top of the flat-array walk.
 
-use crate::graph::NodeId;
+use crate::graph::{NodeId, UncertainGraph};
 use crate::{flip_threshold, Arc, CoinId, FlipArc, ProbGraph};
 use relmax_store::Block;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An immutable flat-array snapshot of an uncertain graph.
@@ -186,20 +187,22 @@ impl CsrGraph {
         (off[i] as usize, off[i + 1] as usize)
     }
 
-    /// Rebuild a mutable [`crate::UncertainGraph`] from this snapshot.
+    /// Rebuild a mutable [`UncertainGraph`] from this snapshot.
     ///
-    /// Edges are re-inserted in coin-id order, which is insertion order for
-    /// any graph that was built through
-    /// [`crate::UncertainGraph::add_edge`] — so for such graphs the thawed
-    /// graph is *exactly* the original: same coin ids, same per-node
-    /// adjacency order, and therefore bit-identical estimates.
-    /// `freeze(thaw(csr)) == csr` holds for every snapshot of an
-    /// [`crate::UncertainGraph`].
+    /// Every coin-table entry is re-inserted as a live edge, in coin-id
+    /// order, which is insertion order for any graph that was built
+    /// through [`UncertainGraph::add_edge`] — so for such graphs the
+    /// thawed graph is *exactly* the original: same coin ids, same
+    /// per-node adjacency order, and therefore bit-identical estimates.
+    /// `freeze(thaw(csr)) == csr` holds exactly when no coin is retired.
+    /// A retired coin (an edge deleted or re-probed before the freeze, or
+    /// through a [`crate::DeltaOverlay`] before `compact`) keeps its table
+    /// entry without arcs, so thawing brings a deleted edge back, and a
+    /// re-probed pair (old and fresh coin) fails as a duplicate. Read such
+    /// snapshots directly; selection does (see [`AsCsr`]).
     ///
-    /// Fails only if the coin table cannot form a valid graph (duplicate
-    /// ordered pairs or self-loops), which can happen for snapshots frozen
-    /// from exotic [`ProbGraph`] implementations but never for snapshots of
-    /// an [`crate::UncertainGraph`].
+    /// Fails if the coin table cannot form a valid graph (duplicate
+    /// ordered pairs or self-loops).
     ///
     /// ```
     /// use relmax_ugraph::{NodeId, UncertainGraph};
@@ -212,9 +215,9 @@ impl CsrGraph {
     /// assert_eq!(thawed.num_edges(), 2);
     /// assert!(thawed.freeze() == csr);
     /// ```
-    pub fn thaw(&self) -> Result<crate::UncertainGraph, crate::GraphError> {
+    pub fn thaw(&self) -> Result<UncertainGraph, crate::GraphError> {
         let m = self.coin_prob.len();
-        let mut g = crate::UncertainGraph::with_capacity(self.num_nodes, self.directed, m);
+        let mut g = UncertainGraph::with_capacity(self.num_nodes, self.directed, m);
         for c in 0..m {
             g.add_edge(
                 NodeId(self.coin_src[c]),
@@ -427,6 +430,41 @@ impl ProbGraph for CsrGraph {
     }
 }
 
+/// A graph that can be read as a [`CsrGraph`] snapshot: a snapshot lends
+/// itself, an [`UncertainGraph`] freezes once.
+///
+/// Entry points that run on a snapshot (edge selection, search-space
+/// elimination) take `&impl AsCsr`, convert once, and pass the borrowed
+/// snapshot down — so a caller holding a loaded `.rgs` never copies it,
+/// and a caller holding a mutable graph pays one freeze per call.
+///
+/// ```
+/// use relmax_ugraph::{AsCsr, NodeId, UncertainGraph};
+/// use std::borrow::Cow;
+///
+/// let mut g = UncertainGraph::new(2, true);
+/// g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+/// let csr = g.freeze();
+/// assert!(matches!(csr.as_csr(), Cow::Borrowed(_)));
+/// assert!(g.as_csr().as_ref() == &csr);
+/// ```
+pub trait AsCsr {
+    /// This graph as a snapshot, borrowed when it already is one.
+    fn as_csr(&self) -> Cow<'_, CsrGraph>;
+}
+
+impl AsCsr for CsrGraph {
+    fn as_csr(&self) -> Cow<'_, CsrGraph> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsCsr for UncertainGraph {
+    fn as_csr(&self) -> Cow<'_, CsrGraph> {
+        Cow::Owned(CsrGraph::freeze(self))
+    }
+}
+
 impl fmt::Debug for CsrGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CsrGraph")
@@ -441,7 +479,6 @@ impl fmt::Debug for CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::UncertainGraph;
     use crate::view::{ExtraEdge, GraphView};
 
     fn diamond() -> UncertainGraph {

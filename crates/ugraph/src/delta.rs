@@ -723,6 +723,66 @@ mod tests {
         assert!(delta.compact() == g.freeze());
     }
 
+    /// `freeze(thaw(c)) == c` on seeded `compact` outputs: the premise
+    /// under which a thawed graph and the snapshot it came from present
+    /// the same arcs. It holds exactly when no coin was retired. A retired
+    /// coin keeps its coin-table entry, and `thaw` re-inserts every entry
+    /// as a live edge: a deleted edge comes back, and a re-probed pair
+    /// (retired coin plus its fresh coin) is a duplicate that fails.
+    #[test]
+    fn thaw_round_trips_compactions_without_retired_coins() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7ea_5eed);
+        let (mut round_trips, mut resurrects, mut fails) = (0, 0, 0);
+        for case in 0..200 {
+            let directed = case % 2 == 0;
+            let n = rng.gen_range(3..12u32);
+            let mut g = UncertainGraph::new(n as usize, directed);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let _ = g.add_edge(NodeId(u), NodeId(v), rng.gen_range(0.05..1.0));
+            }
+            let mut delta = DeltaOverlay::new(Arc::new(g.freeze()));
+            let insert_only = case % 4 < 2;
+            let mut retired = 0;
+            for _ in 0..rng.gen_range(1..2 * n) {
+                let (src, dst) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+                let prob = rng.gen_range(0.05..1.0);
+                let update = match rng.gen_range(0..3) {
+                    _ if insert_only || !delta.has_edge(src, dst) => {
+                        GraphUpdate::Insert { src, dst, prob }
+                    }
+                    0 => GraphUpdate::Insert { src, dst, prob },
+                    1 => GraphUpdate::SetProb { src, dst, prob },
+                    _ => GraphUpdate::Delete { src, dst },
+                };
+                if delta.apply_one(&update).is_ok() && !matches!(update, GraphUpdate::Insert { .. })
+                {
+                    retired += 1;
+                }
+            }
+            let c = delta.compact();
+            match c.thaw() {
+                Ok(thawed) if retired == 0 => {
+                    assert!(thawed.freeze() == c, "case {case}: round trip changed arcs");
+                    round_trips += 1;
+                }
+                Ok(thawed) => {
+                    assert!(thawed.freeze() != c, "case {case}");
+                    assert_eq!(thawed.num_edges(), delta.num_edges() + retired);
+                    resurrects += 1;
+                }
+                Err(e) => {
+                    assert!(retired > 0, "case {case}: {e}");
+                    assert!(matches!(e, GraphError::DuplicateEdge { .. }), "{e}");
+                    fails += 1;
+                }
+            }
+        }
+        assert!(round_trips >= 90 && resurrects > 0 && fails > 0);
+    }
+
     #[test]
     fn empty_overlay_compacts_to_the_base_snapshot() {
         let g = diamond(true);

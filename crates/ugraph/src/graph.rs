@@ -341,18 +341,6 @@ impl UncertainGraph {
         (0..self.num_nodes() as u32).map(NodeId)
     }
 
-    /// Maximum in-degree and out-degree over all nodes (used by the
-    /// eigenvalue-based baseline, Algorithm 2).
-    pub fn max_degrees(&self) -> (usize, usize) {
-        let mut din = 0;
-        let mut dout = 0;
-        for v in self.nodes() {
-            din = din.max(self.in_degree(v));
-            dout = dout.max(self.out_degree(v));
-        }
-        (din, dout)
-    }
-
     /// A copy of this graph with every edge reversed. For undirected graphs
     /// this is a plain clone.
     pub fn reversed(&self) -> UncertainGraph {
@@ -377,22 +365,6 @@ impl UncertainGraph {
             }
         }
         g
-    }
-
-    /// Sum of `p(e)` over edges incident to `v` (in + out). This is the
-    /// paper's probability-weighted degree centrality (§3.3).
-    pub fn weighted_degree(&self, v: NodeId) -> f64 {
-        let mut sum: f64 = self.out_adj[v.index()]
-            .iter()
-            .map(|&(_, e)| self.prob(e))
-            .sum();
-        if self.directed {
-            sum += self.in_adj[v.index()]
-                .iter()
-                .map(|&(_, e)| self.prob(e))
-                .sum::<f64>();
-        }
-        sum
     }
 
     /// Freeze this graph into an immutable [`crate::CsrGraph`] snapshot
@@ -628,14 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_degree_sums_incident_probabilities() {
-        let g = diamond();
-        assert!((g.weighted_degree(NodeId(0)) - 1.1).abs() < 1e-12);
-        assert!((g.weighted_degree(NodeId(3)) - 1.5).abs() < 1e-12);
-        assert!((g.weighted_degree(NodeId(1)) - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn prob_graph_trait_visits_all_edges() {
         let g = diamond();
         let mut seen: Vec<(u32, f64, CoinId)> = Vec::new();
@@ -657,12 +621,6 @@ mod tests {
         g.set_prob(e, 0.9).unwrap();
         assert_eq!(g.prob(e), 0.9);
         assert!(g.set_prob(e, -0.1).is_err());
-    }
-
-    #[test]
-    fn max_degrees() {
-        let g = diamond();
-        assert_eq!(g.max_degrees(), (2, 2));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod traverse;
 pub mod view;
 pub mod world;
 
-pub use csr::CsrGraph;
+pub use csr::{AsCsr, CsrGraph};
 pub use delta::{DeltaOverlay, GraphUpdate};
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, NodeId, UncertainGraph};

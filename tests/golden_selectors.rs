@@ -1,10 +1,13 @@
 //! Golden-file regression tests for selector output.
 //!
-//! Every baseline runs on one fixed synthetic instance with a fixed-seed
+//! Every baseline runs on two fixed seeded instances (an undirected
+//! small-world graph and a directed ring with chords) with a fixed-seed
 //! estimator, and the exact top-k edge set each method picks is committed
-//! as a fixture. Selector refactors (parallel scans, kernel rewrites,
+//! as a fixture. Each instance runs both as an `UncertainGraph` and as its
+//! frozen `CsrGraph`: the two must give bit-identical outcomes and match
+//! the same fixture. Selector refactors (parallel scans, kernel rewrites,
 //! storage changes) can therefore never silently change an answer: if a
-//! diff is intentional, regenerate the fixture with
+//! diff is intentional, regenerate the fixtures with
 //!
 //! ```text
 //! BLESS_GOLDEN=1 cargo test --test golden_selectors
@@ -12,13 +15,22 @@
 //!
 //! and review the change like any other code diff.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use relmax::core::baselines::ExactSelector;
 use relmax::gen::prob::ProbModel;
 use relmax::gen::synth;
 use relmax::prelude::*;
+use relmax::ugraph::AsCsr;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/selector_golden.txt"
+);
+
+const DIRECTED_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/selector_golden_directed.txt"
 );
 
 /// The frozen instance: a small-world graph with mixed probabilities and
@@ -35,6 +47,37 @@ fn golden_instance() -> (UncertainGraph, Vec<CandidateEdge>, StQuery) {
     (g, cands, q)
 }
 
+/// A seeded directed instance: a forward ring with random chords and
+/// mixed probabilities, candidates from Algorithm 4 with `r = 6` — few
+/// enough that exhaustive search runs too.
+fn directed_instance() -> (UncertainGraph, Vec<CandidateEdge>, StQuery) {
+    let mut rng = StdRng::seed_from_u64(0xd1_7ec7);
+    let n = 20u32;
+    let mut g = UncertainGraph::new(n as usize, true);
+    for v in 0..n {
+        let p = rng.gen_range(0.2..0.9);
+        g.add_edge(NodeId(v), NodeId((v + 1) % n), p).unwrap();
+    }
+    for _ in 0..30 {
+        let (u, v, p) = (
+            rng.gen_range(0..n),
+            rng.gen_range(0..n),
+            rng.gen_range(0.1..0.95),
+        );
+        // Self-loops and duplicate pairs are rejected; skip them.
+        let _ = g.add_edge(NodeId(u), NodeId(v), p);
+    }
+    let q = StQuery::new(NodeId(0), NodeId(11), 2, 0.5)
+        .with_hop_limit(Some(3))
+        .with_r(6)
+        .with_l(12);
+    let cands =
+        SearchSpaceElimination::new(q.r).candidate_edges(&g, &q, &McEstimator::new(2_000, 0xFEED));
+    (g, cands, q)
+}
+
+/// The methods in the undirected fixture (exhaustive search left out:
+/// its subsets are too many there).
 fn selectors() -> Vec<AnySelector> {
     vec![
         AnySelector::top_k(),
@@ -50,14 +93,32 @@ fn selectors() -> Vec<AnySelector> {
     ]
 }
 
+/// Every registered method, with exhaustive search capped so that it
+/// runs on the directed instance and refuses the undirected one.
+fn every_selector() -> Vec<AnySelector> {
+    AnySelector::all()
+        .into_iter()
+        .map(|sel| match sel {
+            AnySelector::Exact(_) => AnySelector::Exact(ExactSelector {
+                max_combinations: 10_000,
+            }),
+            other => other,
+        })
+        .collect()
+}
+
 /// One line per method: `NAME: u->v@p, u->v@p` in selection order.
-fn render() -> String {
-    let (g, cands, q) = golden_instance();
+fn render<G: AsCsr>(
+    g: &G,
+    cands: &[CandidateEdge],
+    q: &StQuery,
+    selectors: &[AnySelector],
+) -> String {
     let est = McEstimator::new(2_000, 0xFEED);
     let mut out = String::new();
-    for sel in selectors() {
+    for sel in selectors {
         let outcome = sel
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates(g, q, cands, &est)
             .expect("selector runs on the golden instance");
         let edges: Vec<String> = outcome
             .added
@@ -69,21 +130,62 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn selector_choices_match_golden_fixture() {
-    let rendered = render();
+/// Render the instance as a graph and as its snapshot; both must match
+/// the fixture (or, under `BLESS_GOLDEN`, each other before writing it).
+fn check_fixture(
+    fixture: &str,
+    (g, cands, q): (UncertainGraph, Vec<CandidateEdge>, StQuery),
+    selectors: &[AnySelector],
+) {
+    let rendered = render(&g, &cands, &q, selectors);
+    let on_snapshot = render(&g.freeze(), &cands, &q, selectors);
+    assert_eq!(
+        rendered, on_snapshot,
+        "graph and snapshot choose differently"
+    );
     if std::env::var("BLESS_GOLDEN").is_ok() {
-        std::fs::write(FIXTURE, &rendered).expect("write fixture");
-        eprintln!("blessed {FIXTURE}");
+        std::fs::write(fixture, &rendered).expect("write fixture");
+        eprintln!("blessed {fixture}");
         return;
     }
-    let golden = std::fs::read_to_string(FIXTURE)
+    let golden = std::fs::read_to_string(fixture)
         .expect("fixture missing; run with BLESS_GOLDEN=1 to generate");
     assert_eq!(
         rendered, golden,
         "selector output drifted from the golden fixture; if intentional, \
          re-bless with BLESS_GOLDEN=1 and review the diff"
     );
+}
+
+#[test]
+fn selector_choices_match_golden_fixture() {
+    check_fixture(FIXTURE, golden_instance(), &selectors());
+}
+
+#[test]
+fn directed_selector_choices_match_golden_fixture() {
+    check_fixture(DIRECTED_FIXTURE, directed_instance(), &every_selector());
+}
+
+/// Whole outcomes — chosen edges, every estimate, errors — agree bit for
+/// bit between an `UncertainGraph` and its frozen snapshot, for every
+/// registered method on both instances.
+#[test]
+fn every_selector_is_bit_identical_on_graph_and_snapshot() {
+    let est = McEstimator::new(2_000, 0xFEED);
+    for (g, cands, q) in [golden_instance(), directed_instance()] {
+        let csr = g.freeze();
+        for sel in every_selector() {
+            let on_graph = sel.select_with_candidates(&g, &q, &cands, &est);
+            let on_snapshot = sel.select_with_candidates(&csr, &q, &cands, &est);
+            assert_eq!(
+                format!("{on_graph:?}"),
+                format!("{on_snapshot:?}"),
+                "{} differs between graph and snapshot",
+                sel.name()
+            );
+        }
+    }
 }
 
 /// The fixture itself must stay well-formed: every method present, every
