@@ -60,6 +60,24 @@ mod tests {
     }
 
     #[test]
+    fn diamond_sums_on_graph_and_snapshot() {
+        // s=0 -> a=1 -> t=3, s -> b=2 -> t; the undirected twin sums the
+        // same incident edges.
+        for directed in [true, false] {
+            let mut g = UncertainGraph::new(4, directed);
+            g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+            g.add_edge(NodeId(0), NodeId(2), 0.6).unwrap();
+            g.add_edge(NodeId(1), NodeId(3), 0.7).unwrap();
+            g.add_edge(NodeId(2), NodeId(3), 0.8).unwrap();
+            for scores in [degree_centrality(&g), degree_centrality(&g.freeze())] {
+                assert!((scores[0] - 1.1).abs() < 1e-12, "directed={directed}");
+                assert!((scores[3] - 1.5).abs() < 1e-12, "directed={directed}");
+                assert!((scores[1] - 1.2).abs() < 1e-12, "directed={directed}");
+            }
+        }
+    }
+
+    #[test]
     fn top_k_is_deterministic_on_ties() {
         let scores = vec![0.5, 0.5, 0.5];
         assert_eq!(top_k_nodes(&scores, 2), vec![NodeId(0), NodeId(1)]);

@@ -72,13 +72,7 @@ impl EdgeSelector for EigenSelector {
 pub fn eigen_topk_pairs<G: ProbGraph>(g: &G, k: usize, zeta: f64) -> Vec<CandidateEdge> {
     use relmax_centrality::degree::top_k_nodes;
     let eig = leading_eigen(g, 200, 1e-10);
-    let nodes = (0..g.num_nodes() as u32).map(NodeId);
-    let (din, dout) = nodes.fold((0, 0), |(din, dout), v| {
-        (
-            din.max(g.in_arcs(v).count()),
-            dout.max(g.out_arcs(v).count()),
-        )
-    });
+    let (din, dout) = max_degrees(g);
     let i_set = top_k_nodes(&eig.left, k + din);
     let j_set = top_k_nodes(&eig.right, k + dout);
     let mut pairs: Vec<(f64, CandidateEdge)> = Vec::new();
@@ -105,6 +99,19 @@ pub fn eigen_topk_pairs<G: ProbGraph>(g: &G, k: usize, zeta: f64) -> Vec<Candida
                 || (a.1.src == b.1.dst && a.1.dst == b.1.src))
     });
     pairs.into_iter().take(k).map(|(_, e)| e).collect()
+}
+
+/// Maximum in-degree and out-degree over all nodes (for undirected graphs
+/// both are the plain maximum degree).
+fn max_degrees<G: ProbGraph>(g: &G) -> (usize, usize) {
+    (0..g.num_nodes() as u32)
+        .map(NodeId)
+        .fold((0, 0), |(din, dout), v| {
+            (
+                din.max(g.in_arcs(v).count()),
+                dout.max(g.out_arcs(v).count()),
+            )
+        })
 }
 
 #[cfg(test)]
@@ -157,6 +164,35 @@ mod tests {
         for e in &pairs {
             assert!(!g.has_edge(e.src, e.dst));
             assert_eq!(e.prob, 0.5);
+        }
+    }
+
+    /// The directed diamond `0->1->3`, `0->2->3`, and its undirected twin.
+    fn diamond(directed: bool) -> UncertainGraph {
+        let mut g = UncertainGraph::new(4, directed);
+        g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+        g.add_edge(NodeId(0), NodeId(2), 0.6).unwrap();
+        g.add_edge(NodeId(1), NodeId(3), 0.7).unwrap();
+        g.add_edge(NodeId(2), NodeId(3), 0.8).unwrap();
+        g
+    }
+
+    #[test]
+    fn max_degrees_on_graph_and_snapshot() {
+        for directed in [true, false] {
+            let g = diamond(directed);
+            assert_eq!(max_degrees(&g), (2, 2), "directed={directed}");
+            assert_eq!(max_degrees(&g.freeze()), (2, 2), "directed={directed}");
+        }
+        // In-star into 3 plus 0->1: the two maxima sit on different nodes
+        // when directed, and node 3's degree is both when undirected.
+        for (directed, want) in [(true, (3, 2)), (false, (3, 3))] {
+            let mut g = UncertainGraph::new(4, directed);
+            for (u, v) in [(0, 3), (1, 3), (2, 3), (0, 1)] {
+                g.add_edge(NodeId(u), NodeId(v), 0.5).unwrap();
+            }
+            assert_eq!(max_degrees(&g), want, "directed={directed}");
+            assert_eq!(max_degrees(&g.freeze()), want, "directed={directed}");
         }
     }
 
