@@ -1,68 +1,15 @@
 //! # relmax-bench
 //!
-//! Experiment harness reproducing every table and figure in the paper's
-//! evaluation (§8), plus Criterion micro-benchmarks for the hot kernels.
-//!
-//! The entry point is the `repro` binary:
+//! Microbenchmarks for the sampling hot path, each a binary that writes
+//! a JSON report the repository keeps:
 //!
 //! ```text
-//! cargo run --release -p relmax-bench --bin repro -- table9
-//! cargo run --release -p relmax-bench --bin repro -- all
-//! cargo run --release -p relmax-bench --bin repro -- table12 --queries 10 --scale 2.0
+//! cargo run --release -p relmax-bench --bin bench_sampling   # → BENCH_sampling.json
+//! cargo run --release -p relmax-bench --bin bench_parallel   # → BENCH_parallel.json
 //! ```
 //!
-//! Every experiment runs at a documented fraction of the paper's graph
-//! sizes (see `DatasetProxy::default_scale` and the `--scale` multiplier)
-//! so the full suite finishes on a laptop; the reproduction target is the
-//! *shape* of each table — method ordering, saturation points, relative
-//! factors — not absolute seconds. EXPERIMENTS.md records paper-vs-measured
-//! for each experiment.
+//! `--smoke` shrinks either to CI scale. `docs/benchmarks.md` describes
+//! every field and the floors each binary asserts.
 
-pub mod datasets;
-pub mod mem;
 pub mod parallel_bench;
-pub mod runner;
 pub mod sampling_bench;
-pub mod table;
-
-/// Harness-wide configuration, settable from `repro` CLI flags.
-#[derive(Debug, Clone)]
-pub struct Cfg {
-    /// Queries averaged per cell (paper: 100).
-    pub queries: usize,
-    /// Monte Carlo sample size (paper: 500–1000).
-    pub z: usize,
-    /// RSS sample size (paper: 250–500).
-    pub z_rss: usize,
-    /// Default edge budget `k`.
-    pub k: usize,
-    /// Default new-edge probability `ζ`.
-    pub zeta: f64,
-    /// Default elimination width `r` (paper: 100).
-    pub r: usize,
-    /// Default number of reliable paths `l` (paper: 30).
-    pub l: usize,
-    /// Default distance constraint `h`.
-    pub h: Option<u32>,
-    /// Base seed for all randomness.
-    pub seed: u64,
-    /// Multiplier applied on top of each dataset's default scale.
-    pub scale: f64,
-}
-
-impl Default for Cfg {
-    fn default() -> Self {
-        Cfg {
-            queries: 3,
-            z: 300,
-            z_rss: 150,
-            k: 10,
-            zeta: 0.5,
-            r: 50,
-            l: 20,
-            h: Some(3),
-            seed: 0x05ee_d0e1,
-            scale: 1.0,
-        }
-    }
-}

@@ -1,40 +1,21 @@
-//! Before/after microbenchmark for the sampling hot path.
+//! Microbenchmark for the sampling hot path.
 //!
-//! Compares the pre-refactor estimator (dynamic dispatch per edge visit,
-//! `Vec<Vec<…>>` adjacency — [`relmax_sampling::legacy::DynMcEstimator`])
-//! against the refactored stack (monomorphized BFS over a frozen
-//! [`CsrGraph`] snapshot), on identical sampled worlds, plus an
-//! end-to-end batch-edge-selection pipeline timing. The `bench_sampling`
-//! binary renders the result as `BENCH_sampling.json` so the repository
-//! tracks its own performance trajectory.
-
-use crate::runner::timed;
+//! Times the lane-packed kernel against the scalar reference kernel on
+//! identical sampled worlds, reliability-index routing against plain
+//! sampling, accuracy budgets against a fixed budget, mapped against
+//! heap snapshot loads, and an end-to-end batch-edge-selection pipeline.
+//! The `bench_sampling` binary renders the result as
+//! `BENCH_sampling.json` so the repository tracks its own performance
+//! trajectory.
 
 use relmax_core::{AnySelector, EdgeSelector, QueryEngine, StQuery};
 use relmax_gen::prob::ProbModel;
 use relmax_gen::queries::st_queries;
 use relmax_gen::synth;
-use relmax_sampling::legacy::DynMcEstimator;
 use relmax_sampling::{packed, Budget, Estimator, Kernel, McEstimator, ParallelRuntime};
-use relmax_ugraph::{
-    edgelist, snapshot, CsrGraph, ExtraEdge, GraphView, NodeId, RelIndex, UncertainGraph,
-};
+use relmax_ugraph::{edgelist, snapshot, CsrGraph, ExtraEdge, NodeId, RelIndex, UncertainGraph};
 use std::sync::Arc;
-
-/// One measured comparison: the same estimate computed both ways.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// What was measured ("st_reliability", "reliability_from", ...).
-    pub kernel: &'static str,
-    /// Seconds for the dyn-closure adjacency walk (pre-refactor).
-    pub dyn_s: f64,
-    /// Seconds for the monomorphized CSR walk (post-refactor).
-    pub csr_s: f64,
-    /// dyn / csr.
-    pub speedup: f64,
-    /// Whether the two paths produced bit-identical estimates.
-    pub bit_identical: bool,
-}
+use std::time::Instant;
 
 /// Per-query record of the adaptive-stopping scenario: what an accuracy
 /// budget spent versus the fixed budget it replaces.
@@ -225,16 +206,12 @@ pub struct MmapScenario {
 /// Full result of one benchmark run.
 #[derive(Debug, Clone)]
 pub struct SamplingBench {
-    /// Nodes in the synthetic benchmark graph.
+    /// Nodes in the adaptive scenario's Watts–Strogatz graph.
     pub nodes: usize,
-    /// Edges (coins) in the synthetic benchmark graph.
+    /// Edges (coins) in the adaptive scenario's graph.
     pub edges: usize,
-    /// Sampled worlds per kernel invocation.
-    pub samples: usize,
     /// Hardware threads of the host that ran the report (its `nproc`).
     pub host_threads: usize,
-    /// Per-kernel comparisons.
-    pub kernels: Vec<Comparison>,
     /// Lane-packed kernel versus the scalar reference kernel.
     pub packed: PackedScenario,
     /// Reliability-index routing versus plain sampling.
@@ -251,12 +228,6 @@ pub struct SamplingBench {
 }
 
 impl SamplingBench {
-    /// Geometric-mean speedup over all kernels.
-    pub fn geomean_speedup(&self) -> f64 {
-        let log_sum: f64 = self.kernels.iter().map(|c| c.speedup.ln()).sum();
-        (log_sum / self.kernels.len().max(1) as f64).exp()
-    }
-
     /// Render as a small stable JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -264,25 +235,7 @@ impl SamplingBench {
             "  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n",
             self.nodes, self.edges
         ));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
         out.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
-        out.push_str("  \"kernels\": [\n");
-        for (i, c) in self.kernels.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"dyn_closure_walk_s\": {:.6}, \"csr_walk_s\": {:.6}, \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
-                c.kernel,
-                c.dyn_s,
-                c.csr_s,
-                c.speedup,
-                c.bit_identical,
-                if i + 1 < self.kernels.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"geomean_speedup\": {:.3},\n",
-            self.geomean_speedup()
-        ));
         let p = &self.packed;
         out.push_str(&format!(
             "  \"packed\": {{\"graph\": {{\"nodes\": {}, \"edges\": {}}}, \"simd\": {}, \"kernels\": [\n",
@@ -748,7 +701,7 @@ pub fn run_mmap_scenario(smoke: bool) -> MmapScenario {
         bit_identical: heap_vals == mmap_vals,
         heap_resident_bytes: heap.resident_bytes(),
         mmap_resident_bytes: mapped.resident_bytes(),
-        peak_rss_bytes: crate::mem::vm_hwm_bytes(),
+        peak_rss_bytes: vm_hwm_bytes(),
     };
     let _ = std::fs::remove_file(&tsv);
     let _ = std::fs::remove_file(&rgs);
@@ -772,111 +725,24 @@ pub fn bench_graph(nodes: usize, edges_floor: usize) -> UncertainGraph {
 
 /// Run the sampling microbenchmark.
 ///
-/// `samples` controls the per-kernel world count; `pipeline_queries`
-/// controls the end-to-end BE workload size (0 skips it);
-/// `packed_smoke` shrinks the packed-vs-scalar scenario to CI scale.
-pub fn run(samples: usize, pipeline_queries: usize, packed_smoke: bool) -> SamplingBench {
-    let g = bench_graph(10_000, 12_000);
-    let csr = CsrGraph::freeze(&g);
-    let (s, t) = pick_far_pair(&g);
-
-    let budget = Budget::fixed(samples);
-    let legacy = DynMcEstimator::new(samples, 0x5eed);
-    // Pin the kernel so the trajectory metric doesn't depend on the
-    // RELMAX_KERNEL environment: "csr" here means the current default
-    // stack (CSR snapshot + lane-packed kernel).
-    let new = McEstimator::with_budget(budget, 0x5eed).with_kernel(Kernel::Packed);
-
-    let mut kernels = Vec::new();
-
-    // Warm both code paths (page-in, branch predictors) before timing.
-    let _ = legacy.st_reliability(&g, s, t);
-    let _ = new.st_estimate(&csr, s, t, budget);
-
-    let reps = 3;
-    let (dyn_st, dyn_st_s) = best_of(reps, || legacy.st_reliability(&g, s, t));
-    let (csr_st, csr_st_s) = best_of(reps, || new.st_estimate(&csr, s, t, budget).value);
-    kernels.push(Comparison {
-        kernel: "st_reliability",
-        dyn_s: dyn_st_s,
-        csr_s: csr_st_s,
-        speedup: dyn_st_s / csr_st_s,
-        bit_identical: dyn_st == csr_st,
-    });
-
-    let (dyn_from, dyn_from_s) = best_of(reps, || legacy.reliability_from(&g, s));
-    let (csr_from, csr_from_s) = best_of(reps, || {
-        new.from_estimates(&csr, s, budget)
-            .into_iter()
-            .map(|e| e.value)
-            .collect::<Vec<f64>>()
-    });
-    kernels.push(Comparison {
-        kernel: "reliability_from",
-        dyn_s: dyn_from_s,
-        csr_s: csr_from_s,
-        speedup: dyn_from_s / csr_from_s,
-        bit_identical: dyn_from == csr_from,
-    });
-
-    let (dyn_to, dyn_to_s) = best_of(reps, || legacy.reliability_to(&g, t));
-    let (csr_to, csr_to_s) = best_of(reps, || {
-        new.to_estimates(&csr, t, budget)
-            .into_iter()
-            .map(|e| e.value)
-            .collect::<Vec<f64>>()
-    });
-    kernels.push(Comparison {
-        kernel: "reliability_to",
-        dyn_s: dyn_to_s,
-        csr_s: csr_to_s,
-        speedup: dyn_to_s / csr_to_s,
-        bit_identical: dyn_to == csr_to,
-    });
-
-    // The selector inner loop: many small-Z evaluations of candidate
-    // overlays. This is where selection algorithms actually spend their
-    // estimator budget (hill climbing, top-k scoring, subset search).
-    let cand_z = (samples / 10).max(50);
-    let cand_budget = Budget::fixed(cand_z);
-    let candidates = candidate_scan_set(&g, 100);
-    let scan_legacy = DynMcEstimator::new(cand_z, 0x5eed);
-    let scan_new = McEstimator::with_budget(cand_budget, 0x5eed).with_kernel(Kernel::Packed);
-    let (legacy_sum, dyn_scan_s) = best_of(reps, || {
-        let mut sum = 0.0;
-        for &cand in &candidates {
-            let view = GraphView::new(&g, vec![cand]);
-            sum += scan_legacy.st_reliability(&view, s, t);
-        }
-        sum
-    });
-    let (new_sum, csr_scan_s) = best_of(reps, || {
-        let mut sum = 0.0;
-        let mut view = GraphView::empty(&csr);
-        for &cand in &candidates {
-            view.push_extra(cand);
-            sum += scan_new.st_estimate(&view, s, t, cand_budget).value;
-            view.pop_extra();
-        }
-        sum
-    });
-    kernels.push(Comparison {
-        kernel: "candidate_scan",
-        dyn_s: dyn_scan_s,
-        csr_s: csr_scan_s,
-        speedup: dyn_scan_s / csr_scan_s,
-        bit_identical: legacy_sum == new_sum,
-    });
-
+/// `pipeline_queries` controls the end-to-end BE workload size (0 skips
+/// it); `smoke` shrinks every scenario to CI scale.
+pub fn run(pipeline_queries: usize, smoke: bool) -> SamplingBench {
     // Accuracy budgets through the QueryEngine front door: how many of
     // the fixed budget's worlds does adaptive stopping actually need?
     // The cap is sized so ±0.02 is reachable well before it on easy
     // (low-variance) queries — that gap is the measured savings.
-    let adaptive = run_adaptive_scenario(&g, &csr, 0.02, 0.05, (samples * 16).max(16_384));
+    let (g, adaptive_cap) = if smoke {
+        (bench_graph(2_000, 2_500), 16_384)
+    } else {
+        (bench_graph(10_000, 12_000), 80_000)
+    };
+    let csr = CsrGraph::freeze(&g);
+    let adaptive = run_adaptive_scenario(&g, &csr, 0.02, 0.05, adaptive_cap);
 
-    let packed = run_packed_scenario(packed_smoke);
-    let index = run_index_scenario(packed_smoke);
-    let mmap = run_mmap_scenario(packed_smoke);
+    let packed = run_packed_scenario(smoke);
+    let index = run_index_scenario(smoke);
+    let mmap = run_mmap_scenario(smoke);
 
     let (be_pipeline_s, be_gain) = if pipeline_queries > 0 {
         bench_be_pipeline(pipeline_queries)
@@ -887,9 +753,7 @@ pub fn run(samples: usize, pipeline_queries: usize, packed_smoke: bool) -> Sampl
     SamplingBench {
         nodes: g.num_nodes(),
         edges: g.num_edges(),
-        samples,
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        kernels,
         packed,
         index,
         adaptive,
@@ -922,6 +786,27 @@ fn bench_be_pipeline(queries: usize) -> (f64, f64) {
 /// elapsed seconds. Minimum-of-N is the standard way to strip scheduler
 /// noise from single-machine microbenchmarks; both code paths get the
 /// same treatment.
+/// Time one closure, returning (result, seconds).
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let v = f();
+    (v, start.elapsed().as_secs_f64())
+}
+
+/// Process peak resident set (`VmHWM`) in bytes, or `None` off Linux.
+fn vm_hwm_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(
+        kb.trim()
+            .trim_end_matches("kB")
+            .trim()
+            .parse::<u64>()
+            .ok()?
+            * 1024,
+    )
+}
+
 pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let (mut out, mut best) = timed(&mut f);
     for _ in 1..reps.max(1) {
@@ -969,13 +854,8 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_sane_json() {
-        let bench = run(200, 0, true);
+        let bench = run(0, true);
         assert!(bench.edges >= 5_000);
-        assert_eq!(bench.kernels.len(), 4);
-        for c in &bench.kernels {
-            assert!(c.bit_identical, "{} estimates diverged", c.kernel);
-            assert!(c.dyn_s > 0.0 && c.csr_s > 0.0);
-        }
         assert_eq!(bench.packed.kernels.len(), 4);
         for c in &bench.packed.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
@@ -983,11 +863,17 @@ mod tests {
         }
         let json = bench.to_json();
         assert!(json.contains("\"geomean_speedup\""));
-        assert!(json.contains("st_reliability"));
         assert!(json.contains("\"packed\""));
         assert!(json.contains("mc_st"));
         assert!(json.contains("\"adaptive\""));
         assert!(json.contains("\"savings\""));
+    }
+
+    #[test]
+    fn peak_rss_is_positive_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(vm_hwm_bytes().is_some_and(|b| b > 1 << 20));
+        }
     }
 
     #[test]

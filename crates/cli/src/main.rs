@@ -37,6 +37,7 @@ mod opts;
 mod query;
 mod select;
 mod serve;
+mod table;
 mod update;
 
 /// JSON emission lives in the server crate so `relmax query` and

@@ -14,7 +14,7 @@
 use crate::graphio;
 use crate::jsonfmt;
 use crate::opts::{self, BudgetFlags, CliError, EstimatorKind, Format};
-use relmax_bench::table::Table;
+use crate::table::Table;
 use relmax_core::{QueryAnswer, QueryEngine};
 use relmax_gen::workload::{self, QuerySpec};
 use relmax_sampling::{

@@ -12,7 +12,7 @@ use crate::graphio;
 use crate::jsonfmt;
 use crate::opts::BudgetFlags;
 use crate::opts::{self, CliError, EstimatorKind, Format};
-use relmax_bench::table::Table;
+use crate::table::Table;
 use relmax_core::{AnySelector, EdgeSelector, Outcome, StQuery};
 use relmax_sampling::{Budget, Estimate, McEstimator, ParallelRuntime, RssEstimator};
 use relmax_ugraph::edgelist::EdgeListOptions;

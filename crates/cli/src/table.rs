@@ -1,5 +1,5 @@
-//! Minimal aligned-table printer for `repro` output (markdown-flavored so
-//! results paste straight into EXPERIMENTS.md).
+//! Minimal aligned-table printer for the `query` and `select` table
+//! output (markdown-flavored, so results paste straight into docs).
 
 /// A simple column-aligned table builder.
 pub struct Table {
@@ -58,22 +58,6 @@ impl Table {
     }
 }
 
-/// Format a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Format seconds with adaptive precision.
-pub fn secs(s: f64) -> String {
-    if s < 0.01 {
-        format!("{:.1} ms", s * 1e3)
-    } else if s < 10.0 {
-        format!("{s:.2} s")
-    } else {
-        format!("{s:.0} s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,14 +71,6 @@ mod tests {
         assert!(s.contains("| method    | gain |"));
         assert!(s.contains("| BE        | 0.33 |"));
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(secs(0.005), "5.0 ms");
-        assert_eq!(secs(1.5), "1.50 s");
-        assert_eq!(secs(120.0), "120 s");
     }
 
     #[test]

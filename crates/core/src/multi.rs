@@ -23,7 +23,7 @@ use crate::selector::EdgeSelector;
 use relmax_centrality::leading_eigen;
 use relmax_sampling::{Budget, Estimator};
 use relmax_ugraph::fxhash::FxHashSet;
-use relmax_ugraph::{AsCsr, CsrGraph, GraphView, NodeId, UncertainGraph};
+use relmax_ugraph::{AsCsr, CsrGraph, GraphView, NodeId};
 
 /// Aggregate function `F` over pair reliabilities (Problem 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,23 +183,23 @@ impl MultiSelector {
     /// End-to-end run: union search-space elimination, then selection,
     /// then aggregate evaluation on the full graph — everything under
     /// `budget`.
-    pub fn select_budgeted<E: Estimator>(
+    pub fn select_budgeted<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &MultiQuery,
         est: &E,
         budget: Budget,
     ) -> MultiOutcome {
         let csr = g.as_csr();
         let candidates = multi_candidates_budgeted(&*csr, query, est, budget);
-        self.select_on(g, &csr, query, &candidates, est, budget)
+        self.select_on(&csr, query, &candidates, est, budget)
     }
 
     /// [`MultiSelector::select_budgeted`] at the estimator's default
     /// budget (pre-`Budget` shim).
-    pub fn select<E: Estimator>(
+    pub fn select<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &MultiQuery,
         est: &E,
     ) -> MultiOutcome {
@@ -208,9 +208,9 @@ impl MultiSelector {
 
     /// Run with an explicit candidate set at the estimator's default
     /// budget (pre-`Budget` shim).
-    pub fn select_with_candidates<E: Estimator>(
+    pub fn select_with_candidates<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &MultiQuery,
         candidates: &[CandidateEdge],
         est: &E,
@@ -220,22 +220,20 @@ impl MultiSelector {
 
     /// Run with an explicit candidate set, spending `budget` per
     /// reliability estimate.
-    pub fn select_with_candidates_budgeted<E: Estimator>(
+    pub fn select_with_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
         &self,
-        g: &UncertainGraph,
+        g: &G,
         query: &MultiQuery,
         candidates: &[CandidateEdge],
         est: &E,
         budget: Budget,
     ) -> MultiOutcome {
-        self.select_on(g, &g.as_csr(), query, candidates, est, budget)
+        self.select_on(&g.as_csr(), query, candidates, est, budget)
     }
 
-    /// The selection proper, on `csr` = `g`'s snapshot; the Min/Max
-    /// refinement grows its own mutable copy of `g`.
+    /// The selection proper, on the snapshot `csr`.
     fn select_on<E: Estimator>(
         &self,
-        g: &UncertainGraph,
         csr: &CsrGraph,
         query: &MultiQuery,
         candidates: &[CandidateEdge],
@@ -245,8 +243,8 @@ impl MultiSelector {
         let added = match self.method {
             MultiMethod::BatchEdge => match query.aggregate {
                 Aggregate::Average => select_avg_batch(csr, query, candidates, est, budget),
-                Aggregate::Minimum => select_extremum(g, query, candidates, est, budget, true),
-                Aggregate::Maximum => select_extremum(g, query, candidates, est, budget, false),
+                Aggregate::Minimum => select_extremum(csr, query, candidates, est, budget, true),
+                Aggregate::Maximum => select_extremum(csr, query, candidates, est, budget, false),
             },
             MultiMethod::HillClimbing => select_hc_multi(csr, query, candidates, est, budget),
             MultiMethod::Eigen => {
@@ -494,18 +492,20 @@ fn select_avg_batch<E: Estimator>(
 /// §6.2 / §6.3: Min (or Max) aggregate via `k1`-batched refinement of the
 /// extremal pair.
 fn select_extremum<E: Estimator>(
-    g: &UncertainGraph,
+    csr: &CsrGraph,
     query: &MultiQuery,
     candidates: &[CandidateEdge],
     est: &E,
     budget: Budget,
     minimize: bool,
 ) -> Vec<CandidateEdge> {
-    let mut working = g.clone();
     let mut chosen: Vec<CandidateEdge> = Vec::new();
     let mut remaining: Vec<CandidateEdge> = candidates.to_vec();
     while chosen.len() < query.k && !remaining.is_empty() {
-        let snapshot = working.freeze();
+        // The base plus every edge chosen so far, as one snapshot: a view
+        // numbers its extra coins after the base's in insertion order,
+        // as adding the edges to a graph would.
+        let snapshot = CsrGraph::freeze(&GraphView::new(csr, chosen.clone()));
         let matrix = pairwise_values(est, &snapshot, query, budget);
         // Pairs in priority order (ascending reliability for Min,
         // descending for Max). If the extremal pair cannot be improved by
@@ -539,7 +539,6 @@ fn select_extremum<E: Estimator>(
                 continue;
             }
             for e in &out.added {
-                let _ = working.add_edge(e.src, e.dst, e.prob);
                 remaining.retain(|c| !(c.src == e.src && c.dst == e.dst));
                 chosen.push(*e);
             }
@@ -595,6 +594,7 @@ fn select_hc_multi<E: Estimator>(
 mod tests {
     use super::*;
     use relmax_sampling::McEstimator;
+    use relmax_ugraph::UncertainGraph;
 
     /// Two sources, two targets, one shared bottleneck node 4. The s0
     /// route is clearly strongest so the Max extremal pick is stable under

@@ -29,11 +29,11 @@
 //!   diagnostic (`ρ_Z = V_Z/R_Z < 0.001`) for picking `Z` per dataset.
 //! - [`packed`] — the lane-packed Monte Carlo kernel: 64 sampled worlds
 //!   per `u64` word, one branchless frontier fixpoint per block, folded
-//!   into the same integer hit counts as the scalar BFS (bit-identical;
-//!   `RELMAX_KERNEL=scalar` selects the scalar reference path).
-//! - [`legacy`] — the pre-CSR dynamic-dispatch Monte Carlo walker, kept
-//!   verbatim as the microbenchmark baseline and as the bit-identity
-//!   reference for the refactor.
+//!   into the same integer hit counts as the scalar BFS (bit-identical).
+//! - [`scalar`] — the reference kernel: one search per sampled world,
+//!   folded into every query shape's counts.
+//!   `RELMAX_KERNEL=scalar` selects it; [`Kernel`] is the one place
+//!   that chooses between the two kernels.
 //!
 //! ## Monomorphized hot path
 //!
@@ -70,19 +70,21 @@ pub mod batch;
 pub mod coins;
 pub mod convergence;
 pub mod exact;
-pub mod legacy;
+mod kernel;
 pub mod mc;
 pub mod packed;
 pub mod rss;
 pub mod runtime;
+pub mod scalar;
 
 pub use batch::{BatchEstimate, BatchQuery};
 pub use convergence::{
     converged_sample_size, dispersion_ratio, AdaptivePlan, Budget, Estimate, HopsEstimate,
 };
 pub use exact::ExactEstimator;
+pub use kernel::Kernel;
 pub use mc::McEstimator;
-pub use packed::{Kernel, WorldBlock};
+pub use packed::WorldBlock;
 pub use rss::RssEstimator;
 pub use runtime::ParallelRuntime;
 

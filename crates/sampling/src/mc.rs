@@ -1,14 +1,13 @@
 //! Monte Carlo reliability estimation with lazy world instantiation.
 
-use crate::coins::coin_raw;
-use crate::convergence::{drive_budget, worst_bernoulli_half_width, Budget, Estimate};
-use crate::packed::{self, Kernel};
+use crate::convergence::{
+    drive_budget, worst_bernoulli_half_width, Budget, Estimate, HopsEstimate,
+};
+use crate::kernel::Kernel;
 use crate::runtime::ParallelRuntime;
 use crate::Estimator;
 use relmax_ugraph::index::{PrunedGraph, RelIndex, StPlan, StVerdict};
-use relmax_ugraph::{
-    flip_threshold, with_scratch, with_scratch_pair, CoinId, ExtraEdge, NodeId, ProbGraph,
-};
+use relmax_ugraph::{ExtraEdge, NodeId, ProbGraph};
 use std::sync::Arc;
 
 /// Monte Carlo sampler (Fishman 1986), the paper's default estimator.
@@ -25,9 +24,11 @@ use std::sync::Arc;
 ///
 /// Worlds are evaluated by the lane-packed kernel by default — 64
 /// sampled worlds per `u64` word, one frontier fixpoint per block
-/// ([`crate::packed`]) — with the scalar one-world-at-a-time BFS kept as
-/// the bit-identical reference path (`RELMAX_KERNEL=scalar` or
-/// [`McEstimator::with_kernel`]).
+/// ([`crate::packed`]) — with the scalar one-world-at-a-time BFS
+/// ([`crate::scalar`]) kept as the bit-identical reference path
+/// (`RELMAX_KERNEL=scalar` or [`McEstimator::with_kernel`]). Every
+/// method asks its [`Kernel`] for integer counts and never matches on
+/// it.
 ///
 /// Sampling is sharded over a [`ParallelRuntime`]
 /// ([`McEstimator::with_threads`] / [`McEstimator::with_runtime`]).
@@ -172,51 +173,6 @@ impl McEstimator {
         }
     }
 
-    fn reach_counts<G: ProbGraph>(
-        &self,
-        g: &G,
-        start: NodeId,
-        reverse: bool,
-        lo: u64,
-        hi: u64,
-        counts: &mut [u64],
-    ) {
-        let n = g.num_nodes();
-        with_scratch(n, |scratch| {
-            // Fixed-capacity stack driven by an explicit length so arc
-            // admission is branchless: the slot write always happens, the
-            // length advances only for taken arcs. A node is pushed at most
-            // once per world and one node is always popped before its arcs
-            // are scanned, so `len < n` holds at every write.
-            scratch.stack.resize(n.max(1), start);
-            for sample in lo..hi {
-                scratch.begin_keep_stack(n);
-                scratch.visit(start);
-                scratch.stack[0] = start;
-                let mut len = 1usize;
-                while len > 0 {
-                    len -= 1;
-                    let v = scratch.stack[len];
-                    // Internal iteration: overlay `Chain`s split into two
-                    // tight loops instead of paying a state check per arc.
-                    let mut step = |(u, t, c): (NodeId, u64, u32)| {
-                        let take = scratch.take_if(u, coin_raw(self.seed, sample, c) < t);
-                        scratch.stack[len] = u;
-                        len += take as usize;
-                    };
-                    if reverse {
-                        g.in_flips(v).for_each(&mut step);
-                    } else {
-                        g.out_flips(v).for_each(&mut step);
-                    }
-                }
-                // Popped == visited, so one vectorized sweep replaces a
-                // random-order increment per node visit.
-                scratch.accumulate_visited(counts);
-            }
-        });
-    }
-
     /// Budgeted per-node reach estimation (forward or reverse): fixed
     /// budgets draw one batch of worlds; accuracy budgets extend the
     /// counts at power-of-two checkpoints until the widest per-node
@@ -229,22 +185,12 @@ impl McEstimator {
         budget: Budget,
     ) -> Vec<Estimate> {
         budget.assert_valid();
-        let n = g.num_nodes();
-        let mut counts = vec![0u64; n];
+        let mut counts = vec![0u64; g.num_nodes()];
         let extend = |lo: u64, hi: u64, counts: &mut Vec<u64>| {
             self.runtime.run_sample_range(
                 lo,
                 hi,
-                |l, h| {
-                    let mut local = vec![0u64; n];
-                    match self.kernel {
-                        Kernel::Packed => {
-                            packed::reach_counts(g, self.seed, start, reverse, l, h, &mut local)
-                        }
-                        Kernel::Scalar => self.reach_counts(g, start, reverse, l, h, &mut local),
-                    }
-                    local
-                },
+                |l, h| self.kernel.reach_counts(g, self.seed, start, reverse, l, h),
                 |local| {
                     for (c, l) in counts.iter_mut().zip(local) {
                         *c += l;
@@ -260,235 +206,6 @@ impl McEstimator {
             .into_iter()
             .map(|c| Estimate::from_hits(c, z, delta, stopped))
             .collect()
-    }
-
-    /// Shared-world candidate-scan counts for samples `lo..hi`.
-    ///
-    /// One sampled world serves **every** candidate: the kernel computes
-    /// the world's forward reach set from `s` and (only when `s` does not
-    /// already reach `t`) its reverse reach set to `t`, then decides each
-    /// candidate `(u, v)` with three array lookups. The decomposition is
-    /// exact — a simple `s-t` path through a single added edge `(u, v)`
-    /// splits into `s ⇝ u` and `v ⇝ t` segments in the base world — and
-    /// flips the same `(seed, sample, coin)` keys as a per-candidate
-    /// overlay BFS, so the counts are bit-identical to the naive scan.
-    fn scan_counts<G: ProbGraph>(
-        &self,
-        g: &G,
-        s: NodeId,
-        t: NodeId,
-        candidates: &[ExtraEdge],
-        lo: u64,
-        hi: u64,
-    ) -> Vec<u64> {
-        let n = g.num_nodes();
-        let thresholds: Vec<u64> = candidates.iter().map(|c| flip_threshold(c.prob)).collect();
-        // Each single-candidate overlay assigns its extra edge the same
-        // coin id: the first id past the base graph's coins.
-        let cand_coin = g.num_coins() as CoinId;
-        let directed = g.is_directed();
-        let mut counts = vec![0u64; candidates.len()];
-        with_scratch_pair(n, |fwd, rev| {
-            fwd.stack.resize(n.max(1), s);
-            rev.stack.resize(n.max(1), t);
-            for sample in lo..hi {
-                // Forward reach from s under this world's base coins
-                // (same branchless stack discipline as `reach_counts`).
-                fwd.begin_keep_stack(n);
-                fwd.visit(s);
-                fwd.stack[0] = s;
-                let mut len = 1usize;
-                while len > 0 {
-                    len -= 1;
-                    let v = fwd.stack[len];
-                    g.out_flips(v).for_each(|(u, th, c)| {
-                        let take = fwd.take_if(u, coin_raw(self.seed, sample, c) < th);
-                        fwd.stack[len] = u;
-                        len += take as usize;
-                    });
-                }
-                if fwd.visited(t) {
-                    // Already connected: every candidate overlay hits too.
-                    for c in counts.iter_mut() {
-                        *c += 1;
-                    }
-                    continue;
-                }
-                // Reverse reach to t in the same world (same coin keys).
-                rev.begin_keep_stack(n);
-                rev.visit(t);
-                rev.stack[0] = t;
-                let mut len = 1usize;
-                while len > 0 {
-                    len -= 1;
-                    let v = rev.stack[len];
-                    g.in_flips(v).for_each(|(u, th, c)| {
-                        let take = rev.take_if(u, coin_raw(self.seed, sample, c) < th);
-                        rev.stack[len] = u;
-                        len += take as usize;
-                    });
-                }
-                let raw = coin_raw(self.seed, sample, cand_coin);
-                for (i, cand) in candidates.iter().enumerate() {
-                    let mut bridges = fwd.visited(cand.src) & rev.visited(cand.dst);
-                    if !directed {
-                        bridges |= fwd.visited(cand.dst) & rev.visited(cand.src);
-                    }
-                    counts[i] += (bridges & (raw < thresholds[i])) as u64;
-                }
-            }
-        });
-        counts
-    }
-
-    fn st_hits<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId, lo: u64, hi: u64) -> u64 {
-        let n = g.num_nodes();
-        let mut hits = 0u64;
-        with_scratch(n, |scratch| {
-            // Same branchless stack discipline as `reach_counts`; the
-            // early exit moves to the node boundary (checking whether `t`
-            // was marked), which flips the same coins and reaches the same
-            // verdict as an arc-level exit.
-            scratch.stack.resize(n.max(1), s);
-            for sample in lo..hi {
-                scratch.begin_keep_stack(n);
-                scratch.visit(s);
-                scratch.stack[0] = s;
-                let mut len = 1usize;
-                while len > 0 {
-                    len -= 1;
-                    let v = scratch.stack[len];
-                    g.out_flips(v).for_each(|(u, th, c)| {
-                        let take = scratch.take_if(u, coin_raw(self.seed, sample, c) < th);
-                        scratch.stack[len] = u;
-                        len += take as usize;
-                    });
-                    if scratch.visited(t) {
-                        hits += 1;
-                        break;
-                    }
-                }
-            }
-        });
-        hits
-    }
-
-    /// Scalar reference for the hop-bounded / set kernels: one strictly
-    /// level-synchronous multi-source BFS per sampled world, flipping the
-    /// same stateless `(seed, sample, coin)` keys as the packed
-    /// [`packed::set_counts`] — the per-world verdict and first-arrival
-    /// depth are pure functions of those coins, so the two kernels fold
-    /// into bit-identical `(hits, hop_sum)` integers.
-    fn set_moments<G: ProbGraph>(
-        &self,
-        g: &G,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        max_hops: Option<u32>,
-        lo: u64,
-        hi: u64,
-    ) -> (u64, u64) {
-        let n = g.num_nodes();
-        let cap = max_hops.unwrap_or(u32::MAX);
-        let mut is_target = vec![false; n];
-        for &t in targets {
-            is_target[t.index()] = true;
-        }
-        if sources.iter().any(|&s| is_target[s.index()]) {
-            // Source ∩ target: a 0-hop hit in every world.
-            return (hi - lo, 0);
-        }
-        let mut hits = 0u64;
-        let mut hop_sum = 0u64;
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for sample in lo..hi {
-            dist.fill(u32::MAX);
-            queue.clear();
-            for &s in sources {
-                if dist[s.index()] == u32::MAX {
-                    dist[s.index()] = 0;
-                    queue.push_back(s);
-                }
-            }
-            let mut arrival: Option<u32> = None;
-            while arrival.is_none() {
-                let Some(v) = queue.pop_front() else { break };
-                let dv = dist[v.index()];
-                if dv >= cap {
-                    break; // BFS order: everything left is at depth ≥ cap
-                }
-                g.out_flips(v).for_each(|(u, th, c)| {
-                    if dist[u.index()] == u32::MAX && coin_raw(self.seed, sample, c) < th {
-                        dist[u.index()] = dv + 1;
-                        if is_target[u.index()] && arrival.is_none() {
-                            arrival = Some(dv + 1);
-                        }
-                        queue.push_back(u);
-                    }
-                });
-            }
-            if let Some(d) = arrival {
-                hits += 1;
-                hop_sum += d as u64;
-            }
-        }
-        (hits, hop_sum)
-    }
-
-    /// Shared-world pairwise counts for `lo..hi`: each sample instantiates
-    /// its world's coins at most once across all sources (memoized flips),
-    /// so every row is evaluated on literally the same world.
-    fn pairwise_counts<G: ProbGraph>(
-        &self,
-        g: &G,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        lo: u64,
-        hi: u64,
-    ) -> Vec<Vec<u64>> {
-        let n = g.num_nodes();
-        let m = g.num_coins();
-        let mut counts = vec![vec![0u64; targets.len()]; sources.len()];
-        // Per-sample coin memo, epoch-stamped like the visited array.
-        let mut coin_mark = vec![0u32; m];
-        let mut coin_val = vec![false; m];
-        let mut coin_epoch = 0u32;
-        with_scratch(n, |scratch| {
-            for sample in lo..hi {
-                coin_epoch += 1;
-                for (si, &s) in sources.iter().enumerate() {
-                    scratch.begin(n);
-                    scratch.visit(s);
-                    scratch.stack.push(s);
-                    while let Some(v) = scratch.stack.pop() {
-                        g.out_flips(v).for_each(|(u, t, c)| {
-                            if scratch.visited(u) {
-                                return;
-                            }
-                            let present = if coin_mark[c as usize] == coin_epoch {
-                                coin_val[c as usize]
-                            } else {
-                                let flip = coin_raw(self.seed, sample, c) < t;
-                                coin_mark[c as usize] = coin_epoch;
-                                coin_val[c as usize] = flip;
-                                flip
-                            };
-                            if present {
-                                scratch.visit(u);
-                                scratch.stack.push(u);
-                            }
-                        });
-                    }
-                    for (ti, &t) in targets.iter().enumerate() {
-                        if scratch.visited(t) {
-                            counts[si][ti] += 1;
-                        }
-                    }
-                }
-            }
-        });
-        counts
     }
 }
 
@@ -671,7 +388,10 @@ impl Estimator for McEstimator {
         if self.all_pairs_impossible(g, &[s], &[t]) {
             return Some(Self::impossible_estimate());
         }
-        Some(self.set_sampled(g, &[s], &[t], Some(max_hops), budget).0)
+        Some(
+            self.set_sampled(g, &[s], &[t], Some(max_hops), budget)
+                .reliability,
+        )
     }
 
     fn set_estimate<G: ProbGraph>(
@@ -692,7 +412,10 @@ impl Estimator for McEstimator {
         if self.all_pairs_impossible(g, sources, targets) {
             return Some(Self::impossible_estimate());
         }
-        Some(self.set_sampled(g, sources, targets, max_hops, budget).0)
+        Some(
+            self.set_sampled(g, sources, targets, max_hops, budget)
+                .reliability,
+        )
     }
 
     fn expected_hops_estimate<G: ProbGraph>(
@@ -701,38 +424,15 @@ impl Estimator for McEstimator {
         s: NodeId,
         t: NodeId,
         budget: Budget,
-    ) -> Option<crate::convergence::HopsEstimate> {
+    ) -> Option<HopsEstimate> {
         budget.assert_valid();
         if s == t {
-            return Some(crate::convergence::HopsEstimate::exact(Estimate::exact(
-                1.0,
-            )));
+            return Some(HopsEstimate::exact(Estimate::exact(1.0)));
         }
         if self.all_pairs_impossible(g, &[s], &[t]) {
-            return Some(crate::convergence::HopsEstimate::exact(
-                Self::impossible_estimate(),
-            ));
+            return Some(HopsEstimate::exact(Self::impossible_estimate()));
         }
-        let mut hits = 0u64;
-        let mut hop_sum = 0u64;
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| match self.kernel {
-                    Kernel::Packed => packed::st_hop_moments(g, self.seed, s, t, None, l, h),
-                    Kernel::Scalar => self.set_moments(g, &[s], &[t], None, l, h),
-                },
-                |(h, d)| {
-                    hits += h;
-                    hop_sum += d;
-                },
-            );
-            worst_bernoulli_half_width([hits], hi, delta)
-        });
-        Some(crate::convergence::HopsEstimate::from_moments(
-            hits, hop_sum, z, delta, stopped,
-        ))
+        Some(self.set_sampled(g, &[s], &[t], None, budget))
     }
 }
 
@@ -748,10 +448,7 @@ impl McEstimator {
             self.runtime.run_sample_range(
                 lo,
                 hi,
-                |l, h| match self.kernel {
-                    Kernel::Packed => packed::st_hits(g, self.seed, s, t, l, h),
-                    Kernel::Scalar => self.st_hits(g, s, t, l, h),
-                },
+                |l, h| self.kernel.st_hits(g, self.seed, s, t, l, h),
                 |h| hits += h,
             );
             worst_bernoulli_half_width([hits], hi, delta)
@@ -761,8 +458,8 @@ impl McEstimator {
 
     /// Budgeted set-reliability / hop-moment sampling: the shared body
     /// behind [`Estimator::st_within_estimate`], [`Estimator::set_estimate`],
-    /// and [`Estimator::expected_hops_estimate`]. Returns the reliability
-    /// estimate plus the integer hop-distance sum over hitting worlds.
+    /// and [`Estimator::expected_hops_estimate`]: the reliability estimate
+    /// plus the integer hop-distance sum over hitting worlds.
     fn set_sampled<G: ProbGraph>(
         &self,
         g: &G,
@@ -770,18 +467,16 @@ impl McEstimator {
         targets: &[NodeId],
         max_hops: Option<u32>,
         budget: Budget,
-    ) -> (Estimate, u64) {
+    ) -> HopsEstimate {
         let mut hits = 0u64;
         let mut hop_sum = 0u64;
         let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
             self.runtime.run_sample_range(
                 lo,
                 hi,
-                |l, h| match self.kernel {
-                    Kernel::Packed => {
-                        packed::set_counts(g, self.seed, sources, targets, max_hops, l, h)
-                    }
-                    Kernel::Scalar => self.set_moments(g, sources, targets, max_hops, l, h),
+                |l, h| {
+                    self.kernel
+                        .set_counts(g, self.seed, sources, targets, max_hops, l, h)
                 },
                 |(h, d)| {
                     hits += h;
@@ -790,7 +485,7 @@ impl McEstimator {
             );
             worst_bernoulli_half_width([hits], hi, delta)
         });
-        (Estimate::from_hits(hits, z, delta, stopped), hop_sum)
+        HopsEstimate::from_moments(hits, hop_sum, z, delta, stopped)
     }
 
     /// Whether the attached index proves every `(s, t)` pair of the query
@@ -827,9 +522,9 @@ impl McEstimator {
             self.runtime.run_sample_range(
                 lo,
                 hi,
-                |l, h| match self.kernel {
-                    Kernel::Packed => packed::pairwise_counts(g, self.seed, sources, targets, l, h),
-                    Kernel::Scalar => self.pairwise_counts(g, sources, targets, l, h),
+                |l, h| {
+                    self.kernel
+                        .pairwise_counts(g, self.seed, sources, targets, l, h)
                 },
                 |local| {
                     for (row, lrow) in counts.iter_mut().zip(local) {
@@ -893,11 +588,9 @@ impl McEstimator {
                 groups.len(),
                 lo,
                 hi,
-                |gi, l, h| match self.kernel {
-                    Kernel::Packed => {
-                        packed::pairwise_counts(g, self.seed, &gsrc[gi], &gtgt[gi], l, h)
-                    }
-                    Kernel::Scalar => self.pairwise_counts(g, &gsrc[gi], &gtgt[gi], l, h),
+                |gi, l, h| {
+                    self.kernel
+                        .pairwise_counts(g, self.seed, &gsrc[gi], &gtgt[gi], l, h)
                 },
                 |gi, local| {
                     let (si, ti) = &groups[gi];
@@ -936,13 +629,9 @@ impl McEstimator {
             self.runtime.run_sample_range(
                 lo,
                 hi,
-                |l, h| match self.kernel {
-                    Kernel::Packed => {
-                        let mut local = vec![0u64; candidates.len()];
-                        packed::scan_counts(g, self.seed, s, t, candidates, l..h, &mut local);
-                        local
-                    }
-                    Kernel::Scalar => self.scan_counts(g, s, t, candidates, l, h),
+                |l, h| {
+                    self.kernel
+                        .scan_counts(g, self.seed, s, t, candidates, l, h)
                 },
                 |local| {
                     for (c, l) in counts.iter_mut().zip(local) {

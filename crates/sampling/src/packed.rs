@@ -1,7 +1,7 @@
 //! Lane-packed world sampling: 64 Monte Carlo worlds per machine word.
 //!
-//! The scalar kernels in [`crate::mc`] explore one possible world at a
-//! time: one BFS per sample, one coin flip per arc visit. This module
+//! The scalar reference kernel ([`crate::scalar`]) explores one possible
+//! world at a time: one BFS per sample, one coin flip per arc visit. This module
 //! packs **64 sampled worlds into the bit lanes of a `u64`** and runs one
 //! branchless frontier fixpoint per block of worlds instead:
 //!
@@ -28,7 +28,8 @@
 //!
 //! The scalar path stays available as the reference implementation:
 //! select it with the `RELMAX_KERNEL=scalar` environment variable or
-//! [`McEstimator::with_kernel`](crate::McEstimator::with_kernel). The
+//! [`McEstimator::with_kernel`](crate::McEstimator::with_kernel);
+//! [`crate::Kernel`] dispatches between the two. The
 //! equivalence suite in `tests/determinism.rs` runs both and asserts
 //! bit-identity across graph shapes, tail blocks, and thread counts.
 //!
@@ -64,7 +65,6 @@
 use crate::coins::{splitmix64, SAMPLE_MUL};
 use relmax_ugraph::{CoinId, ExtraEdge, NodeId, ProbGraph};
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Worlds per block: the bit width of the lane word.
 pub const LANES: usize = 64;
@@ -780,8 +780,8 @@ fn levels_round<const SPARSE: bool, G: ProbGraph>(
 /// unbounded), and `depth_sum` accumulates the per-world first-arrival
 /// hop distance over exactly those worlds (0 when a node is both source
 /// and target). Both are plain integer sums over lanes, so shard and
-/// block boundaries cannot change them — bit-identical to the scalar
-/// level-synchronous reference in `mc.rs` at any thread count.
+/// block boundaries cannot change them — bit-identical to
+/// [`crate::scalar::set_counts`] at any thread count.
 pub fn set_counts<G: ProbGraph>(
     g: &G,
     seed: u64,
@@ -811,35 +811,6 @@ pub fn set_counts<G: ProbGraph>(
         });
     });
     (hits, depth_sum)
-}
-
-/// Packed hop-bounded `s-t` hit count for `lo..hi`: worlds in which `t`
-/// is reachable from `s` along at most `max_hops` arcs.
-pub fn st_hits_within<G: ProbGraph>(
-    g: &G,
-    seed: u64,
-    s: NodeId,
-    t: NodeId,
-    max_hops: u32,
-    lo: u64,
-    hi: u64,
-) -> u64 {
-    set_counts(g, seed, &[s], &[t], Some(max_hops), lo, hi).0
-}
-
-/// Packed `s-t` hop moments for `lo..hi`: `(hits, depth_sum)` where
-/// `depth_sum` adds each reachable world's shortest hop distance —
-/// the sampled ingredients of the expected reliable hop distance.
-pub fn st_hop_moments<G: ProbGraph>(
-    g: &G,
-    seed: u64,
-    s: NodeId,
-    t: NodeId,
-    max_hops: Option<u32>,
-    lo: u64,
-    hi: u64,
-) -> (u64, u64) {
-    set_counts(g, seed, &[s], &[t], max_hops, lo, hi)
 }
 
 /// Packed `s-t` hit count for the absolute sample range `lo..hi`:
@@ -974,9 +945,8 @@ pub fn scan_counts<G: ProbGraph>(
 }
 
 /// Packed pairwise counts for `lo..hi`: each block instantiates a coin's
-/// lane verdicts at most once **across all sources** (the lane analogue
-/// of the scalar kernel's per-world coin memo), then every source runs
-/// its own fixpoint against the shared verdicts.
+/// lane verdicts at most once **across all sources**, then every source
+/// runs its own fixpoint against the shared verdicts.
 pub fn pairwise_counts<G: ProbGraph>(
     g: &G,
     seed: u64,
@@ -993,8 +963,7 @@ pub fn pairwise_counts<G: ProbGraph>(
             for block in WorldBlock::span(lo, hi) {
                 // One coin epoch per block, shared by every source's
                 // fixpoint: each coin's 64 lanes are hashed at most once
-                // across all sources, like the scalar kernel's per-world
-                // coin memo.
+                // across all sources.
                 memo.begin(m);
                 for (si, &s) in sources.iter().enumerate() {
                     ls.begin_block(n);
@@ -1008,39 +977,6 @@ pub fn pairwise_counts<G: ProbGraph>(
         });
     });
     counts
-}
-
-/// Which Monte Carlo kernel an estimator runs.
-///
-/// Both kernels produce **bit-identical** estimates — [`Kernel::Packed`]
-/// is the default because it is several times faster; the scalar kernel
-/// is kept as the always-correct reference path for tests and
-/// cross-checks. The process default honours the `RELMAX_KERNEL`
-/// environment variable (`scalar` selects the reference path, anything
-/// else the packed one), read once and cached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Lane-packed kernel: 64 worlds per `u64` word (this module).
-    #[default]
-    Packed,
-    /// Reference kernel: one world at a time, one BFS per sample.
-    Scalar,
-}
-
-/// Cached `RELMAX_KERNEL` parse.
-static ENV_KERNEL: OnceLock<Kernel> = OnceLock::new();
-
-impl Kernel {
-    /// The process-wide default: `RELMAX_KERNEL=scalar` selects
-    /// [`Kernel::Scalar`], anything else (or unset) [`Kernel::Packed`].
-    /// Read once per process and cached; tests that need both paths in
-    /// one process use `McEstimator::with_kernel` instead.
-    pub fn auto() -> Kernel {
-        *ENV_KERNEL.get_or_init(|| match std::env::var("RELMAX_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => Kernel::Scalar,
-            _ => Kernel::Packed,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1228,11 +1164,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_default_is_packed() {
-        assert_eq!(Kernel::default(), Kernel::Packed);
-    }
-
     /// Per-world multi-source level-synchronous BFS over stateless coins:
     /// the obviously-correct reference for the hop-bounded lane kernel.
     fn world_set_moments(
@@ -1310,11 +1241,8 @@ mod tests {
         for max_hops in [Some(0), Some(1), Some(2), Some(3), None] {
             for (lo, hi) in [(0u64, 64u64), (0, 130), (64, 131), (7, 20)] {
                 let want = world_set_moments(&g, 13, &[s], &[t], max_hops, lo, hi);
-                let got = st_hop_moments(&g, 13, s, t, max_hops, lo, hi);
+                let got = set_counts(&g, 13, &[s], &[t], max_hops, lo, hi);
                 assert_eq!(got, want, "max_hops={max_hops:?} range {lo}..{hi}");
-                if let Some(h) = max_hops {
-                    assert_eq!(st_hits_within(&g, 13, s, t, h, lo, hi), want.0);
-                }
             }
         }
     }

@@ -194,15 +194,15 @@ impl CsrGraph {
     /// through [`UncertainGraph::add_edge`] — so for such graphs the
     /// thawed graph is *exactly* the original: same coin ids, same
     /// per-node adjacency order, and therefore bit-identical estimates.
-    /// `freeze(thaw(csr)) == csr` holds exactly when no coin is retired.
-    /// A retired coin (an edge deleted or re-probed before the freeze, or
-    /// through a [`crate::DeltaOverlay`] before `compact`) keeps its table
-    /// entry without arcs, so thawing brings a deleted edge back, and a
-    /// re-probed pair (old and fresh coin) fails as a duplicate. Read such
-    /// snapshots directly; selection does (see [`AsCsr`]).
+    /// `freeze(thaw(csr)) == csr` holds for every snapshot it accepts.
     ///
-    /// Fails if the coin table cannot form a valid graph (duplicate
-    /// ordered pairs or self-loops).
+    /// A retired coin (an edge deleted or re-probed through a
+    /// [`crate::DeltaOverlay`] before `compact`) keeps its table entry
+    /// without arcs, and no `UncertainGraph` can keep a coin id without
+    /// its edge, so such snapshots fail with
+    /// [`crate::GraphError::RetiredCoin`]. Read them directly; selection
+    /// does (see [`AsCsr`]). Also fails if the coin table cannot form a
+    /// valid graph (duplicate ordered pairs or self-loops).
     ///
     /// ```
     /// use relmax_ugraph::{NodeId, UncertainGraph};
@@ -217,6 +217,13 @@ impl CsrGraph {
     /// ```
     pub fn thaw(&self) -> Result<UncertainGraph, crate::GraphError> {
         let m = self.coin_prob.len();
+        let mut live = vec![false; m];
+        for &c in self.out_coin.iter() {
+            live[c as usize] = true;
+        }
+        if let Some(coin) = live.iter().position(|&l| !l) {
+            return Err(crate::GraphError::RetiredCoin { coin: coin as u32 });
+        }
         let mut g = UncertainGraph::with_capacity(self.num_nodes, self.directed, m);
         for c in 0..m {
             g.add_edge(

@@ -37,6 +37,13 @@ pub enum GraphError {
         /// Destination node index.
         dst: u32,
     },
+    /// A snapshot holds a retired coin (an edge deleted or re-probed
+    /// after the base freeze): its table entry has no arcs, so it has no
+    /// live edge to thaw into.
+    RetiredCoin {
+        /// The retired coin id.
+        coin: u32,
+    },
     /// The graph is too large for an exact algorithm.
     TooLargeForExact {
         /// Number of undetermined edges.
@@ -65,6 +72,11 @@ impl fmt::Display for GraphError {
             GraphError::MissingEdge { src, dst } => {
                 write!(f, "edge ({src} -> {dst}) does not exist")
             }
+            GraphError::RetiredCoin { coin } => write!(
+                f,
+                "coin {coin} is retired (its edge was deleted or re-probed); \
+                 a snapshot with retired coins cannot be thawed"
+            ),
             GraphError::TooLargeForExact { edges, max } => {
                 write!(
                     f,

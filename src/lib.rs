@@ -49,8 +49,9 @@
 //! once into a [`ugraph::CsrGraph`] and evaluate candidate edge sets as
 //! [`ugraph::GraphView`] overlays on the snapshot. Coin ids survive
 //! freezing, so a fixed seed produces bit-identical estimates on either
-//! storage layout — see `BENCH_sampling.json` for the measured speedup
-//! of the CSR walk over the legacy dyn-closure walk.
+//! storage layout, and the lane-packed kernel returns the same bits as
+//! the scalar per-world BFS reference — see `BENCH_sampling.json` for
+//! the measured speedup of one over the other.
 //!
 //! ## Quickstart
 //!

@@ -11,7 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relmax::paths::{improve_most_reliable_path, most_reliable_path, top_l_reliable_paths};
 use relmax::prelude::*;
-use relmax::sampling::legacy::DynMcEstimator;
+use relmax::sampling::coins::{coin_raw, flip_threshold};
+use relmax::sampling::{packed, scalar};
 use relmax::ugraph::exact::{st_reliability, ConditioningBudget};
 use relmax::ugraph::PossibleWorld;
 use std::sync::Arc;
@@ -33,6 +34,24 @@ fn small_graph(rng: &mut StdRng, directed: bool) -> UncertainGraph {
 
 fn endpoints(g: &UncertainGraph) -> (NodeId, NodeId) {
     (NodeId(0), NodeId(g.num_nodes() as u32 - 1))
+}
+
+/// The sampled worlds `0..z` of `g` under `seed`, built without the
+/// sampling kernels: world `i` keeps coin `c` iff
+/// `coin_raw(seed, i, c) < flip_threshold(p_c)`.
+fn oracle_worlds(g: &UncertainGraph, seed: u64, z: u64) -> Vec<PossibleWorld> {
+    let m = g.num_coins();
+    let thresholds: Vec<u64> = (0..m as u32)
+        .map(|c| flip_threshold(g.coin_prob(c)))
+        .collect();
+    (0..z)
+        .map(|i| {
+            let mask = (0..m)
+                .filter(|&c| coin_raw(seed, i, c as u32) < thresholds[c])
+                .fold(0u64, |mask, c| mask | 1 << c);
+            PossibleWorld::from_mask(m, mask)
+        })
+        .collect()
 }
 
 #[test]
@@ -92,9 +111,10 @@ fn mrp_probability_lower_bounds_reliability() {
 /// Satellite property (a): for any graph and seed, MC and RSS answers
 /// served by the [`QueryEngine`] over the frozen CSR snapshot are
 /// bit-identical (full `Estimate`, effort fields included) to the
-/// budgeted adjacency-walk estimates — and MC additionally matches the
-/// preserved pre-refactor dyn-dispatch implementation. The engines carry
-/// no index so nothing short-circuits.
+/// budgeted adjacency-walk estimates — and the scalar and packed `s-t`
+/// hit counts and reach vectors, on the graph and on its snapshot, equal
+/// an oracle that shares no code with the sampling kernels. The engines carry no index
+/// so nothing short-circuits.
 #[test]
 fn engine_estimates_bit_identical_to_adjacency_walk() {
     let mut rng = StdRng::seed_from_u64(103);
@@ -125,12 +145,46 @@ fn engine_estimates_bit_identical_to_adjacency_walk() {
             "MC to trial {trial}"
         );
 
-        let legacy = DynMcEstimator::new(800, seed);
+        // Kernel counts against worlds that share no sampling code,
+        // walked by `PossibleWorld::reaches`.
+        let worlds = oracle_worlds(&g, seed, 800);
+        let hits = |u: NodeId, v: NodeId| worlds.iter().filter(|w| w.reaches(&g, u, v)).count();
+        let want = hits(s, t) as u64;
+        let st_hits = [
+            scalar::st_hits(&g, seed, s, t, 0, 800),
+            scalar::st_hits(&*csr, seed, s, t, 0, 800),
+            scalar::set_counts(&g, seed, &[s], &[t], None, 0, 800).0,
+            scalar::set_counts(&*csr, seed, &[s], &[t], None, 0, 800).0,
+            packed::st_hits(&g, seed, s, t, 0, 800),
+            packed::st_hits(&*csr, seed, s, t, 0, 800),
+        ];
+        assert_eq!(st_hits, [want; 6], "oracle vs kernels trial {trial}");
         assert_eq!(
-            legacy.st_reliability(&g, s, t),
             st.scalar().unwrap().value,
-            "legacy vs engine trial {trial}"
+            want as f64 / 800.0,
+            "oracle vs engine trial {trial}"
         );
+        let nodes = || (0..g.num_nodes() as u32).map(NodeId);
+        for (reverse, want) in [
+            (
+                false,
+                nodes().map(|v| hits(s, v) as u64).collect::<Vec<_>>(),
+            ),
+            (true, nodes().map(|v| hits(v, t) as u64).collect()),
+        ] {
+            let start = if reverse { t } else { s };
+            let mut counts = vec![vec![0u64; g.num_nodes()]; 4];
+            scalar::reach_counts(&g, seed, start, reverse, 0, 800, &mut counts[0]);
+            scalar::reach_counts(&*csr, seed, start, reverse, 0, 800, &mut counts[1]);
+            packed::reach_counts(&g, seed, start, reverse, 0, 800, &mut counts[2]);
+            packed::reach_counts(&*csr, seed, start, reverse, 0, 800, &mut counts[3]);
+            for c in counts {
+                assert_eq!(
+                    c, want,
+                    "oracle vs reach counts (reverse {reverse}) trial {trial}"
+                );
+            }
+        }
 
         let rss_budget = Budget::fixed(400);
         let rss = RssEstimator::with_budget(rss_budget, seed);
