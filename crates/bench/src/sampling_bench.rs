@@ -852,51 +852,37 @@ pub(crate) fn pick_far_pair(g: &UncertainGraph) -> (NodeId, NodeId) {
 mod tests {
     use super::*;
 
+    /// One smoke run computes every scenario once; each scenario's
+    /// assertions read its result off that run.
     #[test]
     fn smoke_run_produces_sane_json() {
         let bench = run(0, true);
         assert!(bench.edges >= 5_000);
-        assert_eq!(bench.packed.kernels.len(), 4);
-        for c in &bench.packed.kernels {
-            assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
-            assert!(c.scalar_s > 0.0 && c.packed_s > 0.0);
-        }
         let json = bench.to_json();
         assert!(json.contains("\"geomean_speedup\""));
         assert!(json.contains("\"packed\""));
         assert!(json.contains("mc_st"));
         assert!(json.contains("\"adaptive\""));
         assert!(json.contains("\"savings\""));
-    }
 
-    #[test]
-    fn peak_rss_is_positive_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(vm_hwm_bytes().is_some_and(|b| b > 1 << 20));
-        }
-    }
-
-    #[test]
-    fn packed_scenario_is_bit_identical_at_smoke_scale() {
-        let scenario = run_packed_scenario(true);
-        assert_eq!(scenario.kernels.len(), 4);
-        for c in &scenario.kernels {
+        // Packed scenario: bit-identical to the scalar kernel.
+        assert_eq!(bench.packed.kernels.len(), 4);
+        for c in &bench.packed.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
+            assert!(c.scalar_s > 0.0 && c.packed_s > 0.0);
         }
-    }
 
-    #[test]
-    fn index_scenario_is_value_identical_at_smoke_scale() {
-        let scenario = run_index_scenario(true);
-        assert_eq!(scenario.workloads.len(), 2);
-        for c in &scenario.workloads {
+        // Index scenario: value-identical to unindexed sampling.
+        let index = &bench.index;
+        assert_eq!(index.workloads.len(), 2);
+        for c in &index.workloads {
             assert!(c.bit_identical, "index {} values diverged", c.workload);
             assert!(c.unindexed_s > 0.0 && c.indexed_s > 0.0);
         }
-        let connected = &scenario.workloads[0];
+        let connected = &index.workloads[0];
         assert_eq!(connected.components, 1);
         assert_eq!(connected.supernodes, connected.nodes); // nothing certain
-        let partitioned = &scenario.workloads[1];
+        let partitioned = &index.workloads[1];
         assert_eq!(partitioned.components, 8);
         assert!(
             partitioned.supernodes < partitioned.nodes,
@@ -904,26 +890,32 @@ mod tests {
             partitioned.supernodes,
             partitioned.nodes
         );
-    }
 
-    #[test]
-    fn adaptive_scenario_saves_samples_and_stays_deterministic() {
-        let g = bench_graph(2_000, 2_500);
-        let csr = CsrGraph::freeze(&g);
-        let scenario = run_adaptive_scenario(&g, &csr, 0.02, 0.05, 16_384);
-        assert!(!scenario.queries.is_empty());
-        assert!(scenario.bit_identical_across_threads);
+        // Adaptive scenario (2k-node graph, cap 16,384, ±0.02): saves
+        // samples and stays deterministic across thread counts.
+        let adaptive = &bench.adaptive;
+        assert_eq!(bench.nodes, 2_000);
+        assert_eq!((adaptive.eps, adaptive.max_samples), (0.02, 16_384));
+        assert!(!adaptive.queries.is_empty());
+        assert!(adaptive.bit_identical_across_threads);
         // At least one query must beat the fixed budget — the accuracy
         // budget's whole reason to exist.
         assert!(
-            scenario.stopped_early() >= 1,
-            "no query stopped early: {scenario:?}"
+            adaptive.stopped_early() >= 1,
+            "no query stopped early: {adaptive:?}"
         );
-        assert!(scenario.adaptive_total < scenario.fixed_total);
-        for q in &scenario.queries {
+        assert!(adaptive.adaptive_total < adaptive.fixed_total);
+        for q in &adaptive.queries {
             if q.stopped_early {
-                assert!(q.half_width <= 0.02 + 1e-12, "{q:?}");
+                assert!(q.half_width <= adaptive.eps + 1e-12, "{q:?}");
             }
+        }
+    }
+
+    #[test]
+    fn peak_rss_is_positive_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(vm_hwm_bytes().is_some_and(|b| b > 1 << 20));
         }
     }
 

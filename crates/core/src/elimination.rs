@@ -94,7 +94,7 @@ impl SearchSpaceElimination {
     }
 }
 
-fn top_r(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
+pub(crate) fn top_r(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
     let mut order: Vec<u32> = (0..scores.len() as u32)
         .filter(|&v| scores[v as usize] > 0.0 || v == always.0)
         .collect();

@@ -278,17 +278,8 @@ impl<E: Estimator> QueryEngine<E> {
         }
         match idx.st_verdict(s, t) {
             StVerdict::Certain => Some(Estimate::exact(1.0)),
-            // Mirrors the estimator's impossible short-circuit exactly:
-            // structurally 0.0, zero worlds, stopped before its budget in
-            // the strongest sense.
-            StVerdict::Impossible => Some(Estimate {
-                value: 0.0,
-                stderr: 0.0,
-                ci_low: 0.0,
-                ci_high: 0.0,
-                samples_used: 0,
-                stopped_early: true,
-            }),
+            // Mirrors the estimator's impossible short-circuit exactly.
+            StVerdict::Impossible => Some(Estimate::impossible()),
             StVerdict::Sample => None,
         }
     }

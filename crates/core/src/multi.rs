@@ -17,6 +17,7 @@
 use crate::baselines::esssp::select_esssp;
 use crate::baselines::ima::select_ima;
 use crate::candidates::{CandidateEdge, CandidateSpace};
+use crate::elimination::top_r;
 use crate::path_selection::{build_subgraph, labeled_paths, BatchEdgeSelector, LabeledPath};
 use crate::query::StQuery;
 use crate::selector::EdgeSelector;
@@ -323,7 +324,7 @@ pub fn multi_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
     let mut seen_s: FxHashSet<u32> = FxHashSet::default();
     for &s in &query.sources {
         let from = values(est.from_estimates(&*csr, s, budget));
-        for v in top_r_nodes(&from, query.r, s) {
+        for v in top_r(&from, query.r, s) {
             if seen_s.insert(v.0) {
                 cs.push(v);
             }
@@ -333,7 +334,7 @@ pub fn multi_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
     let mut seen_t: FxHashSet<u32> = FxHashSet::default();
     for &t in &query.targets {
         let to = values(est.to_estimates(&*csr, t, budget));
-        for v in top_r_nodes(&to, query.r, t) {
+        for v in top_r(&to, query.r, t) {
             if seen_t.insert(v.0) {
                 ct.push(v);
             }
@@ -350,27 +351,6 @@ pub fn multi_candidates<G: AsCsr + ?Sized, E: Estimator>(
     est: &E,
 ) -> Vec<CandidateEdge> {
     multi_candidates_budgeted(g, query, est, est.default_budget())
-}
-
-fn top_r_nodes(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
-    let mut order: Vec<u32> = (0..scores.len() as u32)
-        .filter(|&v| scores[v as usize] > 0.0 || v == always.0)
-        .collect();
-    order.sort_by(|&a, &b| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .expect("never NaN")
-            .then_with(|| a.cmp(&b))
-    });
-    order.truncate(r);
-    let mut out: Vec<NodeId> = order.into_iter().map(NodeId).collect();
-    if !out.contains(&always) {
-        if out.len() == r {
-            out.pop();
-        }
-        out.push(always);
-    }
-    out
 }
 
 /// §6.1: Average aggregate via one global path-batch selection.

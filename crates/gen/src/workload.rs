@@ -27,8 +27,7 @@
 //! full distance distribution) — the consumer applies it when mapping
 //! specs onto engine queries, and an explicit CLI `--max-hops` overrides
 //! it. [`parse_workload_str`] and friends return the directives
-//! alongside the queries; the plain [`parse_queries_str`] family rejects
-//! directives, preserving the original stricter format.
+//! alongside the queries.
 //!
 //! Queries keep file order, and the batch runtime answers them in that
 //! order, so a workload file pins the byte layout of a run's output.
@@ -291,7 +290,20 @@ fn parse_accuracy(toks: &[&str], lineno: usize) -> Result<AccuracyDirective, Wor
 /// Parse a workload (queries plus optional `% accuracy` directive) from
 /// any buffered reader.
 pub fn parse_workload_reader<R: BufRead>(r: R) -> Result<Workload, WorkloadError> {
-    parse_workload_lines(r).map(|(workload, _)| workload)
+    let request = parse_lines(r, false)?;
+    let specs = request
+        .specs
+        .into_iter()
+        .map(|s| match s {
+            WireSpec::Query(q) => q,
+            WireSpec::Pairwise { .. } => unreachable!("flat grammar rejects pairwise"),
+        })
+        .collect();
+    Ok(Workload {
+        specs,
+        accuracy: request.accuracy,
+        max_hops: request.max_hops,
+    })
 }
 
 /// Parse a comma-separated node list (`0,4,17`) for `pairwise`/`set`
@@ -315,17 +327,10 @@ fn parse_node_list(
 
 /// Shared parser core behind both grammars. `wire` admits the serve-only
 /// constructs (`pairwise` lines, `% seed`); the flat workload grammar
-/// rejects them with a pointer to the request-body format. Also returns
-/// the 1-based line of the first shared directive (`% accuracy` /
-/// `% max-hops`) so the strict query parser can point its rejection at
-/// the right line.
-fn parse_lines<R: BufRead>(
-    r: R,
-    wire: bool,
-) -> Result<(WireRequest, Option<usize>), WorkloadError> {
+/// rejects them with a pointer to the request-body format.
+fn parse_lines<R: BufRead>(r: R, wire: bool) -> Result<WireRequest, WorkloadError> {
     let mut specs = Vec::new();
     let mut accuracy: Option<AccuracyDirective> = None;
-    let mut directive_line: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut max_hops: Option<u32> = None;
     for (i, line) in r.lines().enumerate() {
@@ -343,7 +348,6 @@ fn parse_lines<R: BufRead>(
                         return Err(bad(lineno, "duplicate `% accuracy` directive"));
                     }
                     accuracy = Some(parse_accuracy(rest, lineno)?);
-                    directive_line.get_or_insert(lineno);
                 }
                 ["max-hops", rest @ ..] => {
                     if max_hops.is_some() {
@@ -355,7 +359,6 @@ fn parse_lines<R: BufRead>(
                         })?),
                         _ => return Err(bad(lineno, "expected `% max-hops D`".to_string())),
                     };
-                    directive_line.get_or_insert(lineno);
                 }
                 ["seed", rest @ ..] if wire => {
                     if seed.is_some() {
@@ -447,44 +450,18 @@ fn parse_lines<R: BufRead>(
         };
         specs.push(spec);
     }
-    Ok((
-        WireRequest {
-            specs,
-            accuracy,
-            seed,
-            max_hops,
-        },
-        directive_line,
-    ))
+    Ok(WireRequest {
+        specs,
+        accuracy,
+        seed,
+        max_hops,
+    })
 }
 
 impl From<QuerySpec> for WireSpec {
     fn from(q: QuerySpec) -> Self {
         WireSpec::Query(q)
     }
-}
-
-/// Shared parser: the workload plus the 1-based line of its directive
-/// (so the strict query parser can point its rejection at the right
-/// line).
-fn parse_workload_lines<R: BufRead>(r: R) -> Result<(Workload, Option<usize>), WorkloadError> {
-    let (request, directive_line) = parse_lines(r, false)?;
-    let specs = request
-        .specs
-        .into_iter()
-        .map(|s| match s {
-            WireSpec::Query(q) => q,
-            WireSpec::Pairwise { .. } => unreachable!("flat grammar rejects pairwise"),
-        })
-        .collect();
-    Ok((
-        Workload {
-            specs,
-            accuracy: request.accuracy,
-            max_hops: request.max_hops,
-        },
-        directive_line,
-    ))
 }
 
 /// Parse a `relmax serve` request body: the workload vocabulary plus
@@ -508,7 +485,7 @@ pub fn parse_request_str(s: &str) -> Result<WireRequest, WorkloadError> {
 
 /// Parse a `relmax serve` request body from any buffered reader.
 pub fn parse_request_reader<R: BufRead>(r: R) -> Result<WireRequest, WorkloadError> {
-    parse_lines(r, true).map(|(request, _)| request)
+    parse_lines(r, true)
 }
 
 /// Parse a workload from a string.
@@ -529,39 +506,6 @@ pub fn parse_workload_str(s: &str) -> Result<Workload, WorkloadError> {
 pub fn parse_workload_file<P: AsRef<Path>>(path: P) -> Result<Workload, WorkloadError> {
     let f = File::open(path)?;
     parse_workload_reader(BufReader::new(f))
-}
-
-/// Parse a query file from any buffered reader (directive-free format:
-/// `% accuracy` lines are rejected).
-pub fn parse_queries_reader<R: BufRead>(r: R) -> Result<Vec<QuerySpec>, WorkloadError> {
-    let (workload, directive_line) = parse_workload_lines(r)?;
-    if let Some(line) = directive_line {
-        return Err(bad(
-            line,
-            "directives are not allowed here; use the workload parser",
-        ));
-    }
-    Ok(workload.specs)
-}
-
-/// Parse a query file from a string.
-///
-/// ```
-/// use relmax_gen::workload::{parse_queries_str, QuerySpec};
-/// use relmax_ugraph::NodeId;
-///
-/// let qs = parse_queries_str("st 0 3\n1 2\nfrom 0\nto 3\n").unwrap();
-/// assert_eq!(qs[1], QuerySpec::St(NodeId(1), NodeId(2)));
-/// assert_eq!(qs.len(), 4);
-/// ```
-pub fn parse_queries_str(s: &str) -> Result<Vec<QuerySpec>, WorkloadError> {
-    parse_queries_reader(s.as_bytes())
-}
-
-/// Parse a query file from a path.
-pub fn parse_queries_file<P: AsRef<Path>>(path: P) -> Result<Vec<QuerySpec>, WorkloadError> {
-    let f = File::open(path)?;
-    parse_queries_reader(BufReader::new(f))
 }
 
 /// Write queries in the file format, one per line, preserving order.
@@ -627,12 +571,14 @@ mod tests {
             QuerySpec::St(NodeId(3), NodeId(0)),
         ];
         let text = queries_to_text(&specs);
-        assert_eq!(parse_queries_str(&text).unwrap(), specs);
+        assert_eq!(parse_workload_str(&text).unwrap().specs, specs);
     }
 
     #[test]
     fn bare_pairs_and_comments() {
-        let qs = parse_queries_str("# header\n\n0 5 # inline\nst 5 0\n").unwrap();
+        let qs = parse_workload_str("# header\n\n0 5 # inline\nst 5 0\n")
+            .unwrap()
+            .specs;
         assert_eq!(
             qs,
             vec![
@@ -651,7 +597,7 @@ mod tests {
             ("0 1 2\n", "expected"),
             ("walk 0 1\n", "expected"),
         ] {
-            let err = parse_queries_str(text).unwrap_err();
+            let err = parse_workload_str(text).unwrap_err();
             let msg = err.to_string();
             assert!(
                 msg.contains("line 1") && msg.contains(needle),
@@ -699,10 +645,6 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{text:?} -> {msg}");
         }
-        // The strict query parser rejects directives entirely, pointing
-        // at the directive's actual line.
-        let err = parse_queries_str("st 0 1\n% accuracy 0.1 0.05\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]
@@ -740,7 +682,7 @@ mod tests {
         ];
         let text = queries_to_text(&specs);
         assert_eq!(text, "set 0,3 41,17\ntopk 0 5\nhops 0 41\nst 1 2\n");
-        assert_eq!(parse_queries_str(&text).unwrap(), specs);
+        assert_eq!(parse_workload_str(&text).unwrap().specs, specs);
         // The wire grammar parses the same vocabulary.
         let wire = parse_request_str(&text).unwrap();
         assert_eq!(wire.specs.len(), 4);
@@ -797,10 +739,6 @@ mod tests {
             assert!(msg.contains("line"), "{text:?} -> {msg}");
             assert!(msg.contains(needle), "{text:?} -> {msg}");
         }
-        // The strict query parser rejects the directive, pointing at its
-        // line.
-        let err = parse_queries_str("st 0 1\n% max-hops 3\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]
@@ -872,8 +810,6 @@ mod tests {
             msg.contains("line 1") && msg.contains("request-body"),
             "{msg}"
         );
-        let err = parse_queries_str("pairwise 0,1 2\n").unwrap_err();
-        assert!(err.to_string().contains("request-body"), "{err}");
     }
 
     #[test]

@@ -48,9 +48,10 @@
 //!
 //! # Reuse
 //!
-//! One [`Search`] scratch (distances, parents, settled flags, heap) and one
-//! banned-node bitmap serve every spur search of a call; a search resets
-//! only what it touched, and each round sets and clears its root nodes.
+//! One Dijkstra `Search` scratch (distances, parents, settled flags,
+//! heap) and one banned-node bitmap serve every spur search of a call; a
+//! search resets only what it touched, and each round sets and clears its
+//! root nodes.
 
 use crate::dijkstra::{ReliablePath, Search};
 use relmax_ugraph::fxhash::FxHashSet;

@@ -217,6 +217,16 @@ impl Estimate {
         }
     }
 
+    /// A provably impossible query: exactly 0.0 in every world, decided
+    /// structurally with **zero sampled worlds**. `stopped_early` is set —
+    /// the query stopped before its budget in the strongest possible sense.
+    pub fn impossible() -> Self {
+        Estimate {
+            stopped_early: true,
+            ..Estimate::exact(0.0)
+        }
+    }
+
     /// Bernoulli estimate from `hits` successes in `n` sampled worlds,
     /// with a `1 - delta` interval (Hoeffding ∧ empirical Bernstein).
     pub fn from_hits(hits: u64, n: u64, delta: f64, stopped_early: bool) -> Self {

@@ -131,21 +131,6 @@ impl McEstimator {
             .then_some(idx)
     }
 
-    /// The result of a provably-impossible query: exactly 0.0 in every
-    /// world, decided structurally with **zero sampled worlds** (and no
-    /// parallel-runtime spin-up). `stopped_early` is set — the query
-    /// stopped before its budget in the strongest possible sense.
-    fn impossible_estimate() -> Estimate {
-        Estimate {
-            value: 0.0,
-            stderr: 0.0,
-            ci_low: 0.0,
-            ci_high: 0.0,
-            samples_used: 0,
-            stopped_early: true,
-        }
-    }
-
     /// Plan an `s-t` query once. `Ok` is the structural answer: `s == t`,
     /// or an attached index proving the pair certainly or never
     /// connected. `Err` says what to sample: the index's condensed graph
@@ -168,44 +153,33 @@ impl McEstimator {
             StPlan::Certain => Ok(Estimate::exact(1.0)),
             // No possible world connects them: structurally 0.0, decided
             // without sampling a single world.
-            StPlan::Impossible => Ok(Self::impossible_estimate()),
+            StPlan::Impossible => Ok(Estimate::impossible()),
             StPlan::Sample { s, t, mask } => Err(Some((idx, s, t, mask))),
         }
     }
 
-    /// Budgeted per-node reach estimation (forward or reverse): fixed
-    /// budgets draw one batch of worlds; accuracy budgets extend the
-    /// counts at power-of-two checkpoints until the widest per-node
-    /// interval fits, bit-identically at every thread count.
-    fn vector_estimates<G: ProbGraph>(
+    /// Per-node reach estimates from (or, `reverse`, to) `start`.
+    ///
+    /// Per-supernode counts equal every member's per-node counts, so
+    /// sampling the condensed graph of an attached index and expanding is
+    /// bit-identical (the checkpoint half-width is a max over the same
+    /// multiset of counts).
+    fn reach_estimates<G: ProbGraph>(
         &self,
         g: &G,
         start: NodeId,
         reverse: bool,
         budget: Budget,
     ) -> Vec<Estimate> {
-        budget.assert_valid();
-        let mut counts = vec![0u64; g.num_nodes()];
-        let extend = |lo: u64, hi: u64, counts: &mut Vec<u64>| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| self.kernel.reach_counts(g, self.seed, start, reverse, l, h),
-                |local| {
-                    for (c, l) in counts.iter_mut().zip(local) {
-                        *c += l;
-                    }
-                },
-            );
-        };
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            extend(lo, hi, &mut counts);
-            worst_bernoulli_half_width(counts.iter().copied(), hi, delta)
-        });
-        counts
-            .into_iter()
-            .map(|c| Estimate::from_hits(c, z, delta, stopped))
-            .collect()
+        match self.active_index(g) {
+            Some(idx) if !idx.is_identity() => idx.expand(&self.reach_sampled(
+                idx.condensed(),
+                idx.supernode(start),
+                reverse,
+                budget,
+            )),
+            _ => self.reach_sampled(g, start, reverse, budget),
+        }
     }
 }
 
@@ -234,29 +208,11 @@ impl Estimator for McEstimator {
     }
 
     fn from_estimates<G: ProbGraph>(&self, g: &G, s: NodeId, budget: Budget) -> Vec<Estimate> {
-        match self.active_index(g) {
-            // Per-supernode counts equal every member's per-node counts,
-            // so sampling the condensed graph and expanding is
-            // bit-identical (the checkpoint half-width is a max over the
-            // same multiset of counts).
-            Some(idx) if !idx.is_identity() => {
-                let per_super =
-                    self.vector_estimates(idx.condensed(), idx.supernode(s), false, budget);
-                idx.expand(&per_super)
-            }
-            _ => self.vector_estimates(g, s, false, budget),
-        }
+        self.reach_estimates(g, s, false, budget)
     }
 
     fn to_estimates<G: ProbGraph>(&self, g: &G, t: NodeId, budget: Budget) -> Vec<Estimate> {
-        match self.active_index(g) {
-            Some(idx) if !idx.is_identity() => {
-                let per_super =
-                    self.vector_estimates(idx.condensed(), idx.supernode(t), true, budget);
-                idx.expand(&per_super)
-            }
-            _ => self.vector_estimates(g, t, true, budget),
-        }
+        self.reach_estimates(g, t, true, budget)
     }
 
     fn pairwise_estimates<G: ProbGraph>(
@@ -273,25 +229,20 @@ impl Estimator for McEstimator {
                 // (s, t) equals the condensed verdict for their supernodes.
                 let ss: Vec<NodeId> = sources.iter().map(|&s| idx.supernode(s)).collect();
                 let tt: Vec<NodeId> = targets.iter().map(|&t| idx.supernode(t)).collect();
-                if partitioned {
-                    // Partition the query matrix by possible-graph
-                    // component: a world's BFS never crosses a component
-                    // boundary, so cross-component cells are 0 in every
-                    // world and each component group samples only its own
-                    // (sources × targets) sub-matrix.
-                    let groups = component_groups(idx, sources, targets);
-                    return self.pairwise_sampled_partitioned(
-                        idx.condensed(),
-                        &ss,
-                        &tt,
-                        &groups,
-                        budget,
-                    );
-                }
-                return self.pairwise_sampled(idx.condensed(), &ss, &tt, budget);
+                // Partition the query matrix by possible-graph component:
+                // a world's BFS never crosses a component boundary, so
+                // cross-component cells are 0 in every world and each
+                // component group samples only its own (sources × targets)
+                // sub-matrix.
+                let groups = if partitioned {
+                    component_groups(idx, sources, targets)
+                } else {
+                    whole_matrix(sources, targets)
+                };
+                return self.pairwise_sampled(idx.condensed(), &ss, &tt, &groups, budget);
             }
         }
-        self.pairwise_sampled(g, sources, targets, budget)
+        self.pairwise_sampled(g, sources, targets, &whole_matrix(sources, targets), budget)
     }
 
     /// Shared-world candidate scan: walks each sampled world **once** for
@@ -386,7 +337,7 @@ impl Estimator for McEstimator {
         // within d hops, and condensation collapses hop counts — so
         // constrained queries always sample the raw graph.
         if self.all_pairs_impossible(g, &[s], &[t]) {
-            return Some(Self::impossible_estimate());
+            return Some(Estimate::impossible());
         }
         Some(
             self.set_sampled(g, &[s], &[t], Some(max_hops), budget)
@@ -404,13 +355,13 @@ impl Estimator for McEstimator {
     ) -> Option<Estimate> {
         budget.assert_valid();
         if sources.is_empty() || targets.is_empty() {
-            return Some(Self::impossible_estimate());
+            return Some(Estimate::impossible());
         }
         if sources.iter().any(|s| targets.contains(s)) {
             return Some(Estimate::exact(1.0)); // shared node: 0-hop hit
         }
         if self.all_pairs_impossible(g, sources, targets) {
-            return Some(Self::impossible_estimate());
+            return Some(Estimate::impossible());
         }
         Some(
             self.set_sampled(g, sources, targets, max_hops, budget)
@@ -430,7 +381,7 @@ impl Estimator for McEstimator {
             return Some(HopsEstimate::exact(Estimate::exact(1.0)));
         }
         if self.all_pairs_impossible(g, &[s], &[t]) {
-            return Some(HopsEstimate::exact(Self::impossible_estimate()));
+            return Some(HopsEstimate::exact(Estimate::impossible()));
         }
         Some(self.set_sampled(g, &[s], &[t], None, budget))
     }
@@ -442,18 +393,44 @@ impl Estimator for McEstimator {
 /// [`PrunedGraph`] over it — so these helpers never consult the index
 /// again.
 impl McEstimator {
+    /// The one Monte Carlo driver behind every sampled shape.
+    ///
+    /// Each budget round (one batch for fixed budgets, power-of-two
+    /// checkpoints for accuracy budgets) shards its sample range over
+    /// `groups` work groups ([`ParallelRuntime::shard_samples`]), runs
+    /// `work(group, lo, hi)` per shard and folds each result into
+    /// `counts` with `merge(counts, group, result)`, in an order that no
+    /// thread count changes. The stopping rule judges the widest
+    /// Bernoulli interval over the first `judged` counts; later counts
+    /// (a hop-distance sum) ride along unjudged. Returns
+    /// `(worlds, delta, stopped_early)` for [`Estimate::from_hits`].
+    fn drive<T: Send>(
+        &self,
+        budget: Budget,
+        counts: &mut [u64],
+        judged: usize,
+        groups: usize,
+        work: impl Fn(usize, u64, u64) -> T + Sync,
+        mut merge: impl FnMut(&mut [u64], usize, T),
+    ) -> (u64, f64, bool) {
+        drive_budget(budget, |lo, hi, delta| {
+            self.runtime
+                .shard_samples(groups, lo, hi, &work, |gi, r| merge(counts, gi, r));
+            worst_bernoulli_half_width(counts[..judged].iter().copied(), hi, delta)
+        })
+    }
+
     fn st_sampled<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId, budget: Budget) -> Estimate {
-        let mut hits = 0u64;
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| self.kernel.st_hits(g, self.seed, s, t, l, h),
-                |h| hits += h,
-            );
-            worst_bernoulli_half_width([hits], hi, delta)
-        });
-        Estimate::from_hits(hits, z, delta, stopped)
+        let mut hits = [0u64];
+        let (z, delta, stopped) = self.drive(
+            budget,
+            &mut hits,
+            1,
+            1,
+            |_, lo, hi| self.kernel.st_hits(g, self.seed, s, t, lo, hi),
+            |c, _, h| c[0] += h,
+        );
+        Estimate::from_hits(hits[0], z, delta, stopped)
     }
 
     /// Budgeted set-reliability / hop-moment sampling: the shared body
@@ -468,24 +445,23 @@ impl McEstimator {
         max_hops: Option<u32>,
         budget: Budget,
     ) -> HopsEstimate {
-        let mut hits = 0u64;
-        let mut hop_sum = 0u64;
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| {
-                    self.kernel
-                        .set_counts(g, self.seed, sources, targets, max_hops, l, h)
-                },
-                |(h, d)| {
-                    hits += h;
-                    hop_sum += d;
-                },
-            );
-            worst_bernoulli_half_width([hits], hi, delta)
-        });
-        HopsEstimate::from_moments(hits, hop_sum, z, delta, stopped)
+        // [hits, hop sum]: only the hits gate stopping.
+        let mut counts = [0u64; 2];
+        let (z, delta, stopped) = self.drive(
+            budget,
+            &mut counts,
+            1,
+            1,
+            |_, lo, hi| {
+                self.kernel
+                    .set_counts(g, self.seed, sources, targets, max_hops, lo, hi)
+            },
+            |c, _, (h, d)| {
+                c[0] += h;
+                c[1] += d;
+            },
+        );
+        HopsEstimate::from_moments(counts[0], counts[1], z, delta, stopped)
     }
 
     /// Whether the attached index proves every `(s, t)` pair of the query
@@ -509,63 +485,47 @@ impl McEstimator {
         }
     }
 
-    fn pairwise_sampled<G: ProbGraph>(
+    /// Per-node reach estimates; under an accuracy budget the widest
+    /// per-node interval gates stopping.
+    fn reach_sampled<G: ProbGraph>(
         &self,
         g: &G,
-        sources: &[NodeId],
-        targets: &[NodeId],
+        start: NodeId,
+        reverse: bool,
         budget: Budget,
-    ) -> Vec<Vec<Estimate>> {
-        budget.assert_valid();
-        let mut counts = vec![vec![0u64; targets.len()]; sources.len()];
-        let extend = |lo: u64, hi: u64, counts: &mut Vec<Vec<u64>>| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| {
-                    self.kernel
-                        .pairwise_counts(g, self.seed, sources, targets, l, h)
-                },
-                |local| {
-                    for (row, lrow) in counts.iter_mut().zip(local) {
-                        for (c, l) in row.iter_mut().zip(lrow) {
-                            *c += l;
-                        }
-                    }
-                },
-            );
-        };
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            extend(lo, hi, &mut counts);
-            worst_bernoulli_half_width(counts.iter().flatten().copied(), hi, delta)
-        });
-        counts
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|c| Estimate::from_hits(c, z, delta, stopped))
-                    .collect()
-            })
-            .collect()
+    ) -> Vec<Estimate> {
+        let mut counts = vec![0u64; g.num_nodes()];
+        let run = self.drive(
+            budget,
+            &mut counts,
+            g.num_nodes(),
+            1,
+            |_, lo, hi| {
+                self.kernel
+                    .reach_counts(g, self.seed, start, reverse, lo, hi)
+            },
+            |c, _, local| add_counts(c, &local),
+        );
+        estimates(&counts, run)
     }
 
-    /// [`McEstimator::pairwise_sampled`], partitioned by graph component.
+    /// `sources × targets` estimates, sampled per query-matrix group.
     ///
-    /// `groups` lists, per component, the indices into `sources` /
-    /// `targets` that live there (components missing either side are
-    /// dropped by [`component_groups`]). The runtime fans out
-    /// `(component group × sample shard)` work items, so components
+    /// `groups` lists, per group, the indices into `sources` / `targets`
+    /// it covers: one group for the whole matrix ([`whole_matrix`]), or
+    /// one per possible-graph component ([`component_groups`]). The
+    /// runtime fans out `(group × sample shard)` work items, so components
     /// parallelize *in addition to* sample sharding; each work item walks
-    /// only its component's sub-matrix.
+    /// only its group's sub-matrix.
     ///
-    /// Bit-identical to the unpartitioned call on the same graph: coin
-    /// flips are stateless (`(seed, sample, coin)`-keyed), so a group's
-    /// counts equal the corresponding cells of the full matrix, and the
-    /// cells this method never touches are exactly those an unpartitioned
-    /// BFS can never hit (cross-component pairs: 0 in every world). The
+    /// Partitioning is bit-identical to the whole matrix on the same
+    /// graph: coin flips are stateless (`(seed, sample, coin)`-keyed), so
+    /// a group's counts equal the corresponding cells of the full matrix,
+    /// and the cells no group covers are exactly those a whole-matrix BFS
+    /// can never hit (cross-component pairs: 0 in every world). The
     /// adaptive-stopping half-width folds over the full matrix — zeros
     /// included — so checkpoint decisions match too.
-    fn pairwise_sampled_partitioned<G: ProbGraph>(
+    fn pairwise_sampled<G: ProbGraph>(
         &self,
         g: &G,
         sources: &[NodeId],
@@ -573,7 +533,6 @@ impl McEstimator {
         groups: &[(Vec<u32>, Vec<u32>)],
         budget: Budget,
     ) -> Vec<Vec<Estimate>> {
-        budget.assert_valid();
         let gsrc: Vec<Vec<NodeId>> = groups
             .iter()
             .map(|(si, _)| si.iter().map(|&i| sources[i as usize]).collect())
@@ -582,37 +541,30 @@ impl McEstimator {
             .iter()
             .map(|(_, ti)| ti.iter().map(|&j| targets[j as usize]).collect())
             .collect();
-        let mut counts = vec![vec![0u64; targets.len()]; sources.len()];
-        let extend = |lo: u64, hi: u64, counts: &mut Vec<Vec<u64>>| {
-            self.runtime.run_partitioned_sample_range(
-                groups.len(),
-                lo,
-                hi,
-                |gi, l, h| {
-                    self.kernel
-                        .pairwise_counts(g, self.seed, &gsrc[gi], &gtgt[gi], l, h)
-                },
-                |gi, local| {
-                    let (si, ti) = &groups[gi];
-                    for (&r, lrow) in si.iter().zip(local) {
-                        for (&c, l) in ti.iter().zip(lrow) {
-                            counts[r as usize][c as usize] += l;
-                        }
+        let width = targets.len();
+        let mut counts = vec![0u64; sources.len() * width];
+        let judged = counts.len();
+        let run = self.drive(
+            budget,
+            &mut counts,
+            judged,
+            groups.len(),
+            |gi, lo, hi| {
+                self.kernel
+                    .pairwise_counts(g, self.seed, &gsrc[gi], &gtgt[gi], lo, hi)
+            },
+            |c, gi, local| {
+                let (si, ti) = &groups[gi];
+                for (&r, lrow) in si.iter().zip(local) {
+                    for (&col, l) in ti.iter().zip(lrow) {
+                        c[r as usize * width + col as usize] += l;
                     }
-                },
-            );
-        };
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            extend(lo, hi, &mut counts);
-            worst_bernoulli_half_width(counts.iter().flatten().copied(), hi, delta)
-        });
-        counts
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|c| Estimate::from_hits(c, z, delta, stopped))
-                    .collect()
-            })
+                }
+            },
+        );
+        let flat = estimates(&counts, run);
+        (0..sources.len())
+            .map(|r| flat[r * width..(r + 1) * width].to_vec())
             .collect()
     }
 
@@ -625,30 +577,43 @@ impl McEstimator {
         budget: Budget,
     ) -> Vec<Estimate> {
         let mut counts = vec![0u64; candidates.len()];
-        let extend = |lo: u64, hi: u64, counts: &mut Vec<u64>| {
-            self.runtime.run_sample_range(
-                lo,
-                hi,
-                |l, h| {
-                    self.kernel
-                        .scan_counts(g, self.seed, s, t, candidates, l, h)
-                },
-                |local| {
-                    for (c, l) in counts.iter_mut().zip(local) {
-                        *c += l;
-                    }
-                },
-            );
-        };
-        let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {
-            extend(lo, hi, &mut counts);
-            worst_bernoulli_half_width(counts.iter().copied(), hi, delta)
-        });
-        counts
-            .into_iter()
-            .map(|c| Estimate::from_hits(c, z, delta, stopped))
-            .collect()
+        let run = self.drive(
+            budget,
+            &mut counts,
+            candidates.len(),
+            1,
+            |_, lo, hi| {
+                self.kernel
+                    .scan_counts(g, self.seed, s, t, candidates, lo, hi)
+            },
+            |c, _, local| add_counts(c, &local),
+        );
+        estimates(&counts, run)
     }
+}
+
+/// Add one shard's per-entry counts into the running totals.
+fn add_counts(counts: &mut [u64], local: &[u64]) {
+    for (c, l) in counts.iter_mut().zip(local) {
+        *c += l;
+    }
+}
+
+/// One Bernoulli estimate per count, all over the same driven worlds
+/// (the `(worlds, delta, stopped_early)` of [`McEstimator::drive`]).
+fn estimates(counts: &[u64], (z, delta, stopped): (u64, f64, bool)) -> Vec<Estimate> {
+    counts
+        .iter()
+        .map(|&c| Estimate::from_hits(c, z, delta, stopped))
+        .collect()
+}
+
+/// The whole query matrix as one group: every source and every target.
+fn whole_matrix(sources: &[NodeId], targets: &[NodeId]) -> Vec<(Vec<u32>, Vec<u32>)> {
+    vec![(
+        (0..sources.len() as u32).collect(),
+        (0..targets.len() as u32).collect(),
+    )]
 }
 
 /// Group query-matrix indices by possible-graph component: one

@@ -18,13 +18,13 @@
 //!    order.
 //! 2. Reduction never depends on scheduling. [`ParallelRuntime::map`]
 //!    returns results in item-index order regardless of which thread
-//!    computed what, and [`ParallelRuntime::run_samples`] merges shard
-//!    results in ascending shard order. Callers that fold shard results
-//!    must do so with operations that are associative over the shard
-//!    boundaries they use — in practice every cross-shard accumulator in
-//!    this workspace is an integer hit count, which is exactly
-//!    partition-independent; floating-point folds happen only over the
-//!    *fixed* item order of [`ParallelRuntime::map`].
+//!    computed what, and [`ParallelRuntime::shard_samples`] merges shard
+//!    results in group-major, ascending shard order. Callers that fold
+//!    shard results must do so with operations that are associative over
+//!    the shard boundaries they use — in practice every cross-shard
+//!    accumulator in this workspace is an integer hit count, which is
+//!    exactly partition-independent; floating-point folds happen only
+//!    over the *fixed* item order of [`ParallelRuntime::map`].
 //!
 //! Workers are plain `std::thread::scope` scoped threads: no channels, no
 //! persistent pool, no locks on the hot path. Per-thread traversal state
@@ -67,7 +67,7 @@ static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
 /// // Sample sharding: merge order is ascending shard order, and integer
 /// // accumulators make the total independent of the shard boundaries.
 /// let mut total = 0u64;
-/// rt.run_samples(1000, |lo, hi| hi - lo, |part| total += part);
+/// rt.shard_samples(1, 0, 1000, |_, lo, hi| hi - lo, |_, part| total += part);
 /// assert_eq!(total, 1000);
 /// assert_eq!(ParallelRuntime::serial().map(3, |i| i + 1), vec![1, 2, 3]);
 /// ```
@@ -140,83 +140,29 @@ impl ParallelRuntime {
         self.threads
     }
 
-    /// Split the sample range `0..z` into one contiguous shard per worker,
-    /// run `work(lo, hi)` on each (in parallel), and hand the shard
-    /// results to `merge` in **ascending shard order**.
+    /// Shard the absolute sample range `lo..hi` and run
+    /// `work(group, shard_lo, shard_hi)` for every `(group, shard)` pair
+    /// across the workers — the one sample runner behind every Monte
+    /// Carlo estimate. Adaptive stopping calls it once per checkpoint
+    /// round, each round extending the already-drawn prefix.
     ///
-    /// `work` is never called on an empty range. Bit-identical totals
-    /// across thread counts require the caller's accumulator to be
-    /// partition-independent over shard boundaries (integer counts are;
-    /// see the module docs).
-    pub fn run_samples<T: Send>(
-        &self,
-        z: u64,
-        work: impl Fn(u64, u64) -> T + Sync,
-        merge: impl FnMut(T),
-    ) {
-        self.run_sample_range(0, z, work, merge);
-    }
-
-    /// [`ParallelRuntime::run_samples`] over an arbitrary absolute sample
-    /// range `lo..hi` — the building block of adaptive stopping, where
-    /// each checkpoint round extends the already-drawn prefix. The shard
-    /// boundaries partition `lo..hi` contiguously and merge in ascending
-    /// order, so the same determinism contract applies.
-    pub fn run_sample_range<T: Send>(
-        &self,
-        lo: u64,
-        hi: u64,
-        work: impl Fn(u64, u64) -> T + Sync,
-        mut merge: impl FnMut(T),
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let z = hi - lo;
-        if self.threads <= 1 || z < 2 {
-            merge(work(lo, hi));
-            return;
-        }
-        let workers = self.threads.min(z as usize);
-        // Shards are rounded up to whole 64-world blocks so the packed
-        // kernel sees at most one masked tail block per *call* instead of
-        // one per shard. Pure performance: totals are integer counts, so
-        // shard boundaries never affect results (see module docs).
-        let chunk = z.div_ceil(workers as u64).next_multiple_of(64).min(z);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers as u64 {
-                let shard_lo = lo + w * chunk;
-                let shard_hi = (lo + (w + 1) * chunk).min(hi);
-                if shard_lo >= shard_hi {
-                    break;
-                }
-                let work = &work;
-                handles.push(scope.spawn(move || work(shard_lo, shard_hi)));
-            }
-            // Join order == spawn order == ascending shard order.
-            for h in handles {
-                merge(h.join().expect("runtime worker panicked"));
-            }
-        });
-    }
-
-    /// Two-dimensional sharding: fan `(partition group × sample shard)`
-    /// work items across the workers.
+    /// The range is tiled into at most one contiguous shard per worker,
+    /// rounded up to whole 64-world blocks so the packed kernel sees at
+    /// most one masked tail block per call instead of one per shard.
+    /// `work` is never called on an empty range. Items are claimed
+    /// dynamically (partition groups can differ wildly in cost), but
+    /// `merge(group, result)` always sees results in group-major,
+    /// ascending-shard order regardless of scheduling. With one worker,
+    /// or one item, everything runs inline on the calling thread.
     ///
-    /// The sample range `lo..hi` is tiled into the same contiguous,
-    /// 64-world-aligned shards as [`ParallelRuntime::run_sample_range`],
-    /// and `work(group, shard_lo, shard_hi)` runs once per (group, shard)
-    /// pair. Items are claimed dynamically (partition groups can differ
-    /// wildly in cost), but `merge(group, result)` always sees results in
-    /// group-major, ascending-shard order regardless of scheduling — the
-    /// same determinism contract as the one-dimensional runners.
-    ///
-    /// This is what lets a caller that has partitioned its work by graph
-    /// component keep *both* axes of parallelism: with fewer groups than
-    /// workers the sample shards still spread the load, and with many
-    /// groups a short sample range still balances.
-    pub fn run_partitioned_sample_range<T: Send>(
+    /// Bit-identical totals across thread counts require the caller's
+    /// accumulator to be partition-independent over shard boundaries
+    /// (integer counts are; see the module docs). A caller that has
+    /// partitioned its work by graph component keeps *both* axes of
+    /// parallelism: with fewer groups than workers the sample shards
+    /// still spread the load, and with many groups a short sample range
+    /// still balances.
+    pub fn shard_samples<T: Send>(
         &self,
         groups: usize,
         lo: u64,
@@ -228,7 +174,7 @@ impl ParallelRuntime {
             return;
         }
         let z = hi - lo;
-        let workers = self.threads.min(z as usize).max(1);
+        let workers = self.threads.min(z as usize);
         let chunk = z.div_ceil(workers as u64).next_multiple_of(64).min(z);
         let shards: Vec<(u64, u64)> = (0u64..)
             .map(|k| (lo + k * chunk, (lo + (k + 1) * chunk).min(hi)))
@@ -303,104 +249,82 @@ mod tests {
     }
 
     #[test]
-    fn run_samples_covers_range_exactly_once() {
+    fn shards_tile_every_range_exactly_once_in_order() {
+        let ranges = [
+            (0u64, 0u64),
+            (0, 1),
+            (0, 2),
+            (0, 7),
+            (0, 100),
+            (0, 101),
+            (100, 137),
+            (100, 357),
+            (5, 5),
+            (3, 10_000),
+        ];
         for threads in [1, 2, 3, 5, 8] {
-            for z in [0u64, 1, 2, 7, 100, 101] {
-                let rt = ParallelRuntime::new(threads);
-                let mut seen = Vec::new();
-                rt.run_samples(
-                    z,
-                    |lo, hi| {
-                        assert!(lo < hi, "empty shard handed to work");
-                        (lo, hi)
-                    },
-                    |r| seen.push(r),
-                );
-                // Shards arrive in ascending order and tile 0..z.
-                let mut next = 0;
-                for (lo, hi) in seen {
-                    assert_eq!(lo, next);
-                    next = hi;
+            let rt = ParallelRuntime::new(threads);
+            for (lo, hi) in ranges {
+                for groups in [1, 3] {
+                    let mut seen: Vec<(usize, u64, u64)> = Vec::new();
+                    rt.shard_samples(
+                        groups,
+                        lo,
+                        hi,
+                        |g, l, h| {
+                            assert!(l < h, "empty shard handed to work");
+                            (g, l, h)
+                        },
+                        |g, (wg, l, h)| {
+                            assert_eq!(g, wg);
+                            seen.push((g, l, h));
+                        },
+                    );
+                    // Group 0's shards tile lo..hi in ascending order, at
+                    // most one per worker, 64-world aligned.
+                    let shards: Vec<(u64, u64)> = seen
+                        .iter()
+                        .filter(|&&(g, _, _)| g == 0)
+                        .map(|&(_, l, h)| (l, h))
+                        .collect();
+                    let mut next = lo;
+                    for &(l, h) in &shards {
+                        assert_eq!(l, next);
+                        assert_eq!((l - lo) % 64, 0, "unaligned shard {l}..{h}");
+                        next = h;
+                    }
+                    assert_eq!(next, hi);
+                    assert!(shards.len() <= threads);
+                    // Group-major, identical shard boundaries in every group.
+                    let expect: Vec<(usize, u64, u64)> = (0..groups)
+                        .flat_map(|g| shards.iter().map(move |&(l, h)| (g, l, h)))
+                        .collect();
+                    assert_eq!(seen, expect);
                 }
-                assert_eq!(next, z);
             }
+            // No groups runs nothing.
+            rt.shard_samples(0, 0, 10, |_, _, _| panic!("no groups"), |_, _: ()| {});
         }
     }
 
     #[test]
     fn integer_totals_independent_of_thread_count() {
-        let serial = {
+        let total = |threads: usize, groups: usize, lo: u64, hi: u64| {
             let mut acc = 0u64;
-            ParallelRuntime::serial().run_samples(
-                1234,
-                |lo, hi| (lo..hi).map(|s| s * s % 7).sum::<u64>(),
-                |p| acc += p,
+            ParallelRuntime::new(threads).shard_samples(
+                groups,
+                lo,
+                hi,
+                |g, l, h| (l..h).map(|s| (s * s + g as u64) % 7).sum::<u64>(),
+                |_, p| acc += p,
             );
             acc
         };
-        for threads in [2, 3, 8] {
-            let mut acc = 0u64;
-            ParallelRuntime::new(threads).run_samples(
-                1234,
-                |lo, hi| (lo..hi).map(|s| s * s % 7).sum::<u64>(),
-                |p| acc += p,
-            );
-            assert_eq!(acc, serial);
-        }
-    }
-
-    #[test]
-    fn run_sample_range_tiles_offset_ranges() {
-        for threads in [1, 2, 3, 8] {
-            let rt = ParallelRuntime::new(threads);
-            let mut seen = Vec::new();
-            rt.run_sample_range(100, 137, |lo, hi| (lo, hi), |r| seen.push(r));
-            let mut next = 100;
-            for (lo, hi) in seen {
-                assert_eq!(lo, next);
-                next = hi;
+        for (groups, lo, hi) in [(1, 0, 1234), (1, 77, 5000), (3, 10, 1234)] {
+            let serial = total(1, groups, lo, hi);
+            for threads in [2, 3, 5, 8] {
+                assert_eq!(total(threads, groups, lo, hi), serial);
             }
-            assert_eq!(next, 137);
-            // Empty range: work never runs.
-            rt.run_sample_range(5, 5, |_, _| panic!("empty range"), |_: ()| {});
-        }
-    }
-
-    #[test]
-    fn partitioned_range_tiles_every_group_in_order() {
-        for threads in [1, 2, 3, 8] {
-            let rt = ParallelRuntime::new(threads);
-            let mut seen: Vec<(usize, u64, u64)> = Vec::new();
-            rt.run_partitioned_sample_range(
-                3,
-                100,
-                357,
-                |g, lo, hi| (g, lo, hi),
-                |g, (wg, lo, hi)| {
-                    assert_eq!(g, wg);
-                    seen.push((g, lo, hi));
-                },
-            );
-            // Group-major, each group tiling 100..357 in ascending order,
-            // with identical shard boundaries across groups.
-            let shards: Vec<(u64, u64)> = seen
-                .iter()
-                .filter(|&&(g, _, _)| g == 0)
-                .map(|&(_, lo, hi)| (lo, hi))
-                .collect();
-            let mut next = 100;
-            for &(lo, hi) in &shards {
-                assert_eq!(lo, next);
-                next = hi;
-            }
-            assert_eq!(next, 357);
-            let expect: Vec<(usize, u64, u64)> = (0..3)
-                .flat_map(|g| shards.iter().map(move |&(lo, hi)| (g, lo, hi)))
-                .collect();
-            assert_eq!(seen, expect);
-            // Degenerate inputs: no groups or an empty range run nothing.
-            rt.run_partitioned_sample_range(0, 0, 10, |_, _, _| panic!(), |_, _: ()| {});
-            rt.run_partitioned_sample_range(3, 5, 5, |_, _, _| panic!(), |_, _: ()| {});
         }
     }
 

@@ -14,17 +14,12 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// Returns a vector indexed by node id; unreachable nodes get
 /// [`UNREACHABLE`].
 pub fn hop_distances<G: ProbGraph>(g: &G, s: NodeId) -> Vec<u32> {
-    bfs_impl(g, s, false, None)
-}
-
-/// BFS hop distances *to* `t` (along reversed edges).
-pub fn hop_distances_rev<G: ProbGraph>(g: &G, t: NodeId) -> Vec<u32> {
-    bfs_impl(g, t, true, None)
+    bfs_impl(g, s, None)
 }
 
 /// Nodes within `h` hops of `s` (including `s` itself), in BFS order.
 pub fn within_hops<G: ProbGraph>(g: &G, s: NodeId, h: u32) -> Vec<NodeId> {
-    let dist = bfs_impl(g, s, false, Some(h));
+    let dist = bfs_impl(g, s, Some(h));
     let mut out: Vec<NodeId> = dist
         .iter()
         .enumerate()
@@ -35,7 +30,7 @@ pub fn within_hops<G: ProbGraph>(g: &G, s: NodeId, h: u32) -> Vec<NodeId> {
     out
 }
 
-fn bfs_impl<G: ProbGraph>(g: &G, start: NodeId, reverse: bool, limit: Option<u32>) -> Vec<u32> {
+fn bfs_impl<G: ProbGraph>(g: &G, start: NodeId, limit: Option<u32>) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.num_nodes()];
     dist[start.index()] = 0;
     let mut queue = VecDeque::new();
@@ -47,19 +42,10 @@ fn bfs_impl<G: ProbGraph>(g: &G, start: NodeId, reverse: bool, limit: Option<u32
                 continue;
             }
         }
-        let mut relax = |u: NodeId| {
+        for (u, _, _) in g.out_arcs(v) {
             if dist[u.index()] == UNREACHABLE {
                 dist[u.index()] = dv + 1;
                 queue.push_back(u);
-            }
-        };
-        if reverse {
-            for (u, _, _) in g.in_arcs(v) {
-                relax(u);
-            }
-        } else {
-            for (u, _, _) in g.out_arcs(v) {
-                relax(u);
             }
         }
     }
@@ -124,17 +110,6 @@ pub fn world_hop_distance<G: ProbGraph>(
     None
 }
 
-/// Whether `t` is reachable from `s` within `max_hops` arcs in `world`.
-pub fn world_reaches_within<G: ProbGraph>(
-    g: &G,
-    world: &PossibleWorld,
-    s: NodeId,
-    t: NodeId,
-    max_hops: u32,
-) -> bool {
-    matches!(world_hop_distance(g, world, s, t), Some(d) if d <= max_hops)
-}
-
 /// Whether *any* source reaches *any* target in `world`, optionally within
 /// `max_hops` arcs — the set-reliability event. A node appearing in both
 /// lists counts as an immediate (0-hop) hit.
@@ -179,24 +154,6 @@ pub fn world_set_reaches<G: ProbGraph>(
         }
     }
     false
-}
-
-/// All nodes reachable from `s` in `world` (including `s`), as a boolean
-/// mask. Used when one sampled world must answer reachability for many
-/// targets at once (multi-target queries, influence spread).
-pub fn world_reachable_set<G: ProbGraph>(g: &G, world: &PossibleWorld, s: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.num_nodes()];
-    seen[s.index()] = true;
-    let mut stack = vec![s];
-    while let Some(v) = stack.pop() {
-        for (u, _, c) in g.out_arcs(v) {
-            if world.contains(c) && !seen[u.index()] {
-                seen[u.index()] = true;
-                stack.push(u);
-            }
-        }
-    }
-    seen
 }
 
 /// Approximate diameter: the maximum BFS eccentricity observed from
@@ -252,13 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_distances_on_path() {
-        let g = path5();
-        let d = hop_distances_rev(&g, NodeId(4));
-        assert_eq!(d, vec![4, 3, 2, 1, 0]);
-    }
-
-    #[test]
     fn within_hops_respects_limit() {
         let g = path5();
         let nodes = within_hops(&g, NodeId(0), 2);
@@ -276,11 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn world_reachable_set_matches_reaches() {
+    fn world_reaches_stops_at_absent_edges() {
         let g = path5();
         let w = PossibleWorld::from_mask(4, 0b0111); // edge 3 absent
-        let mask = world_reachable_set(&g, &w, NodeId(0));
-        assert_eq!(mask, vec![true, true, true, true, false]);
         assert!(world_reaches(&g, &w, NodeId(0), NodeId(3)));
         assert!(!world_reaches(&g, &w, NodeId(0), NodeId(4)));
     }
@@ -293,8 +241,6 @@ mod tests {
         assert_eq!(world_hop_distance(&g, &all, NodeId(0), NodeId(3)), Some(3));
         let broken = PossibleWorld::from_mask(4, 0b0101); // edge 1 absent
         assert_eq!(world_hop_distance(&g, &broken, NodeId(0), NodeId(2)), None);
-        assert!(world_reaches_within(&g, &all, NodeId(0), NodeId(3), 3));
-        assert!(!world_reaches_within(&g, &all, NodeId(0), NodeId(3), 2));
     }
 
     #[test]
@@ -339,10 +285,6 @@ mod tests {
         let g = path5();
         let csr = g.freeze();
         assert_eq!(hop_distances(&g, NodeId(0)), hop_distances(&csr, NodeId(0)));
-        assert_eq!(
-            hop_distances_rev(&g, NodeId(4)),
-            hop_distances_rev(&csr, NodeId(4))
-        );
         assert_eq!(
             within_hops(&g, NodeId(0), 2),
             within_hops(&csr, NodeId(0), 2)

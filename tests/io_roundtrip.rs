@@ -139,7 +139,7 @@ fn workload_files_round_trip_against_random_graphs() {
         specs.push(QuerySpec::From(NodeId(0)));
         specs.push(QuerySpec::To(NodeId(0)));
         let text = workload::queries_to_text(&specs);
-        assert_eq!(workload::parse_queries_str(&text).unwrap(), specs);
+        assert_eq!(workload::parse_workload_str(&text).unwrap().specs, specs);
     }
 }
 
