@@ -711,7 +711,7 @@ pub fn run_mmap_scenario(smoke: bool) -> MmapScenario {
 /// The synthetic benchmark graph: Watts–Strogatz with ≥ `edges_floor`
 /// edges and uniform probabilities — dense enough that sampled-world BFS
 /// actually walks the graph, sparse enough to finish quickly.
-pub fn bench_graph(nodes: usize, edges_floor: usize) -> UncertainGraph {
+fn bench_graph(nodes: usize, edges_floor: usize) -> UncertainGraph {
     // +2 margin: rewiring occasionally drops an edge.
     let k = ((2 * edges_floor).div_ceil(nodes) + 2).next_multiple_of(2);
     let mut g = synth::watts_strogatz(nodes, k, 0.2, 0xbe9c);
@@ -782,10 +782,6 @@ fn bench_be_pipeline(queries: usize) -> (f64, f64) {
     (secs, gain / workload.len().max(1) as f64)
 }
 
-/// Best-of-`reps` timing: returns the last result and the minimum
-/// elapsed seconds. Minimum-of-N is the standard way to strip scheduler
-/// noise from single-machine microbenchmarks; both code paths get the
-/// same treatment.
 /// Time one closure, returning (result, seconds).
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -807,7 +803,11 @@ fn vm_hwm_bytes() -> Option<u64> {
     )
 }
 
-pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+/// Best-of-`reps` timing: returns the last result and the minimum
+/// elapsed seconds. Minimum-of-N is the standard way to strip scheduler
+/// noise from single-machine microbenchmarks; both code paths get the
+/// same treatment.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let (mut out, mut best) = timed(&mut f);
     for _ in 1..reps.max(1) {
         let (v, secs) = timed(&mut f);
@@ -818,7 +818,7 @@ pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 }
 
 /// Missing-edge candidates for the scan kernel, uniform probability 0.5.
-pub(crate) fn candidate_scan_set(g: &UncertainGraph, count: usize) -> Vec<ExtraEdge> {
+fn candidate_scan_set(g: &UncertainGraph, count: usize) -> Vec<ExtraEdge> {
     let n = g.num_nodes() as u32;
     let mut out = Vec::with_capacity(count);
     let mut u = 0u32;
@@ -841,7 +841,7 @@ pub(crate) fn candidate_scan_set(g: &UncertainGraph, count: usize) -> Vec<ExtraE
 }
 
 /// An s-t pair a few hops apart so sampled BFS does real work.
-pub(crate) fn pick_far_pair(g: &UncertainGraph) -> (NodeId, NodeId) {
+fn pick_far_pair(g: &UncertainGraph) -> (NodeId, NodeId) {
     st_queries(g, 1, 4, 6, 3)
         .first()
         .copied()

@@ -8,8 +8,8 @@
 //! summary is deterministic: the index depends only on graph structure,
 //! never on seeds or thread counts.
 
-use crate::graphio::{self, LoadedGraph};
 use crate::opts::{self, CliError};
+use relmax_server::state::load_graph;
 use relmax_ugraph::edgelist::EdgeListOptions;
 use relmax_ugraph::{snapshot, ProbGraph, RelIndex};
 
@@ -39,10 +39,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let out = opts::required(out, "`-o <OUT.rgs>` output path")?;
 
     let started = std::time::Instant::now();
-    let loaded = graphio::load(&input, &text_opts)?;
-    graphio::warn_ignored_text_flags(&loaded, &text_flags, &input);
-    let had_section = matches!(&loaded, LoadedGraph::Snapshot(_, Some(_)));
-    let csr = loaded.into_frozen();
+    let (csr, section, version) = load_graph(&input, &text_opts).map_err(opts::run_err)?;
+    opts::note_ignored_text_flags(version, &text_flags, &input);
+    let had_section = section.is_some();
 
     // Always rebuild from the graph: `index` is the tool that *creates*
     // the persisted section, so it must not trust a stale one.

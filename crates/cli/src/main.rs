@@ -12,8 +12,8 @@
 //!   queries (from a query file or generated on the fly) against a
 //!   snapshot or edge list, sharded over the deterministic parallel
 //!   runtime (routing through the reliability index unless `--no-index`
-//!   or `RELMAX_INDEX=off` — reliability values are bit-identical either
-//!   way; only sampling-effort fields differ on short-circuited queries);
+//!   — reliability values are bit-identical either way; only
+//!   sampling-effort fields differ on short-circuited queries);
 //! - `relmax update`  — apply a delta script (edge inserts, probability
 //!   changes, deletions) to a snapshot as a `DeltaOverlay` and write
 //!   the compacted result, bit-identical to a from-scratch re-freeze;
@@ -30,7 +30,6 @@
 //! file formats.
 
 mod gen;
-mod graphio;
 mod index;
 mod ingest;
 mod opts;
@@ -145,9 +144,6 @@ ENVIRONMENT:
                            instead of the lane-packed default; output is
                            byte-identical either way (CI diffs it), the
                            packed kernel is just several times faster
-    RELMAX_INDEX=off       disable the reliability index everywhere
-                           (same value-identity contract as --no-index;
-                           CI diffs indexed vs unindexed runs)
 
 EXAMPLES:
     relmax ingest data/toy.tsv -o toy.rgs

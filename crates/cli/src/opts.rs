@@ -155,32 +155,15 @@ impl Format {
     }
 }
 
-/// Which estimator backs the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
-    /// Monte Carlo sampling.
-    Mc,
-    /// Recursive stratified sampling.
-    Rss,
-}
-
-impl EstimatorKind {
-    /// Parse `--estimator`.
-    pub fn parse(raw: &str) -> Result<EstimatorKind, CliError> {
-        match raw {
-            "mc" => Ok(EstimatorKind::Mc),
-            "rss" => Ok(EstimatorKind::Rss),
-            other => Err(usage(format!(
-                "--estimator must be `mc` or `rss`, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Display name matching `Estimator::name`.
-    pub fn name(self) -> &'static str {
-        match self {
-            EstimatorKind::Mc => "MC",
-            EstimatorKind::Rss => "RSS",
-        }
+/// Tell the user when text-only flags (`--undirected`, `--nodes`) were
+/// passed but the input sniffed as a snapshot (`format_version` is 0 only
+/// for text), where orientation and node count are baked in — otherwise
+/// the flags would be dropped silently.
+pub fn note_ignored_text_flags(format_version: u32, text_flags: &[&str], path: &str) {
+    if !text_flags.is_empty() && format_version != 0 {
+        eprintln!(
+            "note: {} only apply to text edge lists; {path} is a .rgs snapshot whose orientation and node count are fixed at ingest",
+            text_flags.join("/"),
+        );
     }
 }

@@ -11,20 +11,14 @@
 //! `--threads` / `RELMAX_THREADS` value** (CI diffs runs at 1 and 4
 //! threads to hold the line). Timings go to stderr.
 
-use crate::graphio;
-use crate::jsonfmt;
-use crate::opts::{self, BudgetFlags, CliError, EstimatorKind, Format};
+use crate::opts::{self, BudgetFlags, CliError, Format};
 use crate::table::Table;
-use relmax_core::{QueryAnswer, QueryEngine};
 use relmax_gen::workload::{self, QuerySpec};
-use relmax_sampling::{
-    BatchEstimate, BatchQuery, Budget, Estimator, McEstimator, ParallelRuntime, RssEstimator,
-};
-use relmax_server::state::batch_query;
+use relmax_sampling::{BatchEstimate, BatchQuery, Budget, ParallelRuntime};
+use relmax_server::state::{batch_query, load_snapshot, AnyEngine};
+use relmax_server::{render, EngineKind};
 use relmax_ugraph::edgelist::EdgeListOptions;
-use relmax_ugraph::index::index_enabled;
-use relmax_ugraph::{CsrGraph, ProbGraph, RelIndex};
-use std::sync::Arc;
+use relmax_ugraph::{CsrGraph, ProbGraph};
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), CliError> {
@@ -34,7 +28,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut min_hops: Option<u32> = None;
     let mut max_hops: Option<u32> = None;
     let mut emit_queries: Option<String> = None;
-    let mut estimator = EstimatorKind::Mc;
+    let mut estimator = EngineKind::Mc;
     let mut samples = 1000usize;
     let mut budget_flags = BudgetFlags::default();
     let mut seed = 42u64;
@@ -53,7 +47,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--min-hops" => min_hops = Some(opts::take_parsed(&mut it, a)?),
             "--max-hops" => max_hops = Some(opts::take_parsed(&mut it, a)?),
             "--emit-queries" => emit_queries = Some(opts::take_value(&mut it, a)?),
-            "--estimator" => estimator = EstimatorKind::parse(&opts::take_value(&mut it, a)?)?,
+            "--estimator" => {
+                estimator =
+                    EngineKind::parse(&opts::take_value(&mut it, a)?).map_err(opts::usage)?
+            }
             "--samples" | "-z" => samples = opts::take_parsed(&mut it, a)?,
             "--eps" => budget_flags.eps = Some(opts::take_parsed(&mut it, a)?),
             "--delta" => budget_flags.delta = Some(opts::take_parsed(&mut it, a)?),
@@ -130,31 +127,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     };
 
     let started = std::time::Instant::now();
-    let loaded = graphio::load(&graph_path, &text_opts)?;
-    graphio::warn_ignored_text_flags(&loaded, &text_flags, &graph_path);
-    let (csr, stored_section) = loaded.into_parts();
-
-    // Index resolution: `--no-index` / `RELMAX_INDEX=off` force plain
-    // sampling; a section persisted in the snapshot (`relmax index`) is
-    // validated and reused; otherwise the index is rebuilt from the graph.
-    // Either way every estimate value is bit-identical (see
-    // docs/internals.md), so this is purely a performance switch.
-    let index = if no_index || !index_enabled() {
-        None
-    } else if let Some(section) = stored_section {
-        let idx = RelIndex::from_section(&csr, &section)
-            .map_err(|e| opts::run_err(format!("{graph_path}: stored index section: {e}")))?;
-        Some(Arc::new(idx))
-    } else {
-        Some(Arc::new(RelIndex::build(&csr)))
-    };
+    let snap = load_snapshot(&graph_path, &text_opts, !no_index).map_err(opts::run_err)?;
+    opts::note_ignored_text_flags(snap.format_version, &text_flags, &graph_path);
+    let csr: &CsrGraph = &snap.csr;
 
     let specs = if let Some(workload) = file_workload {
         workload.specs
     } else {
         let count = gen_count.expect("presence checked above");
         let (lo, hi) = (min_hops.unwrap_or(2), max_hops.unwrap_or(5));
-        let generated = workload::st_workload(&csr, count, lo, hi, seed);
+        let generated = workload::st_workload(csr, count, lo, hi, seed);
         if generated.len() < count {
             eprintln!(
                 "note: graph supplied only {} of {count} requested queries in the {lo}..{hi} hop band",
@@ -177,7 +159,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // Constrained shapes (set/hops, or anything hop-bounded) need an
     // estimator that supports them; fail loudly rather than silently
     // answering the unconstrained query.
-    if estimator == EstimatorKind::Rss {
+    if estimator == EngineKind::Rss {
         let offender = batch_queries.iter().position(BatchQuery::is_constrained);
         if let Some(q) = offender.map(|i| &specs[i]) {
             return Err(opts::run_err(format!(
@@ -224,63 +206,39 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let runtime = threads
         .map(ParallelRuntime::new)
         .unwrap_or_else(ParallelRuntime::auto);
-    let (nodes, coins, directed) = (csr.num_nodes(), csr.num_coins(), csr.is_directed());
-    let results = match estimator {
-        EstimatorKind::Mc => serve(
-            McEstimator::with_budget(budget, seed),
-            csr,
-            index,
-            runtime,
-            &batch_queries,
-            budget,
-        )?,
-        EstimatorKind::Rss => serve(
-            RssEstimator::with_budget(budget, seed),
-            csr,
-            index,
-            runtime,
-            &batch_queries,
-            budget,
-        )?,
-    };
+    let results = AnyEngine::build(&snap, estimator, budget, seed)
+        .with_runtime(runtime)
+        .batch(&batch_queries, budget)
+        .map_err(opts::run_err)?;
 
     match format {
         Format::Table => print_table(&specs, &results, verbose_estimates),
-        Format::Json => print_json(
-            nodes, coins, directed, estimator, seed, &budget, hop_bound, &specs, &results,
-        ),
+        Format::Json => {
+            // Entries render through the server crate's shared code, so a
+            // `relmax serve` response for the same workload + seed + budget
+            // carries a byte-identical `"results"` array (tests/server.rs
+            // pins this end to end). The name is the estimator's own
+            // (`Estimator::name`: MC, RSS), the flag spelled in capitals.
+            let rendered = specs
+                .iter()
+                .zip(&results)
+                .map(|(q, r)| render::result_entry(q, hop_bound, r));
+            let name = estimator.name().to_ascii_uppercase();
+            println!(
+                "{}",
+                render::response(None, &snap, &name, seed, &budget, rendered)
+            );
+        }
     }
     eprintln!(
-        "{} queries on {nodes} nodes / {coins} coins in {:.3}s ({} worker(s))",
+        "{} queries on {} nodes / {} coins in {:.3}s ({} worker(s))",
         specs.len(),
+        csr.num_nodes(),
+        csr.num_coins(),
         started.elapsed().as_secs_f64(),
         runtime.threads(),
     );
     Ok(())
-}
-
-/// Build the engine over the frozen snapshot and serve the whole batch
-/// under one budget (passed explicitly so the call is self-describing,
-/// though it matches the estimator's default).
-fn serve<E: Estimator>(
-    est: E,
-    csr: CsrGraph,
-    index: Option<Arc<RelIndex>>,
-    runtime: ParallelRuntime,
-    queries: &[BatchQuery],
-    budget: Budget,
-) -> Result<Vec<BatchEstimate>, CliError> {
-    let engine = QueryEngine::from_parts(csr, index, est).with_runtime(runtime);
-    match engine
-        .query()
-        .batch(queries)
-        .budget(budget)
-        .run()
-        .map_err(opts::run_err)?
-    {
-        QueryAnswer::Batch(results) => Ok(results),
-        _ => unreachable!("batch queries yield batch answers"),
-    }
 }
 
 fn print_table(specs: &[QuerySpec], results: &[BatchEstimate], verbose: bool) {
@@ -343,32 +301,4 @@ fn print_table(specs: &[QuerySpec], results: &[BatchEstimate], verbose: bool) {
         t.row(row);
     }
     t.print();
-}
-
-#[allow(clippy::too_many_arguments)]
-fn print_json(
-    nodes: usize,
-    coins: usize,
-    directed: bool,
-    estimator: EstimatorKind,
-    seed: u64,
-    budget: &Budget,
-    hop_bound: Option<u32>,
-    specs: &[QuerySpec],
-    results: &[BatchEstimate],
-) {
-    // Entries render through the server crate's shared code, so a
-    // `relmax serve` response for the same workload + seed + budget
-    // carries a byte-identical `"results"` array (tests/server.rs pins
-    // this end to end).
-    let rendered = specs
-        .iter()
-        .zip(results)
-        .map(|(q, r)| relmax_server::render::result_entry(q, hop_bound, r));
-    println!(
-        "{{\"graph\":{{\"nodes\":{nodes},\"coins\":{coins},\"directed\":{directed}}},\"estimator\":{{\"name\":\"{}\",\"seed\":{seed},\"budget\":{}}},\"results\":{}}}",
-        estimator.name(),
-        jsonfmt::budget(budget),
-        jsonfmt::array(rendered)
-    );
 }

@@ -8,13 +8,14 @@
 //! chosen edges plus before/after reliability (with confidence intervals
 //! in JSON and `--verbose-estimates` table output).
 
-use crate::graphio;
 use crate::jsonfmt;
 use crate::opts::BudgetFlags;
-use crate::opts::{self, CliError, EstimatorKind, Format};
+use crate::opts::{self, CliError, Format};
 use crate::table::Table;
 use relmax_core::{AnySelector, EdgeSelector, Outcome, StQuery};
 use relmax_sampling::{Budget, Estimate, McEstimator, ParallelRuntime, RssEstimator};
+use relmax_server::state::load_graph;
+use relmax_server::EngineKind;
 use relmax_ugraph::edgelist::EdgeListOptions;
 use relmax_ugraph::{NodeId, ProbGraph};
 
@@ -29,7 +30,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut r = 100usize;
     let mut l = 30usize;
     let mut hops: Option<u32> = Some(3);
-    let mut estimator = EstimatorKind::Mc;
+    let mut estimator = EngineKind::Mc;
     let mut samples = 1000usize;
     let mut budget_flags = BudgetFlags::default();
     let mut seed = 42u64;
@@ -51,7 +52,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--l" => l = opts::take_parsed(&mut it, a)?,
             "--hops" => hops = Some(opts::take_parsed(&mut it, a)?),
             "--no-hop-limit" => hops = None,
-            "--estimator" => estimator = EstimatorKind::parse(&opts::take_value(&mut it, a)?)?,
+            "--estimator" => {
+                estimator =
+                    EngineKind::parse(&opts::take_value(&mut it, a)?).map_err(opts::usage)?
+            }
             "--samples" | "-z" => samples = opts::take_parsed(&mut it, a)?,
             "--eps" => budget_flags.eps = Some(opts::take_parsed(&mut it, a)?),
             "--delta" => budget_flags.delta = Some(opts::take_parsed(&mut it, a)?),
@@ -88,9 +92,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let budget = budget_flags.resolve(samples, None)?;
 
     let started = std::time::Instant::now();
-    let loaded = graphio::load(&graph_path, &text_opts)?;
-    graphio::warn_ignored_text_flags(&loaded, &text_flags, &graph_path);
-    let g = loaded.into_frozen();
+    let (g, _, version) = load_graph(&graph_path, &text_opts).map_err(opts::run_err)?;
+    opts::note_ignored_text_flags(version, &text_flags, &graph_path);
     for (what, v) in [("--source", s), ("--target", t)] {
         if v as usize >= g.num_nodes() {
             return Err(opts::run_err(format!(
@@ -114,13 +117,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         ParallelRuntime::set_global_threads(t);
     }
     let outcome = match estimator {
-        EstimatorKind::Mc => method.select_budgeted(
+        EngineKind::Mc => method.select_budgeted(
             &g,
             &query,
             &McEstimator::with_budget_runtime(budget, seed, runtime),
             budget,
         ),
-        EstimatorKind::Rss => method.select_budgeted(
+        EngineKind::Rss => method.select_budgeted(
             &g,
             &query,
             &RssEstimator::with_budget_runtime(budget, seed, runtime),

@@ -6,7 +6,7 @@
 //! on stdout once bound (the black-box harness reads that line to learn
 //! an ephemeral port) and then serves until killed.
 
-use crate::opts::{self, BudgetFlags, CliError, EstimatorKind};
+use crate::opts::{self, BudgetFlags, CliError};
 use relmax_server::{Config, EngineKind};
 
 /// Run the subcommand.
@@ -16,7 +16,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut threads: Option<usize> = None;
     let mut io_threads = 0usize;
     let mut queue_cap = 64usize;
-    let mut estimator = EstimatorKind::Mc;
+    let mut estimator = EngineKind::Mc;
     let mut samples = 1000usize;
     let mut budget_flags = BudgetFlags::default();
     let mut seed = 42u64;
@@ -30,7 +30,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--threads" => threads = Some(opts::take_parsed(&mut it, a)?),
             "--io-threads" => io_threads = opts::take_parsed(&mut it, a)?,
             "--queue-cap" => queue_cap = opts::take_parsed(&mut it, a)?,
-            "--estimator" => estimator = EstimatorKind::parse(&opts::take_value(&mut it, a)?)?,
+            "--estimator" => {
+                estimator =
+                    EngineKind::parse(&opts::take_value(&mut it, a)?).map_err(opts::usage)?
+            }
             "--samples" | "-z" => samples = opts::take_parsed(&mut it, a)?,
             "--eps" => budget_flags.eps = Some(opts::take_parsed(&mut it, a)?),
             "--delta" => budget_flags.delta = Some(opts::take_parsed(&mut it, a)?),
@@ -62,10 +65,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     config.queue_cap = queue_cap;
     config.seed = seed;
     config.budget = budget;
-    config.estimator = match estimator {
-        EstimatorKind::Mc => EngineKind::Mc,
-        EstimatorKind::Rss => EngineKind::Rss,
-    };
+    config.estimator = estimator;
     config.use_index = !no_index;
     if compact_after == Some(0) {
         return Err(opts::usage("--compact-after must be at least 1"));

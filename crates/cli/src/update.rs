@@ -15,11 +15,11 @@
 //! split components, so the old section must not be trusted. Index-less
 //! inputs produce index-less outputs; run `relmax index` to add one.
 
-use crate::graphio::{self, LoadedGraph};
 use crate::opts::{self, CliError};
 use relmax_gen::updates::parse_updates_file;
+use relmax_server::state::{fold_and_save, load_graph};
 use relmax_ugraph::edgelist::EdgeListOptions;
-use relmax_ugraph::{snapshot, DeltaOverlay, ProbGraph, RelIndex};
+use relmax_ugraph::{DeltaOverlay, ProbGraph};
 use std::sync::Arc;
 
 /// Run the subcommand.
@@ -51,10 +51,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let out = opts::required(out, "`-o <OUT.rgs>` output path")?;
 
     let started = std::time::Instant::now();
-    let loaded = graphio::load(&input, &text_opts)?;
-    graphio::warn_ignored_text_flags(&loaded, &text_flags, &input);
-    let had_index = matches!(&loaded, LoadedGraph::Snapshot(_, Some(_)));
-    let csr = Arc::new(loaded.into_frozen());
+    let (csr, section, version) = load_graph(&input, &text_opts).map_err(opts::run_err)?;
+    opts::note_ignored_text_flags(version, &text_flags, &input);
+    let had_index = section.is_some();
+    let csr = Arc::new(csr);
 
     let updates = parse_updates_file(&updates_path)
         .map_err(|e| opts::run_err(format!("{updates_path}: {e}")))?;
@@ -70,10 +70,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     let (inserted, reprobed, deleted) = overlay.counts();
 
-    let updated = overlay.compact();
-    let section = had_index.then(|| RelIndex::build(&updated).section());
-    snapshot::save_full(&updated, section.as_ref(), &out)
-        .map_err(|e| opts::run_err(format!("{out}: {e}")))?;
+    let (updated, _) =
+        fold_and_save(&overlay, had_index, had_index, &out).map_err(opts::run_err)?;
 
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(

@@ -47,7 +47,7 @@
 use relmax_sampling::{
     BatchEstimate, BatchQuery, Budget, Estimate, Estimator, HopsEstimate, ParallelRuntime,
 };
-use relmax_ugraph::index::{index_enabled, RelIndex, StVerdict};
+use relmax_ugraph::index::{RelIndex, StVerdict};
 use relmax_ugraph::{
     CsrGraph, DeltaOverlay, GraphError, GraphUpdate, NodeId, ProbGraph, UncertainGraph,
 };
@@ -113,15 +113,15 @@ impl<E: Estimator> QueryEngine<E> {
     /// Build an engine over an already-frozen snapshot (e.g. loaded from
     /// a `.rgs` file).
     ///
-    /// Unless `RELMAX_INDEX=off`, this builds the freeze-time reliability
-    /// index ([`RelIndex`]) and attaches it to the estimator, so queries
-    /// route through condensation / cross-component short-circuits /
-    /// per-query pruning with bit-identical estimate values. Use
-    /// [`QueryEngine::from_parts`] to supply a prebuilt (e.g. snapshot-
-    /// loaded) index, or `None` to force unindexed sampling.
+    /// This builds the freeze-time reliability index ([`RelIndex`]) and
+    /// attaches it to the estimator, so queries route through
+    /// condensation / cross-component short-circuits / per-query pruning
+    /// with bit-identical estimate values. Use [`QueryEngine::from_parts`]
+    /// to supply a prebuilt (e.g. snapshot-loaded) index, or `None` to
+    /// force unindexed sampling.
     pub fn from_snapshot(csr: CsrGraph, est: E) -> Self {
-        let index = index_enabled().then(|| Arc::new(RelIndex::build(&csr)));
-        Self::from_parts(csr, index, est)
+        let index = Arc::new(RelIndex::build(&csr));
+        Self::from_parts(csr, Some(index), est)
     }
 
     /// Build an engine over a snapshot plus an optional prebuilt index.
@@ -129,8 +129,7 @@ impl<E: Estimator> QueryEngine<E> {
     /// The index must have been built from exactly `csr` (dimension
     /// mismatches panic; deeper mismatches are the caller's contract —
     /// [`RelIndex::from_section`] validates a persisted index against its
-    /// graph). `None` disables index routing for this engine regardless of
-    /// `RELMAX_INDEX`.
+    /// graph). `None` disables index routing for this engine.
     pub fn from_parts(csr: CsrGraph, index: Option<Arc<RelIndex>>, est: E) -> Self {
         Self::from_shared(Arc::new(csr), index, est)
     }

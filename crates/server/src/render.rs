@@ -1,19 +1,45 @@
-//! Result-entry rendering shared by `relmax query` and `relmax serve`.
+//! Response rendering shared by `relmax query` and `relmax serve`.
 //!
-//! Both front ends emit the same `"results":[…]` JSON array, built by the
-//! same code — which is what lets the black-box suite byte-compare a
-//! server response against CLI output for the same workload, seed, and
-//! budget. Pairwise entries exist only on the wire (the workload file
-//! format has no pairwise line), but render here alongside the rest.
+//! Both front ends emit the same response object around the same
+//! `"results":[…]` JSON array, built by the same code — which is what
+//! lets the black-box suite byte-compare a server response against CLI
+//! output for the same workload, seed, and budget. Pairwise entries exist
+//! only on the wire (the workload file format has no pairwise line), but
+//! render here alongside the rest.
 
 use crate::json;
-use crate::state::batch_query;
+use crate::state::{batch_query, Snapshot};
 use relmax_gen::workload::QuerySpec;
-use relmax_sampling::{BatchEstimate, BatchQuery, Estimate};
-use relmax_ugraph::NodeId;
+use relmax_sampling::{BatchEstimate, BatchQuery, Budget, Estimate};
+use relmax_ugraph::{NodeId, ProbGraph};
 
 fn node_array(nodes: &[NodeId]) -> String {
     json::array(nodes.iter().map(|n| n.0.to_string()))
+}
+
+/// The response object around a rendered `"results"` array:
+/// `{"generation":…,"graph":{…},"estimator":{…},"results":[…]}`. Only
+/// the server passes a `generation`; `estimator` is the display name
+/// (`relmax query` prints the estimator's own name, `MC`, the server its
+/// wire name, `mc`). The graph dimensions are those queries run against,
+/// pending updates included.
+pub fn response(
+    generation: Option<u64>,
+    snap: &Snapshot,
+    estimator: &str,
+    seed: u64,
+    budget: &Budget,
+    results: impl IntoIterator<Item = String>,
+) -> String {
+    let generation = generation.map_or_else(String::new, |g| format!("\"generation\":{g},"));
+    format!(
+        "{{{generation}\"graph\":{{\"nodes\":{},\"coins\":{},\"directed\":{}}},\"estimator\":{{\"name\":\"{estimator}\",\"seed\":{seed},\"budget\":{}}},\"results\":{}}}",
+        snap.csr.num_nodes(),
+        snap.num_coins(),
+        snap.csr.is_directed(),
+        json::budget(budget),
+        json::array(results),
+    )
 }
 
 /// One workload-query result as a JSON object — the exact shape `relmax

@@ -20,14 +20,17 @@ use crate::http::{self, HttpError, Request, Response};
 use crate::json;
 use crate::metrics::Metrics;
 use crate::render;
-use crate::state::{batch_query, load_snapshot, AnyEngine, EngineKind, SharedSnapshot, Snapshot};
+use crate::state::{
+    batch_query, fold_and_save, load_snapshot, AnyEngine, EngineKind, SharedSnapshot, Snapshot,
+};
 use crate::work::{spawn_compute_pool, Job, JobQueue, Slot};
 use relmax_core::QueryAnswer;
 use relmax_gen::updates::{self, UpdateRequest};
 use relmax_gen::workload::{self, QuerySpec, WireSpec, WorkloadError};
 use relmax_sampling::convergence::DEFAULT_MAX_SAMPLES;
 use relmax_sampling::{BatchEstimate, Budget};
-use relmax_ugraph::{snapshot, DeltaOverlay, ProbGraph, RelIndex};
+use relmax_ugraph::edgelist::EdgeListOptions;
+use relmax_ugraph::{snapshot, DeltaOverlay, ProbGraph};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -159,7 +162,11 @@ struct ServerState {
 /// Load the snapshot, bind, print the `listening on http://…` line, and
 /// serve forever. Returns only on startup errors.
 pub fn run(config: Config) -> Result<(), String> {
-    let initial = load_snapshot(&config.snapshot_path, 1, config.use_index)?;
+    let initial = load_snapshot(
+        &config.snapshot_path,
+        &EdgeListOptions::default(),
+        config.use_index,
+    )?;
     let listener = TcpListener::bind(("127.0.0.1", config.port))
         .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", config.port))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -331,7 +338,7 @@ fn reload(state: &ServerState, body: &[u8]) -> Response {
     };
     // Load outside the snapshot lock: queries keep flowing against the
     // old generation while the new one parses and validates.
-    match load_snapshot(&path, 0, state.config.use_index) {
+    match load_snapshot(&path, &EdgeListOptions::default(), state.config.use_index) {
         Ok(snapshot) => {
             let pinned = state.snapshot.swap(snapshot);
             Metrics::add(&state.metrics.reloads_total, 1);
@@ -476,24 +483,20 @@ fn compact_now(state: &ServerState) -> Response {
     if let Some(ms) = test_slow_compact() {
         std::thread::sleep(ms);
     }
-    let csr = delta.compact();
-    let index = pinned
-        .index
-        .as_ref()
-        .map(|_| Arc::new(RelIndex::build(&csr)));
     let out_path = compacted_path(&pinned.path);
-    // Persist the index section only when the source snapshot stored
-    // one — the same rule `relmax update` applies — so the compacted
-    // file is byte-identical to the CLI's output over the same input.
-    let section = if pinned.index_stored {
-        index.as_ref().map(|i| i.section())
-    } else {
-        None
+    let folded = fold_and_save(
+        &delta,
+        pinned.index.is_some(),
+        pinned.index_stored,
+        &out_path,
+    );
+    let (csr, index) = match folded {
+        Ok(folded) => folded,
+        Err(e) => {
+            Metrics::add(&state.metrics.compaction_failures_total, 1);
+            return Response::json(500, json::error(&e));
+        }
     };
-    if let Err(e) = snapshot::save_full(&csr, section.as_ref(), &out_path) {
-        Metrics::add(&state.metrics.compaction_failures_total, 1);
-        return Response::json(500, json::error(&format!("{out_path}: {e}")));
-    }
     // Install the generation through the trusted reopen of the file just
     // written: mapped by default, the swapped-in columns live in the page
     // cache instead of keeping a second heap copy alive (under
@@ -506,11 +509,11 @@ fn compact_now(state: &ServerState) -> Response {
     };
     let next = Snapshot {
         csr: Arc::new(csr),
-        index,
+        index_stored: index.is_some() && pinned.index_stored,
+        index: index.map(Arc::new),
         generation: 0,
         format_version: snapshot::FORMAT_VERSION,
         path: out_path.clone(),
-        index_stored: section.is_some(),
         delta: None,
     };
     match state.snapshot.swap_if_generation(next, pinned.generation) {
@@ -690,15 +693,13 @@ fn query(state: &ServerState, body: &[u8]) -> Response {
 
     Response::json(
         200,
-        format!(
-            "{{\"generation\":{},\"graph\":{{\"nodes\":{},\"coins\":{},\"directed\":{}}},\"estimator\":{{\"name\":\"{}\",\"seed\":{seed},\"budget\":{}}},\"results\":{}}}",
-            snap.generation,
-            nodes,
-            snap.num_coins(),
-            snap.csr.is_directed(),
+        render::response(
+            Some(snap.generation),
+            &snap,
             state.config.estimator.name(),
-            json::budget(&budget),
-            json::array(entries),
+            seed,
+            &budget,
+            entries,
         ),
     )
 }

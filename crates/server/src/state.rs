@@ -1,13 +1,17 @@
 //! Serving state: the immutable snapshot behind an atomically swappable
 //! `Arc`, the loader that builds one from disk, and the estimator
-//! dispatch the compute pool runs queries through.
+//! dispatch the compute pool runs queries through. The `relmax` CLI
+//! verbs open, index, fold and query graph files through the same
+//! functions, so every front end makes each of those decisions in one
+//! place.
 
 use relmax_core::{QueryAnswer, QueryEngine, QueryError};
 use relmax_gen::workload::{QuerySpec, WireSpec};
-use relmax_sampling::{BatchQuery, Budget, Estimate, McEstimator, RssEstimator};
+use relmax_sampling::{
+    BatchEstimate, BatchQuery, Budget, Estimate, McEstimator, ParallelRuntime, RssEstimator,
+};
 use relmax_ugraph::edgelist::{self, EdgeListOptions};
-use relmax_ugraph::index::index_enabled;
-use relmax_ugraph::{snapshot, CsrGraph, DeltaOverlay, NodeId, RelIndex};
+use relmax_ugraph::{snapshot, CsrGraph, DeltaOverlay, IndexSection, NodeId, RelIndex};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -31,9 +35,8 @@ pub struct Snapshot {
     /// The path the snapshot was loaded from.
     pub path: String,
     /// Whether the source `.rgs` file embedded an index section.
-    /// Compaction persists an index section only when this is set, so
-    /// the compacted file is byte-identical to `relmax update` output
-    /// over the same input (the CLI applies the same rule).
+    /// Compaction persists an index section only when this is set (see
+    /// [`fold_and_save`]).
     pub index_stored: bool,
     /// Pending graph updates layered over `csr` by `POST /update`
     /// (`None` for freshly loaded or compacted snapshots). The overlay is
@@ -63,56 +66,86 @@ impl Snapshot {
     }
 }
 
-/// Load a graph file (`.rgs` snapshot or text edge list, sniffed by magic
-/// bytes exactly like the CLI) into a [`Snapshot`] with the given
-/// generation id. Errors are strings ready for the `409` body.
-pub fn load_snapshot(path: &str, generation: u64, use_index: bool) -> Result<Snapshot, String> {
+/// Open a graph file — the one loader behind every `relmax` verb that
+/// takes a `GRAPH` argument, `serve` included. The format is sniffed from
+/// the magic bytes, never the file extension: a `.rgs` snapshot is mapped
+/// zero-copy (`RELMAX_MMAP=off` opts out), so its columns live in the
+/// page cache rather than a heap copy; a text edge list streams through
+/// [`edgelist::freeze_path`] under `text` (file directives win). Returns
+/// the frozen graph, the snapshot's stored index section if any, and the
+/// `.rgs` format version (0 for text). Errors are strings ready for a CLI
+/// message or a `409` body.
+pub fn load_graph(
+    path: &str,
+    text: &EdgeListOptions,
+) -> Result<(CsrGraph, Option<IndexSection>, u32), String> {
     let p = Path::new(path);
-    let mut head = [0u8; 8];
-    let read = {
-        let mut f = File::open(p).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let mut n = 0;
-        while n < head.len() {
-            match f.read(&mut head[n..]) {
-                Ok(0) => break,
-                Ok(k) => n += k,
-                Err(e) => return Err(format!("cannot read {path}: {e}")),
-            }
-        }
-        n
-    };
-    let (csr, section, format_version) = if snapshot::is_snapshot(&head[..read]) {
-        // Zero-copy mapped load (RELMAX_MMAP=off opts out): reloads of
-        // large snapshots stop doubling resident memory during the swap
-        // window, since the new generation's columns live in the page
-        // cache rather than a second heap copy.
+    let mut head = Vec::with_capacity(8);
+    File::open(p)
+        .map_err(|e| format!("cannot open {path}: {e}"))?
+        .take(8)
+        .read_to_end(&mut head)
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    if snapshot::is_snapshot(&head) {
         let (csr, section) = snapshot::open_full(p).map_err(|e| format!("{path}: {e}"))?;
-        let version = snapshot::peek_version(&head[..read]).unwrap_or(0);
-        (csr, section, version)
+        let version = snapshot::peek_version(&head).unwrap_or(0);
+        Ok((csr, section, version))
     } else {
-        let g = edgelist::parse_file(p, &EdgeListOptions::default())
-            .map_err(|e| format!("{path}: {e}"))?;
-        (g.freeze(), None, 0)
-    };
+        let (csr, _) = edgelist::freeze_path(p, text).map_err(|e| format!("{path}: {e}"))?;
+        Ok((csr, None, 0))
+    }
+}
+
+/// [`load_graph`] into a generation-1 [`Snapshot`] (a swap restamps the
+/// generation), with the one index-resolution rule: the stored section,
+/// validated against the graph, else an index rebuilt from the graph,
+/// else none when `use_index` is off (`--no-index`). Every estimate value
+/// is bit-identical either way; the index only decides how much is
+/// sampled.
+pub fn load_snapshot(
+    path: &str,
+    text: &EdgeListOptions,
+    use_index: bool,
+) -> Result<Snapshot, String> {
+    let (csr, section, format_version) = load_graph(path, text)?;
     let index_stored = section.is_some();
-    let index = if !use_index || !index_enabled() {
-        None
-    } else if let Some(section) = section {
-        let idx = RelIndex::from_section(&csr, &section)
-            .map_err(|e| format!("{path}: stored index section: {e}"))?;
-        Some(Arc::new(idx))
-    } else {
-        Some(Arc::new(RelIndex::build(&csr)))
+    let index = match (use_index, section) {
+        (false, _) => None,
+        (true, Some(section)) => Some(
+            RelIndex::from_section(&csr, &section)
+                .map_err(|e| format!("{path}: stored index section: {e}"))?,
+        ),
+        (true, None) => Some(RelIndex::build(&csr)),
     };
     Ok(Snapshot {
         csr: Arc::new(csr),
-        index,
-        generation,
+        index: index.map(Arc::new),
+        generation: 1,
         format_version,
         path: path.to_string(),
         index_stored,
         delta: None,
     })
+}
+
+/// Fold `delta` into a fresh delta-free graph and write it to `out` as a
+/// current-format `.rgs` — `relmax update` and server compaction both
+/// land here. `index` rebuilds the reliability index over the folded
+/// graph (the updates may merge or split components, so an old section is
+/// never reused). The file embeds that index's section only when `stored`
+/// says the source file carried one, so both front ends write the same
+/// bytes for the same input.
+pub fn fold_and_save(
+    delta: &DeltaOverlay,
+    index: bool,
+    stored: bool,
+    out: &str,
+) -> Result<(CsrGraph, Option<RelIndex>), String> {
+    let csr = delta.compact();
+    let index = index.then(|| RelIndex::build(&csr));
+    let section = index.as_ref().filter(|_| stored).map(RelIndex::section);
+    snapshot::save_full(&csr, section.as_ref(), out).map_err(|e| format!("{out}: {e}"))?;
+    Ok((csr, index))
 }
 
 /// The hot-swappable snapshot slot. Readers take the lock only long
@@ -180,16 +213,16 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parse the CLI/spelling (`mc` | `rss`).
+    /// Parse the `--estimator` flag's value (`mc` | `rss`).
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "mc" => Ok(EngineKind::Mc),
             "rss" => Ok(EngineKind::Rss),
-            other => Err(format!("unknown estimator {other:?} (expected mc|rss)")),
+            other => Err(format!("--estimator must be `mc` or `rss`, got {other:?}")),
         }
     }
 
-    /// The wire name.
+    /// The wire name (the flag spelling).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Mc => "mc",
@@ -235,6 +268,31 @@ impl AnyEngine {
                 }
                 AnyEngine::Rss(e)
             }
+        }
+    }
+
+    /// Set the runtime that fans a [`AnyEngine::batch`] out across
+    /// workers (answers are bit-identical at every thread count).
+    pub fn with_runtime(self, runtime: ParallelRuntime) -> Self {
+        match self {
+            AnyEngine::Mc(e) => AnyEngine::Mc(e.with_runtime(runtime)),
+            AnyEngine::Rss(e) => AnyEngine::Rss(e.with_runtime(runtime)),
+        }
+    }
+
+    /// Answer a whole batch under `budget` (the `relmax query` path).
+    pub fn batch(
+        &self,
+        queries: &[BatchQuery],
+        budget: Budget,
+    ) -> Result<Vec<BatchEstimate>, QueryError> {
+        let answer = match self {
+            AnyEngine::Mc(e) => e.query().batch(queries).budget(budget).run()?,
+            AnyEngine::Rss(e) => e.query().batch(queries).budget(budget).run()?,
+        };
+        match answer {
+            QueryAnswer::Batch(results) => Ok(results),
+            _ => unreachable!("batch queries yield batch answers"),
         }
     }
 

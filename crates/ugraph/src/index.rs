@@ -45,29 +45,11 @@
 //! pure functions of those counts, so they match bit for bit too.
 //!
 //! The index answers *structural* questions only; it never touches the
-//! sampled randomness. `RELMAX_INDEX=off` (see [`index_enabled`]) disables
-//! the whole layer as an escape hatch.
+//! sampled randomness, so leaving it out (`relmax query --no-index`, or
+//! no index passed to the engine) changes no estimate value.
 
 use crate::csr::CsrGraph;
 use crate::{flip_threshold, CoinId, NodeId, ProbGraph};
-use std::sync::OnceLock;
-
-static ENV_INDEX: OnceLock<bool> = OnceLock::new();
-
-/// Process-wide gate for the reliability index, read once and cached:
-/// `RELMAX_INDEX=off` (or `0` / `false`) disables index construction and
-/// routing everywhere it is consulted — the escape hatch that restores the
-/// plain sample-everything paths. Anything else, or unset, enables it.
-///
-/// Estimates are bit-identical either way; the index is a pure performance
-/// layer. Tests that need both modes in one process attach the index
-/// explicitly instead of toggling the environment.
-pub fn index_enabled() -> bool {
-    *ENV_INDEX.get_or_init(|| match std::env::var("RELMAX_INDEX") {
-        Ok(v) => !(v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    })
-}
 
 /// The persisted form of a [`RelIndex`]: two per-node label arrays, stored
 /// as the optional index section of a version-2 `.rgs` snapshot (see

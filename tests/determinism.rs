@@ -386,9 +386,8 @@ fn random_partitioned_instance(
 /// index cannot answer outright (`StPlan::Sample`, plus every from / to /
 /// pairwise / scan call), the *entire* `Estimate` must match, across
 /// scalar/packed kernels, threads 1/2/4, and fixed/accuracy budgets.
-/// This is the `RELMAX_INDEX=off` escape hatch's contract, pinned at the
-/// estimator level (the env knob itself is OnceLock-cached, so the test
-/// attaches the index explicitly).
+/// This is the `--no-index` switch's contract, pinned at the estimator
+/// level (the test attaches the index explicitly).
 #[test]
 fn index_routing_bit_identical_across_matrix() {
     use relmax::sampling::{Budget, Estimator, Kernel};

@@ -388,6 +388,113 @@ fn repair_checksums(b: &mut [u8]) {
     b[44..52].copy_from_slice(&hash.to_le_bytes());
 }
 
+/// Seeded mutation loop over text edge lists: byte flips, truncations,
+/// duplicated and dropped lines, and injected `% nodes` / `% directed` /
+/// `% undirected` directives, over `data/toy.tsv` and a ring-chords list,
+/// under random caller defaults. The streaming freezer — the path every
+/// graph-file loader takes for text — may never panic, and must agree
+/// with the all-at-once parser on every mutant: the same CSR, or the same
+/// error message (line number included). Mutants that are not UTF-8 go
+/// through the byte-level entry points, where both report the same I/O
+/// error; the rest also go through `freeze_str`.
+#[test]
+fn mutated_edge_lists_never_panic_and_stream_like_parse() {
+    let mut ring = Vec::new();
+    relmax::gen::synth::RingChords::new(60, 3, 11)
+        .write_text(&mut ring)
+        .unwrap();
+    let toy = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/data/toy.tsv")).unwrap();
+    let path = std::env::temp_dir().join(format!("relmax-io-mutant-{}.tsv", std::process::id()));
+    let mut rng = StdRng::seed_from_u64(0x0e1d);
+    let (mut accepted, mut kinds) = (0, std::collections::HashSet::new());
+    for original in [&toy, &ring] {
+        for round in 0..600 {
+            let mut b = original.clone();
+            let mut lines: Vec<Vec<u8>> = b.split(|&c| c == b'\n').map(<[u8]>::to_vec).collect();
+            let at = rng.gen_range(0..lines.len());
+            let what = match round % 6 {
+                0 => {
+                    let i = rng.gen_range(0..b.len());
+                    b[i] ^= rng.gen_range(1..=255u8);
+                    format!("flip byte {i}")
+                }
+                1 => {
+                    b.truncate(rng.gen_range(0..b.len()));
+                    format!("truncate to {}", b.len())
+                }
+                2 => {
+                    let copy = lines[at].clone();
+                    let to = rng.gen_range(0..=lines.len());
+                    lines.insert(to, copy);
+                    b = lines.join(&b'\n');
+                    format!("duplicate line {} at {to}", at + 1)
+                }
+                3 => {
+                    lines.remove(at);
+                    b = lines.join(&b'\n');
+                    format!("drop line {}", at + 1)
+                }
+                4 => {
+                    // Counts around the real one: too few dangle edges.
+                    let n = rng.gen_range(0..80usize);
+                    lines.insert(at, format!("% nodes {n}").into_bytes());
+                    b = lines.join(&b'\n');
+                    format!("`% nodes {n}` at line {}", at + 1)
+                }
+                _ => {
+                    let d = ["% directed", "% undirected"][rng.gen_range(0..2)];
+                    lines.insert(at, d.as_bytes().to_vec());
+                    b = lines.join(&b'\n');
+                    format!("`{d}` at line {}", at + 1)
+                }
+            };
+            let opts = EdgeListOptions {
+                directed: rng.gen_bool(0.5),
+                nodes: rng.gen_bool(0.3).then(|| rng.gen_range(0..80usize)),
+            };
+            let parsed = edgelist::parse_reader(&b[..], &opts).map(|g| g.freeze());
+            std::fs::write(&path, &b).unwrap();
+            let mut streamed = vec![edgelist::freeze_path(&path, &opts)];
+            if let Ok(text) = std::str::from_utf8(&b) {
+                streamed.push(edgelist::freeze_str(text, &opts));
+            }
+            for got in streamed {
+                match (&parsed, got) {
+                    (Ok(want), Ok((csr, stats))) => {
+                        assert!(csr == *want, "{what} {opts:?}: CSR differs");
+                        assert_eq!(stats.edges, want.num_coins(), "{what}");
+                    }
+                    (Err(want), Err(e)) => {
+                        assert_eq!(e.to_string(), want.to_string(), "{what} {opts:?}")
+                    }
+                    (want, got) => panic!(
+                        "{what} {opts:?}: parse {:?} vs stream {:?}",
+                        want.as_ref().err(),
+                        got.err()
+                    ),
+                }
+            }
+            match parsed {
+                Ok(_) => accepted += 1,
+                Err(edgelist::EdgeListError::Io(_)) => {
+                    kinds.insert("io".to_string());
+                }
+                Err(edgelist::EdgeListError::BadRecord { reason, .. }) => {
+                    kinds.insert(reason.split(' ').next().unwrap_or("").to_string());
+                }
+                Err(edgelist::EdgeListError::Graph { source, .. }) => {
+                    kinds.insert(format!("{:?}", std::mem::discriminant(&source)));
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    // The loop must reach past the first checks: many mutants still load,
+    // and the rejections span syntax, directive and graph errors.
+    assert!(accepted >= 100, "only {accepted} mutants loaded");
+    assert!(kinds.len() >= 8, "only {kinds:?} rejections");
+}
+
 /// Seeded mutation loop over `.rgs` bytes: byte flips, truncations,
 /// extensions and lying header sizes, each with and without repaired
 /// checksums, over a v3 file with an index section and both legacy

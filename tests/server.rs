@@ -557,6 +557,118 @@ fn corrupt_reload_keeps_the_old_snapshot_serving() {
     );
 }
 
+/// Run the `relmax` binary to completion: (exit code, stdout, stderr).
+fn run_relmax(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(relmax_bin())
+        .args(args)
+        .output()
+        .expect("run relmax");
+    (
+        out.status.code().expect("exit code"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The error paths every front end shares: flag parsing, opening a graph
+/// file, and resolving a stored index section. The CLI verbs and the
+/// server must keep their exit codes, status codes and messages.
+#[test]
+fn graph_file_and_estimator_errors_are_pinned_across_front_ends() {
+    let dir = scratch("front-door");
+    let rgs = ingest_toy(&dir);
+    let rgs_s = rgs.to_str().unwrap();
+
+    // An unknown estimator is a usage error (exit 2) on every verb that
+    // takes one, with the same message; `serve` fails before it binds.
+    let estimator_msg = "--estimator must be `mc` or `rss`, got \"bogus\"";
+    for args in [
+        &["query", rgs_s, "--gen", "3", "--estimator", "bogus"][..],
+        &[
+            "select",
+            rgs_s,
+            "--method",
+            "BE",
+            "--source",
+            "0",
+            "--target",
+            "15",
+            "--estimator",
+            "bogus",
+        ],
+        &["serve", rgs_s, "--port", "0", "--estimator", "bogus"],
+    ] {
+        let (code, stdout, stderr) = run_relmax(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains(estimator_msg), "{args:?}: {stderr}");
+    }
+
+    // A missing graph file is a runtime error (exit 1) naming the path.
+    let missing = dir.join("missing.rgs");
+    let missing_s = missing.to_str().unwrap();
+    let (code, _, stderr) = run_relmax(&["query", missing_s, "--gen", "3"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: cannot open {missing_s}: ")),
+        "{stderr}"
+    );
+
+    // Text-only flags on a snapshot are answered with a note, not dropped
+    // silently; the run itself succeeds.
+    let (code, stdout, stderr) = run_relmax(&["query", rgs_s, "--gen", "3", "--undirected"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(!stdout.is_empty());
+    assert!(
+        stderr.contains(&format!(
+            "note: --undirected only apply to text edge lists; {rgs_s} is a .rgs snapshot whose orientation and node count are fixed at ingest"
+        )),
+        "{stderr}"
+    );
+
+    // A snapshot carrying the index section of a different graph of the
+    // same size: 0->1, 2->3 stored with the section of 0->2, 1->3, whose
+    // possible components disagree with the graph's.
+    use relmax_ugraph::{snapshot, NodeId, RelIndex, UncertainGraph};
+    let graph = |edges: [(u32, u32); 2]| {
+        let mut g = UncertainGraph::new(4, true);
+        for (s, t) in edges {
+            g.add_edge(NodeId(s), NodeId(t), 0.5).unwrap();
+        }
+        g.freeze()
+    };
+    let served = graph([(0, 1), (2, 3)]);
+    let other = graph([(0, 2), (1, 3)]);
+    let lying = dir.join("lying.rgs");
+    let lying_s = lying.to_str().unwrap();
+    snapshot::save_full(&served, Some(&RelIndex::build(&other).section()), &lying).unwrap();
+    let section_msg = format!("{lying_s}: stored index section: ");
+
+    let (code, stdout, stderr) = run_relmax(&["query", lying_s, "--gen", "3"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains(&format!("error: {section_msg}")),
+        "{stderr}"
+    );
+    // `--no-index` never reads the section, so the graph still answers.
+    let (code, _, stderr) = run_relmax(&["query", lying_s, "--gen", "3", "--no-index"]);
+    assert_eq!(code, 0, "{stderr}");
+
+    // The server refuses the same file on reload with the same message,
+    // and the old generation keeps serving.
+    let srv = Server::spawn(&rgs, &["--threads", "1"], &[]);
+    let addr = &srv.addr;
+    let before = query(addr, "% seed 5\nst 0 15\n");
+    assert_eq!(before.status, 200, "{}", before.body);
+    let r = http(addr, "POST", "/reload", Some(lying_s));
+    assert_eq!(r.status, 409, "{}", r.body);
+    assert!(r.body.contains(&section_msg), "{}", r.body);
+    let after = query(addr, "% seed 5\nst 0 15\n");
+    assert_eq!(json_u64(&after.body, "generation"), 1);
+    assert_eq!(after.body, before.body);
+}
+
 // ------------------------------------------------- hot swap + coalescing
 
 #[test]
