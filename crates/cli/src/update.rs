@@ -70,8 +70,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     let (inserted, reprobed, deleted) = overlay.counts();
 
-    let (updated, _) =
-        fold_and_save(&overlay, had_index, had_index, &out).map_err(opts::run_err)?;
+    let (updated, _) = fold_and_save(&overlay, false, had_index, &out).map_err(opts::run_err)?;
 
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(

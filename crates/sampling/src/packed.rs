@@ -61,6 +61,25 @@
 //! the bitmap with bitmap-only deposits. Both walk the frontier in
 //! ascending node order, so they step the same arcs and hash the same
 //! coins.
+//!
+//! `s-t` hits do not flood. A forward search alone settles a world only
+//! once it reaches `t` or has used up `s`'s whole reachable set, so every
+//! miss costs a flood. [`st_hits`] runs **two searches per block**
+//! instead, one forward from `s` over out-arcs and one backward from `t`
+//! over in-arcs (the same arcs for an undirected graph), sharing the
+//! block's coin memo: an in-arc carries its out-arc's coin id, so each
+//! coin is still hashed at most once per block. Each round expands the
+//! side whose last round queued fewer nodes. A lane **hits** when a
+//! deposit lands on a node the other side has reached in that lane, and
+//! **retires** once it has hit or once either side deposits nothing for
+//! it in a round: that side's search is then complete in that world and
+//! disjoint from the other's, so `t` is unreachable there. Retired lanes
+//! are masked out of both frontiers, so a block ends with its last
+//! unsettled lane. Before the first block the same meet runs once, in
+//! one lane, on the possible graph (every arc whose coin can come up):
+//! if it does not connect `s` and `t`, no world does, and the range is
+//! settled without hashing a coin. Both searches, and every other
+//! fixpoint here, run one arc loop.
 
 use crate::coins::{splitmix64, SAMPLE_MUL};
 use relmax_ugraph::{CoinId, ExtraEdge, NodeId, ProbGraph};
@@ -274,21 +293,31 @@ struct CoinSlot {
     mask: u64,
 }
 
+/// Where a fixpoint's arc verdicts come from.
+trait Coins {
+    /// The lane word of coin `coin` with flip threshold `threshold`: bit
+    /// `k` is set iff the arc exists in lane `k`.
+    fn lanes(&mut self, coin: CoinId, threshold: u64) -> u64;
+}
+
 /// Per-block coin-mask memo: each coin's 64 lane verdicts are hashed on
 /// first touch and served from the cache for the rest of the block.
 /// Epoch-stamped, so starting the next block is one counter bump; a
 /// separate object from [`LaneScratch`] because one memo can back
 /// several fixpoints of the same block (forward + reverse scan passes,
-/// every source of a pairwise row).
+/// every source of a pairwise row, both searches of an `s-t` block).
 #[derive(Debug, Default)]
 struct CoinMemo {
     slots: Vec<CoinSlot>,
     epoch: u32,
+    seed: u64,
+    base_mul: u64,
 }
 
 impl CoinMemo {
-    /// Start a fresh epoch for a block over `m` coins.
-    fn begin(&mut self, m: usize) {
+    /// Start a fresh epoch for `block` of the worlds drawn under `seed`,
+    /// over `m` coins.
+    fn begin(&mut self, m: usize, seed: u64, block: WorldBlock) {
         if self.slots.len() < m {
             self.slots.resize(m, CoinSlot::default());
         }
@@ -297,22 +326,38 @@ impl CoinMemo {
             self.epoch = 0;
         }
         self.epoch += 1;
+        self.seed = seed;
+        self.base_mul = block.base_mul();
     }
+}
 
+impl Coins for CoinMemo {
     /// The 64-lane verdict word for `coin` in the current block.
     #[inline]
-    fn get(&mut self, seed: u64, base_mul: u64, coin: CoinId, threshold: u64) -> u64 {
+    fn lanes(&mut self, coin: CoinId, threshold: u64) -> u64 {
         let slot = &mut self.slots[coin as usize];
         if slot.mark == self.epoch {
             slot.mask
         } else {
-            let mask = coin_lanes(seed, base_mul, coin, threshold);
+            let mask = coin_lanes(self.seed, self.base_mul, coin, threshold);
             *slot = CoinSlot {
                 mark: self.epoch,
                 mask,
             };
             mask
         }
+    }
+}
+
+/// The possible graph in every lane: an arc exists iff its coin can
+/// come up at all (a nonzero flip threshold). No sampled world holds an
+/// arc the possible graph lacks.
+struct Possible;
+
+impl Coins for Possible {
+    #[inline]
+    fn lanes(&mut self, _: CoinId, threshold: u64) -> u64 {
+        0u64.wrapping_sub((threshold != 0) as u64)
     }
 }
 
@@ -410,6 +455,28 @@ impl LaneScratch {
         }
         self.cur.bits[w] |= 1 << b;
         self.live[w] |= 1 << b;
+    }
+
+    /// Nodes of the current frontier with pending lanes in `active`.
+    fn front_nodes(&self, active: u64, rounds: &Rounds) -> usize {
+        let count = |wi: usize| {
+            let mut w = self.cur.bits[wi];
+            let mut nodes = 0;
+            while w != 0 {
+                let v = wi * LANES + w.trailing_zeros() as usize;
+                w &= w - 1;
+                nodes += (self.state[v].pending & active != 0) as usize;
+            }
+            nodes
+        };
+        if rounds.listed {
+            self.cur.words[..self.cur.len]
+                .iter()
+                .map(|&wi| count(wi as usize))
+                .sum()
+        } else {
+            (0..rounds.words).map(count).sum()
+        }
     }
 
     /// Nodes with any reached lane this block, ascending.
@@ -561,19 +628,24 @@ fn walk_word(bits: &mut [u64], wi: usize, visit: &mut impl FnMut(usize)) -> usiz
 /// it live. A sparse round also lists the word on its first deposit with
 /// a branchless push (the slot is always written; `len` advances only
 /// when the word was empty), so the per-arc code stays branch-free.
+/// Returns 1 if `u` just joined the frontier, else 0.
 #[inline(always)]
-fn enqueue<const SPARSE: bool>(frontier: &mut Frontier, live: &mut [u64], u: usize, add: u64) {
+fn enqueue<const SPARSE: bool>(
+    frontier: &mut Frontier,
+    live: &mut [u64],
+    u: usize,
+    add: u64,
+) -> usize {
     let nz = (add != 0) as u64;
     let (uw, ub) = (u >> 6, u & 63);
+    let old = frontier.bits[uw];
+    frontier.bits[uw] = old | nz << ub;
     if SPARSE {
-        let old = frontier.bits[uw];
-        frontier.bits[uw] = old | nz << ub;
         frontier.words[frontier.len] = uw as u32;
         frontier.len += ((old == 0) as usize) & nz as usize;
-    } else {
-        frontier.bits[uw] |= nz << ub;
     }
     live[uw] |= nz << ub;
+    (nz & !(old >> ub)) as usize
 }
 
 /// Run the packed frontier fixpoint for one block: level-synchronous
@@ -585,61 +657,75 @@ fn enqueue<const SPARSE: bool>(frontier: &mut Frontier, live: &mut [u64], u: usi
 /// arrival depth* instead of once per lane — and the deposit into the
 /// destination's [`NodeLanes`] slot is branchless, keeping the random
 /// loads pipelined instead of serialized behind mispredicted branches.
-///
-/// `prune` (the `s-t` early exit) masks lanes that already reached the
-/// target out of further expansion — legal because coins are stateless,
-/// so *which* arcs get hashed never changes any lane's verdict.
 #[inline]
 fn fixpoint<G: ProbGraph>(
     g: &G,
-    seed: u64,
-    block: WorldBlock,
+    lanes: u64,
     ls: &mut LaneScratch,
-    memo: &mut CoinMemo,
+    coins: &mut impl Coins,
     reverse: bool,
-    prune: Option<NodeId>,
 ) {
-    let base_mul = block.base_mul();
     let mut rounds = Rounds::seeded(ls, g.num_nodes());
     loop {
-        if let Some(t) = prune {
-            // Every live lane has its verdict: the whole block is done.
-            // Leftover frontier/pending state is cleared by the next
-            // `begin_block` (frontier bits are a subset of `live`).
-            if ls.state[t.index()].reached == block.mask {
-                return;
-            }
-        }
-        let sparse = rounds.sparse();
-        let walked = if sparse {
-            fixpoint_round::<true, G>(g, seed, base_mul, ls, memo, reverse, prune, &rounds)
-        } else {
-            fixpoint_round::<false, G>(g, seed, base_mul, ls, memo, reverse, prune, &rounds)
-        };
-        if walked == 0 {
+        let round = fixpoint_round(g, ls, coins, reverse, lanes, &mut rounds, |_, _| {});
+        if round.walked == 0 {
             return;
         }
-        std::mem::swap(&mut ls.cur, &mut ls.next);
-        rounds.advance(sparse, walked);
     }
 }
 
-/// One round of [`fixpoint`]: propagate every frontier node's pending
-/// lanes along its arcs into `next`. Returns the nodes walked. (Progress
-/// is not tracked per arc: a round without it leaves `next` empty, and
-/// the next round's walk finds nothing.)
-#[allow(clippy::too_many_arguments)]
+/// What one [`fixpoint_round`] did.
+struct RoundOut {
+    /// Frontier nodes walked.
+    walked: usize,
+    /// Nodes the round queued for the next one.
+    queued: usize,
+    /// Every lane the round deposited anywhere.
+    lanes: u64,
+}
+
+/// One round of a fixpoint: propagate every frontier node's pending
+/// lanes, restricted to `active`, along its arcs into the next frontier,
+/// which then becomes the current one. `deposit` sees each arc's
+/// destination and the lanes it just gained. The round runs sparse or
+/// dense as `rounds` decides. (Progress is not tracked per arc: a round
+/// without it leaves the next frontier empty, and the next round's walk
+/// finds nothing.)
 #[inline(always)]
-fn fixpoint_round<const SPARSE: bool, G: ProbGraph>(
+fn fixpoint_round<G: ProbGraph>(
     g: &G,
-    seed: u64,
-    base_mul: u64,
     ls: &mut LaneScratch,
-    memo: &mut CoinMemo,
+    coins: &mut impl Coins,
     reverse: bool,
-    prune: Option<NodeId>,
+    active: u64,
+    rounds: &mut Rounds,
+    deposit: impl FnMut(usize, u64),
+) -> RoundOut {
+    let sparse = rounds.sparse();
+    let round = if sparse {
+        round_arcs::<true, G>(g, ls, coins, reverse, active, rounds, deposit)
+    } else {
+        round_arcs::<false, G>(g, ls, coins, reverse, active, rounds, deposit)
+    };
+    if round.walked > 0 {
+        std::mem::swap(&mut ls.cur, &mut ls.next);
+        rounds.advance(sparse, round.walked);
+    }
+    round
+}
+
+/// The arc loop of [`fixpoint_round`], monomorphized on the round's form
+/// so dense rounds carry no word-list bookkeeping per arc.
+#[inline(always)]
+fn round_arcs<const SPARSE: bool, G: ProbGraph>(
+    g: &G,
+    ls: &mut LaneScratch,
+    coins: &mut impl Coins,
+    reverse: bool,
+    active: u64,
     rounds: &Rounds,
-) -> usize {
+    mut deposit: impl FnMut(usize, u64),
+) -> RoundOut {
     let LaneScratch {
         state,
         cur,
@@ -647,29 +733,144 @@ fn fixpoint_round<const SPARSE: bool, G: ProbGraph>(
         live,
         ..
     } = ls;
-    rounds.walk(SPARSE, cur, |v| {
-        let mut new_bits = state[v].pending;
+    let (mut queued, mut lanes) = (0usize, 0u64);
+    let walked = rounds.walk(SPARSE, cur, |v| {
+        let new_bits = state[v].pending & active;
         state[v].pending = 0;
-        if let Some(t) = prune {
-            new_bits &= !state[t.index()].reached;
-        }
         if new_bits == 0 {
             return;
         }
-        let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
-            let mask = memo.get(seed, base_mul, c, th);
-            let st = &mut state[u.index()];
-            let add = new_bits & mask & !st.reached;
-            st.reached |= add;
-            st.pending |= add;
-            enqueue::<SPARSE>(next, live, u.index(), add);
+        let mut on_arc = |u: usize, add: u64, joined: usize| {
+            queued += joined;
+            lanes |= add;
+            deposit(u, add);
         };
-        if reverse {
-            g.in_flips(NodeId(v as u32)).for_each(&mut step);
+        step_arcs::<SPARSE, G>(
+            g,
+            coins,
+            state,
+            next,
+            live,
+            v,
+            new_bits,
+            reverse,
+            &mut on_arc,
+        );
+    });
+    RoundOut {
+        walked,
+        queued,
+        lanes,
+    }
+}
+
+/// Step node `v`'s arcs (in-arcs when `reverse`) in lanes `new_bits` —
+/// the one arc loop every packed fixpoint runs. Each arc deposits into
+/// its destination `u` the lanes whose coin holds and that `u` has not
+/// reached yet, queues `u` in `next`, and reports `(u, lanes, joined)`
+/// to `on_arc`, `joined` being 1 if `u` just joined the frontier.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn step_arcs<const SPARSE: bool, G: ProbGraph>(
+    g: &G,
+    coins: &mut impl Coins,
+    state: &mut [NodeLanes],
+    next: &mut Frontier,
+    live: &mut [u64],
+    v: usize,
+    new_bits: u64,
+    reverse: bool,
+    on_arc: &mut impl FnMut(usize, u64, usize),
+) {
+    let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
+        #[cfg(test)]
+        tests::ARCS.with(|a| a.set(a.get() + 1));
+        let mask = coins.lanes(c, th);
+        let st = &mut state[u.index()];
+        let add = new_bits & mask & !st.reached;
+        st.reached |= add;
+        st.pending |= add;
+        let joined = enqueue::<SPARSE>(next, live, u.index(), add);
+        on_arc(u.index(), add, joined);
+    };
+    if reverse {
+        g.in_flips(NodeId(v as u32)).for_each(&mut step);
+    } else {
+        g.out_flips(NodeId(v as u32)).for_each(&mut step);
+    }
+}
+
+/// One side of [`meet`]: its round bookkeeping and how many nodes its
+/// last round queued.
+struct MeetSide {
+    rounds: Rounds,
+    queued: usize,
+}
+
+/// Run the bidirectional `s-t` fixpoint over `lanes`: a forward search
+/// from `s` in `fwd` and a backward search (over in-arcs) from `t` in
+/// `bwd`, both drawing their arcs from `coins`. Returns the lanes in
+/// which the two searches met — the worlds where `t` is reachable from
+/// `s`.
+///
+/// Each round expands the side whose last round queued fewer nodes. A
+/// lane hits when a deposit lands on a node the other side has reached
+/// in that lane, and retires once it hits or once a round of either side
+/// deposits nothing in it: that side's search is then complete in that
+/// world, and (no meeting having been seen) disjoint from the other
+/// side's, so `t` is unreachable there. Retired lanes are masked out of
+/// both frontiers, so the search ends with its last unsettled lane.
+///
+/// The verdicts are the forward search's: whether the two reached sets
+/// of a world intersect does not depend on the order the arcs were
+/// stepped in, and coins are stateless, so which coins get hashed never
+/// changes any lane's draw.
+fn meet<G: ProbGraph>(
+    g: &G,
+    s: NodeId,
+    t: NodeId,
+    lanes: u64,
+    fwd: &mut LaneScratch,
+    bwd: &mut LaneScratch,
+    coins: &mut impl Coins,
+) -> u64 {
+    let n = g.num_nodes();
+    for (ls, v) in [(&mut *fwd, s), (&mut *bwd, t)] {
+        ls.begin_block(n);
+        ls.seed(v, lanes);
+    }
+    let side = |ls: &LaneScratch| MeetSide {
+        rounds: Rounds::seeded(ls, n),
+        queued: 1,
+    };
+    let mut sides = [side(fwd), side(bwd)];
+    // Nonzero only when `s == t`: every lane hits before any round.
+    let mut hit = fwd.state[t.index()].reached;
+    let mut active = lanes & !hit;
+    while active != 0 {
+        let reverse = sides[1].queued < sides[0].queued;
+        let (ls, other, side) = if reverse {
+            (&mut *bwd, &*fwd, &mut sides[1])
         } else {
-            g.out_flips(NodeId(v as u32)).for_each(&mut step);
+            (&mut *fwd, &*bwd, &mut sides[0])
+        };
+        let mut met = 0u64;
+        let round = fixpoint_round(g, ls, coins, reverse, active, &mut side.rounds, |u, add| {
+            met |= add & other.state[u].reached
+        });
+        side.queued = round.queued;
+        hit |= met & active;
+        let live = active & round.lanes & !met;
+        if live != active {
+            // Retired lanes leave both frontiers, so recount each side
+            // over the lanes still live: a side whose front is mostly
+            // settled lanes must not look larger than it is.
+            active = live;
+            sides[0].queued = fwd.front_nodes(active, &sides[0].rounds);
+            sides[1].queued = bwd.front_nodes(active, &sides[1].rounds);
         }
-    })
+    }
+    hit
 }
 
 /// Run the *strictly* level-synchronous packed fixpoint for one block,
@@ -689,14 +890,12 @@ fn fixpoint_round<const SPARSE: bool, G: ProbGraph>(
 /// legal because coins are stateless, so pruning never changes a verdict.
 fn fixpoint_levels<G: ProbGraph>(
     g: &G,
-    seed: u64,
     block: WorldBlock,
     ls: &mut LaneScratch,
     memo: &mut CoinMemo,
     targets: &[NodeId],
     max_hops: u32,
 ) -> (u64, u64) {
-    let base_mul = block.base_mul();
     let mut rounds = Rounds::seeded(ls, g.num_nodes());
     // Lanes where a target is already reached at seed time: depth 0.
     let mut hit = 0u64;
@@ -725,9 +924,9 @@ fn fixpoint_levels<G: ProbGraph>(
             break;
         }
         if sparse {
-            levels_round::<true, G>(g, seed, base_mul, ls, memo, &wave);
+            levels_round::<true, G>(g, ls, memo, &wave);
         } else {
-            levels_round::<false, G>(g, seed, base_mul, ls, memo, &wave);
+            levels_round::<false, G>(g, ls, memo, &wave);
         }
         rounds.advance(sparse, walked);
         // Lanes whose first target arrival is this round.
@@ -750,8 +949,6 @@ fn fixpoint_levels<G: ProbGraph>(
 #[inline(never)]
 fn levels_round<const SPARSE: bool, G: ProbGraph>(
     g: &G,
-    seed: u64,
-    base_mul: u64,
     ls: &mut LaneScratch,
     memo: &mut CoinMemo,
     wave: &[(u32, u64)],
@@ -760,15 +957,18 @@ fn levels_round<const SPARSE: bool, G: ProbGraph>(
         state, cur, live, ..
     } = ls;
     for &(v, new_bits) in wave {
-        let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
-            let mask = memo.get(seed, base_mul, c, th);
-            let st = &mut state[u.index()];
-            let add = new_bits & mask & !st.reached;
-            st.reached |= add;
-            st.pending |= add;
-            enqueue::<SPARSE>(cur, live, u.index(), add);
-        };
-        g.out_flips(NodeId(v)).for_each(&mut step);
+        let v = v as usize;
+        step_arcs::<SPARSE, G>(
+            g,
+            memo,
+            state,
+            cur,
+            live,
+            v,
+            new_bits,
+            false,
+            &mut |_, _, _| {},
+        );
     }
 }
 
@@ -800,11 +1000,11 @@ pub fn set_counts<G: ProbGraph>(
         with_coin_memo(|memo| {
             for block in WorldBlock::span(lo, hi) {
                 ls.begin_block(n);
-                memo.begin(m);
+                memo.begin(m, seed, block);
                 for &s in sources {
                     ls.seed(s, block.mask);
                 }
-                let (hit, ds) = fixpoint_levels(g, seed, block, ls, memo, targets, cap);
+                let (hit, ds) = fixpoint_levels(g, block, ls, memo, targets, cap);
                 hits += hit.count_ones() as u64;
                 depth_sum += ds;
             }
@@ -814,20 +1014,26 @@ pub fn set_counts<G: ProbGraph>(
 }
 
 /// Packed `s-t` hit count for the absolute sample range `lo..hi`:
-/// bit-identical to the scalar per-world BFS count.
+/// bit-identical to the scalar per-world BFS count. Each block runs a
+/// bidirectional meet instead of flooding `s`'s reachable set. First,
+/// one single-lane meet on the possible graph: no world connects a pair
+/// that graph does not, so such a range has no hits and hashes no coin —
+/// where a search from each end would flood both ends' components in
+/// every block.
 pub fn st_hits<G: ProbGraph>(g: &G, seed: u64, s: NodeId, t: NodeId, lo: u64, hi: u64) -> u64 {
-    let n = g.num_nodes();
     let m = g.num_coins();
     let mut hits = 0u64;
-    with_lane_scratch(|ls| {
-        with_coin_memo(|memo| {
-            for block in WorldBlock::span(lo, hi) {
-                ls.begin_block(n);
-                memo.begin(m);
-                ls.seed(s, block.mask);
-                fixpoint(g, seed, block, ls, memo, false, Some(t));
-                hits += ls.state[t.index()].reached.count_ones() as u64;
+    with_lane_scratch(|fwd| {
+        with_lane_scratch(|bwd| {
+            if lo >= hi || meet(g, s, t, 1, fwd, bwd, &mut Possible) == 0 {
+                return;
             }
+            with_coin_memo(|memo| {
+                for block in WorldBlock::span(lo, hi) {
+                    memo.begin(m, seed, block);
+                    hits += meet(g, s, t, block.mask, fwd, bwd, memo).count_ones() as u64;
+                }
+            });
         });
     });
     hits
@@ -851,9 +1057,9 @@ pub fn reach_counts<G: ProbGraph>(
         with_coin_memo(|memo| {
             for block in WorldBlock::span(lo, hi) {
                 ls.begin_block(n);
-                memo.begin(m);
+                memo.begin(m, seed, block);
                 ls.seed(start, block.mask);
-                fixpoint(g, seed, block, ls, memo, reverse, None);
+                fixpoint(g, block.mask, ls, memo, reverse);
                 for v in ls.live_nodes() {
                     counts[v] += ls.state[v].reached.count_ones() as u64;
                 }
@@ -894,9 +1100,9 @@ pub fn scan_counts<G: ProbGraph>(
                     fwd.begin_block(n);
                     // One memo serves both passes: the reverse fixpoint
                     // walks the same coins in the same block.
-                    memo.begin(m);
+                    memo.begin(m, seed, block);
                     fwd.seed(s, block.mask);
-                    fixpoint(g, seed, block, fwd, memo, false, None);
+                    fixpoint(g, block.mask, fwd, memo, false);
                     let connected = fwd.state[t.index()].reached;
                     if connected != 0 {
                         let hit = connected.count_ones() as u64;
@@ -911,7 +1117,7 @@ pub fn scan_counts<G: ProbGraph>(
                     // Reverse reach to t, restricted to still-open lanes.
                     rev.begin_block(n);
                     rev.seed(t, open);
-                    fixpoint(g, seed, block, rev, memo, true, None);
+                    fixpoint(g, open, rev, memo, true);
                     // The candidate coin's raw draw per open lane;
                     // candidates differ only in the threshold it is
                     // compared against.
@@ -964,11 +1170,11 @@ pub fn pairwise_counts<G: ProbGraph>(
                 // One coin epoch per block, shared by every source's
                 // fixpoint: each coin's 64 lanes are hashed at most once
                 // across all sources.
-                memo.begin(m);
+                memo.begin(m, seed, block);
                 for (si, &s) in sources.iter().enumerate() {
                     ls.begin_block(n);
                     ls.seed(s, block.mask);
-                    fixpoint(g, seed, block, ls, memo, false, None);
+                    fixpoint(g, block.mask, ls, memo, false);
                     for (ti, &t) in targets.iter().enumerate() {
                         counts[si][ti] += ls.state[t.index()].reached.count_ones() as u64;
                     }
@@ -1077,6 +1283,8 @@ mod tests {
     thread_local! {
         /// Whether each finished fixpoint round on this thread ran sparse.
         pub(super) static ROUNDS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+        /// Arcs stepped by packed fixpoints on this thread.
+        pub(super) static ARCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// Take the round modes recorded so far, as a string of `s`/`d`.
@@ -1162,6 +1370,93 @@ mod tests {
             let rounds = take_rounds();
             assert!(rounds.contains("sdsss"), "{rounds}");
         }
+    }
+
+    /// Directed ring-chords graph: `v → v + j (mod n)` for `j` in `1..=4`,
+    /// with hashed probabilities in `[0.05, 0.95)` (the `relmax gen`
+    /// family).
+    fn ring_chords(n: u32) -> UncertainGraph {
+        let mut g = UncertainGraph::new(n as usize, true);
+        for v in 0..n {
+            for j in 1..=4 {
+                let h = splitmix64((v as u64) << 3 | j as u64) >> 11;
+                let p = 0.05 + 0.9 * (h as f64 / (1u64 << 53) as f64);
+                g.add_edge(NodeId(v), NodeId((v + j) % n), p).unwrap();
+            }
+        }
+        g
+    }
+
+    /// Arcs stepped by `f` on this thread.
+    fn arcs_read(f: impl FnOnce()) -> u64 {
+        ARCS.with(|a| a.set(0));
+        f();
+        ARCS.with(|a| a.get())
+    }
+
+    #[test]
+    fn meet_reads_fewer_arcs_than_the_forward_flood() {
+        let g = ring_chords(4000);
+        let (lo, hi) = (0u64, 640u64);
+        let (mut meet_total, mut flood_total) = (0, 0);
+        // 2, 4 and 2 hops apart (the last pair wraps past node 0).
+        for (s, t) in [(100u32, 108u32), (100, 114), (3995, 3)] {
+            let (s, t) = (NodeId(s), NodeId(t));
+            let mut hits = 0;
+            let meet = arcs_read(|| hits = st_hits(&g, 5, s, t, lo, hi));
+            let mut counts = vec![0u64; g.num_nodes()];
+            let flood = arcs_read(|| reach_counts(&g, 5, s, false, lo, hi, &mut counts));
+            // Same verdicts as the forward flood, from a fraction of its
+            // arcs: misses retire as soon as one side runs dry. A block
+            // still runs until its slowest lane settles, and a lane whose
+            // two searches pass each other without meeting runs long.
+            assert_eq!(hits, counts[t.index()], "{s:?}->{t:?}");
+            assert!(hits > 0 && hits < hi - lo, "{s:?}->{t:?}: {hits} hits");
+            assert!(
+                meet * 2 < flood,
+                "{s:?}->{t:?}: meet {meet} arcs, flood {flood}"
+            );
+            meet_total += meet;
+            flood_total += flood;
+        }
+        assert!(
+            meet_total * 5 < flood_total,
+            "meet {meet_total} arcs, flood {flood_total}"
+        );
+    }
+
+    #[test]
+    fn possible_graph_settles_pairs_no_world_connects() {
+        // Two 400-node rings joined by one arc, 0 → 450: with probability
+        // 0 no world holds it, and the single-lane possible-graph meet
+        // settles the range; with a tiny probability every block samples.
+        let bridged = |p: f64| {
+            let mut g = UncertainGraph::new(800, true);
+            for base in [0u32, 400] {
+                for v in 0..400 {
+                    for j in 1..=2 {
+                        let (a, b) = (base + v, base + (v + j) % 400);
+                        g.add_edge(NodeId(a), NodeId(b), 0.9).unwrap();
+                    }
+                }
+            }
+            g.add_edge(NodeId(0), NodeId(450), p).unwrap();
+            g
+        };
+        let (s, t, lo, hi) = (NodeId(10), NodeId(460), 3u64, 640u64);
+        let mut arcs = Vec::new();
+        for p in [0.0, 1e-9, 0.5] {
+            let g = bridged(p);
+            let mut counts = vec![0u64; g.num_nodes()];
+            reach_counts(&g, 9, s, false, lo, hi, &mut counts);
+            let mut hits = 0;
+            arcs.push(arcs_read(|| hits = st_hits(&g, 9, s, t, lo, hi)));
+            assert_eq!(hits, counts[t.index()], "p = {p}");
+            assert_eq!(hits > 0, p == 0.5, "p = {p}");
+        }
+        // One lane of each ring versus ten blocks that flood them.
+        assert!(arcs[0] * 5 < arcs[1], "arcs read: {arcs:?}");
+        assert_eq!(st_hits(&bridged(0.0), 9, s, s, lo, hi), hi - lo);
     }
 
     /// Per-world multi-source level-synchronous BFS over stateless coins:

@@ -509,7 +509,7 @@ fn compact_now(state: &ServerState) -> Response {
     };
     let next = Snapshot {
         csr: Arc::new(csr),
-        index_stored: index.is_some() && pinned.index_stored,
+        index_stored: pinned.index_stored,
         index: index.map(Arc::new),
         generation: 0,
         format_version: snapshot::FORMAT_VERSION,

@@ -130,11 +130,12 @@ pub fn load_snapshot(
 
 /// Fold `delta` into a fresh delta-free graph and write it to `out` as a
 /// current-format `.rgs` — `relmax update` and server compaction both
-/// land here. `index` rebuilds the reliability index over the folded
-/// graph (the updates may merge or split components, so an old section is
-/// never reused). The file embeds that index's section only when `stored`
-/// says the source file carried one, so both front ends write the same
-/// bytes for the same input.
+/// land here. The reliability index is rebuilt over the folded graph (the
+/// updates may merge or split components, so an old section is never
+/// reused) whenever it is needed: the file embeds its section when
+/// `stored` says the source file carried one, so both front ends write
+/// the same bytes for the same input whether or not they serve with an
+/// index; the index itself is returned only when `index` asks for it.
 pub fn fold_and_save(
     delta: &DeltaOverlay,
     index: bool,
@@ -142,10 +143,10 @@ pub fn fold_and_save(
     out: &str,
 ) -> Result<(CsrGraph, Option<RelIndex>), String> {
     let csr = delta.compact();
-    let index = index.then(|| RelIndex::build(&csr));
-    let section = index.as_ref().filter(|_| stored).map(RelIndex::section);
+    let built = (index || stored).then(|| RelIndex::build(&csr));
+    let section = built.as_ref().filter(|_| stored).map(RelIndex::section);
     snapshot::save_full(&csr, section.as_ref(), out).map_err(|e| format!("{out}: {e}"))?;
-    Ok((csr, index))
+    Ok((csr, built.filter(|_| index)))
 }
 
 /// The hot-swappable snapshot slot. Readers take the lock only long

@@ -18,7 +18,10 @@
 //!
 //! - `% nodes N` — declare the node count. Without it the count is
 //!   inferred as `max id + 1`. With it, an edge naming a node `>= N` is a
-//!   *dangling node* error (caught with its line number).
+//!   *dangling node* error (caught with its line number). A count past
+//!   the `u32` node id space ([`MAX_NODES`]) is rejected, and the
+//!   per-node arrays are reserved fallibly, so a count too large for the
+//!   process's memory is an error, not an abort.
 //! - `% directed` / `% undirected` — declare edge orientation. A directive
 //!   in the file wins over the caller's [`EdgeListOptions`]; without one,
 //!   the options decide (default: directed).
@@ -36,11 +39,15 @@ use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::flip_threshold;
 use crate::graph::{NodeId, UncertainGraph};
-use std::collections::HashSet;
+use std::collections::{HashSet, TryReserveError};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
+
+/// The largest node count an edge list may declare or imply: node ids
+/// are `u32`, and a snapshot stores at most `u32::MAX` of anything.
+pub const MAX_NODES: usize = u32::MAX as usize;
 
 /// Caller-side defaults for fields an edge list may leave undeclared.
 ///
@@ -95,6 +102,19 @@ pub enum EdgeListError {
         /// The graph-layer rejection.
         source: GraphError,
     },
+    /// A node count past [`MAX_NODES`]: declared by `% nodes`, passed by
+    /// the caller, or implied by the node id `u32::MAX`.
+    TooManyNodes {
+        /// The node count.
+        nodes: usize,
+    },
+    /// The per-node arrays for `nodes` nodes could not be reserved.
+    Reserve {
+        /// The node count the arrays were sized for.
+        nodes: usize,
+        /// The allocator's refusal.
+        source: TryReserveError,
+    },
 }
 
 impl fmt::Display for EdgeListError {
@@ -105,6 +125,13 @@ impl fmt::Display for EdgeListError {
                 write!(f, "line {line}: {reason}")
             }
             EdgeListError::Graph { line, source } => write!(f, "line {line}: {source}"),
+            EdgeListError::TooManyNodes { nodes } => write!(
+                f,
+                "node count {nodes} exceeds the node id space (at most {MAX_NODES} nodes)"
+            ),
+            EdgeListError::Reserve { nodes, source } => {
+                write!(f, "cannot reserve memory for {nodes} nodes: {source}")
+            }
         }
     }
 }
@@ -114,6 +141,7 @@ impl std::error::Error for EdgeListError {
         match self {
             EdgeListError::Io(e) => Some(e),
             EdgeListError::Graph { source, .. } => Some(source),
+            EdgeListError::Reserve { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -123,6 +151,23 @@ impl From<io::Error> for EdgeListError {
     fn from(e: io::Error) -> Self {
         EdgeListError::Io(e)
     }
+}
+
+/// Reject a node count past [`MAX_NODES`].
+fn check_nodes(nodes: usize) -> Result<(), EdgeListError> {
+    if nodes > MAX_NODES {
+        return Err(EdgeListError::TooManyNodes { nodes });
+    }
+    Ok(())
+}
+
+/// An empty vector with room for exactly `len` elements, or the typed
+/// error naming the `nodes` it was sized for.
+fn node_array<T>(len: usize, nodes: usize) -> Result<Vec<T>, EdgeListError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|source| EdgeListError::Reserve { nodes, source })?;
+    Ok(v)
 }
 
 fn bad(line: usize, reason: impl Into<String>) -> EdgeListError {
@@ -241,13 +286,17 @@ fn apply_directive(
 
 /// Build a graph from pre-parsed records — the single validated
 /// construction path shared by the parser and programmatic callers (the
-/// examples build their scenario graphs through this).
+/// examples build their scenario graphs through this). A node count past
+/// [`MAX_NODES`], or one whose adjacency arrays cannot be reserved, is an
+/// error.
 pub fn build(
     nodes: usize,
     directed: bool,
     records: &[Record],
 ) -> Result<UncertainGraph, EdgeListError> {
-    let mut g = UncertainGraph::with_capacity(nodes, directed, records.len());
+    check_nodes(nodes)?;
+    let mut g = UncertainGraph::try_with_capacity(nodes, directed, records.len())
+        .map_err(|source| EdgeListError::Reserve { nodes, source })?;
     for &(lineno, src, dst, prob) in records {
         g.add_edge(NodeId(src), NodeId(dst), prob)
             .map_err(|source| EdgeListError::Graph {
@@ -358,12 +407,19 @@ pub struct StreamStats {
 }
 
 /// Grow-on-demand degree tally (node ids are sparse until pass 1 ends).
-fn bump(deg: &mut Vec<u32>, id: u32) {
+/// Growth is reserved fallibly, so a huge id is an error, not an abort.
+fn bump(deg: &mut Vec<u32>, id: u32) -> Result<(), EdgeListError> {
     let i = id as usize;
     if deg.len() <= i {
+        deg.try_reserve(i + 1 - deg.len())
+            .map_err(|source| EdgeListError::Reserve {
+                nodes: i + 1,
+                source,
+            })?;
         deg.resize(i + 1, 0);
     }
     deg[i] += 1;
+    Ok(())
 }
 
 /// The two passes of a streaming freeze disagreed — the underlying input
@@ -433,19 +489,20 @@ where
         let line = line?;
         if let Some((src, dst, _)) = classify(&line, lineno, &mut directed, &mut declared)? {
             max_id = Some(max_id.unwrap_or(0).max(src).max(dst));
-            bump(&mut deg_src, src);
-            bump(&mut deg_dst, dst);
+            bump(&mut deg_src, src)?;
+            bump(&mut deg_dst, dst)?;
             m += 1;
         }
     }
     let n = declared.unwrap_or_else(|| max_id.map_or(0, |x| x as usize + 1));
+    check_nodes(n)?;
     let pass1_bytes = (deg_src.capacity() + deg_dst.capacity()) * std::mem::size_of::<u32>();
 
     // Prefix-sum the degrees into final offset arrays. Node ids at or
     // beyond a declared `n` may have tallies; they are ignored here and
     // rejected (NodeOutOfBounds) before placement in pass 2.
     let deg = |d: &Vec<u32>, v: usize| d.get(v).copied().unwrap_or(0) as u64;
-    let mut out_off: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut out_off: Vec<u32> = node_array(n + 1, n)?;
     out_off.push(0);
     let mut a: u64 = 0;
     for v in 0..n {
@@ -459,7 +516,7 @@ where
     }
     let a = a as usize;
     let (in_off, b) = if directed {
-        let mut off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut off: Vec<u32> = node_array(n + 1, n)?;
         off.push(0);
         let mut b: u64 = 0;
         for v in 0..n {
@@ -484,12 +541,13 @@ where
     let mut coin_prob = vec![0.0f64; m];
     let mut coin_src = vec![0u32; m];
     let mut coin_dst = vec![0u32; m];
-    let mut cur_out: Vec<u32> = out_off[..n].to_vec();
-    let mut cur_in: Vec<u32> = if directed {
-        in_off[..n].to_vec()
-    } else {
-        Vec::new()
-    };
+    let mut cur_out: Vec<u32> = node_array(n, n)?;
+    cur_out.extend_from_slice(&out_off[..n]);
+    let mut cur_in: Vec<u32> = Vec::new();
+    if directed {
+        cur_in = node_array(n, n)?;
+        cur_in.extend_from_slice(&in_off[..n]);
+    }
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(m);
 
     // ---- pass 2: semantic validation + direct placement ----
@@ -622,6 +680,45 @@ where
 mod tests {
     use super::*;
     use crate::ProbGraph;
+
+    #[test]
+    fn node_counts_past_the_id_space_are_typed_errors() {
+        let over = MAX_NODES + 1;
+        let want =
+            format!("node count {over} exceeds the node id space (at most {MAX_NODES} nodes)");
+        let default = EdgeListOptions::default();
+        let text = format!("% nodes {over}\n0 1 0.5\n");
+        let err = parse_str(&text, &default).unwrap_err();
+        assert!(matches!(err, EdgeListError::TooManyNodes { nodes } if nodes == over));
+        assert_eq!(err.to_string(), want);
+        assert_eq!(freeze_str(&text, &default).unwrap_err().to_string(), want);
+        // The caller's default count is bounded the same way.
+        let opts = EdgeListOptions {
+            nodes: Some(over),
+            ..default
+        };
+        assert_eq!(parse_str("0 1 0.5\n", &opts).unwrap_err().to_string(), want);
+        assert_eq!(
+            freeze_str("0 1 0.5\n", &opts).unwrap_err().to_string(),
+            want
+        );
+        assert_eq!(from_edges(over, true, []).unwrap_err().to_string(), want);
+        // Only the final count matters: a later directive overrides.
+        let text = format!("% nodes {over}\n% nodes 2\n0 1 0.5\n");
+        assert_eq!(parse_str(&text, &default).unwrap().num_nodes(), 2);
+        assert_eq!(freeze_str(&text, &default).unwrap().0.num_nodes(), 2);
+        // `MAX_NODES` itself is inside the space.
+        assert!(check_nodes(MAX_NODES).is_ok());
+    }
+
+    #[test]
+    fn a_refused_reservation_is_a_typed_error() {
+        let err = node_array::<u64>(usize::MAX, 7).unwrap_err();
+        assert!(matches!(err, EdgeListError::Reserve { nodes: 7, .. }));
+        assert!(err
+            .to_string()
+            .starts_with("cannot reserve memory for 7 nodes: "));
+    }
 
     #[test]
     fn parses_whitespace_and_tabs() {

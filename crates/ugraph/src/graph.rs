@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::fxhash::FxHashMap;
 use crate::{CoinId, ProbGraph};
+use std::collections::TryReserveError;
 use std::fmt;
 
 /// Index of a node. Node ids are dense: `0..graph.num_nodes()`.
@@ -102,27 +103,39 @@ pub struct UncertainGraph {
 impl UncertainGraph {
     /// Create an empty graph with `n` nodes.
     pub fn new(n: usize, directed: bool) -> Self {
-        UncertainGraph {
-            directed,
-            edges: Vec::new(),
-            dead: Vec::new(),
-            num_dead: 0,
-            out_adj: vec![Vec::new(); n],
-            in_adj: if directed {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            index: FxHashMap::default(),
-        }
+        Self::with_capacity(n, directed, 0)
     }
 
     /// Create a graph with `n` nodes and pre-reserved edge capacity.
     pub fn with_capacity(n: usize, directed: bool, edges: usize) -> Self {
-        let mut g = Self::new(n, directed);
-        g.edges.reserve(edges);
-        g.index.reserve(edges);
-        g
+        Self::try_with_capacity(n, directed, edges).expect("graph arrays exceed memory")
+    }
+
+    /// [`UncertainGraph::with_capacity`] that reports a failed reservation
+    /// instead of aborting — for node counts read from untrusted input.
+    pub fn try_with_capacity(
+        n: usize,
+        directed: bool,
+        edges: usize,
+    ) -> Result<Self, TryReserveError> {
+        let adj = |len: usize| -> Result<Vec<Vec<(NodeId, EdgeId)>>, TryReserveError> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(len)?;
+            v.resize(len, Vec::new());
+            Ok(v)
+        };
+        let mut g = UncertainGraph {
+            directed,
+            edges: Vec::new(),
+            dead: Vec::new(),
+            num_dead: 0,
+            out_adj: adj(n)?,
+            in_adj: adj(if directed { n } else { 0 })?,
+            index: FxHashMap::default(),
+        };
+        g.edges.try_reserve(edges)?;
+        g.index.try_reserve(edges)?;
+        Ok(g)
     }
 
     #[inline]

@@ -803,3 +803,134 @@ fn packed_scratch_reuse_across_graph_sizes_stays_clean() {
     let (g, s, t, cands) = &small;
     assert_eq!(shape_answers(&scalar, g, *s, *t, cands, budget), want_small);
 }
+
+/// Two islands of 150 nodes each (`v → v + 1, v + 2` around each island
+/// plus 40 random chords inside it), directed or undirected: pairs on
+/// different islands never connect, so the bidirectional `st` search
+/// settles them by one side running dry.
+fn two_islands(directed: bool, seed: u64) -> UncertainGraph {
+    let half = 150u32;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = UncertainGraph::new(2 * half as usize, directed);
+    for base in [0, half] {
+        for i in 0..half {
+            for j in 1..=2 {
+                let (a, b) = (base + i, base + (i + j) % half);
+                let _ = g.add_edge(NodeId(a), NodeId(b), rng.gen_range(0.3..0.95));
+            }
+        }
+        for _ in 0..40 {
+            let (a, b) = (base + rng.gen_range(0..half), base + rng.gen_range(0..half));
+            if a != b && !g.has_edge(NodeId(a), NodeId(b)) {
+                g.add_edge(NodeId(a), NodeId(b), rng.gen_range(0.2..0.9))
+                    .unwrap();
+            }
+        }
+    }
+    g
+}
+
+/// Same-island, wrapping, cross-island (both ways) and `s == t` pairs.
+const ISLAND_PAIRS: [(u32, u32); 6] = [(3, 9), (149, 2), (5, 200), (260, 40), (7, 7), (170, 171)];
+
+/// Packed `st` against the scalar forward reference on `g`: the raw hit
+/// counts over unaligned ranges and tail blocks, and the estimates at
+/// threads 1, 2 and 3. Returns the hits of each pair over `0..1000`.
+fn assert_st_kernels_agree<G: ProbGraph>(label: &str, g: &G, seed: u64) -> Vec<u64> {
+    use relmax::sampling::{packed, scalar, Budget, Estimator, Kernel};
+    let budget = Budget::fixed(577);
+    let scalar_est = McEstimator::new(577, seed).with_kernel(Kernel::Scalar);
+    let mut totals = Vec::new();
+    for (s, t) in ISLAND_PAIRS.map(|(s, t)| (NodeId(s), NodeId(t))) {
+        for (lo, hi) in [(0u64, 1u64), (0, 64), (5, 70), (63, 200), (0, 1000)] {
+            assert_eq!(
+                packed::st_hits(g, seed, s, t, lo, hi),
+                scalar::st_hits(g, seed, s, t, lo, hi),
+                "{label} {s:?}->{t:?} worlds {lo}..{hi}"
+            );
+        }
+        totals.push(scalar::st_hits(g, seed, s, t, 0, 1000));
+        let want = scalar_est.st_estimate(g, s, t, budget);
+        for threads in [1, 2, 3] {
+            let est = McEstimator::with_threads(577, seed, threads).with_kernel(Kernel::Packed);
+            assert_eq!(
+                want,
+                est.st_estimate(g, s, t, budget),
+                "{label} {s:?}->{t:?} t{threads}"
+            );
+        }
+    }
+    totals
+}
+
+/// The bidirectional packed `st` (forward from `s`, backward from `t`,
+/// lanes retired as they meet or as a side runs dry) counts exactly the
+/// worlds the scalar forward search counts: on directed and undirected
+/// graphs, across islands (no index, so a side must run dry), for
+/// `s == t`, on a pruned graph, and on an update overlay whose in-arcs
+/// carry the overlay's coin ids.
+#[test]
+fn packed_meet_matches_scalar_forward_st() {
+    use std::sync::Arc;
+    for directed in [true, false] {
+        let g = two_islands(directed, 0xB1D + directed as u64);
+        let csr = CsrGraph::freeze(&g);
+        let kind = if directed { "directed" } else { "undirected" };
+        let hits = assert_st_kernels_agree(&format!("{kind} adjacency"), &g, 0x51);
+        assert_eq!(
+            hits,
+            assert_st_kernels_agree(&format!("{kind} csr"), &csr, 0x51)
+        );
+        // Same-island pairs hit in some worlds and miss in others; cross
+        // pairs never hit; `s == t` always does.
+        assert!(hits[0] > 0 && hits[0] < 1000, "{kind} {hits:?}");
+        assert_eq!((hits[2], hits[3], hits[4]), (0, 0, 1000), "{kind}");
+
+        // Pruned: arcs into every seventh node are masked out.
+        let allowed: Vec<u64> = (0..csr.num_nodes().div_ceil(64))
+            .map(|w| {
+                (0..64)
+                    .filter(|b| (w * 64 + b) % 7 != 0)
+                    .fold(0u64, |m, b| m | 1 << b)
+            })
+            .collect();
+        let pruned = relmax::ugraph::PrunedGraph::new(&csr, &allowed);
+        assert_st_kernels_agree(&format!("{kind} pruned"), &pruned, 0x52);
+
+        // Overlay: a bridge between the islands both ways, a re-probed
+        // ring arc and a deleted one. The re-probe retires the old coin
+        // and appends a fresh one that both arc directions must carry.
+        let mut delta = DeltaOverlay::new(Arc::new(csr));
+        let (n, p) = (NodeId, 0.8);
+        delta
+            .apply(&[
+                GraphUpdate::Insert {
+                    src: n(140),
+                    dst: n(190),
+                    prob: p,
+                },
+                GraphUpdate::Insert {
+                    src: n(210),
+                    dst: n(20),
+                    prob: p,
+                },
+                GraphUpdate::SetProb {
+                    src: n(4),
+                    dst: n(5),
+                    prob: 0.05,
+                },
+                GraphUpdate::SetProb {
+                    src: n(188),
+                    dst: n(190),
+                    prob: 0.99,
+                },
+                GraphUpdate::Delete {
+                    src: n(6),
+                    dst: n(7),
+                },
+            ])
+            .unwrap();
+        let hits = assert_st_kernels_agree(&format!("{kind} overlay"), &delta, 0x53);
+        assert!(hits[2] > 0, "{kind}: the bridge connects the islands");
+    }
+}

@@ -485,6 +485,9 @@ fn mutated_edge_lists_never_panic_and_stream_like_parse() {
                 Err(edgelist::EdgeListError::Graph { source, .. }) => {
                     kinds.insert(format!("{:?}", std::mem::discriminant(&source)));
                 }
+                Err(e) => {
+                    kinds.insert(format!("{:?}", std::mem::discriminant(&e)));
+                }
             }
         }
     }

@@ -30,8 +30,11 @@ use std::time::Duration;
 
 // ---------------------------------------------------------------- harness
 
-/// Path to the `relmax` binary, building it on demand (plain
+/// Path to the `relmax` binary, built once per test process (plain
 /// `cargo test` does not build bin targets of other workspace members).
+/// The build runs even when a binary exists, so a binary left over from
+/// older sources is never the one tested; an up-to-date build is a
+/// no-op.
 fn relmax_bin() -> PathBuf {
     let mut dir = std::env::current_exe().expect("test binary path");
     dir.pop();
@@ -41,9 +44,6 @@ fn relmax_bin() -> PathBuf {
     let bin = dir.join(format!("relmax{}", std::env::consts::EXE_SUFFIX));
     static BUILD: Once = Once::new();
     BUILD.call_once(|| {
-        if bin.exists() {
-            return;
-        }
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
         let mut cmd = Command::new(cargo);
         cmd.args(["build", "-p", "relmax-cli", "--quiet"]);
@@ -89,15 +89,22 @@ impl Server {
     /// `listening on http://…` line to learn the ephemeral port.
     fn spawn(snapshot: &Path, args: &[&str], envs: &[(&str, &str)]) -> Server {
         let mut cmd = Command::new(relmax_bin());
+        for (k, v) in envs {
+            cmd.env(k, v);
+        }
+        Server::launch(cmd, snapshot, args)
+    }
+
+    /// Spawn `cmd serve <snapshot> --port 0 <args>`, where `cmd` runs the
+    /// `relmax` binary (directly, or through a wrapper such as
+    /// [`memory_limited`]).
+    fn launch(mut cmd: Command, snapshot: &Path, args: &[&str]) -> Server {
         cmd.arg("serve")
             .arg(snapshot)
             .args(["--port", "0"])
             .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
         let mut child = cmd.spawn().expect("spawn relmax serve");
         let stdout = child.stdout.take().expect("server stdout");
         let mut line = String::new();
@@ -669,6 +676,67 @@ fn graph_file_and_estimator_errors_are_pinned_across_front_ends() {
     assert_eq!(after.body, before.body);
 }
 
+/// A command that runs the `relmax` binary (arguments appended by the
+/// caller) under a 1 GB address-space limit, so a reservation of many
+/// gigabytes fails inside the process instead of being granted.
+fn memory_limited() -> Command {
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -v 1000000 && exec \"$0\" \"$@\""])
+        .arg(relmax_bin());
+    cmd
+}
+
+/// An edge list declaring a node count the loader cannot hold is an
+/// error with a message, never an abort: past the `u32` node id space it
+/// is refused outright, and a count inside it whose per-node arrays do
+/// not fit the process's memory fails its reservation. `relmax query`
+/// exits 1 and a `POST /reload` answers 409 while the old generation
+/// keeps serving.
+#[test]
+fn oversized_node_counts_are_errors_not_aborts() {
+    let dir = scratch("huge-nodes");
+    let rgs = ingest_toy(&dir);
+    let past = dir.join("past.tsv");
+    std::fs::write(&past, "% nodes 4294967296\n0 1 0.5\n").unwrap();
+    let huge = dir.join("huge.tsv");
+    std::fs::write(&huge, "% nodes 4000000000\n0 1 0.5\n").unwrap();
+    let (past_s, huge_s) = (past.to_str().unwrap(), huge.to_str().unwrap());
+    let past_msg = format!(
+        "error: {past_s}: node count 4294967296 exceeds the node id space (at most 4294967295 nodes)"
+    );
+    let huge_msg = format!("{huge_s}: cannot reserve memory for 4000000000 nodes: ");
+
+    let (code, stdout, stderr) = run_relmax(&["query", past_s, "--gen", "3"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains(&past_msg), "{stderr}");
+
+    let out = memory_limited()
+        .args(["query", huge_s, "--gen", "3"])
+        .output()
+        .expect("run relmax under a memory limit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains(&format!("error: {huge_msg}")), "{stderr}");
+
+    let srv = Server::launch(memory_limited(), &rgs, &["--threads", "1"]);
+    let addr = &srv.addr;
+    let before = query(addr, "% seed 5\nst 0 15\n");
+    assert_eq!(before.status, 200, "{}", before.body);
+    for (file, msg) in [
+        (past_s, &past_msg["error: ".len()..]),
+        (huge_s, &huge_msg[..]),
+    ] {
+        let r = http(addr, "POST", "/reload", Some(file));
+        assert_eq!(r.status, 409, "{}", r.body);
+        assert!(r.body.contains(msg), "{}", r.body);
+    }
+    let after = query(addr, "% seed 5\nst 0 15\n");
+    assert_eq!(json_u64(&after.body, "generation"), 1);
+    assert_eq!(after.body, before.body);
+}
+
 // ------------------------------------------------- hot swap + coalescing
 
 #[test]
@@ -1011,6 +1079,51 @@ fn overlay_serves_byte_identical_to_refrozen_snapshot_and_across_compaction() {
             "server compaction and CLI refreeze wrote different snapshots"
         );
     }
+}
+
+/// Serving without an index does not change what compaction persists:
+/// on an indexed snapshot, `relmax serve --no-index` writes the file
+/// `relmax update` writes for the same updates, index section included.
+#[test]
+fn no_index_compaction_keeps_the_stored_index_section() {
+    let dir = scratch("upd-noindex");
+    let rgs = ingest_toy(&dir);
+    let indexed = dir.join("toy-idx.rgs");
+    let (code, _, stderr) = run_relmax(&[
+        "index",
+        rgs.to_str().unwrap(),
+        "-o",
+        indexed.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let ups = "insert 3 9 0.35\nsetp 0 1 0.9\ndelete 0 4\ninsert 11 0 0.25\n";
+    let upfile = dir.join("ups.txt");
+    std::fs::write(&upfile, ups).unwrap();
+    let refrozen = dir.join("refrozen.rgs");
+    let (code, _, stderr) = run_relmax(&[
+        "update",
+        indexed.to_str().unwrap(),
+        "--updates",
+        upfile.to_str().unwrap(),
+        "-o",
+        refrozen.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+
+    let srv = Server::spawn(&indexed, &["--threads", "1", "--no-index"], &[]);
+    let r = update(&srv.addr, ups);
+    assert_eq!(r.status, 200, "{}", r.body);
+    let c = compact(&srv.addr);
+    assert_eq!(c.status, 200, "{}", c.body);
+    assert!(c.body.contains("\"compacted\":true"), "{}", c.body);
+    let compacted = std::fs::read(format!("{}.compacted.rgs", indexed.display())).unwrap();
+    let want = std::fs::read(&refrozen).unwrap();
+    assert_eq!(want.len(), 3008, "the refreeze carries the index section");
+    assert!(
+        compacted == want,
+        "--no-index compaction wrote {} bytes",
+        compacted.len()
+    );
 }
 
 #[test]
