@@ -28,7 +28,7 @@ mod fnv;
 mod mapping;
 
 pub use block::{Block, BlockError, Pod};
-pub use fnv::{fnv1a, Fnv64};
+pub use fnv::{fnv1a, update_lockstep, Fnv64};
 pub use mapping::{mmap_supported, Mapping};
 
 /// Alignment every section start in a mapped file must satisfy, and the

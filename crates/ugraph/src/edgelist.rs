@@ -462,6 +462,66 @@ pub fn freeze_str(
     freeze_with(|| Ok(s.as_bytes()), opts)
 }
 
+/// What pass 1 of [`freeze_with`] learns: the graph's shape and per-role
+/// degree tallies.
+struct Tally {
+    directed: bool,
+    declared: Option<usize>,
+    max_id: Option<u32>,
+    m: usize,
+    deg_src: Vec<u32>,
+    deg_dst: Vec<u32>,
+    /// The smallest id left untallied because it was out of bounds when
+    /// its line was read.
+    lowest_skipped: Option<u32>,
+}
+
+/// Pass 1 of [`freeze_with`]: syntax, directives, and degree tallies.
+///
+/// Degrees are tallied per endpoint *role* (source / destination) rather
+/// than per final side, because an orientation directive may appear
+/// anywhere in the file: only after the pass completes is the final
+/// `directed` known, and the role tallies combine either way. Ids at or
+/// past `cap`, or else past a `% nodes N` already read, are not tallied,
+/// so a dangling id costs no memory for the ids below it; pass 2 rejects
+/// it unless a later directive raised `N`.
+fn tally<R, F>(
+    open: &mut F,
+    opts: &EdgeListOptions,
+    cap: Option<usize>,
+) -> Result<Tally, EdgeListError>
+where
+    R: BufRead,
+    F: FnMut() -> io::Result<R>,
+{
+    let mut t = Tally {
+        directed: opts.directed,
+        declared: opts.nodes,
+        max_id: None,
+        m: 0,
+        deg_src: Vec::new(),
+        deg_dst: Vec::new(),
+        lowest_skipped: None,
+    };
+    for (i, line) in open()?.lines().enumerate() {
+        let lineno = i + 1;
+        let line = line?;
+        let Some((src, dst, _)) = classify(&line, lineno, &mut t.directed, &mut t.declared)? else {
+            continue;
+        };
+        t.max_id = Some(t.max_id.unwrap_or(0).max(src).max(dst));
+        for (deg, id) in [(&mut t.deg_src, src), (&mut t.deg_dst, dst)] {
+            if cap.or(t.declared).is_some_and(|n| id as usize >= n) {
+                t.lowest_skipped = Some(t.lowest_skipped.map_or(id, |s| s.min(id)));
+            } else {
+                bump(deg, id)?;
+            }
+        }
+        t.m += 1;
+    }
+    Ok(t)
+}
+
 /// Streaming freeze over any re-openable source: `open` is called once
 /// per pass and must yield the same byte stream each time.
 pub fn freeze_with<R, F>(
@@ -473,34 +533,28 @@ where
     F: FnMut() -> io::Result<R>,
 {
     // ---- pass 1: syntax, directives, and graph shape ----
-    //
-    // Degrees are tallied per endpoint *role* (source / destination)
-    // rather than per final side, because an orientation directive may
-    // appear anywhere in the file: only after pass 1 completes is the
-    // final `directed` known, and the role tallies combine either way.
-    let mut directed = opts.directed;
-    let mut declared = opts.nodes;
-    let mut max_id: Option<u32> = None;
-    let mut m: usize = 0;
-    let mut deg_src: Vec<u32> = Vec::new();
-    let mut deg_dst: Vec<u32> = Vec::new();
-    for (i, line) in open()?.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line?;
-        if let Some((src, dst, _)) = classify(&line, lineno, &mut directed, &mut declared)? {
-            max_id = Some(max_id.unwrap_or(0).max(src).max(dst));
-            bump(&mut deg_src, src)?;
-            bump(&mut deg_dst, dst)?;
-            m += 1;
-        }
-    }
-    let n = declared.unwrap_or_else(|| max_id.map_or(0, |x| x as usize + 1));
+    let mut p1 = tally(&mut open, opts, None)?;
+    let n = p1
+        .declared
+        .unwrap_or_else(|| p1.max_id.map_or(0, |x| x as usize + 1));
     check_nodes(n)?;
+    if p1.lowest_skipped.is_some_and(|id| (id as usize) < n) {
+        // A later `% nodes` raised the count past ids pass 1 left out:
+        // tally again, against the final count.
+        p1 = tally(&mut open, opts, Some(n))?;
+    }
+    let Tally {
+        directed,
+        m,
+        deg_src,
+        deg_dst,
+        ..
+    } = p1;
     let pass1_bytes = (deg_src.capacity() + deg_dst.capacity()) * std::mem::size_of::<u32>();
 
     // Prefix-sum the degrees into final offset arrays. Node ids at or
-    // beyond a declared `n` may have tallies; they are ignored here and
-    // rejected (NodeOutOfBounds) before placement in pass 2.
+    // beyond `n` are rejected (NodeOutOfBounds) before placement in
+    // pass 2.
     let deg = |d: &Vec<u32>, v: usize| d.get(v).copied().unwrap_or(0) as u64;
     let mut out_off: Vec<u32> = node_array(n + 1, n)?;
     out_off.push(0);
@@ -861,6 +915,9 @@ mod tests {
             // per endpoint role in pass 1.
             "0 1 0.5\n1 2 0.25\n% undirected\n2 0 0.75\n",
             "% nodes 4\n% directed\n3 0 1e-12\n0 3 0.999\n",
+            // A count raised after edges past the first one: pass 1 left
+            // node 7 untallied and must tally again.
+            "% nodes 3\n0 1 0.5\n2 7 0.25\n% nodes 10\n7 0 0.75\n",
         ];
         for text in cases {
             let (csr, stats) = freeze_str(text, &opts).unwrap();
@@ -917,6 +974,7 @@ mod tests {
             "% nodes many\n",
             "% frobnicate\n",
             "1 0 0.2\n0 3 0.4\n5 1 0.9\n% nodes 3\n", // late shrink directive
+            "% nodes 5\n0 1 0.5\n2 3000000 0.5\n",    // dangling id past the count
         ];
         let opts = EdgeListOptions::default();
         for text in cases {
@@ -933,6 +991,24 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn ids_past_a_declared_count_cost_no_tally_memory() {
+        let text = "% nodes 5\n0 1 0.5\n2 3000000000 0.5\n4 3 0.5\n";
+        let t = tally(
+            &mut || Ok(text.as_bytes()),
+            &EdgeListOptions::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(t.lowest_skipped, Some(3_000_000_000));
+        assert!(t.deg_src.len() <= 5 && t.deg_dst.len() <= 5);
+        let err = freeze_str(text, &EdgeListOptions::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: node 3000000000 out of bounds for graph with 5 nodes"
+        );
     }
 
     #[test]

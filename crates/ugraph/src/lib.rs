@@ -104,10 +104,34 @@ pub type FlipArc = (NodeId, u64, CoinId);
 /// thresholds, which [`CsrGraph`] precomputes at freeze time — turning the
 /// per-edge-visit convert/multiply/compare into one integer compare
 /// against a streamed array.
+///
+/// The ceiling `⌈prob · 2⁵³⌉` is taken in integer arithmetic on the bits
+/// of `prob`, with no floating-point rounding call, and equals
+/// `(prob * 2⁵³).ceil() as u64` for every `prob` in `[0, 1]`.
 #[inline]
 pub fn flip_threshold(prob: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&prob));
-    (prob * (1u64 << 53) as f64).ceil() as u64
+    threshold_of_bits(prob.to_bits())
+}
+
+/// [`flip_threshold`] on the raw bits of a probability, without the
+/// domain assertion: outside `[0, 1]` the result is meaningless but never
+/// a panic, so a loader can check stored thresholds in the same pass that
+/// checks the probabilities.
+#[inline]
+pub(crate) fn threshold_of_bits(bits: u64) -> u64 {
+    // Branch-free, so a scan over random probabilities never mispredicts.
+    // With the implicit leading 1 (absent for zero and subnormals),
+    // prob · 2⁵³ = mant · 2^(exp − 1022), give or take a factor of two
+    // for subnormals, which round up to 1 either way.
+    let exp = (bits >> 52) & 0x7ff;
+    let mant = (bits & ((1 << 52) - 1)) | (((exp != 0) as u64) << 52);
+    // ⌈mant / 2^s⌉ for s = 1022 − exp: adding all-ones below bit s rounds
+    // up. Past 63 bits of shift the value is a fraction in [0, 1), which
+    // the sum at s = 63 rounds up just the same. Above 0.5 only 1.0
+    // remains, one doubling (exp 1023).
+    let s = 1022u64.saturating_sub(exp).min(63);
+    ((mant + ((1 << s) - 1)) >> s) << (exp > 1022) as u64
 }
 
 /// A graph-shaped collection of probabilistic edges.
@@ -183,6 +207,81 @@ pub trait ProbGraph: Sync {
     fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId, f64, CoinId)) {
         for (u, p, c) in self.in_arcs(v) {
             f(u, p, c);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flip_threshold;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The rounding-call definition the integer form must reproduce.
+    fn float_form(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    #[test]
+    fn integer_threshold_equals_the_float_ceiling() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            1.0,
+            next_down(1.0),
+            0.5,
+            next_down(0.5),
+            next_up(0.5),
+            f64::MIN_POSITIVE,
+            next_down(f64::MIN_POSITIVE),
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ];
+        // Exact multiples of 2^-53 (thresholds with no rounding at all)
+        // and their neighbours on either side, across every scale.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for k in [
+            1u64,
+            2,
+            3,
+            5,
+            1 << 20,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 53) - 1,
+        ] {
+            let x = k as f64 * ulp;
+            probes.extend([x, next_up(x), next_down(x)]);
+        }
+        // Every power of two in (0, 1], normal and subnormal, built from
+        // its bits, with its neighbours.
+        for e in 1..=1074u64 {
+            let x = if e <= 1022 {
+                f64::from_bits((1023 - e) << 52)
+            } else {
+                f64::from_bits(1 << (1074 - e))
+            };
+            assert_eq!(x, 0.5f64.powi(e as i32));
+            probes.extend([x, next_up(x), next_down(x)]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x7e5_401d);
+        // A seeded sweep of 1M values in [0, 1]: uniform bit patterns (every
+        // exponent, subnormals included), uniform draws (multiples of
+        // 2^-53) and uniform draws off that grid.
+        probes.extend((0..1_000_000).map(|i| match i % 3 {
+            0 => f64::from_bits(rng.gen::<u64>() % (1.0f64.to_bits() + 1)),
+            1 => rng.gen::<f64>(),
+            _ => rng.gen::<f64>() / 3.0,
+        }));
+        for p in probes.into_iter().filter(|p| (0.0..=1.0).contains(p)) {
+            assert_eq!(
+                flip_threshold(p),
+                float_form(p),
+                "p = {p:e} ({:#x})",
+                p.to_bits()
+            );
         }
     }
 }

@@ -95,7 +95,10 @@
 //! those bytes live and how much is trusted: [`map_full`] maps the file,
 //! [`load_full`] and [`read_full`] read it into one aligned heap buffer,
 //! [`open_full`] picks between the two, and the `*_trusted` variants skip
-//! the checksum and per-element scans.
+//! the checksum and per-element scans. A validating parse runs those as
+//! independent per-section tasks across the CPUs and reports the same
+//! error whichever task finishes first (`docs/formats.md`, "Validation on
+//! load").
 //!
 //! **Version policy.** Writers always emit [`FORMAT_VERSION`]; readers
 //! accept [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]. A version bump is
@@ -113,15 +116,16 @@
 //! the same layout prose-first.
 
 use crate::csr::CsrGraph;
-use crate::flip_threshold;
 use crate::index::IndexSection;
-use relmax_store::{Block, BlockError, Fnv64, Mapping, Pod, SECTION_ALIGN};
+use crate::{flip_threshold, threshold_of_bits};
+use relmax_store::{update_lockstep, Block, BlockError, Fnv64, Mapping, Pod, SECTION_ALIGN};
 use std::ffi::OsString;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The four magic bytes opening every `.rgs` file.
@@ -621,118 +625,359 @@ impl<'a> Decoder<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared structural validation.
+// Verification: independent per-section tasks, merged in canonical order.
 // ---------------------------------------------------------------------------
 
-fn validate_side(
-    side: &str,
-    off: &[u32],
-    dst: &[u32],
-    coin: &[u32],
-    n: usize,
-    m: usize,
-    arcs: usize,
-) -> Result<(), SnapshotError> {
-    if off.first() != Some(&0) || off.last() != Some(&(arcs as u32)) {
-        return Err(corrupt(format!(
-            "{side} offsets do not span the declared {arcs} arcs"
-        )));
-    }
-    if off.windows(2).any(|w| w[0] > w[1]) {
-        return Err(corrupt(format!("{side} offsets are not monotone")));
-    }
-    if let Some(&v) = dst.iter().find(|&&v| v as usize >= n) {
-        return Err(corrupt(format!(
-            "{side} arc target {v} out of range for {n} nodes"
-        )));
-    }
-    if let Some(&c) = coin.iter().find(|&&c| c as usize >= m) {
-        return Err(corrupt(format!(
-            "{side} arc coin {c} out of range for {m} coins"
-        )));
-    }
-    Ok(())
+/// Elements per chunk of a verification pass: a chunk's bytes are hashed
+/// and then checked while they are still in L1.
+const CHUNK: usize = 2048;
+
+/// Which ids a [`Check::Below`] task checks, for its error message.
+#[derive(Clone, Copy)]
+enum Ids {
+    /// Arc targets of one side, below the node count.
+    Target(&'static str),
+    /// Arc coins of one side, below the coin count.
+    Coin(&'static str),
+    /// Index labels of one kind, below the node count (below 1 for an
+    /// empty graph).
+    Label(&'static str),
 }
 
-fn validate_probs(what: &str, probs: &[f64]) -> Result<(), SnapshotError> {
-    for (i, &p) in probs.iter().enumerate() {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(corrupt(format!("{what} {i} probability {p} not in [0, 1]")));
+impl Ids {
+    /// The exclusive upper bound on these ids in a graph of `n` nodes or
+    /// coins.
+    fn bound(self, n: usize) -> usize {
+        match self {
+            Ids::Label(_) => n.max(1),
+            _ => n,
         }
     }
-    Ok(())
 }
 
-/// v3 stores thresholds instead of recomputing them; since
-/// [`flip_threshold`] is a pure function of the probability, any stored
-/// value that disagrees is corruption, not an alternative encoding.
-fn validate_thresh(side: &str, prob: &[f64], thresh: &[u64]) -> Result<(), SnapshotError> {
-    for (i, (&p, &t)) in prob.iter().zip(thresh.iter()).enumerate() {
-        if t != flip_threshold(p) {
-            return Err(corrupt(format!(
-                "{side} arc {i} stored threshold {t} does not match probability {p}"
-            )));
-        }
-    }
-    Ok(())
+/// The element checks one verification task runs over its columns.
+enum Check<'a> {
+    /// Offsets that start at 0, end at `arcs`, and never decrease.
+    Offsets {
+        side: &'static str,
+        off: &'a [u32],
+        arcs: usize,
+    },
+    /// Ids below `n` (see [`Ids`]).
+    Below { ids: Ids, xs: &'a [u32], n: usize },
+    /// Probabilities in `[0, 1]`, and the stored thresholds that must
+    /// equal their [`flip_threshold`].
+    Probs {
+        what: &'static str,
+        prob: &'a [f64],
+        thresh: Option<&'a [u64]>,
+    },
+    /// Coin endpoints below the node count.
+    Ends {
+        src: &'a [u32],
+        dst: &'a [u32],
+        n: usize,
+    },
 }
 
-fn validate_index_labels(sec: &IndexSection, n: usize) -> Result<(), SnapshotError> {
-    for (v, &s) in sec.super_of.iter().enumerate() {
-        if s as usize >= n.max(1) {
-            return Err(corrupt(format!(
-                "index supernode label {s} of node {v} out of range for {n} nodes"
-            )));
+impl Check<'_> {
+    /// Elements per column (every column of one check has the same count).
+    fn len(&self) -> usize {
+        match self {
+            Check::Offsets { off, .. } => off.len(),
+            Check::Below { xs, .. } => xs.len(),
+            Check::Probs { prob, .. } => prob.len(),
+            Check::Ends { src, .. } => src.len(),
         }
     }
-    for (v, &c) in sec.comp_of.iter().enumerate() {
-        if c as usize >= n.max(1) {
-            return Err(corrupt(format!(
-                "index component label {c} of node {v} out of range for {n} nodes"
-            )));
+
+    /// Whether elements `r` pass, as a branch-free reduction the compiler
+    /// can vectorise. Clean on every chunk means clean as a whole.
+    fn scan(&self, r: Range<usize>) -> bool {
+        match *self {
+            Check::Offsets { off, arcs, .. } => {
+                // Each chunk also compares its first element with the
+                // previous chunk's last.
+                let lo = r.start.saturating_sub(1);
+                let (prev, next) = (&off[lo..r.end - 1], &off[lo + 1..r.end]);
+                let falls = prev
+                    .iter()
+                    .zip(next)
+                    .fold(false, |bad, (p, q)| bad | (p > q));
+                let starts = r.start > 0 || off[0] == 0;
+                let ends = r.end < off.len() || off[r.end - 1] as usize == arcs;
+                !falls && starts && ends
+            }
+            Check::Below { ids, xs, n } => {
+                (xs[r].iter().fold(0, |hi, &x| hi.max(x)) as usize) < ids.bound(n)
+            }
+            Check::Probs { prob, thresh, .. } => {
+                let p = &prob[r.clone()];
+                let valid = p.iter().fold(true, |ok, x| ok & (0.0..=1.0).contains(x));
+                valid
+                    && thresh.is_none_or(|t| {
+                        p.iter().zip(&t[r]).fold(true, |ok, (x, &t)| {
+                            ok & (threshold_of_bits(x.to_bits()) == t)
+                        })
+                    })
+            }
+            Check::Ends { src, dst, n } => {
+                let hi = |xs: &[u32]| xs.iter().fold(0, |hi, &x| hi.max(x)) as usize;
+                hi(&src[r.clone()]) < n && hi(&dst[r]) < n
+            }
         }
     }
-    Ok(())
+
+    /// The first violation, in element order, with the message the
+    /// format documents; run only after [`Check::scan`] found one.
+    fn find(&self) -> Result<(), SnapshotError> {
+        match *self {
+            Check::Offsets { side, off, arcs } => {
+                if off.first() != Some(&0) || off.last() != Some(&(arcs as u32)) {
+                    return Err(corrupt(format!(
+                        "{side} offsets do not span the declared {arcs} arcs"
+                    )));
+                }
+                if off.windows(2).any(|w| w[0] > w[1]) {
+                    return Err(corrupt(format!("{side} offsets are not monotone")));
+                }
+            }
+            Check::Below { ids, xs, n } => {
+                let bound = ids.bound(n);
+                if let Some((i, &v)) = xs.iter().enumerate().find(|&(_, &v)| v as usize >= bound) {
+                    return Err(corrupt(match ids {
+                        Ids::Target(side) => {
+                            format!("{side} arc target {v} out of range for {n} nodes")
+                        }
+                        Ids::Coin(side) => {
+                            format!("{side} arc coin {v} out of range for {n} coins")
+                        }
+                        Ids::Label(kind) => {
+                            format!("index {kind} label {v} of node {i} out of range for {n} nodes")
+                        }
+                    }));
+                }
+            }
+            Check::Probs { what, prob, thresh } => {
+                for (i, &p) in prob.iter().enumerate() {
+                    if !(0.0..=1.0).contains(&p) {
+                        return Err(corrupt(format!("{what} {i} probability {p} not in [0, 1]")));
+                    }
+                }
+                // v3 stores thresholds instead of recomputing them; since
+                // `flip_threshold` is a pure function of the probability,
+                // any stored value that disagrees is corruption, not an
+                // alternative encoding.
+                for (i, (&p, &t)) in prob.iter().zip(thresh.unwrap_or_default()).enumerate() {
+                    if t != flip_threshold(p) {
+                        return Err(corrupt(format!(
+                            "{what} {i} stored threshold {t} does not match probability {p}"
+                        )));
+                    }
+                }
+            }
+            Check::Ends { src, dst, n } => {
+                for (c, (&s, &d)) in src.iter().zip(dst).enumerate() {
+                    if s as usize >= n || d as usize >= n {
+                        return Err(corrupt(format!(
+                            "coin {c} endpoints ({s}, {d}) out of range for {n} nodes"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-type SideSlices<'a> = (&'a [u32], &'a [u32], &'a [f64], &'a [u32], &'a [u64]);
+/// One independent unit of load-time verification: the checksums of its
+/// sections and the element checks over them, in one chunked pass.
+struct Task<'a> {
+    /// The sections it hashes, as (table position, file bytes): one, or
+    /// two of equal length hashed in lockstep; none for a legacy payload,
+    /// whose single hash is checked up front.
+    sections: [Option<(usize, &'a [u8])>; 2],
+    check: Check<'a>,
+}
 
-#[allow(clippy::too_many_arguments)]
-fn validate_decoded(
-    directed: bool,
-    n: usize,
-    m: usize,
-    a: usize,
-    b: usize,
-    out: SideSlices<'_>,
-    inn: SideSlices<'_>,
-    coin_prob: &[f64],
-    coin_src: &[u32],
-    coin_dst: &[u32],
-    index: Option<&IndexSection>,
-) -> Result<(), SnapshotError> {
-    let (o_off, o_dst, o_prob, o_coin, o_thresh) = out;
-    validate_side("out", o_off, o_dst, o_coin, n, m, a)?;
-    validate_probs("out arc", o_prob)?;
-    validate_thresh("out", o_prob, o_thresh)?;
-    if directed {
-        let (i_off, i_dst, i_prob, i_coin, i_thresh) = inn;
-        validate_side("in", i_off, i_dst, i_coin, n, m, b)?;
-        validate_probs("in arc", i_prob)?;
-        validate_thresh("in", i_prob, i_thresh)?;
+/// What one [`Task`] found.
+struct Verdict {
+    /// The checksum of each section the task hashed, in its order.
+    sums: [u64; 2],
+    /// Its first structural violation.
+    err: Option<SnapshotError>,
+}
+
+impl Task<'_> {
+    /// Bytes the task reads: the load balancer runs large tasks first.
+    fn cost(&self) -> usize {
+        self.sections.iter().flatten().map(|(_, b)| b.len()).sum()
     }
-    validate_probs("coin", coin_prob)?;
-    for (c, (&s, &d)) in coin_src.iter().zip(coin_dst.iter()).enumerate() {
-        if s as usize >= n || d as usize >= n {
-            return Err(corrupt(format!(
-                "coin {c} endpoints ({s}, {d}) out of range for {n} nodes"
-            )));
+
+    fn run(&self) -> Verdict {
+        let elems = self.check.len();
+        let width = self.sections[0].map_or(0, |(_, b)| b.len() / elems.max(1));
+        let mut hs = [Fnv64::new(), Fnv64::new()];
+        let mut clean = true;
+        for start in (0..elems).step_by(CHUNK) {
+            let r = start..(start + CHUNK).min(elems);
+            let bytes = r.start * width..r.end * width;
+            match self.sections {
+                [None, _] => {}
+                [Some((_, x)), None] => hs[0].update(&x[bytes]),
+                [Some((_, x)), Some((_, y))] => {
+                    update_lockstep(&mut hs, [&x[bytes.clone()], &y[bytes]])
+                }
+            }
+            clean &= self.check.scan(r);
+        }
+        Verdict {
+            sums: hs.map(|h| h.finish()),
+            err: if clean { None } else { self.check.find().err() },
         }
     }
+}
+
+/// The verification tasks over `csr` and its index labels, in the
+/// documented check order — the order whose first violation a load
+/// reports. `section` gives the table position and file bytes of a
+/// section id, or `None` when the payload's hash was already checked
+/// whole.
+fn tasks<'a>(
+    csr: &'a CsrGraph,
+    index: Option<&'a IndexSection>,
+    section: &dyn Fn(u32) -> Option<(usize, &'a [u8])>,
+) -> Vec<Task<'a>> {
+    let task = |ids: &[u32], check| {
+        let mut sections = ids.iter().filter_map(|&id| section(id));
+        Task {
+            sections: [sections.next(), sections.next()],
+            check,
+        }
+    };
+    let (n, m) = (csr.num_nodes, csr.coin_prob.len());
+    let mut sides = vec![("out", SEC_OUT_OFF, &csr.out_off, &csr.out_dst)];
+    if csr.directed {
+        sides.push(("in", SEC_IN_OFF, &csr.in_off, &csr.in_dst));
+    }
+    let mut v = Vec::with_capacity(12);
+    for (side, first_id, off, dst) in sides {
+        // A side's five sections have consecutive ids, in the order
+        // off, dst, prob, coin, thresh.
+        let (coin, prob, thresh, what) = if side == "out" {
+            (&csr.out_coin, &csr.out_prob, &csr.out_thresh, "out arc")
+        } else {
+            (&csr.in_coin, &csr.in_prob, &csr.in_thresh, "in arc")
+        };
+        let arcs = dst.len();
+        let (off, dst) = (&off[..], &dst[..]);
+        v.push(task(&[first_id], Check::Offsets { side, off, arcs }));
+        let ids = Ids::Target(side);
+        v.push(task(&[first_id + 1], Check::Below { ids, xs: dst, n }));
+        let (ids, xs) = (Ids::Coin(side), &coin[..]);
+        v.push(task(&[first_id + 3], Check::Below { ids, xs, n: m }));
+        let (prob, thresh) = (&prob[..], Some(&thresh[..]));
+        let check = Check::Probs { what, prob, thresh };
+        v.push(task(&[first_id + 2, first_id + 4], check));
+    }
+    let (what, prob) = ("coin", &csr.coin_prob[..]);
+    v.push(task(
+        &[SEC_COIN_PROB],
+        Check::Probs {
+            what,
+            prob,
+            thresh: None,
+        },
+    ));
+    let (src, dst) = (&csr.coin_src[..], &csr.coin_dst[..]);
+    v.push(task(
+        &[SEC_COIN_SRC, SEC_COIN_DST],
+        Check::Ends { src, dst, n },
+    ));
     if let Some(sec) = index {
-        validate_index_labels(sec, n)?;
+        for (id, kind, xs) in [
+            (SEC_SUPER_OF, "supernode", &sec.super_of),
+            (SEC_COMP_OF, "component", &sec.comp_of),
+        ] {
+            let ids = Ids::Label(kind);
+            v.push(task(&[id], Check::Below { ids, xs, n }));
+        }
     }
-    Ok(())
+    v
+}
+
+/// How many threads verify a snapshot: every CPU this process may use.
+/// [`run`] caps it at the task count.
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `tasks` over up to `workers` threads (inline on one), handing
+/// each task's index and verdict to `done` on the calling thread, in no
+/// particular order.
+fn run(tasks: &[Task<'_>], workers: usize, mut done: impl FnMut(usize, Verdict)) {
+    let workers = workers.min(tasks.len());
+    if workers <= 1 {
+        for (i, t) in tasks.iter().enumerate() {
+            done(i, t.run());
+        }
+        return;
+    }
+    // Largest first, so the last task anyone picks up is a small one.
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].cost()));
+    // Relaxed is enough: the counter only hands out indices, and the
+    // verdicts travel back through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut ran = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            ran.push((i, tasks[i].run()));
+        }
+        ran
+    };
+    std::thread::scope(|s| {
+        // A helper that cannot be spawned just leaves its share of the
+        // queue to the threads that were.
+        let helpers: Vec<_> = (1..workers)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, work).ok())
+            .collect();
+        let mut ran = work();
+        for h in helpers {
+            ran.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        for (i, v) in ran {
+            done(i, v);
+        }
+    });
+}
+
+/// Run the tasks and report what the format prescribes: the first
+/// section (in table order) whose checksum does not match `entries`,
+/// else the first structural violation in task order.
+fn verify(tasks: &[Task<'_>], entries: &[Entry], workers: usize) -> Result<(), SnapshotError> {
+    let mut computed = vec![None; entries.len()];
+    let mut first: Option<(usize, SnapshotError)> = None;
+    run(tasks, workers, |i, v| {
+        for (&(pos, _), &sum) in tasks[i].sections.iter().flatten().zip(&v.sums) {
+            computed[pos] = Some(sum);
+        }
+        if let Some(err) = v.err.filter(|_| first.as_ref().is_none_or(|&(j, _)| i < j)) {
+            first = Some((i, err));
+        }
+    });
+    for (e, c) in entries.iter().zip(computed) {
+        if let Some(computed) = c.filter(|&c| c != e.sum) {
+            return Err(SnapshotError::ChecksumMismatch {
+                stored: e.sum,
+                computed,
+            });
+        }
+    }
+    match first {
+        Some((_, err)) => Err(err),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -889,8 +1134,15 @@ fn col<T: Pod, const W: usize>(
 /// its single read buffer. Legacy files decode onto the heap through
 /// [`read_legacy`]. `trusted` skips the table hash, the section checksums
 /// and the per-element range and threshold scans of a v3 file, but never
-/// its geometry; legacy files are always fully validated.
-fn parse(map: Mapping, trusted: bool) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
+/// its geometry; legacy files are always fully validated. The checksums
+/// and scans run as independent tasks over `workers` threads
+/// ([`default_workers`] when `None`); the error reported does not depend
+/// on how many.
+fn parse(
+    map: Mapping,
+    trusted: bool,
+    workers: Option<usize>,
+) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
     let map = Arc::new(map);
     let bytes = map.as_bytes();
     if bytes.len() < MAGIC.len() {
@@ -913,7 +1165,7 @@ fn parse(map: Mapping, trusted: bool) -> Result<(CsrGraph, Option<IndexSection>)
     }
     let h = parse_header(&bytes[..HEADER_BYTES], version)?;
     if version < 3 {
-        return read_legacy(&bytes[HEADER_BYTES..], &h);
+        return read_legacy(&bytes[HEADER_BYTES..], &h, workers);
     }
 
     // The count is checked against the header-implied spec list before
@@ -957,17 +1209,6 @@ fn parse(map: Mapping, trusted: bool) -> Result<(CsrGraph, Option<IndexSection>)
     if (bytes.len() as u64) > file_end {
         return Err(corrupt("trailing bytes after the last section"));
     }
-    if !trusted {
-        for e in &entries {
-            let computed = fnv1a(&bytes[e.off as usize..(e.off + e.len) as usize]);
-            if computed != e.sum {
-                return Err(SnapshotError::ChecksumMismatch {
-                    stored: e.sum,
-                    computed,
-                });
-            }
-        }
-    }
 
     let mut it = entries.iter();
     let mut next = || it.next().expect("entry count validated");
@@ -1002,43 +1243,33 @@ fn parse(map: Mapping, trusted: bool) -> Result<(CsrGraph, Option<IndexSection>)
         None
     };
 
-    let (n, m, a, b) = (h.n as usize, h.m as usize, h.a as usize, h.b as usize);
+    let csr = CsrGraph {
+        directed: h.directed,
+        num_nodes: h.n as usize,
+        out_off,
+        out_dst,
+        out_prob,
+        out_coin,
+        out_thresh,
+        in_off,
+        in_dst,
+        in_prob,
+        in_coin,
+        in_thresh,
+        coin_prob,
+        coin_src,
+        coin_dst,
+    };
     if !trusted {
-        validate_decoded(
-            h.directed,
-            n,
-            m,
-            a,
-            b,
-            (&out_off, &out_dst, &out_prob, &out_coin, &out_thresh),
-            (&in_off, &in_dst, &in_prob, &in_coin, &in_thresh),
-            &coin_prob,
-            &coin_src,
-            &coin_dst,
-            section.as_ref(),
-        )?;
+        let section_bytes = |id| {
+            let pos = entries.iter().position(|e| e.id == id)?;
+            let e = &entries[pos];
+            Some((pos, &bytes[e.off as usize..(e.off + e.len) as usize]))
+        };
+        let tasks = tasks(&csr, section.as_ref(), &section_bytes);
+        verify(&tasks, &entries, workers.unwrap_or_else(default_workers))?;
     }
-
-    Ok((
-        CsrGraph {
-            directed: h.directed,
-            num_nodes: n,
-            out_off,
-            out_dst,
-            out_prob,
-            out_coin,
-            out_thresh,
-            in_off,
-            in_dst,
-            in_prob,
-            in_coin,
-            in_thresh,
-            coin_prob,
-            coin_src,
-            coin_dst,
-        },
-        section,
-    ))
+    Ok((csr, section))
 }
 
 /// Version 1/2 contiguous-payload decoder (see the module docs) over the
@@ -1046,6 +1277,7 @@ fn parse(map: Mapping, trusted: bool) -> Result<(CsrGraph, Option<IndexSection>)
 fn read_legacy(
     payload: &[u8],
     h: &Header,
+    workers: Option<usize>,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
     let expected = legacy_payload_bytes(h.n, h.m, h.a, h.b, h.directed, h.has_index);
     if (payload.len() as u64) < expected {
@@ -1090,45 +1322,37 @@ fn read_legacy(
 
     // Thresholds are not stored in v1/v2: recompute them, from
     // probabilities checked first (`flip_threshold` wants `[0, 1]`). This
-    // also makes the shared threshold validation trivially pass.
-    validate_probs("out arc", &out_prob)?;
-    validate_probs("in arc", &in_prob)?;
+    // also makes the shared threshold check trivially pass.
+    for (what, prob) in [("out arc", &out_prob), ("in arc", &in_prob)] {
+        Check::Probs {
+            what,
+            prob,
+            thresh: None,
+        }
+        .find()?;
+    }
     let out_thresh: Vec<u64> = out_prob.iter().map(|&p| flip_threshold(p)).collect();
     let in_thresh: Vec<u64> = in_prob.iter().map(|&p| flip_threshold(p)).collect();
-    validate_decoded(
-        h.directed,
-        n,
-        m,
-        a,
-        b,
-        (&out_off, &out_dst, &out_prob, &out_coin, &out_thresh),
-        (&in_off, &in_dst, &in_prob, &in_coin, &in_thresh),
-        &coin_prob,
-        &coin_src,
-        &coin_dst,
-        section.as_ref(),
-    )?;
-
-    Ok((
-        CsrGraph {
-            directed: h.directed,
-            num_nodes: n,
-            out_off: out_off.into(),
-            out_dst: out_dst.into(),
-            out_prob: out_prob.into(),
-            out_coin: out_coin.into(),
-            out_thresh: out_thresh.into(),
-            in_off: in_off.into(),
-            in_dst: in_dst.into(),
-            in_prob: in_prob.into(),
-            in_coin: in_coin.into(),
-            in_thresh: in_thresh.into(),
-            coin_prob: coin_prob.into(),
-            coin_src: coin_src.into(),
-            coin_dst: coin_dst.into(),
-        },
-        section,
-    ))
+    let csr = CsrGraph {
+        directed: h.directed,
+        num_nodes: n,
+        out_off: out_off.into(),
+        out_dst: out_dst.into(),
+        out_prob: out_prob.into(),
+        out_coin: out_coin.into(),
+        out_thresh: out_thresh.into(),
+        in_off: in_off.into(),
+        in_dst: in_dst.into(),
+        in_prob: in_prob.into(),
+        in_coin: in_coin.into(),
+        in_thresh: in_thresh.into(),
+        coin_prob: coin_prob.into(),
+        coin_src: coin_src.into(),
+        coin_dst: coin_dst.into(),
+    };
+    let tasks = tasks(&csr, section.as_ref(), &|_| None);
+    verify(&tasks, &[], workers.unwrap_or_else(default_workers))?;
+    Ok((csr, section))
 }
 
 // ---------------------------------------------------------------------------
@@ -1155,7 +1379,7 @@ pub fn read<R: Read>(r: R) -> Result<CsrGraph, SnapshotError> {
 /// the input does not deliver is [`SnapshotError::Truncated`], never an
 /// allocation. For files, [`map_full`] avoids the copy altogether.
 pub fn read_full<R: Read>(r: R) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(Mapping::read(r, 0)?, false)
+    parse(Mapping::read(r, 0)?, false, None)
 }
 
 /// Load a snapshot **zero-copy**: the file is memory-mapped (see
@@ -1180,7 +1404,7 @@ pub fn read_full<R: Read>(r: R) -> Result<(CsrGraph, Option<IndexSection>), Snap
 pub fn map_full<P: AsRef<Path>>(
     path: P,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(Mapping::open(path.as_ref())?, false)
+    parse(Mapping::open(path.as_ref())?, false, None)
 }
 
 /// [`map_full`] for files this process (or an equally trusted peer) just
@@ -1191,7 +1415,7 @@ pub fn map_full<P: AsRef<Path>>(
 pub fn map_full_trusted<P: AsRef<Path>>(
     path: P,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(Mapping::open(path.as_ref())?, true)
+    parse(Mapping::open(path.as_ref())?, true, None)
 }
 
 /// [`read()`](fn@read) from a file path.
@@ -1204,7 +1428,7 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<CsrGraph, SnapshotError> {
 pub fn load_full<P: AsRef<Path>>(
     path: P,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(Mapping::open_heap(path.as_ref())?, false)
+    parse(Mapping::open_heap(path.as_ref())?, false, None)
 }
 
 /// Whether [`open_full`] maps snapshots zero-copy. On by default; the
@@ -1237,7 +1461,7 @@ fn open_backing(path: &Path) -> io::Result<Mapping> {
 pub fn open_full<P: AsRef<Path>>(
     path: P,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(open_backing(path.as_ref())?, false)
+    parse(open_backing(path.as_ref())?, false, None)
 }
 
 /// [`open_full`] for snapshots this process just wrote: the checks
@@ -1245,7 +1469,7 @@ pub fn open_full<P: AsRef<Path>>(
 pub fn open_full_trusted<P: AsRef<Path>>(
     path: P,
 ) -> Result<(CsrGraph, Option<IndexSection>), SnapshotError> {
-    parse(open_backing(path.as_ref())?, true)
+    parse(open_backing(path.as_ref())?, true, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1723,6 +1947,146 @@ mod tests {
             read_bytes_via_map(&bytes, false),
             Err(SnapshotError::Corrupt { .. })
         ));
+    }
+
+    /// The directed diamond with an index section: all 15 sections present.
+    fn diamond_full_bytes() -> Vec<u8> {
+        let csr = diamond();
+        to_bytes_full(&csr, Some(&RelIndex::build(&csr).section()))
+    }
+
+    /// Overwrite element `elem` of section `id` with `val` (its
+    /// little-endian bytes); `repair` recomputes that section's checksum
+    /// and the table hash so only the structural checks can object.
+    fn poke(bytes: &mut [u8], id: u32, elem: usize, val: &[u8], repair: bool) {
+        let (i, e) = entries_of(bytes)
+            .into_iter()
+            .enumerate()
+            .find(|(_, e)| e.id == id)
+            .expect("section present");
+        let at = e.off + elem * val.len();
+        bytes[at..at + val.len()].copy_from_slice(val);
+        if repair {
+            fix_section_sum(bytes, i);
+            fix_table_hash(bytes);
+        }
+    }
+
+    /// One corruption per validation class, each pinned to the exact
+    /// message every load path reports — the precedence of
+    /// `docs/formats.md` "Validation on load": the table hash, then the
+    /// first mismatching section checksum in section order, then the
+    /// first structural violation in check order.
+    #[test]
+    fn error_precedence_table() {
+        type Corrupt = fn(&mut Vec<u8>);
+        let cases: [(&str, Corrupt, &str); 14] = [
+            (
+                "table hash",
+                |b| b[V3_TABLE_OFFSET + 24] ^= 1,
+                "snapshot checksum mismatch: file says 0x4c621e011575627b, \
+                 bytes hash to 0xf71c462294fcb536",
+            ),
+            (
+                "middle section checksum",
+                |b| poke(b, SEC_IN_PROB, 1, &0.25f64.to_le_bytes(), false),
+                "snapshot checksum mismatch: file says 0x2d10ef0be2805fee, \
+                 bytes hash to 0x7f1ae18ce3b1b5b7",
+            ),
+            (
+                "last section checksum",
+                |b| poke(b, SEC_COMP_OF, 3, &1u32.to_le_bytes(), false),
+                "snapshot checksum mismatch: file says 0x88201fb960ff6465, \
+                 bytes hash to 0xe82573b10ac9a7d4",
+            ),
+            (
+                "offsets not monotone",
+                |b| poke(b, SEC_OUT_OFF, 1, &4u32.to_le_bytes(), true),
+                "corrupt snapshot: out offsets are not monotone",
+            ),
+            (
+                "out_dst >= n",
+                |b| poke(b, SEC_OUT_DST, 1, &4u32.to_le_bytes(), true),
+                "corrupt snapshot: out arc target 4 out of range for 4 nodes",
+            ),
+            (
+                "in_coin >= m",
+                |b| poke(b, SEC_IN_COIN, 2, &9u32.to_le_bytes(), true),
+                "corrupt snapshot: in arc coin 9 out of range for 4 coins",
+            ),
+            (
+                "probability 2.0",
+                |b| poke(b, SEC_OUT_PROB, 3, &2.0f64.to_le_bytes(), true),
+                "corrupt snapshot: out arc 3 probability 2 not in [0, 1]",
+            ),
+            (
+                "stored threshold",
+                |b| poke(b, SEC_IN_THRESH, 1, &12345u64.to_le_bytes(), true),
+                "corrupt snapshot: in arc 1 stored threshold 12345 does not match probability 0.6",
+            ),
+            (
+                "coin endpoints",
+                |b| poke(b, SEC_COIN_DST, 2, &7u32.to_le_bytes(), true),
+                "corrupt snapshot: coin 2 endpoints (1, 7) out of range for 4 nodes",
+            ),
+            (
+                "index label",
+                |b| poke(b, SEC_COMP_OF, 3, &99u32.to_le_bytes(), true),
+                "corrupt snapshot: index component label 99 of node 3 out of range for 4 nodes",
+            ),
+            (
+                "checksum beats a later range error",
+                |b| {
+                    poke(b, SEC_OUT_THRESH, 0, &1u64.to_le_bytes(), false);
+                    poke(b, SEC_IN_DST, 0, &50u32.to_le_bytes(), true);
+                },
+                "snapshot checksum mismatch: file says 0x8573a2882797977a, \
+                 bytes hash to 0x9d83ed4352f0c5c3",
+            ),
+            (
+                "checksum beats an earlier range error",
+                |b| {
+                    poke(b, SEC_OUT_DST, 0, &50u32.to_le_bytes(), true);
+                    poke(b, SEC_COIN_SRC, 0, &3u32.to_le_bytes(), false);
+                },
+                "snapshot checksum mismatch: file says 0xa91ab0c1027b9366, \
+                 bytes hash to 0xb623a479d2984da5",
+            ),
+            (
+                "two section checksums",
+                |b| {
+                    poke(b, SEC_COMP_OF, 0, &2u32.to_le_bytes(), false);
+                    poke(b, SEC_OUT_COIN, 0, &3u32.to_le_bytes(), false);
+                },
+                "snapshot checksum mismatch: file says 0x30d77e22c5da0365, \
+                 bytes hash to 0x2e66d7180f39dda6",
+            ),
+            (
+                "two range errors",
+                |b| {
+                    poke(b, SEC_IN_COIN, 0, &9u32.to_le_bytes(), true);
+                    poke(b, SEC_OUT_PROB, 1, &(-0.5f64).to_le_bytes(), true);
+                },
+                "corrupt snapshot: out arc 1 probability -0.5 not in [0, 1]",
+            ),
+        ];
+        for (name, corrupt, want) in cases {
+            let mut bytes = diamond_full_bytes();
+            corrupt(&mut bytes);
+            let with_workers = |w| {
+                let map = Mapping::read(&bytes[..], 0).unwrap();
+                parse(map, false, Some(w)).map(|_| ()).unwrap_err()
+            };
+            let got = [
+                read_full(&bytes[..]).map(|_| ()).unwrap_err(),
+                read_bytes_via_map(&bytes, false).map(|_| ()).unwrap_err(),
+                with_workers(1),
+                with_workers(4),
+            ];
+            for g in got {
+                assert_eq!(g.to_string(), want, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -737,6 +737,31 @@ fn oversized_node_counts_are_errors_not_aborts() {
     assert_eq!(after.body, before.body);
 }
 
+/// A node id past an edge list's declared `% nodes` count is reported as
+/// out of bounds on its line, and costs no memory for the ids below it:
+/// under the same memory limit, the loader never asks for per-node
+/// arrays sized by the dangling id.
+#[test]
+fn dangling_ids_past_a_declared_count_are_out_of_bounds_not_reservations() {
+    let dir = scratch("dangling-id");
+    let file = dir.join("dangling.tsv");
+    std::fs::write(&file, "% nodes 5\n0 1 0.5\n2 3000000000 0.5\n").unwrap();
+    let file_s = file.to_str().unwrap();
+    let out = memory_limited()
+        .args(["query", file_s, "--gen", "3"])
+        .output()
+        .expect("run relmax under a memory limit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.contains(&format!(
+            "error: {file_s}: line 3: node 3000000000 out of bounds for graph with 5 nodes"
+        )),
+        "{stderr}"
+    );
+}
+
 // ------------------------------------------------- hot swap + coalescing
 
 #[test]
