@@ -20,8 +20,8 @@
 //! - `relmax select`  — run any edge-selection method under a budget and
 //!   report the chosen edges plus before/after reliability;
 //! - `relmax serve`   — stand up the long-running HTTP query service over
-//!   a snapshot (hot-swap reloads, request coalescing, admission
-//!   control; see `docs/server.md`).
+//!   a snapshot (hot-swap reloads, dynamic updates, admission control;
+//!   see `docs/server.md`).
 //!
 //! Everything on **stdout is deterministic**: bit-identical for a fixed
 //! seed at every thread count (`--threads` / `RELMAX_THREADS` only change

@@ -184,8 +184,8 @@ impl<E: Estimator> QueryEngine<E> {
         &self.csr
     }
 
-    /// The shared handle to the frozen snapshot (cheap to clone; the
-    /// serving layer keys coalesced work on snapshot identity through it).
+    /// The shared handle to the frozen snapshot (cheap to clone, so
+    /// further engines can share it through [`QueryEngine::from_shared`]).
     pub fn shared_graph(&self) -> &Arc<CsrGraph> {
         &self.csr
     }
@@ -238,10 +238,9 @@ impl<E: Estimator> QueryEngine<E> {
     /// index proves the pair certainly / never connected); `None` means
     /// the query would sample.
     ///
-    /// This is the coalescing accessor: a request coalescer must answer
-    /// short-circuited pairs directly (their estimates carry
-    /// `samples_used: 0`) and only merge genuinely-sampling queries into
-    /// a shared [`Estimator::from_estimates`] pass.
+    /// The serving layer answers such pairs on its IO threads, so they
+    /// never reach the compute queue; their estimates carry
+    /// `samples_used: 0`, exactly as the `st` query would return them.
     pub fn st_shortcircuit(&self, s: NodeId, t: NodeId) -> Result<Option<Estimate>, QueryError> {
         self.check_node(s)?;
         self.check_node(t)?;
@@ -283,9 +282,11 @@ impl<E: Estimator> QueryEngine<E> {
         }
     }
 
-    /// Whether this engine's estimator allows bit-identical same-source
-    /// `st` coalescing under fixed budgets — see
-    /// [`Estimator::coalescable_st`].
+    /// Whether this engine's estimator guarantees that a fixed-budget
+    /// `from` answer's entry `t` equals the `st` answer for `(s, t)` bit
+    /// for bit on every pair [`QueryEngine::st_shortcircuit`] does not
+    /// answer — see [`Estimator::coalescable_st`]. No server path calls
+    /// it.
     pub fn coalescable_st(&self) -> bool {
         self.est.coalescable_st()
     }
@@ -879,11 +880,12 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_contract_st_equals_from_entry() {
-        // The serving layer merges same-source st queries into one
-        // from_estimates pass; that is sound only if the split answers are
-        // bit-identical to solo st queries (values AND effort fields) for
-        // fixed budgets, with short-circuited pairs answered directly.
+    fn fixed_budget_st_equals_the_from_entry_bit_for_bit() {
+        // Under a fixed budget, packed `st` meets in the middle while
+        // `from` floods forward from the source, yet both count the same
+        // worlds: every sampled st answer equals the `from` vector's
+        // entry bit for bit (values AND effort fields), and short-
+        // circuited pairs answer without sampling.
         let mut g = UncertainGraph::new(6, true);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         g.add_edge(NodeId(1), NodeId(0), 1.0).unwrap();
@@ -898,10 +900,14 @@ mod tests {
         for t in [NodeId(2), NodeId(3)] {
             assert_eq!(engine.st_shortcircuit(NodeId(0), t).unwrap(), None);
             let solo = engine.st(NodeId(0), t, budget).unwrap();
-            assert_eq!(solo, from[t.index()], "coalesced split differs at {t:?}");
+            assert_eq!(
+                solo,
+                from[t.index()],
+                "st differs from the from entry at {t:?}"
+            );
         }
-        // Short-circuited pairs must NOT be coalesced: their solo answers
-        // spend zero worlds, unlike the shared pass's entries.
+        // Short-circuited pairs spend zero worlds, unlike the `from`
+        // vector's entries.
         let sc = engine.st_shortcircuit(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(sc.unwrap(), Estimate::exact(1.0)); // certain supernode
         let sc = engine.st_shortcircuit(NodeId(0), NodeId(5)).unwrap();

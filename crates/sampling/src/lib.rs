@@ -323,23 +323,22 @@ pub trait Estimator: Sync {
     /// the pair certainly / never connected. `None` means the query
     /// samples.
     ///
-    /// This is the contract the serving layer's request coalescer relies
-    /// on: a query with a short-circuit answer must be answered directly
-    /// (its `Estimate` carries `samples_used: 0`), never folded into a
-    /// shared sampling pass whose effort fields would differ.
+    /// A short-circuit answer is exactly the `Estimate` the query would
+    /// return (it carries `samples_used: 0`), so a caller may answer the
+    /// pair with it and skip building a sampling job; the serving layer
+    /// does this on its IO threads.
     fn st_shortcircuit<G: ProbGraph>(&self, _g: &G, s: NodeId, t: NodeId) -> Option<Estimate> {
         (s == t).then(|| Estimate::exact(1.0))
     }
 
-    /// Whether same-source `st` queries under one [`Budget::FixedSamples`]
-    /// budget may be merged into a single [`Estimator::from_estimates`]
-    /// pass and split per target, **bit for bit** — i.e. whether
+    /// Whether, under one [`Budget::FixedSamples`] budget,
     /// `from_estimates(g, s, budget)[t]` equals
-    /// `st_estimate(g, s, t, budget)` exactly (values *and* effort
-    /// fields) for every non-short-circuited pair. [`McEstimator`]
-    /// guarantees this (both sides count the same worlds and build the
-    /// same `Estimate`); RSS does not (its stratification is target-
-    /// specific), so the default is `false`.
+    /// `st_estimate(g, s, t, budget)` **bit for bit** (values *and*
+    /// effort fields) for every pair [`Estimator::st_shortcircuit`] does
+    /// not answer. [`McEstimator`] guarantees this (both sides count the
+    /// same worlds and build the same `Estimate`); RSS does not (its
+    /// stratification is target-specific), so the default is `false`.
+    /// No server path calls it; e2ebench's traced replay reads it.
     fn coalescable_st(&self) -> bool {
         false
     }

@@ -45,8 +45,9 @@ pub enum HttpError {
     Disconnect,
 }
 
-/// Read and parse one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read and parse one request from the stream (a socket in the server;
+/// any byte source in tests).
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     let head = read_head(stream)?;
     let head_text = String::from_utf8_lossy(&head.bytes);
     let mut lines = head_text.split("\r\n");
@@ -117,7 +118,7 @@ struct Head {
 /// Read until the `\r\n\r\n` head terminator, capping at
 /// [`MAX_HEAD_BYTES`]. EOF before the terminator is a truncated request
 /// (400) if anything arrived, a silent disconnect otherwise.
-fn read_head(stream: &mut TcpStream) -> Result<Head, HttpError> {
+fn read_head<R: Read>(stream: &mut R) -> Result<Head, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {

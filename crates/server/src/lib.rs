@@ -19,7 +19,7 @@
 //!   names a path, or is empty to re-read the current one). A corrupt
 //!   snapshot leaves the old generation serving and returns `409`.
 //! * `GET /metrics` — flat `key value` counters (qps, samples/sec, index
-//!   short-circuits, coalesced queries, queue depth, …).
+//!   short-circuits, queue depth, …).
 //! * `GET /healthz` — snapshot generation, format version, and graph
 //!   shape.
 //!

@@ -14,15 +14,12 @@ pub struct Metrics {
     pub http_requests_total: AtomicU64,
     /// Reliability queries answered (each line of a `/query` body).
     pub queries_total: AtomicU64,
-    /// Monte-Carlo worlds actually sampled (coalesced passes counted
-    /// once).
+    /// Monte-Carlo worlds actually sampled (a vector or matrix answer
+    /// counts its worlds once).
     pub samples_total: AtomicU64,
     /// Queries answered by the reliability index (or the trivial `s == t`
     /// rule) without sampling a single world.
     pub index_short_circuits_total: AtomicU64,
-    /// st-queries answered from a shared `from` pass (counted per query
-    /// whenever ≥ 2 merged).
-    pub coalesced_queries_total: AtomicU64,
     /// Connections refused with `503` by admission control.
     pub rejected_total: AtomicU64,
     /// Successful `/reload` swaps.
@@ -41,8 +38,8 @@ pub struct Metrics {
     /// Abandoned compactions (lost the install race to a concurrent
     /// update or reload, or failed to persist the snapshot).
     pub compaction_failures_total: AtomicU64,
-    /// Compute-worker panics caught while answering a job (the job and
-    /// its coalesced mates answered `500`; the worker kept serving).
+    /// Compute-worker panics caught while answering a job (the job
+    /// answered `500`; the worker kept serving).
     pub worker_panics_total: AtomicU64,
 }
 
@@ -55,7 +52,6 @@ impl Metrics {
             queries_total: AtomicU64::new(0),
             samples_total: AtomicU64::new(0),
             index_short_circuits_total: AtomicU64::new(0),
-            coalesced_queries_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
             reload_failures_total: AtomicU64::new(0),
@@ -106,12 +102,6 @@ impl Metrics {
         line(
             "index_short_circuits_total",
             self.index_short_circuits_total
-                .load(Ordering::Relaxed)
-                .to_string(),
-        );
-        line(
-            "coalesced_queries_total",
-            self.coalesced_queries_total
                 .load(Ordering::Relaxed)
                 .to_string(),
         );
@@ -185,7 +175,6 @@ mod tests {
             "qps ",
             "samples_per_sec ",
             "index_short_circuits_total ",
-            "coalesced_queries_total ",
             "rejected_total ",
             "reloads_total ",
             "reload_failures_total ",

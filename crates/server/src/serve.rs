@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! acceptor ──► bounded connection queue ──► IO workers ──► job queue ──► compute workers
-//!    │              (admission control:          │  parse HTTP + body,        │  coalesce +
-//!    └─ 503 + Retry-After on overflow            │  answer GET endpoints,     │  sample
-//!                                                │  enqueue query jobs,
+//!    │              (admission control:          │  parse HTTP + body,        │  one job per
+//!    └─ 503 + Retry-After on overflow            │  answer GET endpoints,     │  query line,
+//!                                                │  enqueue query jobs,       │  sampled alone
 //!                                                └─ block on result slots
 //! ```
 //!
@@ -23,7 +23,7 @@ use crate::render;
 use crate::state::{
     batch_query, fold_and_save, load_snapshot, AnyEngine, EngineKind, SharedSnapshot, Snapshot,
 };
-use crate::work::{spawn_compute_pool, Job, JobQueue, Slot};
+use crate::work::{spawn_compute_pool, BlockingQueue, Job, Slot};
 use relmax_core::QueryAnswer;
 use relmax_gen::updates::{self, UpdateRequest};
 use relmax_gen::workload::{self, QuerySpec, WireSpec, WorkloadError};
@@ -31,11 +31,10 @@ use relmax_sampling::convergence::DEFAULT_MAX_SAMPLES;
 use relmax_sampling::{BatchEstimate, Budget};
 use relmax_ugraph::edgelist::EdgeListOptions;
 use relmax_ugraph::{snapshot, DeltaOverlay, ProbGraph};
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Server configuration (the CLI's `relmax serve` flags, resolved).
@@ -100,55 +99,14 @@ impl Config {
     }
 }
 
-/// The bounded connection queue between the acceptor and the IO pool.
-struct ConnQueue {
-    inner: Mutex<VecDeque<TcpStream>>,
-    cv: Condvar,
-    cap: usize,
-}
-
-impl ConnQueue {
-    fn new(cap: usize) -> Arc<Self> {
-        Arc::new(ConnQueue {
-            inner: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap: cap.max(1),
-        })
-    }
-
-    /// Admit the connection, or hand it back when the queue is full.
-    fn try_push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.inner.lock().expect("conn queue lock");
-        if q.len() >= self.cap {
-            return Err(stream);
-        }
-        q.push_back(stream);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> TcpStream {
-        let mut q = self.inner.lock().expect("conn queue lock");
-        loop {
-            if let Some(s) = q.pop_front() {
-                return s;
-            }
-            q = self.cv.wait(q).expect("conn queue lock");
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.inner.lock().expect("conn queue lock").len()
-    }
-}
-
 /// Everything the workers share.
 struct ServerState {
     config: Config,
     snapshot: SharedSnapshot,
     metrics: Arc<Metrics>,
-    jobs: Arc<JobQueue>,
-    conns: Arc<ConnQueue>,
+    jobs: Arc<BlockingQueue<Job>>,
+    /// Admitted connections; `--queue-cap` bounds it.
+    conns: Arc<BlockingQueue<TcpStream>>,
     /// Serializes `/update` batches: concurrent updates queue on this
     /// lock instead of losing the generation CAS and surfacing spurious
     /// 409s. Reloads and compaction installs stay lock-free — the CAS in
@@ -187,8 +145,8 @@ pub fn run(config: Config) -> Result<(), String> {
     let state = Arc::new(ServerState {
         snapshot: SharedSnapshot::new(initial),
         metrics: Arc::new(Metrics::new()),
-        jobs: JobQueue::new(),
-        conns: ConnQueue::new(config.queue_cap),
+        jobs: BlockingQueue::new(),
+        conns: BlockingQueue::new(),
         config,
         updates: Mutex::new(()),
         compacting: AtomicBool::new(false),
@@ -209,7 +167,7 @@ pub fn run(config: Config) -> Result<(), String> {
 
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
-        if let Err(stream) = state.conns.try_push(stream) {
+        if let Err(stream) = state.conns.try_push(stream, state.config.queue_cap) {
             Metrics::add(&state.metrics.rejected_total, 1);
             reject_overloaded(stream);
         }
@@ -219,7 +177,7 @@ pub fn run(config: Config) -> Result<(), String> {
 
 /// The `RELMAX_SERVE_TEST_SLOW_MS` hook: a post-dequeue sleep in every
 /// compute worker so tests can deterministically fill the queues behind
-/// an inflight job (coalescing, admission control, generation pinning).
+/// an inflight job (admission control, generation pinning).
 fn test_slowdown() -> Option<Duration> {
     let ms: u64 = std::env::var("RELMAX_SERVE_TEST_SLOW_MS")
         .ok()?

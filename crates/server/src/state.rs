@@ -206,10 +206,9 @@ impl SharedSnapshot {
 /// Which estimator family a request runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Plain Monte Carlo (coalescable: `from` vectors answer st queries
-    /// bit-identically).
+    /// Plain Monte Carlo.
     Mc,
-    /// Recursive stratified sampling (target-specific; never coalesced).
+    /// Recursive stratified sampling.
     Rss,
 }
 
@@ -234,8 +233,8 @@ impl EngineKind {
 
 /// Monomorphized [`QueryEngine`] dispatch. Construction is O(1) in graph
 /// size (the graph and index are shared `Arc`s), so every request — and
-/// every coalesced compute pass — builds its own engine carrying the
-/// request's seed and budget.
+/// every compute job — builds its own engine carrying the request's seed
+/// and budget.
 pub enum AnyEngine {
     /// Monte Carlo engine.
     Mc(QueryEngine<McEstimator>),
@@ -306,8 +305,11 @@ impl AnyEngine {
         }
     }
 
-    /// Whether `from_estimates(s)[t]` equals `st_estimate(s, t)` bit for
-    /// bit under fixed budgets (the coalescing precondition).
+    /// Whether this engine's estimator guarantees that, under a fixed
+    /// budget, `from_vector(s)[t]` equals the `st` answer for `(s, t)` bit
+    /// for bit on every pair [`AnyEngine::st_shortcircuit`] does not
+    /// answer (see `Estimator::coalescable_st`). No server path calls it;
+    /// only e2ebench's traced replay does.
     pub fn coalescable_st(&self) -> bool {
         match self {
             AnyEngine::Mc(e) => e.coalescable_st(),
@@ -315,8 +317,9 @@ impl AnyEngine {
         }
     }
 
-    /// The full `R(s, ·)` vector under `budget` (the shared coalescing
-    /// pass).
+    /// The full `R(s, ·)` vector under `budget`, as a `from` query
+    /// answers it. No server path calls it; only e2ebench's traced
+    /// replay does.
     pub fn from_vector(&self, s: NodeId, budget: Budget) -> Result<Vec<Estimate>, QueryError> {
         let answer = match self {
             AnyEngine::Mc(e) => e.query().from(s).budget(budget).run()?,
@@ -448,20 +451,21 @@ mod tests {
         let spec = WireSpec::Query(QuerySpec::St(NodeId(0), NodeId(2)));
         let ans = mc.run_spec(&spec, budget, None).unwrap();
         assert_eq!(ans.scalar().unwrap().value, 0.0);
-        // The coalescing premise survives the overlay.
+        // `st` equals the `from` entry on the overlay too.
         let vec = mc.from_vector(NodeId(0), budget).unwrap();
         assert_eq!(ans.scalar().unwrap(), &vec[2]);
     }
 
     #[test]
-    fn engine_dispatch_honors_coalescability() {
+    fn engine_dispatch_reports_the_st_from_contract() {
         let snap = tiny_snapshot();
         let budget = Budget::fixed(64);
         let mc = AnyEngine::build(&snap, EngineKind::Mc, budget, 7);
         let rss = AnyEngine::build(&snap, EngineKind::Rss, budget, 7);
         assert!(mc.coalescable_st());
         assert!(!rss.coalescable_st());
-        // The coalescing premise, end to end through the dispatch layer.
+        // `st` equals the `from` entry, end to end through the dispatch
+        // layer.
         let vec = mc.from_vector(NodeId(0), budget).unwrap();
         let spec = WireSpec::Query(QuerySpec::St(NodeId(0), NodeId(2)));
         let solo = mc.run_spec(&spec, budget, None).unwrap();

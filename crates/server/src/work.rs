@@ -1,27 +1,14 @@
-//! The compute side of the service: a shared job queue the IO workers
-//! feed and a fixed-size worker pool that drains it, merging compatible
-//! inflight st-queries into one shared `from` pass (request coalescing).
-//!
-//! ## Why coalescing is sound
-//!
-//! Under a fixed budget the estimators guarantee
-//! `from_estimates(s)[t] == st_estimate(s, t)` **bit for bit** for every
-//! pair the index does not short-circuit (see
-//! `Estimator::coalescable_st`; short-circuited pairs are answered before
-//! jobs are enqueued, so they never reach the queue). The worker that
-//! dequeues an st job therefore steals every queued st job with the same
-//! (generation, estimator, seed, budget, source) key, runs the vector
-//! pass once, and splits the answer — byte-identical to running each
-//! query alone, at a fraction of the sampling work. Accuracy budgets stop
-//! adaptively per query and RSS stratifies per target, so neither is ever
-//! coalesced.
+//! The compute side of the service: the blocking FIFO the server's
+//! threads hand work through, and a fixed-size worker pool that drains
+//! the job queue. Each job answers exactly its own query, under its own
+//! seed and budget, so a response is the same bytes however requests
+//! interleave.
 
 use crate::metrics::Metrics;
 use crate::state::{AnyEngine, EngineKind, Snapshot};
 use relmax_core::QueryAnswer;
-use relmax_gen::workload::{QuerySpec, WireSpec};
+use relmax_gen::workload::WireSpec;
 use relmax_sampling::Budget;
-use relmax_ugraph::NodeId;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -118,112 +105,71 @@ impl Drop for Job {
     }
 }
 
-/// The identity two st jobs must share to be answered from one `from`
-/// pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceKey {
-    generation: u64,
-    kind: EngineKind,
-    seed: u64,
-    samples: usize,
-    /// The shared source node.
-    pub source: NodeId,
-}
-
-impl Job {
-    /// The coalescing key, if this job is eligible: an *unbounded* st
-    /// query under a fixed budget. A `% max-hops` bound disqualifies the
-    /// job — hop-bounded answers cannot be split out of a `from` vector.
-    /// (The estimator's own `coalescable_st` gate is checked by the
-    /// worker, which has the engine in hand.)
-    pub fn coalesce_key(&self) -> Option<CoalesceKey> {
-        if self.max_hops.is_some() {
-            return None;
-        }
-        let WireSpec::Query(QuerySpec::St(s, _)) = &self.spec else {
-            return None;
-        };
-        let Budget::FixedSamples(samples) = self.budget else {
-            return None;
-        };
-        Some(CoalesceKey {
-            generation: self.snapshot.generation,
-            kind: self.kind,
-            seed: self.seed,
-            samples,
-            source: *s,
-        })
-    }
-
-    /// The target node, when this is an st job.
-    fn st_target(&self) -> Option<NodeId> {
-        match &self.spec {
-            WireSpec::Query(QuerySpec::St(_, t)) => Some(*t),
-            _ => None,
-        }
-    }
-}
-
-/// The shared FIFO between IO and compute workers.
-#[derive(Default)]
-pub struct JobQueue {
-    inner: Mutex<VecDeque<Job>>,
+/// A blocking FIFO shared between threads: the connection queue from
+/// the acceptor to the IO workers (admitted through a capped `try_push`)
+/// and the job queue from the IO workers to the compute workers (fed
+/// through [`BlockingQueue::push`]).
+pub struct BlockingQueue<T> {
+    inner: Mutex<VecDeque<T>>,
     cv: Condvar,
 }
 
-impl JobQueue {
+impl<T> BlockingQueue<T> {
     /// An empty queue.
     pub fn new() -> Arc<Self> {
-        Arc::new(JobQueue::default())
+        Arc::new(BlockingQueue {
+            inner: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+        })
     }
 
-    /// Enqueue a job and wake one worker.
-    pub fn push(&self, job: Job) {
-        self.inner.lock().expect("job queue lock").push_back(job);
+    /// Enqueue an item and wake one consumer.
+    pub fn push(&self, item: T) {
+        self.inner.lock().expect("queue lock").push_back(item);
         self.cv.notify_one();
     }
 
-    /// Block until a job is available.
-    fn pop(&self) -> Job {
-        let mut q = self.inner.lock().expect("job queue lock");
+    /// Enqueue an item unless `cap` items (at least one) are already
+    /// queued, in which case it is handed back.
+    pub(crate) fn try_push(&self, item: T, cap: usize) -> Result<(), T> {
+        let mut q = self.inner.lock().expect("queue lock");
+        if q.len() >= cap.max(1) {
+            return Err(item);
+        }
+        q.push_back(item);
+        self.cv.notify_one();
+        Ok(())
+    }
+
+    /// Block until an item is available and take the oldest.
+    pub(crate) fn pop(&self) -> T {
+        let mut q = self.inner.lock().expect("queue lock");
         loop {
-            if let Some(job) = q.pop_front() {
-                return job;
+            if let Some(item) = q.pop_front() {
+                return item;
             }
-            q = self.cv.wait(q).expect("job queue lock");
+            q = self.cv.wait(q).expect("queue lock");
         }
     }
 
-    /// Remove and return every queued job sharing `key` (the coalescing
-    /// steal). FIFO order among the stolen jobs is preserved.
-    fn steal_matching(&self, key: &CoalesceKey) -> Vec<Job> {
-        let mut q = self.inner.lock().expect("job queue lock");
-        let mut kept = VecDeque::with_capacity(q.len());
-        let mut stolen = Vec::new();
-        for job in q.drain(..) {
-            if job.coalesce_key().as_ref() == Some(key) {
-                stolen.push(job);
-            } else {
-                kept.push_back(job);
-            }
-        }
-        *q = kept;
-        stolen
+    /// How many items are queued.
+    pub(crate) fn depth(&self) -> usize {
+        self.inner.lock().expect("queue lock").len()
     }
 }
 
 /// Spawn `threads` detached compute workers draining `queue`. `slow`
 /// inserts a post-dequeue sleep (the `RELMAX_SERVE_TEST_SLOW_MS` test
-/// hook) so tests can deterministically pile compatible jobs behind an
-/// inflight one.
+/// hook) so tests can deterministically pile jobs behind an inflight
+/// one.
 ///
 /// A panic while answering a job is caught and counted in
 /// `worker_panics_total`; the worker goes on to the next job. Unwinding
-/// drops the job (and any coalesced mates it stole), whose drop guards
-/// answer their requesters with [`WORKER_PANICKED`].
+/// drops the job, whose drop guard answers its requester with
+/// [`WORKER_PANICKED`].
 pub fn spawn_compute_pool(
     threads: usize,
-    queue: Arc<JobQueue>,
+    queue: Arc<BlockingQueue<Job>>,
     metrics: Arc<Metrics>,
     slow: Option<Duration>,
 ) {
@@ -235,7 +181,7 @@ pub fn spawn_compute_pool(
             if let Some(d) = slow {
                 std::thread::sleep(d);
             }
-            let answered = catch_unwind(AssertUnwindSafe(|| process(job, &queue, &metrics)));
+            let answered = catch_unwind(AssertUnwindSafe(|| process(job, &metrics)));
             if answered.is_err() {
                 Metrics::add(&metrics.worker_panics_total, 1);
             }
@@ -243,35 +189,10 @@ pub fn spawn_compute_pool(
     }
 }
 
-/// Answer one dequeued job (plus any coalesced mates).
-pub fn process(job: Job, queue: &JobQueue, metrics: &Metrics) {
+/// Answer one dequeued job: build its engine, answer its query, count
+/// the worlds sampled, and fill its slot.
+pub fn process(job: Job, metrics: &Metrics) {
     let engine = AnyEngine::build(&job.snapshot, job.kind, job.budget, job.seed);
-    if engine.coalescable_st() {
-        if let Some(key) = job.coalesce_key() {
-            let mates = queue.steal_matching(&key);
-            if !mates.is_empty() {
-                let group = 1 + mates.len();
-                match engine.from_vector(key.source, job.budget) {
-                    Ok(vec) => {
-                        Metrics::add(&metrics.coalesced_queries_total, group as u64);
-                        let z = vec.iter().map(|e| e.samples_used).max().unwrap_or(0);
-                        Metrics::add(&metrics.samples_total, z as u64);
-                        for j in std::iter::once(job).chain(mates) {
-                            let t = j.st_target().expect("coalesced jobs are st queries");
-                            j.slot.fill(Ok(QueryAnswer::Scalar(vec[t.index()])));
-                        }
-                    }
-                    Err(e) => {
-                        let msg = e.to_string();
-                        for j in std::iter::once(job).chain(mates) {
-                            j.slot.fill(Err(msg.clone()));
-                        }
-                    }
-                }
-                return;
-            }
-        }
-    }
     let result = engine.run_spec(&job.spec, job.budget, job.max_hops);
     if let Ok(answer) = &result {
         Metrics::add(&metrics.samples_total, answer_samples(answer));
@@ -303,7 +224,8 @@ pub fn answer_samples(answer: &QueryAnswer) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relmax_ugraph::{RelIndex, UncertainGraph};
+    use relmax_gen::workload::QuerySpec;
+    use relmax_ugraph::{DeltaOverlay, NodeId, RelIndex, UncertainGraph};
 
     fn chain_snapshot() -> Arc<Snapshot> {
         let mut g = UncertainGraph::new(5, true);
@@ -338,73 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_answers_are_bit_identical_to_solo_runs() {
-        let snap = chain_snapshot();
-        let metrics = Metrics::new();
-
-        // Solo baseline: each query processed with an empty queue.
-        let solo_queue = JobQueue::new();
-        let mut solo = Vec::new();
-        for t in [2u32, 3, 4] {
-            let (job, slot) = st_job(&snap, 0, t, 9);
-            process(job, &solo_queue, &metrics);
-            solo.push(slot.wait().unwrap());
-        }
-
-        // Coalesced: queue two mates behind the job being processed.
-        let queue = JobQueue::new();
-        let (first, first_slot) = st_job(&snap, 0, 2, 9);
-        let (mate_a, slot_a) = st_job(&snap, 0, 3, 9);
-        let (mate_b, slot_b) = st_job(&snap, 0, 4, 9);
-        queue.push(mate_a);
-        queue.push(mate_b);
-        let m = Metrics::new();
-        process(first, &queue, &m);
-        assert_eq!(
-            m.coalesced_queries_total
-                .load(std::sync::atomic::Ordering::Relaxed),
-            3
-        );
-        assert_eq!(
-            [
-                first_slot.wait().unwrap(),
-                slot_a.wait().unwrap(),
-                slot_b.wait().unwrap()
-            ],
-            [solo[0].clone(), solo[1].clone(), solo[2].clone()],
-        );
-        assert!(queue.inner.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn mismatched_keys_are_not_stolen() {
-        let snap = chain_snapshot();
-        let queue = JobQueue::new();
-        let (first, first_slot) = st_job(&snap, 0, 2, 9);
-        let (other_seed, other_slot) = st_job(&snap, 0, 3, 10);
-        let (other_source, src_slot) = st_job(&snap, 1, 2, 9);
-        queue.push(other_seed);
-        queue.push(other_source);
-        let m = Metrics::new();
-        process(first, &queue, &m);
-        assert_eq!(
-            m.coalesced_queries_total
-                .load(std::sync::atomic::Ordering::Relaxed),
-            0
-        );
-        // The mates are still queued, untouched.
-        assert_eq!(queue.inner.lock().unwrap().len(), 2);
-        first_slot.wait().unwrap();
-        // Drain them solo so their slots resolve too.
-        let j = queue.pop();
-        process(j, &queue, &m);
-        let j = queue.pop();
-        process(j, &queue, &m);
-        other_slot.wait().unwrap();
-        src_slot.wait().unwrap();
-    }
-
-    #[test]
     fn dropping_an_unanswered_job_fails_its_requester() {
         let snap = chain_snapshot();
         let (job, slot) = st_job(&snap, 0, 2, 9);
@@ -418,21 +273,30 @@ mod tests {
 
         // An answered job's guard leaves the delivered result alone.
         let (job, slot) = st_job(&snap, 0, 2, 9);
-        process(job, &JobQueue::new(), &Metrics::new());
+        process(job, &Metrics::new());
         assert!(slot.wait().is_ok());
     }
 
     #[test]
     fn a_panicking_worker_answers_500_and_keeps_serving() {
         let snap = chain_snapshot();
-        let queue = JobQueue::new();
-        // A coalesced mate whose target is out of range makes the worker
-        // index past the shared `from` vector, as a bug in a worker
-        // would. Requests validate nodes before enqueueing, so only a
-        // test reaches this. Both jobs are queued before the worker
-        // starts, so the first one steals the second.
+        let queue = BlockingQueue::new();
+        // A snapshot whose overlay was built over a different graph `Arc`
+        // than its own makes the engine build assert inside `process`, as
+        // a bug in a worker would. The server only pairs an overlay with
+        // the graph it was built over, so only a test reaches this.
+        let other = Arc::new(UncertainGraph::new(5, true).freeze());
+        let torn = Arc::new(Snapshot {
+            csr: snap.csr.clone(),
+            index: snap.index.clone(),
+            generation: 2,
+            format_version: 2,
+            path: "mem".to_string(),
+            index_stored: false,
+            delta: Some(Arc::new(DeltaOverlay::new(other))),
+        });
         let (first, first_slot) = st_job(&snap, 0, 2, 9);
-        let (bad, bad_slot) = st_job(&snap, 0, 99, 9);
+        let (bad, bad_slot) = st_job(&torn, 0, 2, 9);
         queue.push(first);
         queue.push(bad);
         let metrics = Arc::new(Metrics::new());
@@ -451,38 +315,24 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_budgets_never_coalesce() {
-        let snap = chain_snapshot();
-        let slot = Slot::new();
-        let job = Job {
-            spec: WireSpec::Query(QuerySpec::St(NodeId(0), NodeId(2))),
-            snapshot: snap,
-            kind: EngineKind::Mc,
-            budget: Budget::accuracy(0.05, 0.05),
-            seed: 1,
-            max_hops: None,
-            slot,
-        };
-        assert!(job.coalesce_key().is_none());
-    }
-
-    #[test]
-    fn hop_bounded_jobs_never_coalesce() {
-        let snap = chain_snapshot();
-        let (mut job, _slot) = st_job(&snap, 0, 2, 9);
-        assert!(job.coalesce_key().is_some());
-        job.max_hops = Some(3);
-        assert!(
-            job.coalesce_key().is_none(),
-            "a from vector cannot answer hop-bounded st queries"
-        );
+    fn the_queue_is_fifo_and_try_push_honors_its_cap() {
+        let queue = BlockingQueue::new();
+        queue.push(1);
+        assert_eq!(queue.try_push(2, 2), Ok(()));
+        assert_eq!(queue.try_push(3, 2), Err(3));
+        assert_eq!(queue.depth(), 2);
+        assert_eq!((queue.pop(), queue.pop()), (1, 2));
+        // A zero cap still admits one item.
+        assert_eq!(queue.try_push(4, 0), Ok(()));
+        assert_eq!(queue.try_push(5, 0), Err(5));
+        assert_eq!(queue.pop(), 4);
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
     fn constrained_jobs_resolve_through_the_pool_path() {
         let snap = chain_snapshot();
         let metrics = Metrics::new();
-        let queue = JobQueue::new();
         let specs = vec![
             WireSpec::Query(QuerySpec::Set(vec![NodeId(0)], vec![NodeId(3), NodeId(4)])),
             WireSpec::Query(QuerySpec::TopK(NodeId(0), 2)),
@@ -499,7 +349,7 @@ mod tests {
                 max_hops: Some(2),
                 slot: slot.clone(),
             };
-            process(job, &queue, &metrics);
+            process(job, &metrics);
             let answer = slot.wait().unwrap();
             assert!(answer_samples(&answer) > 0);
         }

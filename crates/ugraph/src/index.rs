@@ -53,9 +53,10 @@ use crate::{flip_threshold, CoinId, NodeId, ProbGraph};
 
 /// The persisted form of a [`RelIndex`]: two per-node label arrays, stored
 /// as the optional index section of a version-2 `.rgs` snapshot (see
-/// [`crate::snapshot`]). Everything else the index holds is derived
-/// deterministically from these labels plus the graph itself, so the
-/// section stays small and version-stable.
+/// [`crate::snapshot`]). A load builds the index from the graph and
+/// accepts the section only if it matches ([`RelIndex::from_section`]);
+/// the rest of the index is never stored, so the section stays small and
+/// version-stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSection {
     /// `super_of[v]` — the certain-SCC supernode of node `v`, numbered
@@ -243,60 +244,6 @@ impl RelIndex {
         // Over symmetric undirected arcs, SCCs are connected components.
         let (raw, _) = tarjan(csr, |p| p == 1.0);
         let (super_of, num_super) = canonicalize(raw, csr.num_nodes);
-        Self::assemble(csr, super_of, num_super)
-    }
-
-    /// Reconstruct the index from its persisted [`IndexSection`], verifying
-    /// that the labels are structurally valid for `csr`. The derived
-    /// structures (condensed graph, components, blocks, SCC DAG) are
-    /// rebuilt deterministically, so a round-tripped index equals a freshly
-    /// built one.
-    pub fn from_section(csr: &CsrGraph, section: &IndexSection) -> Result<RelIndex, String> {
-        let n = csr.num_nodes;
-        if section.super_of.len() != n || section.comp_of.len() != n {
-            return Err(format!(
-                "index section sized for {} nodes but the graph has {n}",
-                section.super_of.len()
-            ));
-        }
-        // Canonical numbering: id k + 1 first appears only after id k.
-        let mut num_super = 0usize;
-        for (v, &s) in section.super_of.iter().enumerate() {
-            if (s as usize) > num_super {
-                return Err(format!("supernode ids are not canonical at node {v}"));
-            }
-            if (s as usize) == num_super {
-                num_super += 1;
-            }
-        }
-        // Undirected certain edges always merge their endpoints; a section
-        // violating that cannot have come from this graph.
-        if !csr.directed {
-            for v in 0..n {
-                for a in csr.out_off[v] as usize..csr.out_off[v + 1] as usize {
-                    if csr.out_prob[a] == 1.0
-                        && section.super_of[v] != section.super_of[csr.out_dst[a] as usize]
-                    {
-                        return Err(format!(
-                            "certain edge ({v}, {}) spans two supernodes",
-                            csr.out_dst[a]
-                        ));
-                    }
-                }
-            }
-        }
-        let idx = Self::assemble(csr, section.super_of.clone(), num_super);
-        for v in 0..n {
-            if section.comp_of[v] != idx.comp_of_super[idx.super_of[v] as usize] {
-                return Err(format!(
-                    "stored component of node {v} disagrees with the graph"
-                ));
-            }
-        }
-        Ok(idx)
-    }
-
-    fn assemble(csr: &CsrGraph, super_of: Vec<u32>, num_super: usize) -> RelIndex {
         let condensed = build_condensed(csr, &super_of, num_super);
         let (comp_of_super, num_comps) = possible_components(&condensed);
         let mut comp_size = vec![0u32; num_comps];
@@ -321,6 +268,28 @@ impl RelIndex {
             condensed,
             paths,
         }
+    }
+
+    /// Reconstruct the index from its persisted [`IndexSection`]: build
+    /// it from `csr` and accept the section only if it is exactly the
+    /// section of that build, so stored labels can never change a plan.
+    /// Loading a stored section therefore costs what building does.
+    pub fn from_section(csr: &CsrGraph, section: &IndexSection) -> Result<RelIndex, String> {
+        let n = csr.num_nodes;
+        if section.super_of.len() != n || section.comp_of.len() != n {
+            return Err(format!(
+                "index section sized for {} nodes but the graph has {n}",
+                section.super_of.len()
+            ));
+        }
+        let built = Self::build(csr);
+        if let Some(v) = (0..n).find(|&v| {
+            let sup = built.super_of[v];
+            sup != section.super_of[v] || built.comp_of_super[sup as usize] != section.comp_of[v]
+        }) {
+            return Err(format!("stored labels of node {v} disagree with the graph"));
+        }
+        Ok(built)
     }
 
     /// The persisted form of this index (see [`IndexSection`]).
@@ -1249,6 +1218,26 @@ mod tests {
         let mut bad = section;
         bad.super_of.pop();
         assert!(RelIndex::from_section(&csr, &bad).is_err());
+
+        // Canonical, well-sized labels that merge nodes no certain edge
+        // joins: they would plan `st 0 1` as `Certain` (R = 1) although
+        // the graph gives it p = 0.5.
+        let mut g = UncertainGraph::new(3, true);
+        g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+        g.add_edge(NodeId(1), NodeId(0), 0.5).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 0.5).unwrap();
+        let lying = IndexSection {
+            super_of: vec![0, 0, 1],
+            comp_of: vec![0, 0, 0],
+        };
+        assert!(RelIndex::from_section(&freeze(&g), &lying).is_err());
+        let mut g = UncertainGraph::new(2, false);
+        g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
+        let lying = IndexSection {
+            super_of: vec![0, 0],
+            comp_of: vec![0, 0],
+        };
+        assert!(RelIndex::from_section(&freeze(&g), &lying).is_err());
     }
 
     #[test]

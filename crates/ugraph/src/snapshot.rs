@@ -1371,8 +1371,8 @@ pub fn read<R: Read>(r: R) -> Result<CsrGraph, SnapshotError> {
 /// the snapshot carries one (version ≥ 2 with flag bit 1).
 ///
 /// The labels are range-checked here; callers turn them into a usable
-/// [`RelIndex`](crate::index::RelIndex) via [`RelIndex::from_section`](crate::index::RelIndex::from_section), which verifies them against
-/// the graph structure and rebuilds from scratch if they do not hold.
+/// [`RelIndex`](crate::index::RelIndex) via [`RelIndex::from_section`](crate::index::RelIndex::from_section), which builds the index
+/// from the graph and rejects labels that differ from the built ones.
 ///
 /// The input is read to its end into one aligned heap buffer, which the
 /// returned graph's columns then borrow; a length the header claims but
