@@ -38,14 +38,22 @@
 //! The scalar BFS pays its loop overhead — stack traffic, visited
 //! checks, arc decoding, and one streaming pass over the CSR arrays —
 //! once per *arc per world*. The packed fixpoint pays it once per *arc
-//! per block*: each coin's 64 lane verdicts are hashed **once per
-//! block** ([`coin_lanes`], a fixed 64-wide loop of independent hash
-//! chains that pipelines where the scalar hash is interleaved with
-//! branchy BFS) and memoized, so every further touch of the arc inside
-//! the block is three word ops. Arcs none of whose lanes can still make
-//! progress are skipped without hashing at all. `BENCH_sampling.json`
-//! (see `docs/benchmarks.md`) records the measured speedup on the
-//! 100k-node packed benchmark scenario.
+//! per block*: each coin's lane verdicts are hashed **once per block**
+//! and memoized, so every further touch of the arc inside the block is
+//! three word ops. Arcs none of whose lanes can still make progress are
+//! skipped without hashing at all. `BENCH_sampling.json` (see
+//! `docs/benchmarks.md`) records the measured speedup on the 100k-node
+//! packed benchmark scenario.
+//!
+//! A memo miss hashes only the lanes still live. While more than a
+//! handful are, it runs [`coin_lanes`], a fixed 64-wide loop of
+//! independent hash chains that pipelines where the scalar hash is
+//! interleaved with branchy BFS. Once lanes have settled (met, hit, or
+//! run dry) and at most `PER_LANE_MAX` remain, it draws just those
+//! lanes, one hash each. Lanes only settle within a block, so a verdict
+//! drawn for the lanes live at its miss covers every later lookup. A
+//! block whose last straggling lane crawls on for hundreds of rounds
+//! then pays about one draw per coin, not 64.
 //!
 //! A fixpoint round also costs only what its frontier needs. The
 //! frontier is a bitmap of `n/64` words, and sweeping all of them is
@@ -75,7 +83,8 @@
 //! it in a round: that side's search is then complete in that world and
 //! disjoint from the other's, so `t` is unreachable there. Retired lanes
 //! are masked out of both frontiers, so a block ends with its last
-//! unsettled lane. Before the first block the same meet runs once, in
+//! unsettled lane, and the coins its stragglers reach are drawn for
+//! those lanes alone. Before the first block the same meet runs once, in
 //! one lane, on the possible graph (every arc whose coin can come up):
 //! if it does not connect `s` and `t`, no world does, and the range is
 //! settled without hashing a coin. Both searches, and every other
@@ -113,9 +122,10 @@ fn lane_raw(seed: u64, base_mul: u64, k: u32, coin: CoinId) -> u64 {
 /// Coin verdicts for all 64 lanes of a block: bit `k` of the result is
 /// set iff `coin_raw(seed, base + k, coin) < threshold`.
 ///
-/// The kernels call this **once per coin per block** (an epoch-stamped
-/// memo); every later touch of the coin inside the block's fixpoint is
-/// pure word arithmetic. On x86-64 hosts with AVX-512DQ the 64 draws
+/// The kernels call this **at most once per coin per block** (an
+/// epoch-stamped memo), on a miss while more than `PER_LANE_MAX` lanes
+/// are live; every later touch of the coin inside the block's fixpoint
+/// is pure word arithmetic. On x86-64 hosts with AVX-512DQ the 64 draws
 /// run eight SplitMix64 chains per instruction (an internal `simd`
 /// module, detected once at runtime); elsewhere a fixed 64-iteration
 /// loop of independent chains unrolls and pipelines. Both paths are
@@ -296,22 +306,42 @@ struct CoinSlot {
 /// Where a fixpoint's arc verdicts come from.
 trait Coins {
     /// The lane word of coin `coin` with flip threshold `threshold`: bit
-    /// `k` is set iff the arc exists in lane `k`.
+    /// `k` is set iff the arc exists in lane `k`, for every lane `k` still
+    /// live (see [`Coins::narrow`]); bits of other lanes are unspecified.
     fn lanes(&mut self, coin: CoinId, threshold: u64) -> u64;
+
+    /// Declare that from now on the fixpoints only read lanes in `live`,
+    /// a subset of the lanes declared live so far.
+    fn narrow(&mut self, live: u64);
 }
 
-/// Per-block coin-mask memo: each coin's 64 lane verdicts are hashed on
+/// Live lanes at or below which a memo miss draws each live lane on its
+/// own ([`lane_raw`]) instead of hashing all 64 ([`coin_lanes`]). One
+/// draw costs about 3 ns and the AVX-512 64-wide hash about 61 ns on the
+/// reference host, so per-lane draws stay cheaper up to about 20 live
+/// lanes; on the `query-local` batch every value from 4 to 24 times
+/// within noise (`docs/benchmarks.md`).
+const PER_LANE_MAX: u32 = 16;
+
+/// Per-block coin-mask memo: each coin's lane verdicts are hashed on
 /// first touch and served from the cache for the rest of the block.
 /// Epoch-stamped, so starting the next block is one counter bump; a
 /// separate object from [`LaneScratch`] because one memo can back
 /// several fixpoints of the same block (forward + reverse scan passes,
 /// every source of a pairwise row, both searches of an `s-t` block).
+///
+/// A miss hashes only what the block's `live` lanes need: with at most
+/// [`PER_LANE_MAX`] of them, one draw per live lane, else the 64-wide
+/// [`coin_lanes`]. Within one epoch `live` only shrinks, and every
+/// lookup reads lanes inside it, so a verdict drawn for an earlier, wider
+/// live word still holds every lane a later lookup reads.
 #[derive(Debug, Default)]
 struct CoinMemo {
     slots: Vec<CoinSlot>,
     epoch: u32,
     seed: u64,
     base_mul: u64,
+    live: u64,
 }
 
 impl CoinMemo {
@@ -328,25 +358,59 @@ impl CoinMemo {
         self.epoch += 1;
         self.seed = seed;
         self.base_mul = block.base_mul();
+        self.live = block.mask;
     }
 }
 
 impl Coins for CoinMemo {
-    /// The 64-lane verdict word for `coin` in the current block.
+    /// The verdict word for `coin` in the current block's live lanes.
     #[inline]
     fn lanes(&mut self, coin: CoinId, threshold: u64) -> u64 {
         let slot = &mut self.slots[coin as usize];
         if slot.mark == self.epoch {
-            slot.mask
-        } else {
-            let mask = coin_lanes(self.seed, self.base_mul, coin, threshold);
-            *slot = CoinSlot {
-                mark: self.epoch,
-                mask,
-            };
-            mask
+            return slot.mask;
         }
+        let per_lane = self.live.count_ones() <= PER_LANE_MAX;
+        #[cfg(test)]
+        tests::DRAWS.with(|d| {
+            let (misses, draws) = d.get();
+            let drawn = if per_lane { self.live.count_ones() } else { 64 };
+            d.set((misses + 1, draws + drawn as u64));
+        });
+        let mask = if per_lane {
+            live_lanes(self.seed, self.base_mul, coin, threshold, self.live)
+        } else {
+            coin_lanes(self.seed, self.base_mul, coin, threshold)
+        };
+        *slot = CoinSlot {
+            mark: self.epoch,
+            mask,
+        };
+        mask
     }
+
+    #[inline]
+    fn narrow(&mut self, live: u64) {
+        debug_assert_eq!(live & !self.live, 0, "a narrowing may not add lanes");
+        self.live = live;
+    }
+}
+
+/// Coin verdicts for the lanes in `live` only, one [`lane_raw`] draw
+/// each: bit `k` of the result is set iff `k` is in `live` and
+/// `coin_raw(seed, base + k, coin) < threshold`.
+///
+/// Out of line: inlined, its loop slowed the 64-lane floods' arc loop
+/// (`mc_from` about 20%) that never runs it.
+#[inline(never)]
+fn live_lanes(seed: u64, base_mul: u64, coin: CoinId, threshold: u64, live: u64) -> u64 {
+    let (mut mask, mut lanes) = (0u64, live);
+    while lanes != 0 {
+        let k = lanes.trailing_zeros();
+        lanes &= lanes - 1;
+        mask |= ((lane_raw(seed, base_mul, k, coin) < threshold) as u64) << k;
+    }
+    mask
 }
 
 /// The possible graph in every lane: an arc exists iff its coin can
@@ -359,6 +423,9 @@ impl Coins for Possible {
     fn lanes(&mut self, _: CoinId, threshold: u64) -> u64 {
         0u64.wrapping_sub((threshold != 0) as u64)
     }
+
+    #[inline]
+    fn narrow(&mut self, _: u64) {}
 }
 
 /// Per-node lane state: the reach closure so far and the not-yet-
@@ -665,6 +732,7 @@ fn fixpoint<G: ProbGraph>(
     coins: &mut impl Coins,
     reverse: bool,
 ) {
+    coins.narrow(lanes);
     let mut rounds = Rounds::seeded(ls, g.num_nodes());
     loop {
         let round = fixpoint_round(g, ls, coins, reverse, lanes, &mut rounds, |_, _| {});
@@ -847,6 +915,7 @@ fn meet<G: ProbGraph>(
     // Nonzero only when `s == t`: every lane hits before any round.
     let mut hit = fwd.state[t.index()].reached;
     let mut active = lanes & !hit;
+    coins.narrow(active);
     while active != 0 {
         let reverse = sides[1].queued < sides[0].queued;
         let (ls, other, side) = if reverse {
@@ -866,6 +935,7 @@ fn meet<G: ProbGraph>(
             // over the lanes still live: a side whose front is mostly
             // settled lanes must not look larger than it is.
             active = live;
+            coins.narrow(active);
             sides[0].queued = fwd.front_nodes(active, &sides[0].rounds);
             sides[1].queued = bwd.front_nodes(active, &sides[1].rounds);
         }
@@ -908,6 +978,7 @@ fn fixpoint_levels<G: ProbGraph>(
     let mut wave = std::mem::take(&mut ls.wave);
     while hit != block.mask && round < max_hops {
         round += 1;
+        memo.narrow(block.mask & !hit);
         // Snapshot the frontier before touching any state; the drained
         // bitmap and its word list then collect this round's deposits.
         let sparse = rounds.sparse();
@@ -1285,6 +1356,9 @@ mod tests {
         pub(super) static ROUNDS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
         /// Arcs stepped by packed fixpoints on this thread.
         pub(super) static ARCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Coin-memo misses on this thread, and the lane draws they made.
+        pub(super) static DRAWS: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
     }
 
     /// Take the round modes recorded so far, as a string of `s`/`d`.
@@ -1422,6 +1496,30 @@ mod tests {
         assert!(
             meet_total * 5 < flood_total,
             "meet {meet_total} arcs, flood {flood_total}"
+        );
+    }
+
+    #[test]
+    fn memo_misses_draw_only_the_live_lanes() {
+        // Hashing all 64 lanes would cost 64 draws per miss. Most misses
+        // come after most lanes of their block have settled, so they
+        // draw a few lanes each.
+        let g = ring_chords(4000);
+        let (mut all_misses, mut all_draws) = (0, 0);
+        for (s, t) in [(100u32, 108u32), (100, 114), (3995, 3)] {
+            DRAWS.with(|d| d.set((0, 0)));
+            st_hits(&g, 5, NodeId(s), NodeId(t), 0, 640);
+            let (misses, draws) = DRAWS.with(|d| d.get());
+            assert!(
+                misses > 0 && draws < 64 * misses,
+                "{s}->{t}: {draws} draws over {misses} misses"
+            );
+            all_misses += misses;
+            all_draws += draws;
+        }
+        assert!(
+            all_draws < 16 * all_misses,
+            "{all_draws} draws over {all_misses} misses"
         );
     }
 

@@ -81,6 +81,14 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
             let n: usize = value.trim().parse().map_err(|_| {
                 HttpError::BadRequest(format!("unparsable Content-Length {:?}", value.trim()))
             })?;
+            // RFC 9112 §6.3: differing lengths leave the body's end
+            // ambiguous, so the request is refused; repeats of one value
+            // are harmless.
+            if content_length.is_some_and(|m| m != n) {
+                return Err(HttpError::BadRequest(
+                    "conflicting Content-Length headers".to_string(),
+                ));
+            }
             content_length = Some(n);
         }
     }
@@ -243,6 +251,19 @@ mod tests {
     fn terminator_is_found_with_offset() {
         assert_eq!(find_terminator(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
         assert_eq!(find_terminator(b"partial\r\n"), None);
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let read = |head: &str| read_request(&mut head.as_bytes());
+        let conflicting = "POST /q HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 4\r\n\r\nabcd";
+        match read(conflicting) {
+            Err(HttpError::BadRequest(msg)) => assert!(msg.contains("conflicting"), "{msg}"),
+            other => panic!("conflicting lengths parsed as {other:?}"),
+        }
+        // One length sent twice is not ambiguous.
+        let repeated = "POST /q HTTP/1.1\r\nContent-Length: 3\r\nContent-Length:  3\r\n\r\nabc";
+        assert_eq!(read(repeated).unwrap().body, b"abc");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Seeded mutation loops over the service's hand-rolled input paths: the
-//! HTTP/1.1 request reader and the `POST /query` and `POST /update` body
-//! grammars. Every mutant of a valid input must come back as a parsed
+//! Seeded mutation loops over the hand-rolled input paths: the HTTP/1.1
+//! request reader, the `POST /query` and `POST /update` body grammars,
+//! and the workload-file grammar of `relmax query`. Every mutant of a valid input must come back as a parsed
 //! value or a typed error, never a panic, and what does parse must be
 //! self-consistent: a request body is exactly the bytes after the head
-//! that `Content-Length` declares, and parsed queries and updates print
-//! back to text that parses to the same values.
+//! that `Content-Length` declares (and never two that disagree), and
+//! parsed queries, updates and workload files print back to text that
+//! parses to the same values.
 
 use relmax_gen::updates::{parse_update_request_str, update_line};
-use relmax_gen::workload::{parse_request_str, WorkloadError};
+use relmax_gen::workload::{parse_request_str, parse_workload_str, write_workload, WorkloadError};
 use relmax_sampling::convergence::DEFAULT_MAX_SAMPLES;
 use relmax_sampling::Budget;
 use relmax_server::http::{read_request, HttpError, MAX_BODY_BYTES, MAX_HEAD_BYTES};
@@ -44,6 +45,11 @@ const QUERY_BODY: &str = "% seed 7\n% accuracy 0.02 0.05 4000\n% max-hops 4\n\
 /// A `/update` body using every record kind and the generation guard.
 const UPDATE_BODY: &str =
     "% expect-generation 3\ninsert 0 1 0.5\nsetp 1 2 0.25\n# a comment\ndelete 2 3\n";
+
+/// A workload file using every query shape and directive of the file
+/// grammar.
+const WORKLOAD_FILE: &str = "# a comment\n% accuracy 0.01 0.05 100000\n% max-hops 4\n\
+    st 0 41\n3 17 # a bare pair\nfrom 0\nto 41\nset 0,3 41,17\ntopk 0 5\nhops 0 41\n\n";
 
 /// Tokens that sit at the edges of what the grammars accept.
 const TOKENS: &[&str] = &[
@@ -161,9 +167,14 @@ fn check_error(e: &WorkloadError, text: &str, what: &str) -> String {
 }
 
 #[test]
-fn mutated_query_and_update_bodies_parse_or_fail_typed() {
+fn mutated_bodies_and_workload_files_parse_or_fail_typed() {
     let mut rng = Rng(0x51ab);
-    for (name, original) in [("query", QUERY_BODY), ("update", UPDATE_BODY)] {
+    let bodies = [
+        ("query", QUERY_BODY),
+        ("update", UPDATE_BODY),
+        ("workload", WORKLOAD_FILE),
+    ];
+    for (name, original) in bodies {
         let (mut accepted, mut kinds) = (0, BTreeSet::new());
         let seeded: Vec<_> = (0..1_200)
             .map(|round| mutate_text(&mut rng, original.as_bytes(), round))
@@ -190,6 +201,21 @@ fn mutated_query_and_update_bodies_parse_or_fail_typed() {
                         let back = parse_request_str(&printed)
                             .unwrap_or_else(|e| panic!("{what}: {printed:?} fails: {e}"));
                         assert_eq!(back.specs, req.specs, "{what}");
+                    }
+                    Err(e) => {
+                        kinds.insert(check_error(&e, &text, &what));
+                    }
+                }
+            } else if name == "workload" {
+                match parse_workload_str(&text) {
+                    Ok(workload) => {
+                        accepted += 1;
+                        let mut printed = Vec::new();
+                        write_workload(&workload, &mut printed).unwrap();
+                        let printed = String::from_utf8(printed).unwrap();
+                        let back = parse_workload_str(&printed)
+                            .unwrap_or_else(|e| panic!("{what}: {printed:?} fails: {e}"));
+                        assert_eq!(back, workload, "{what}");
                     }
                     Err(e) => {
                         kinds.insert(check_error(&e, &text, &what));
@@ -248,11 +274,13 @@ fn http_request(method: &str, path: &str, body: &str) -> Vec<u8> {
 
 /// One seeded mutation of an HTTP request: byte flips, truncations, a
 /// duplicate or garbled `Content-Length`, an oversized head, or random
-/// bytes spliced in.
-fn mutate_request(rng: &mut Rng, req: &[u8], round: usize) -> (Vec<u8>, String) {
+/// bytes spliced in. Returns the mutant, what was done, and the value of
+/// the `Content-Length` header a duplicate added, if it added one.
+fn mutate_request(rng: &mut Rng, req: &[u8], round: usize) -> (Vec<u8>, String, Option<usize>) {
     let mut b = req.to_vec();
     let head_end = find(&b, b"\r\n\r\n").expect("valid request") + 4;
     let line_end = find(&b, b"\r\n").expect("valid request") + 2;
+    let mut added = None;
     let what = match round % 6 {
         0 => {
             let i = rng.below(b.len());
@@ -268,6 +296,7 @@ fn mutate_request(rng: &mut Rng, req: &[u8], round: usize) -> (Vec<u8>, String) 
             let line = format!("Content-Length: {n}\r\n");
             let at = *rng.pick(&[line_end, head_end - 2]);
             b.splice(at..at, line.bytes());
+            added = Some(n);
             format!("duplicate Content-Length {n} at {at}")
         }
         3 => {
@@ -313,7 +342,7 @@ fn mutate_request(rng: &mut Rng, req: &[u8], round: usize) -> (Vec<u8>, String) 
             format!("splice {run:?} at {i}")
         }
     };
-    (b, what)
+    (b, what, added)
 }
 
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -341,13 +370,18 @@ fn mutated_http_requests_parse_or_fail_typed() {
             (method, path, body.as_bytes())
         );
         for round in 0..1_200 {
-            let (bytes, what) = mutate_request(&mut rng, &req, round);
+            let (bytes, what, added) = mutate_request(&mut rng, &req, round);
             let mut src = Chunked {
                 data: &bytes,
                 rng: Rng(round as u64),
             };
             let head_end = find(&bytes, b"\r\n\r\n").map(|i| i + 4);
-            match read_request(&mut src) {
+            let result = read_request(&mut src);
+            // Two lengths that disagree leave the body's end ambiguous.
+            if !body.is_empty() && added.is_some_and(|n| n != body.len()) {
+                assert!(result.is_err(), "{what}: conflicting lengths parsed");
+            }
+            match result {
                 Ok(r) => {
                     outcomes.insert("ok");
                     // The body is exactly the declared bytes after the head.

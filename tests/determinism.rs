@@ -934,3 +934,100 @@ fn packed_meet_matches_scalar_forward_st() {
         assert!(hits[2] > 0, "{kind}: the bridge connects the islands");
     }
 }
+
+/// Packed == scalar where the coin memo draws per live lane: ranges that
+/// start with few lanes (`5..9`: one four-lane block; `63..65`: shards
+/// of one or two lanes) and full blocks whose lanes retire at staggered
+/// rounds (`0..1000`), for `st`, hop-bounded `st`, `set`, `hops` and the
+/// BE candidate scan — the raw counts summed over the shards that threads
+/// 1, 2 and 3 cut the range into.
+#[test]
+fn packed_matches_scalar_as_live_lanes_shrink() {
+    use relmax::sampling::{packed, scalar};
+    use relmax::ugraph::ExtraEdge;
+    let ring = relmax::gen::synth::RingChords::new(1000, 4, 3).to_graph();
+    let ring = CsrGraph::freeze(&ring);
+    let islands = CsrGraph::freeze(&two_islands(true, 0x1a7e));
+    let seed = 0x11fe;
+    let n = |v| NodeId(v);
+    // 2-, 4- and 5-hop ring pairs, one wrapping past node 0; a same-island
+    // pair and a cross-island one, which no world connects.
+    let instances = [
+        (
+            "ring",
+            &ring,
+            [(n(100), n(108)), (n(100), n(114)), (n(995), n(15))],
+        ),
+        (
+            "islands",
+            &islands,
+            [(n(3), n(9)), (n(149), n(2)), (n(5), n(200))],
+        ),
+    ];
+    for (label, g, pairs) in instances {
+        for (s, t) in pairs {
+            let (s2, t2) = (n((s.0 + 2) % 300), n((t.0 + 3) % 300));
+            let cands = [
+                ExtraEdge {
+                    src: s,
+                    dst: n((s.0 + 5) % 300),
+                    prob: 0.6,
+                },
+                ExtraEdge {
+                    src: n((s.0 + 1) % 300),
+                    dst: t,
+                    prob: 0.3,
+                },
+                ExtraEdge {
+                    src: t,
+                    dst: s,
+                    prob: 0.8,
+                },
+            ];
+            for (lo, hi) in [(5u64, 9u64), (63, 65), (0, 1000)] {
+                let what = format!("{label} {s:?}->{t:?} worlds {lo}..{hi}");
+                let mut want_scan = vec![0; cands.len()];
+                scalar::scan_counts(g, seed, s, t, &cands, lo..hi, &mut want_scan);
+                let want = (
+                    scalar::st_hits(g, seed, s, t, lo, hi),
+                    scalar::set_counts(g, seed, &[s], &[t], Some(3), lo, hi),
+                    scalar::set_counts(g, seed, &[s, s2], &[t, t2], None, lo, hi),
+                    scalar::set_counts(g, seed, &[s], &[t], None, lo, hi),
+                    want_scan,
+                );
+                for threads in [1, 2, 3] {
+                    let mut got = (0, (0, 0), (0, 0), (0, 0), vec![0; cands.len()]);
+                    ParallelRuntime::new(threads).shard_samples(
+                        1,
+                        lo,
+                        hi,
+                        |_, a, b| {
+                            let mut scan = vec![0; cands.len()];
+                            packed::scan_counts(g, seed, s, t, &cands, a..b, &mut scan);
+                            (
+                                packed::st_hits(g, seed, s, t, a, b),
+                                packed::set_counts(g, seed, &[s], &[t], Some(3), a, b),
+                                packed::set_counts(g, seed, &[s, s2], &[t, t2], None, a, b),
+                                packed::set_counts(g, seed, &[s], &[t], None, a, b),
+                                scan,
+                            )
+                        },
+                        |_, part| {
+                            let add = |x: &mut (u64, u64), y: (u64, u64)| {
+                                *x = (x.0 + y.0, x.1 + y.1);
+                            };
+                            got.0 += part.0;
+                            add(&mut got.1, part.1);
+                            add(&mut got.2, part.2);
+                            add(&mut got.3, part.3);
+                            for (c, p) in got.4.iter_mut().zip(part.4) {
+                                *c += p;
+                            }
+                        },
+                    );
+                    assert_eq!(want, got, "{what} t{threads}");
+                }
+            }
+        }
+    }
+}
