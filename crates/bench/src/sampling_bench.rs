@@ -72,10 +72,11 @@ impl AdaptiveScenario {
 #[derive(Debug, Clone)]
 pub struct PackedComparison {
     /// What was measured ("mc_st", "mc_from", "candidate_scan",
-    /// "mc_st_local").
+    /// "mc_st_local", "mc_st_gen").
     pub kernel: &'static str,
-    /// The graph it ran on: "watts_strogatz" (the scenario graph) or
-    /// "ring_chords".
+    /// The graph it ran on: "watts_strogatz" (the scenario graph),
+    /// "ring_chords" (out-degree 4) or "ring_chords_gen" (the `relmax
+    /// gen` graph, out-degree 10).
     pub graph: &'static str,
     /// Sampled worlds per invocation.
     pub samples: usize,
@@ -390,7 +391,9 @@ pub fn run_adaptive_scenario(
 /// once per 64 worlds — the regime the packed kernel exists for. The
 /// `mc_st_local` row covers the opposite regime on a ring-chords graph:
 /// `s-t` pairs 2–5 hops apart, where each block's front is a few nodes
-/// wide and crawls along the ring. `smoke` shrinks the graphs and budgets
+/// wide and crawls along the ring; `mc_st_gen` runs a `relmax query
+/// --gen 50` batch on the `relmax gen` graph (out-degree 10), where a
+/// world reaches its target within a few levels. `smoke` shrinks the graphs and budgets
 /// to CI scale (bit-identity is still asserted; speedups of the tiny run
 /// are not meaningful).
 pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
@@ -483,6 +486,30 @@ pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
         scalar_s: scalar_local_s,
         packed_s: packed_local_s,
         bit_identical: scalar_local == packed_local,
+    });
+
+    // The CLI's own graph: `relmax gen` (ring-chords, out-degree 10,
+    // seed 42) with a `relmax query --gen` batch of 2–5-hop pairs.
+    let (gen_nodes, gen_pairs) = if smoke { (4_000, 4) } else { (100_000, 50) };
+    let gen = CsrGraph::freeze(&synth::RingChords::new(gen_nodes, 10, 42).to_graph());
+    let pairs = st_queries(&gen, gen_pairs, 2, 5, 42);
+    let batch = |est: &McEstimator| -> Vec<_> {
+        pairs
+            .iter()
+            .map(|&(s, t)| est.st_estimate(&gen, s, t, st_budget))
+            .collect()
+    };
+    let _ = batch(&packed);
+    let _ = batch(&scalar);
+    let (scalar_gen, scalar_gen_s) = best_of(reps, || batch(&scalar));
+    let (packed_gen, packed_gen_s) = best_of(reps, || batch(&packed));
+    kernels.push(PackedComparison {
+        kernel: "mc_st_gen",
+        graph: "ring_chords_gen",
+        samples: st_z,
+        scalar_s: scalar_gen_s,
+        packed_s: packed_gen_s,
+        bit_identical: scalar_gen == packed_gen,
     });
 
     PackedScenario {
@@ -866,7 +893,7 @@ mod tests {
         assert!(json.contains("\"savings\""));
 
         // Packed scenario: bit-identical to the scalar kernel.
-        assert_eq!(bench.packed.kernels.len(), 4);
+        assert_eq!(bench.packed.kernels.len(), 5);
         for c in &bench.packed.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
             assert!(c.scalar_s > 0.0 && c.packed_s > 0.0);

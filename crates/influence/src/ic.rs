@@ -1,6 +1,6 @@
 //! Independent-cascade influence spread by possible-world sampling.
 
-use relmax_sampling::coins::coin_raw;
+use relmax_sampling::scalar;
 use relmax_ugraph::{NodeId, ProbGraph};
 
 /// Expected influence spread `Inf(S, T)` (Eq. 13): the expected number of
@@ -37,7 +37,11 @@ pub fn influence_spread<G: ProbGraph>(
 /// Per-node activation probability under IC from the given seed set:
 /// `P[v activated] = P[v reachable from S in a random world]`.
 ///
-/// One multi-source BFS per sampled world; deterministic in `seed`.
+/// One multi-source search per sampled world
+/// ([`scalar::reach_counts`]); deterministic in `seed`. The scalar
+/// search, not the lane-packed kernel: a cascade on a sub-critical graph
+/// reaches few nodes, and there a 64-world block costs more than the
+/// worlds it serves.
 pub fn activation_probability<G: ProbGraph>(
     g: &G,
     seeds: &[NodeId],
@@ -45,27 +49,8 @@ pub fn activation_probability<G: ProbGraph>(
     seed: u64,
 ) -> Vec<f64> {
     assert!(samples > 0, "need at least one sample");
-    let n = g.num_nodes();
-    let mut counts = vec![0u64; n];
-    relmax_ugraph::with_scratch(n, |scratch| {
-        for sample in 0..samples as u64 {
-            scratch.begin(n);
-            for &s in seeds {
-                if scratch.visit(s) {
-                    scratch.stack.push(s);
-                }
-            }
-            while let Some(v) = scratch.stack.pop() {
-                counts[v.index()] += 1;
-                for (u, t, c) in g.out_flips(v) {
-                    if !scratch.visited(u) && coin_raw(seed, sample, c) < t {
-                        scratch.visit(u);
-                        scratch.stack.push(u);
-                    }
-                }
-            }
-        }
-    });
+    let mut counts = vec![0u64; g.num_nodes()];
+    scalar::reach_counts(g, seed, seeds, false, 0, samples as u64, &mut counts);
     counts
         .into_iter()
         .map(|c| c as f64 / samples as f64)

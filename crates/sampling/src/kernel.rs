@@ -7,9 +7,12 @@ use std::sync::OnceLock;
 /// Which Monte Carlo kernel an estimator runs.
 ///
 /// Both kernels produce **bit-identical** estimates — [`Kernel::Packed`]
-/// is the default because it is several times faster; the scalar kernel
-/// ([`crate::scalar`]) is kept as the always-correct reference path for
-/// tests and cross-checks. The process default honours the
+/// is the default because it leads the breadth-first scalar kernel
+/// ([`crate::scalar`]) on every `BENCH_sampling.json` row: by 1.03–1.05x
+/// on a `relmax gen` batch of near pairs (out-degree 10), about 3x on
+/// near ring-chords pairs and candidate scans, and 10–35x on
+/// reachability vectors and a far Watts–Strogatz pair. The scalar kernel is kept as the always-correct
+/// reference path for tests and cross-checks. The process default honours the
 /// `RELMAX_KERNEL` environment variable (`scalar` selects the reference
 /// path, anything else the packed one), read once and cached.
 ///
@@ -89,8 +92,8 @@ impl Kernel {
     ) -> Vec<u64> {
         let mut counts = vec![0u64; g.num_nodes()];
         match self {
-            Kernel::Packed => packed::reach_counts(g, seed, start, reverse, lo, hi, &mut counts),
-            Kernel::Scalar => scalar::reach_counts(g, seed, start, reverse, lo, hi, &mut counts),
+            Kernel::Packed => packed::reach_counts(g, seed, &[start], reverse, lo, hi, &mut counts),
+            Kernel::Scalar => scalar::reach_counts(g, seed, &[start], reverse, lo, hi, &mut counts),
         }
         counts
     }

@@ -24,8 +24,9 @@ use std::sync::Arc;
 ///
 /// Worlds are evaluated by the lane-packed kernel by default — 64
 /// sampled worlds per `u64` word, one frontier fixpoint per block
-/// ([`crate::packed`]) — with the scalar one-world-at-a-time BFS
-/// ([`crate::scalar`]) kept as the bit-identical reference path
+/// ([`crate::packed`]) — with the scalar one-world-at-a-time
+/// breadth-first search ([`crate::scalar`]) kept as the bit-identical
+/// reference path
 /// (`RELMAX_KERNEL=scalar` or [`McEstimator::with_kernel`]). Every
 /// method asks its [`Kernel`] for integer counts and never matches on
 /// it.

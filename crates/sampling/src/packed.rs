@@ -1110,13 +1110,13 @@ pub fn st_hits<G: ProbGraph>(g: &G, seed: u64, s: NodeId, t: NodeId, lo: u64, hi
     hits
 }
 
-/// Packed per-node reach counts (forward from `start`, or reverse to it)
-/// for `lo..hi`, folded into `counts` by popcount — the same integers
-/// the scalar `accumulate_visited` sweep produces.
+/// Packed per-node reach counts (forward from `starts`, or reverse to
+/// them) for `lo..hi`, folded into `counts` by popcount — the same
+/// integers [`crate::scalar::reach_counts`] produces.
 pub fn reach_counts<G: ProbGraph>(
     g: &G,
     seed: u64,
-    start: NodeId,
+    starts: &[NodeId],
     reverse: bool,
     lo: u64,
     hi: u64,
@@ -1129,7 +1129,9 @@ pub fn reach_counts<G: ProbGraph>(
             for block in WorldBlock::span(lo, hi) {
                 ls.begin_block(n);
                 memo.begin(m, seed, block);
-                ls.seed(start, block.mask);
+                for &s in starts {
+                    ls.seed(s, block.mask);
+                }
                 fixpoint(g, block.mask, ls, memo, reverse);
                 for v in ls.live_nodes() {
                     counts[v] += ls.state[v].reached.count_ones() as u64;
@@ -1420,7 +1422,7 @@ mod tests {
         for (lo, hi) in [(0u64, 64u64), (3, 200)] {
             take_rounds();
             let mut counts = vec![0u64; g.num_nodes()];
-            reach_counts(&g, 21, s, false, lo, hi, &mut counts);
+            reach_counts(&g, 21, &[s], false, lo, hi, &mut counts);
             assert_eq!(
                 counts,
                 world_reach_counts(&g, 21, s, lo, hi),
@@ -1479,7 +1481,7 @@ mod tests {
             let mut hits = 0;
             let meet = arcs_read(|| hits = st_hits(&g, 5, s, t, lo, hi));
             let mut counts = vec![0u64; g.num_nodes()];
-            let flood = arcs_read(|| reach_counts(&g, 5, s, false, lo, hi, &mut counts));
+            let flood = arcs_read(|| reach_counts(&g, 5, &[s], false, lo, hi, &mut counts));
             // Same verdicts as the forward flood, from a fraction of its
             // arcs: misses retire as soon as one side runs dry. A block
             // still runs until its slowest lane settles, and a lane whose
@@ -1546,7 +1548,7 @@ mod tests {
         for p in [0.0, 1e-9, 0.5] {
             let g = bridged(p);
             let mut counts = vec![0u64; g.num_nodes()];
-            reach_counts(&g, 9, s, false, lo, hi, &mut counts);
+            reach_counts(&g, 9, &[s], false, lo, hi, &mut counts);
             let mut hits = 0;
             arcs.push(arcs_read(|| hits = st_hits(&g, 9, s, t, lo, hi)));
             assert_eq!(hits, counts[t.index()], "p = {p}");

@@ -40,6 +40,7 @@
 use crate::coins::{coin_raw, splitmix64};
 use crate::convergence::{AdaptivePlan, Budget, Estimate};
 use crate::runtime::ParallelRuntime;
+use crate::scalar::world_search;
 use crate::Estimator;
 use relmax_ugraph::{with_scratch, CoinId, NodeId, ProbGraph, TraversalScratch};
 use std::cell::RefCell;
@@ -152,24 +153,29 @@ struct Ctx<'g, G: ProbGraph> {
     states: Vec<St>,
     path: Vec<(CoinId, bool)>,
     scratch: TraversalScratch,
+    /// Depth-first stack of [`Ctx::pessimistic_reach`].
+    stack: Vec<NodeId>,
 }
 
 impl<G: ProbGraph> Ctx<'_, G> {
     /// Reach set through Present coins only. Returns the boundary: unknown
     /// coins whose tail is inside the component and head outside.
+    ///
+    /// Depth-first on purpose: the boundary's order decides the strata
+    /// order and their stream ids, so it fixes every RSS estimate's bits.
     fn pessimistic_reach(&mut self, start: NodeId) -> Vec<CoinId> {
         let n = self.g.num_nodes();
-        let scratch = &mut self.scratch;
+        let (scratch, stack) = (&mut self.scratch, &mut self.stack);
         scratch.begin(n);
         scratch.visit(start);
-        scratch.stack.push(start);
+        stack.push(start);
         let mut boundary: Vec<(CoinId, NodeId)> = Vec::new();
         let states = &self.states;
-        while let Some(v) = scratch.stack.pop() {
+        while let Some(v) = stack.pop() {
             let mut step = |u: NodeId, c: CoinId| match states[c as usize] {
                 St::Present => {
                     if scratch.visit(u) {
-                        scratch.stack.push(u);
+                        stack.push(u);
                     }
                 }
                 St::Unknown => boundary.push((c, u)),
@@ -192,37 +198,18 @@ impl<G: ProbGraph> Ctx<'_, G> {
 
     /// Is `t` reachable through Present ∪ Unknown coins?
     fn optimistic_reaches(&mut self, start: NodeId, t: NodeId) -> bool {
-        let n = self.g.num_nodes();
-        let scratch = &mut self.scratch;
-        scratch.begin(n);
-        scratch.visit(start);
-        scratch.stack.push(start);
-        let mut found = start == t;
         let states = &self.states;
-        while let Some(v) = scratch.stack.pop() {
-            if found {
-                break;
-            }
-            let mut step = |u: NodeId, c: CoinId, found: &mut bool| {
-                if !*found && states[c as usize] != St::Absent && scratch.visit(u) {
-                    if u == t {
-                        *found = true;
-                    } else {
-                        scratch.stack.push(u);
-                    }
-                }
-            };
-            if self.reverse {
-                for (u, _p, c) in self.g.in_arcs(v) {
-                    step(u, c, &mut found);
-                }
-            } else {
-                for (u, _p, c) in self.g.out_arcs(v) {
-                    step(u, c, &mut found);
-                }
-            }
-        }
-        found
+        let open = |c: CoinId, _| states[c as usize] != St::Absent;
+        let (hit, _) = world_search(
+            self.g,
+            &[start],
+            self.reverse,
+            u32::MAX,
+            &[t],
+            &mut self.scratch,
+            open,
+        );
+        hit.is_some()
     }
 
     /// Enumerate this node's strata: set each boundary coin's state, hand
@@ -395,67 +382,44 @@ fn with_leaf_states<R>(m: usize, path: &[(CoinId, bool)], f: impl FnOnce(&[St]) 
     })
 }
 
-/// Conditioned MC for a single target with early exit: how many of the
-/// leaf's `z` stream-keyed worlds connect `s` to `t`?
-fn leaf_st_hits<G: ProbGraph>(
+/// Conditioned MC: search each of the leaf's `z` stream-keyed worlds
+/// from `start` until one of `targets` is reached, handing `fold` whether
+/// one was and the nodes reached. A coin the leaf's path decided keeps
+/// its state; every other coin is drawn.
+fn leaf_worlds<G: ProbGraph>(
     g: &G,
     reverse: bool,
     seed: u64,
     job: &LeafJob,
-    s: NodeId,
-    t: NodeId,
-) -> u64 {
-    let n = g.num_nodes();
-    let mut hits = 0u64;
+    start: NodeId,
+    targets: &[NodeId],
+    mut fold: impl FnMut(bool, &[NodeId]),
+) {
     with_leaf_states(g.num_coins(), &job.path, |states| {
-        with_scratch(n, |scratch| {
+        with_scratch(g.num_nodes(), |sc| {
             for local in 0..job.z as u64 {
                 let sample = job.stream.wrapping_add(local);
-                scratch.begin(n);
-                scratch.visit(s);
-                scratch.stack.push(s);
-                let mut found = false;
-                while let Some(v) = scratch.stack.pop() {
-                    if found {
-                        break;
-                    }
-                    let mut step = |u: NodeId, th: u64, c: CoinId, found: &mut bool| {
-                        if *found || scratch.visited(u) {
-                            return;
-                        }
-                        let present = match states[c as usize] {
-                            St::Present => true,
-                            St::Absent => false,
-                            St::Unknown => coin_raw(seed, sample, c) < th,
-                        };
-                        if present {
-                            scratch.visit(u);
-                            if u == t {
-                                *found = true;
-                            } else {
-                                scratch.stack.push(u);
-                            }
-                        }
-                    };
-                    if reverse {
-                        for (u, th, c) in g.in_flips(v) {
-                            step(u, th, c, &mut found);
-                        }
-                    } else {
-                        for (u, th, c) in g.out_flips(v) {
-                            step(u, th, c, &mut found);
-                        }
-                    }
-                }
-                hits += found as u64;
+                let leaf = |c: CoinId, th| match states[c as usize] {
+                    St::Present => true,
+                    St::Absent => false,
+                    St::Unknown => coin_raw(seed, sample, c) < th,
+                };
+                let (hit, reached) =
+                    world_search(g, &[start], reverse, u32::MAX, targets, sc, leaf);
+                fold(hit.is_some(), &sc.stack[..reached]);
             }
         });
     });
+}
+
+/// How many of the leaf's worlds connect `s` to `t`.
+fn leaf_st_hits<G: ProbGraph>(g: &G, seed: u64, job: &LeafJob, s: NodeId, t: NodeId) -> u64 {
+    let mut hits = 0u64;
+    leaf_worlds(g, false, seed, job, s, &[t], |hit, _| hits += hit as u64);
     hits
 }
 
-/// Conditioned MC over all targets: per-node reach counts across the
-/// leaf's `z` stream-keyed worlds.
+/// Per-node reach counts across the leaf's worlds.
 fn leaf_reach_counts<G: ProbGraph>(
     g: &G,
     reverse: bool,
@@ -463,43 +427,11 @@ fn leaf_reach_counts<G: ProbGraph>(
     job: &LeafJob,
     start: NodeId,
 ) -> Vec<u64> {
-    let n = g.num_nodes();
-    let mut counts = vec![0u64; n];
-    with_leaf_states(g.num_coins(), &job.path, |states| {
-        with_scratch(n, |scratch| {
-            for local in 0..job.z as u64 {
-                let sample = job.stream.wrapping_add(local);
-                scratch.begin(n);
-                scratch.visit(start);
-                scratch.stack.push(start);
-                while let Some(v) = scratch.stack.pop() {
-                    counts[v.index()] += 1;
-                    let mut step = |u: NodeId, th: u64, c: CoinId| {
-                        if scratch.visited(u) {
-                            return;
-                        }
-                        let present = match states[c as usize] {
-                            St::Present => true,
-                            St::Absent => false,
-                            St::Unknown => coin_raw(seed, sample, c) < th,
-                        };
-                        if present {
-                            scratch.visit(u);
-                            scratch.stack.push(u);
-                        }
-                    };
-                    if reverse {
-                        for (u, th, c) in g.in_flips(v) {
-                            step(u, th, c);
-                        }
-                    } else {
-                        for (u, th, c) in g.out_flips(v) {
-                            step(u, th, c);
-                        }
-                    }
-                }
-            }
-        });
+    let mut counts = vec![0u64; g.num_nodes()];
+    leaf_worlds(g, reverse, seed, job, start, &[], |_, reached| {
+        for v in reached {
+            counts[v.index()] += 1;
+        }
     });
     counts
 }
@@ -515,6 +447,7 @@ impl RssEstimator {
             states: vec![St::Unknown; g.num_coins()],
             path: Vec::new(),
             scratch: TraversalScratch::with_nodes(g.num_nodes()),
+            stack: Vec::new(),
         }
     }
 
@@ -615,9 +548,9 @@ impl RssEstimator {
         let mut ctx = self.ctx(g, false);
         let mut jobs = Vec::new();
         let decided = ctx.stratify_st(s, t, Frame::root(z, self.root_stream()), &mut jobs);
-        let leaf_rates = self.runtime.map(jobs.len(), |i| {
-            leaf_st_hits(g, false, self.seed, &jobs[i], s, t)
-        });
+        let leaf_rates = self
+            .runtime
+            .map(jobs.len(), |i| leaf_st_hits(g, self.seed, &jobs[i], s, t));
         // Fold in job order: thread-count-independent.
         let value = decided
             + jobs
@@ -691,19 +624,26 @@ impl RssEstimator {
             &mut out,
             &mut jobs,
         );
-        let leaf_counts = self.runtime.map(jobs.len(), |i| {
-            leaf_reach_counts(g, reverse, self.seed, &jobs[i], start)
-        });
         let mut variance = vec![0.0; g.num_nodes()];
         let mut range_mass = 0.0;
-        for (job, counts) in jobs.iter().zip(leaf_counts) {
-            let zi = job.z as f64;
-            let scale = job.weight / zi;
-            range_mass += job.weight * job.weight / zi;
-            for (v, (o, c)) in out.iter_mut().zip(counts).enumerate() {
-                *o += c as f64 * scale;
-                let p = c as f64 / zi;
-                variance[v] += job.weight * job.weight * p * (1.0 - p) / zi;
+        // A leaf's counts are n long, so fold them a few per worker at a
+        // time, in job order (the same bits as folding all at once),
+        // rather than holding every leaf's vector until the end.
+        for chunk in jobs.chunks(2 * self.runtime.threads()) {
+            let leaf_counts = self.runtime.map(chunk.len(), |i| {
+                leaf_reach_counts(g, reverse, self.seed, &chunk[i], start)
+            });
+            #[cfg(test)]
+            tests::LEAF_VECTORS.with(|p| p.set(p.get().max(leaf_counts.len())));
+            for (job, counts) in chunk.iter().zip(leaf_counts) {
+                let zi = job.z as f64;
+                let scale = job.weight / zi;
+                range_mass += job.weight * job.weight / zi;
+                for (v, (o, c)) in out.iter_mut().zip(counts).enumerate() {
+                    *o += c as f64 * scale;
+                    let p = c as f64 / zi;
+                    variance[v] += job.weight * job.weight * p * (1.0 - p) / zi;
+                }
             }
         }
         out[start.index()] = 1.0;
@@ -731,6 +671,13 @@ mod tests {
     use crate::mc::McEstimator;
     use relmax_ugraph::exact::st_reliability_enumerate;
     use relmax_ugraph::{CsrGraph, UncertainGraph};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The most leaf count vectors a vector fold on this thread has
+        /// held at once.
+        pub(super) static LEAF_VECTORS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn fan_graph() -> UncertainGraph {
         // s fans out to 3 mid nodes, each linked to t: variance lives on the
@@ -931,6 +878,38 @@ mod tests {
         assert_eq!(ests[0].value, 1.0);
         assert_eq!(ests[0].stderr, 0.0);
         assert_eq!((ests[0].ci_low, ests[0].ci_high), (1.0, 1.0));
+    }
+
+    #[test]
+    fn vector_leaves_fold_in_bounded_chunks() {
+        // A ring with chords: hundreds of conditioned-MC leaves, each
+        // with an n-length count vector.
+        let n = 300u32;
+        let mut g = UncertainGraph::new(n as usize, true);
+        for v in 0..n {
+            for step in [1, 2, 7] {
+                g.add_edge(NodeId(v), NodeId((v + step) % n), 0.5).unwrap();
+            }
+        }
+        for reverse in [false, true] {
+            let rss = RssEstimator::new(4_000, 3);
+            let mut jobs = Vec::new();
+            let root = Frame::root(4_000, rss.root_stream());
+            let mut out = vec![0.0; n as usize];
+            rss.ctx(&g, reverse)
+                .stratify_vec(NodeId(0), root, &mut out, &mut jobs);
+            assert!(jobs.len() > 100, "only {} leaves", jobs.len());
+            LEAF_VECTORS.with(|p| p.set(0));
+            rss.vector_estimates(&g, NodeId(0), reverse, rss.budget);
+            let peak = LEAF_VECTORS.with(|p| p.get());
+            // One serial worker folds two leaves at a time.
+            assert_eq!(
+                peak,
+                2,
+                "{peak} of {} leaf vectors held at once",
+                jobs.len()
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The scalar reference kernel: one search per sampled world.
 //!
-//! Every Monte Carlo query shape asks the same question of each sampled
-//! world — which nodes does a search from the starts reach, and at what
-//! depth does it first reach a target? — so one function,
-//! `world_search`, answers it for all of them: breadth-first when the
-//! shape needs depths (hop caps, hop moments), newest-first otherwise.
-//! The public folds ([`st_hits`], [`set_counts`], [`reach_counts`],
-//! [`pairwise_counts`], [`scan_counts`]) have the same signatures as
-//! their [`crate::packed`] twins and return the same integers: a world's coins are stateless
+//! Every sampled-world question outside the packed kernel — each Monte
+//! Carlo query shape, the RSS leaves and optimistic probes, influence
+//! spread — is the same one: which nodes does a search from the starts
+//! reach, and at what depth does it first reach a target? So one
+//! breadth-first function, `world_search`, answers it for all of them;
+//! the caller supplies the arc verdict. The public folds ([`st_hits`],
+//! [`set_counts`], [`reach_counts`], [`pairwise_counts`],
+//! [`scan_counts`]) have the same signatures as their [`crate::packed`]
+//! twins and return the same integers: a world's coins are stateless
 //! `(seed, sample, coin)` draws ([`coin_raw`]), and reachability and
 //! first-arrival depth are pure functions of those coins, whatever order
 //! a kernel visits them in.
@@ -23,18 +24,15 @@ use relmax_ugraph::{
     TraversalScratch,
 };
 
-/// Search of world `sample` from `starts` (over in-arcs when `reverse`).
-/// Stops as soon as one of `targets` is reached and returns `Some`;
-/// returns `None` once the search runs out, with `sc` marking the nodes
-/// it reached.
+/// Breadth-first search of one world from `starts` (over in-arcs when
+/// `reverse`), taking an arc `(coin, threshold)` iff `present` says so.
+/// Expands only nodes fewer than `max_hops` hops from a start
+/// (`u32::MAX` = unbounded) and stops as soon as one of `targets` is
+/// reached.
 ///
-/// With `levels: Some(cap)` the search is breadth-first: it expands only
-/// nodes fewer than `cap` hops from a start, and `Some` carries the
-/// first target's arrival depth. With `None` it pops the newest node
-/// first and `Some` carries no depth: reachability does not depend on
-/// the order, and depth-first order revisits memory the search just
-/// touched (about 18% faster than breadth-first on a 100k-node
-/// Watts–Strogatz `s-t` batch).
+/// Returns the first target's arrival depth (`None` if none is reached)
+/// and how many nodes the search reached: they are `sc.stack[..reached]`
+/// in arrival order, and `sc` marks them visited.
 ///
 /// The queue is `sc.stack` driven as a flat array with explicit head and
 /// tail, so arc admission is branchless: the slot write always happens,
@@ -43,20 +41,18 @@ use relmax_ugraph::{
 /// expanded node, not per arc: a node's arcs admit nodes one level
 /// deeper, so the first check that finds a target finds it at its
 /// first-arrival depth.
-#[allow(clippy::too_many_arguments)]
 #[inline]
-fn world_search<G: ProbGraph>(
+pub(crate) fn world_search<G: ProbGraph>(
     g: &G,
-    seed: u64,
-    sample: u64,
     starts: &[NodeId],
     reverse: bool,
-    levels: Option<u32>,
+    max_hops: u32,
     targets: &[NodeId],
     sc: &mut TraversalScratch,
-) -> Option<u32> {
+    mut present: impl FnMut(CoinId, u64) -> bool,
+) -> (Option<u32>, usize) {
     let n = g.num_nodes();
-    sc.begin_keep_stack(n);
+    sc.begin(n);
     // A node is queued at most once and a refused arc writes one slot
     // past the tail, so `n + 1` slots always suffice.
     if sc.stack.len() <= n {
@@ -69,22 +65,20 @@ fn world_search<G: ProbGraph>(
             tail += 1;
         }
     }
+    if targets.iter().any(|&t| sc.visited(t)) {
+        return (Some(0), tail);
+    }
     let (mut head, mut level_end, mut depth) = (0usize, tail, 0u32);
     while head < tail {
-        let v = if let Some(cap) = levels {
-            if head == level_end {
-                depth += 1;
-                level_end = tail;
-            }
-            if depth >= cap {
-                break;
-            }
-            head += 1;
-            sc.stack[head - 1]
-        } else {
-            tail -= 1;
-            sc.stack[tail]
-        };
+        if head == level_end {
+            depth += 1;
+            level_end = tail;
+        }
+        if depth >= max_hops {
+            break;
+        }
+        let v = sc.stack[head];
+        head += 1;
         let arcs = if reverse {
             g.in_flips(v)
         } else {
@@ -93,15 +87,15 @@ fn world_search<G: ProbGraph>(
         // Internal iteration: overlay `Chain`s split into two tight loops
         // instead of paying a state check per arc.
         arcs.for_each(|(u, th, c): (NodeId, u64, CoinId)| {
-            let take = sc.take_if(u, coin_raw(seed, sample, c) < th);
+            let take = sc.take_if(u, present(c, th));
             sc.stack[tail] = u;
             tail += take as usize;
         });
         if targets.iter().any(|&t| sc.visited(t)) {
-            return Some(depth + 1);
+            return (Some(depth + 1), tail);
         }
     }
-    None
+    (None, tail)
 }
 
 /// Scalar set-reliability counts for the sample range `lo..hi`:
@@ -127,8 +121,8 @@ pub fn set_counts<G: ProbGraph>(
     with_scratch(g.num_nodes(), |sc| {
         let (mut hits, mut depth_sum) = (0u64, 0u64);
         for sample in lo..hi {
-            let arrival = world_search(g, seed, sample, sources, false, Some(cap), targets, sc);
-            if let Some(d) = arrival {
+            let flip = |c, th| coin_raw(seed, sample, c) < th;
+            if let (Some(d), _) = world_search(g, sources, false, cap, targets, sc, flip) {
                 hits += 1;
                 depth_sum += d as u64;
             }
@@ -140,19 +134,16 @@ pub fn set_counts<G: ProbGraph>(
 /// Scalar `s-t` hit count for `lo..hi`: the worlds in which `t` is
 /// reachable from `s`.
 pub fn st_hits<G: ProbGraph>(g: &G, seed: u64, s: NodeId, t: NodeId, lo: u64, hi: u64) -> u64 {
-    with_scratch(g.num_nodes(), |sc| {
-        (lo..hi)
-            .filter(|&sample| world_search(g, seed, sample, &[s], false, None, &[t], sc).is_some())
-            .count() as u64
-    })
+    set_counts(g, seed, &[s], &[t], None, lo, hi).0
 }
 
-/// Scalar per-node reach counts (forward from `start`, or reverse to it)
-/// for `lo..hi`, added into `counts`.
+/// Scalar per-node reach counts (forward from `starts`, or reverse to
+/// them) for `lo..hi`, added into `counts`: a node counts once per world
+/// in which any start reaches it.
 pub fn reach_counts<G: ProbGraph>(
     g: &G,
     seed: u64,
-    start: NodeId,
+    starts: &[NodeId],
     reverse: bool,
     lo: u64,
     hi: u64,
@@ -160,10 +151,11 @@ pub fn reach_counts<G: ProbGraph>(
 ) {
     with_scratch(g.num_nodes(), |sc| {
         for sample in lo..hi {
-            world_search(g, seed, sample, &[start], reverse, None, &[], sc);
-            // Visited == reached, so one vectorized sweep replaces a
-            // random-order increment per node visit.
-            sc.accumulate_visited(counts);
+            let flip = |c, th| coin_raw(seed, sample, c) < th;
+            let (_, reached) = world_search(g, starts, reverse, u32::MAX, &[], sc, flip);
+            for v in &sc.stack[..reached] {
+                counts[v.index()] += 1;
+            }
         }
     });
 }
@@ -182,8 +174,9 @@ pub fn pairwise_counts<G: ProbGraph>(
     let mut counts = vec![vec![0u64; targets.len()]; sources.len()];
     with_scratch(g.num_nodes(), |sc| {
         for sample in lo..hi {
+            let flip = |c, th| coin_raw(seed, sample, c) < th;
             for (row, &s) in counts.iter_mut().zip(sources) {
-                world_search(g, seed, sample, &[s], false, None, &[], sc);
+                world_search(g, &[s], false, u32::MAX, &[], sc, flip);
                 for (c, &t) in row.iter_mut().zip(targets) {
                     *c += sc.visited(t) as u64;
                 }
@@ -219,11 +212,13 @@ pub fn scan_counts<G: ProbGraph>(
     let directed = g.is_directed();
     with_scratch_pair(g.num_nodes(), |fwd, rev| {
         for sample in span {
-            if world_search(g, seed, sample, &[s], false, None, &[t], fwd).is_some() {
+            let flip = |c, th| coin_raw(seed, sample, c) < th;
+            let (hit, _) = world_search(g, &[s], false, u32::MAX, &[t], fwd, flip);
+            if hit.is_some() {
                 counts.iter_mut().for_each(|c| *c += 1);
                 continue;
             }
-            world_search(g, seed, sample, &[t], true, None, &[], rev);
+            world_search(g, &[t], true, u32::MAX, &[], rev, flip);
             let raw = coin_raw(seed, sample, cand_coin);
             for ((c, cand), &th) in counts.iter_mut().zip(candidates).zip(&thresholds) {
                 let mut bridges = fwd.visited(cand.src) & rev.visited(cand.dst);

@@ -1,4 +1,4 @@
-//! Reusable, zero-allocation traversal state for sampled-world BFS/DFS.
+//! Reusable, zero-allocation traversal state for sampled-world searches.
 //!
 //! Every Monte Carlo sample runs one graph traversal. Allocating a fresh
 //! `visited` vector per sample would dominate small-world sampling; even
@@ -14,9 +14,8 @@
 
 use crate::graph::NodeId;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 
-/// Epoch-stamped visited array plus traversal stack/queue.
+/// Epoch-stamped visited array plus a traversal buffer.
 ///
 /// ```
 /// use relmax_ugraph::{NodeId, TraversalScratch};
@@ -32,10 +31,10 @@ use std::collections::VecDeque;
 pub struct TraversalScratch {
     mark: Vec<u32>,
     epoch: u32,
-    /// DFS stack, cleared by [`TraversalScratch::begin`].
+    /// Search buffer. [`TraversalScratch::begin`] leaves its contents
+    /// and length untouched, so a search can drive it as a fixed-capacity
+    /// array with an external length (branchless push).
     pub stack: Vec<NodeId>,
-    /// BFS queue, cleared by [`TraversalScratch::begin`].
-    pub queue: VecDeque<NodeId>,
 }
 
 impl TraversalScratch {
@@ -50,32 +49,13 @@ impl TraversalScratch {
             mark: vec![0; n],
             epoch: 0,
             stack: Vec::new(),
-            queue: VecDeque::new(),
         }
     }
 
     /// Start a fresh traversal over a graph with `n` nodes: bumps the
-    /// epoch and clears the stack/queue. Amortized `O(1)`; pays `O(n)`
-    /// only on growth or on the (once per `u32::MAX` traversals) epoch
-    /// wraparound.
+    /// epoch. Amortized `O(1)`; pays `O(n)` only on growth or on the
+    /// (once per `u32::MAX` traversals) epoch wraparound.
     pub fn begin(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.stack.clear();
-        self.queue.clear();
-    }
-
-    /// Like [`TraversalScratch::begin`] but leaves the stack buffer's
-    /// contents and length untouched — for kernels that drive the stack
-    /// as a fixed-capacity buffer with an external length (branchless
-    /// push).
-    pub fn begin_keep_stack(&mut self, n: usize) {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
         }
@@ -115,27 +95,6 @@ impl TraversalScratch {
         let take = (*m != self.epoch) & flip;
         *m = if take { self.epoch } else { *m };
         take
-    }
-
-    /// Branchless conditional mark: marks `v` visited iff `take`.
-    ///
-    /// Compiles to a conditional move plus an unconditional store, so
-    /// sampled-world BFS inner loops avoid a data-dependent branch per
-    /// arc (the flip outcome is effectively random — the worst case for
-    /// branch prediction).
-    #[inline]
-    pub fn mark_if(&mut self, v: NodeId, take: bool) {
-        let m = &mut self.mark[v.index()];
-        *m = if take { self.epoch } else { *m };
-    }
-
-    /// Add 1 to `counts[v]` for every node `v` visited in the current
-    /// epoch. A branchless sequential sweep (auto-vectorizes), which beats
-    /// per-visit random increments when whole components are traversed.
-    pub fn accumulate_visited(&self, counts: &mut [u64]) {
-        for (c, &m) in counts.iter_mut().zip(&self.mark) {
-            *c += (m == self.epoch) as u64;
-        }
     }
 
     /// Nodes marked in the current epoch, ascending.
