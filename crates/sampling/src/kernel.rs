@@ -11,10 +11,11 @@ use std::sync::OnceLock;
 /// ([`crate::scalar`]) on every `BENCH_sampling.json` row: by 1.03–1.05x
 /// on a `relmax gen` batch of near pairs (out-degree 10), about 3x on
 /// near ring-chords pairs and candidate scans, and 10–35x on
-/// reachability vectors and a far Watts–Strogatz pair. The scalar kernel is kept as the always-correct
-/// reference path for tests and cross-checks. The process default honours the
-/// `RELMAX_KERNEL` environment variable (`scalar` selects the reference
-/// path, anything else the packed one), read once and cached.
+/// reachability vectors and a far Watts–Strogatz pair. The scalar kernel
+/// is kept as the always-correct reference path for tests and
+/// cross-checks. The process default honours the `RELMAX_KERNEL`
+/// environment variable (`scalar` selects the reference path, anything
+/// else the packed one), read once and cached.
 ///
 /// The estimators call the count methods below and never match on the
 /// variant themselves; each method takes an absolute sample range and

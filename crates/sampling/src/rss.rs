@@ -626,26 +626,33 @@ impl RssEstimator {
         );
         let mut variance = vec![0.0; g.num_nodes()];
         let mut range_mass = 0.0;
-        // A leaf's counts are n long, so fold them a few per worker at a
-        // time, in job order (the same bits as folding all at once),
-        // rather than holding every leaf's vector until the end.
-        for chunk in jobs.chunks(2 * self.runtime.threads()) {
-            let leaf_counts = self.runtime.map(chunk.len(), |i| {
-                leaf_reach_counts(g, reverse, self.seed, &chunk[i], start)
-            });
-            #[cfg(test)]
-            tests::LEAF_VECTORS.with(|p| p.set(p.get().max(leaf_counts.len())));
-            for (job, counts) in chunk.iter().zip(leaf_counts) {
+        // A leaf's counts are n long: fold each as soon as it and every
+        // earlier leaf are done, in job order (the same bits as folding
+        // all at once), rather than holding every leaf's vector.
+        self.runtime.fold_in_order(
+            jobs.len(),
+            |i| {
+                #[cfg(test)]
+                tests::leaf_vector_alive();
+                leaf_reach_counts(g, reverse, self.seed, &jobs[i], start)
+            },
+            |i, counts| {
+                #[cfg(test)]
+                tests::leaf_vector_folded();
+                let job = &jobs[i];
                 let zi = job.z as f64;
                 let scale = job.weight / zi;
                 range_mass += job.weight * job.weight / zi;
                 for (v, (o, c)) in out.iter_mut().zip(counts).enumerate() {
+                    if c == 0 {
+                        continue; // would add +0.0 to both sums: same bits
+                    }
                     *o += c as f64 * scale;
                     let p = c as f64 / zi;
                     variance[v] += job.weight * job.weight * p * (1.0 - p) / zi;
                 }
-            }
-        }
+            },
+        );
         out[start.index()] = 1.0;
         let mut estimates: Vec<Estimate> = out
             .into_iter()
@@ -674,9 +681,19 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// The most leaf count vectors a vector fold on this thread has
-        /// held at once.
-        pub(super) static LEAF_VECTORS: Cell<usize> = const { Cell::new(0) };
+        /// Leaf count vectors started on this thread and not yet folded.
+        static LEAF_VECTORS: Cell<usize> = const { Cell::new(0) };
+        /// The most of them alive at once on this thread.
+        static LEAF_VECTORS_PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn leaf_vector_alive() {
+        let live = LEAF_VECTORS.with(|l| l.replace(l.get() + 1) + 1);
+        LEAF_VECTORS_PEAK.with(|p| p.set(p.get().max(live)));
+    }
+
+    pub(super) fn leaf_vector_folded() {
+        LEAF_VECTORS.with(|l| l.set(l.get().saturating_sub(1)));
     }
 
     fn fan_graph() -> UncertainGraph {
@@ -881,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn vector_leaves_fold_in_bounded_chunks() {
+    fn vector_leaves_fold_as_they_finish() {
         // A ring with chords: hundreds of conditioned-MC leaves, each
         // with an n-length count vector.
         let n = 300u32;
@@ -899,13 +916,14 @@ mod tests {
             rss.ctx(&g, reverse)
                 .stratify_vec(NodeId(0), root, &mut out, &mut jobs);
             assert!(jobs.len() > 100, "only {} leaves", jobs.len());
-            LEAF_VECTORS.with(|p| p.set(0));
+            LEAF_VECTORS.with(|l| l.set(0));
+            LEAF_VECTORS_PEAK.with(|p| p.set(0));
             rss.vector_estimates(&g, NodeId(0), reverse, rss.budget);
-            let peak = LEAF_VECTORS.with(|p| p.get());
-            // One serial worker folds two leaves at a time.
+            let peak = LEAF_VECTORS_PEAK.with(|p| p.get());
+            // A serial estimator folds each leaf before it runs the next.
             assert_eq!(
                 peak,
-                2,
+                1,
                 "{peak} of {} leaf vectors held at once",
                 jobs.len()
             );

@@ -18,13 +18,14 @@
 //!    order.
 //! 2. Reduction never depends on scheduling. [`ParallelRuntime::map`]
 //!    returns results in item-index order regardless of which thread
-//!    computed what, and [`ParallelRuntime::shard_samples`] merges shard
+//!    computed what, [`ParallelRuntime::fold_in_order`] folds them in
+//!    that order, and [`ParallelRuntime::shard_samples`] merges shard
 //!    results in group-major, ascending shard order. Callers that fold
 //!    shard results must do so with operations that are associative over
 //!    the shard boundaries they use — in practice every cross-shard
 //!    accumulator in this workspace is an integer hit count, which is
 //!    exactly partition-independent; floating-point folds happen only
-//!    over the *fixed* item order of [`ParallelRuntime::map`].
+//!    over the *fixed* item order.
 //!
 //! Workers are plain `std::thread::scope` scoped threads: no channels, no
 //! persistent pool, no locks on the hot path. Per-thread traversal state
@@ -33,7 +34,7 @@
 //! its shard.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Global thread-count override: 0 = auto (env / hardware), n = exactly n.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -232,6 +233,88 @@ impl ParallelRuntime {
         tagged.sort_unstable_by_key(|&(i, _)| i);
         tagged.into_iter().map(|(_, v)| v).collect()
     }
+
+    /// Evaluate `f(0), …, f(len - 1)` across the workers and hand each
+    /// result to `fold(i, result)` on the calling thread **in index
+    /// order**, while later items still run. A worker starts item `i`
+    /// only once item `i - 2 × threads` has been folded, so unlike
+    /// [`ParallelRuntime::map`] at most `2 × threads + 1` results are
+    /// alive at once (an RSS leaf's counts are n long). With one worker,
+    /// or one item, it runs inline: `fold(0, f(0))`, `fold(1, f(1))`, ….
+    pub fn fold_in_order<T: Send>(
+        &self,
+        len: usize,
+        f: impl Fn(usize) -> T + Sync,
+        mut fold: impl FnMut(usize, T),
+    ) {
+        if self.threads <= 1 || len <= 1 {
+            return (0..len).for_each(|i| fold(i, f(i)));
+        }
+        let window = 2 * self.threads;
+        let state = Mutex::new(Window {
+            next: 0,
+            slots: (0..window).map(|_| None).collect(),
+            failed: false,
+        });
+        let lock = || state.lock().unwrap();
+        let changed = Condvar::new();
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads.min(len) {
+                scope.spawn(|| {
+                    let _abort = AbortOnPanic(&state, &changed);
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let ahead = |w: &mut Window<T>| i >= w.next + window && !w.failed;
+                        if i >= len || changed.wait_while(lock(), ahead).unwrap().failed {
+                            break;
+                        }
+                        let value = f(i);
+                        lock().slots[i % window] = Some(value);
+                        changed.notify_all();
+                    }
+                });
+            }
+            let _abort = AbortOnPanic(&state, &changed);
+            for i in 0..len {
+                let pending = |w: &mut Window<T>| w.slots[i % window].is_none() && !w.failed;
+                let mut w = changed.wait_while(lock(), pending).unwrap();
+                // A worker panicked: the scope re-raises its panic.
+                let Some(value) = w.slots[i % window].take() else {
+                    return;
+                };
+                w.next = i + 1;
+                drop(w);
+                changed.notify_all();
+                fold(i, value);
+            }
+        });
+    }
+}
+
+/// [`ParallelRuntime::fold_in_order`]'s reorder window: item `i`'s
+/// result waits in `slots[i % slots.len()]` until `next` reaches `i`.
+struct Window<T> {
+    next: usize,
+    slots: Vec<Option<T>>,
+    /// A worker or the fold panicked, so nobody waits any more.
+    failed: bool,
+}
+
+/// Marks the window failed and wakes every waiter when its thread
+/// unwinds, so a panic surfaces instead of leaving the other threads
+/// waiting for a slot that never fills.
+struct AbortOnPanic<'a, T>(&'a Mutex<Window<T>>, &'a Condvar);
+
+impl<T> Drop for AbortOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut w) = self.0.lock() {
+                w.failed = true;
+            }
+            self.1.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -325,6 +408,52 @@ mod tests {
             for threads in [2, 3, 5, 8] {
                 assert_eq!(total(threads, groups, lo, hi), serial);
             }
+        }
+    }
+
+    #[test]
+    fn fold_in_order_folds_in_index_order_within_its_window() {
+        for threads in [1, 2, 3, 4, 8] {
+            for len in [0, 1, 2, 5, 97] {
+                let live = AtomicUsize::new(0);
+                let peak = AtomicUsize::new(0);
+                let mut seen = Vec::new();
+                ParallelRuntime::new(threads).fold_in_order(
+                    len,
+                    |i| {
+                        // Uneven costs, so items finish out of order, and a
+                        // slow first item the others would run far ahead of.
+                        let micros = if i == 0 { 20_000 } else { i % 7 * 50 };
+                        std::thread::sleep(std::time::Duration::from_micros(micros as u64));
+                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        i * 3 + 1
+                    },
+                    |i, v| {
+                        live.fetch_sub(1, Ordering::SeqCst);
+                        seen.push((i, v));
+                    },
+                );
+                assert_eq!(seen, (0..len).map(|i| (i, i * 3 + 1)).collect::<Vec<_>>());
+                let bound = if threads == 1 { 1 } else { 2 * threads + 1 };
+                let peak = peak.load(Ordering::SeqCst);
+                assert!(peak <= bound, "{peak} results alive, bound {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_in_order_surfaces_a_panic_instead_of_hanging() {
+        for threads in [2, 4] {
+            let rt = ParallelRuntime::new(threads);
+            let in_f = std::panic::catch_unwind(|| {
+                rt.fold_in_order(50, |i| assert!(i != 3, "item 3"), |_, _| {});
+            });
+            assert!(in_f.is_err());
+            let in_fold = std::panic::catch_unwind(|| {
+                rt.fold_in_order(50, |i| i, |i, _| assert!(i != 3, "fold 3"));
+            });
+            assert!(in_fold.is_err());
         }
     }
 

@@ -30,9 +30,10 @@ use relmax_ugraph::{
 /// (`u32::MAX` = unbounded) and stops as soon as one of `targets` is
 /// reached.
 ///
-/// Returns the first target's arrival depth (`None` if none is reached)
-/// and how many nodes the search reached: they are `sc.stack[..reached]`
-/// in arrival order, and `sc` marks them visited.
+/// Returns the first target's arrival depth (0 if a start is a target,
+/// `None` if no target is reached) and how many nodes the search
+/// reached: they are `sc.stack[..reached]` in arrival order, and `sc`
+/// marks them visited.
 ///
 /// The queue is `sc.stack` driven as a flat array with explicit head and
 /// tail, so arc admission is branchless: the slot write always happens,
@@ -114,9 +115,6 @@ pub fn set_counts<G: ProbGraph>(
     lo: u64,
     hi: u64,
 ) -> (u64, u64) {
-    if sources.iter().any(|s| targets.contains(s)) {
-        return (hi - lo, 0); // a 0-hop hit in every world
-    }
     let cap = max_hops.unwrap_or(u32::MAX);
     with_scratch(g.num_nodes(), |sc| {
         let (mut hits, mut depth_sum) = (0u64, 0u64);
