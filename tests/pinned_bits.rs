@@ -4,9 +4,15 @@
 //! were moved onto the scalar reference's breadth-first `world_search`;
 //! reachability does not depend on search order, so no bit may move.
 //!
+//! The multi-source/target selector's choices and aggregate values are
+//! pinned the same way: they were recorded before the single- and
+//! multi-pair BE shared one Algorithm 6 loop.
+//!
 //! A vector answer is pinned by a checksum over every field of every
 //! entry, so one flipped bit anywhere changes it.
 
+use relmax::core::multi::{multi_candidates_budgeted, MultiMethod};
+use relmax::gen::proxy::DatasetProxy;
 use relmax::gen::synth::{watts_strogatz, RingChords};
 use relmax::influence::{activation_probability, influence_spread};
 use relmax::prelude::*;
@@ -172,4 +178,83 @@ fn influence_bits_are_pinned() {
             ("influence spread ws targets", 0x4004a1cac083126e),
         ],
     );
+}
+
+/// One multi-selector run: its name, the `(src, dst)` of every added edge
+/// in order, and the bits of `base_value` and `new_value`.
+type MultiRun = (String, Vec<(u32, u32)>, u64, u64);
+
+/// BE under each aggregate, and hill climbing under Average, on a seeded
+/// proxy graph with 3 sources, 3 targets and a fixed 250-world budget.
+fn multi_runs() -> Vec<MultiRun> {
+    let g = DatasetProxy::LastFm.generate(0.05, 31);
+    let est = McEstimator::new(250, 17);
+    let budget = Budget::fixed(250);
+    let sources: Vec<NodeId> = (0..3).map(NodeId).collect();
+    let targets: Vec<NodeId> = (10..13).map(NodeId).collect();
+    let runs = [
+        (MultiMethod::BatchEdge, Aggregate::Average),
+        (MultiMethod::BatchEdge, Aggregate::Minimum),
+        (MultiMethod::BatchEdge, Aggregate::Maximum),
+        (MultiMethod::HillClimbing, Aggregate::Average),
+    ];
+    let mut out = Vec::new();
+    for (method, agg) in runs {
+        let mut q = MultiQuery::new(sources.clone(), targets.clone(), 6, 0.5, agg);
+        q.r = 20;
+        q.l = 8;
+        let cands = multi_candidates_budgeted(&g, &q, &est, budget);
+        let sel = MultiSelector::with_method(method);
+        let run = sel.select_with_candidates_budgeted(&g, &q, &cands, &est, budget);
+        out.push((
+            format!("{} {agg:?}", sel.name()),
+            run.added.iter().map(|e| (e.src.0, e.dst.0)).collect(),
+            run.base_value.to_bits(),
+            run.new_value.to_bits(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn multi_selector_outputs_are_pinned() {
+    let want: &[(&str, &[(u32, u32)], u64, u64)] = &[
+        (
+            "BE Average",
+            &[(0, 10), (0, 12), (2, 12), (11, 1), (11, 12), (1, 10)],
+            0x3fe79be02468acf2,
+            0x3fee10d6cffc5bee,
+        ),
+        (
+            "BE Minimum",
+            &[(1, 12), (0, 12), (1, 10), (2, 12), (0, 10), (11, 1)],
+            0x3fe04189374bc6a8,
+            0x3fedb22d0e560419,
+        ),
+        (
+            "BE Maximum",
+            &[(11, 1), (0, 10), (11, 10), (1, 10), (0, 12), (11, 12)],
+            0x3fedd2f1a9fbe76d,
+            0x3fef3b645a1cac08,
+        ),
+        (
+            "HC Average",
+            &[(0, 12), (1, 10), (1, 12), (11, 12), (11, 10), (0, 10)],
+            0x3fe79be02468acf2,
+            0x3fee90452d489719,
+        ),
+    ];
+    let got = multi_runs();
+    let table: String = got
+        .iter()
+        .map(|(k, a, b, n)| format!("        (\"{k}\", &{a:?}, {b:#018x}, {n:#018x}),\n"))
+        .collect();
+    assert_eq!(got.len(), want.len(), "computed:\n{table}");
+    for ((k, a, b, n), (wk, wa, wb, wn)) in got.iter().zip(want) {
+        assert_eq!(
+            (k.as_str(), a.as_slice(), *b, *n),
+            (*wk, *wa, *wb, *wn),
+            "computed:\n{table}"
+        );
+    }
 }
