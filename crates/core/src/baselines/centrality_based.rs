@@ -121,7 +121,7 @@ mod tests {
         ];
         let est = McEstimator::new(3000, 1);
         let out = CentralitySelector::degree()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added[0].src, NodeId(1));
         assert!(out.gain() > 0.0);
@@ -150,7 +150,9 @@ mod tests {
         ];
         let est = McEstimator::new(3000, 2);
         let sel = CentralitySelector::betweenness();
-        let out = sel.select_with_candidates(&g, &q, &cands, &est).unwrap();
+        let out = sel
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
+            .unwrap();
         assert_eq!(out.added.len(), 2);
         // Node 1 (the hub) and node 4 (bridge to 5) dominate betweenness;
         // the (2,3) leaf pair must lose.

@@ -148,7 +148,7 @@ mod tests {
         ];
         let est = McEstimator::new(2000, 1);
         let out = EigenSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         // The core edge has a much larger u(i)v(j) score — but note it does
         // NOT help the s-t query at all, which is the paper's point.
@@ -219,7 +219,7 @@ mod tests {
         ];
         let est = McEstimator::new(1000, 2);
         let out = EigenSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 2);
     }

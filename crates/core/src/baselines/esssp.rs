@@ -287,7 +287,7 @@ mod tests {
         }];
         let est = McEstimator::new(5000, 1);
         let out = EssspSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1);
         assert!(out.gain() > 0.5);

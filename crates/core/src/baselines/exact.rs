@@ -130,7 +130,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let out = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut chosen: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         chosen.sort_unstable();
@@ -169,7 +169,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let out = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut chosen: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         chosen.sort_unstable();
@@ -193,7 +193,7 @@ mod tests {
             max_combinations: 1000,
         };
         assert!(matches!(
-            sel.select_with_candidates(&g, &q, &cands, &est),
+            sel.select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget()),
             Err(SelectError::TooManyCombinations { .. })
         ));
     }
@@ -210,7 +210,7 @@ mod tests {
         }];
         let est = ExactEstimator::new();
         let out = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1);
     }

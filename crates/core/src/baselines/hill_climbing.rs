@@ -96,7 +96,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let out = HillClimbingSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 2);
         assert_eq!(out.added[0].src, NodeId(1)); // a -> t first: only positive gain
@@ -132,7 +132,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let hc = HillClimbingSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         // Optimal: add both 0.9 edges -> R = 1-(1-0.2)(1-0.81) = 0.848
         assert!(hc.new_reliability > 0.84, "r={}", hc.new_reliability);
@@ -150,7 +150,7 @@ mod tests {
         }];
         let est = McEstimator::new(500, 1);
         let out = HillClimbingSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
     }
@@ -180,7 +180,7 @@ mod tests {
         ];
         let est = McEstimator::new(8000, 2);
         let out = HillClimbingSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(out.gain() >= -0.02, "gain={}", out.gain()); // sampling noise only
     }

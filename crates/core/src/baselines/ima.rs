@@ -190,7 +190,7 @@ mod tests {
         ];
         let est = McEstimator::new(5000, 3);
         let out = ImaSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!((out.added[0].src, out.added[0].dst), (NodeId(1), NodeId(2)));
         assert!((out.new_reliability - 0.64).abs() < 0.03);

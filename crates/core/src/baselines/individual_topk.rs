@@ -87,7 +87,7 @@ mod tests {
         ];
         let est = McEstimator::new(4000, 1);
         let out = IndividualTopKSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1);
         assert_eq!(out.added[0].src, NodeId(1));
@@ -106,7 +106,7 @@ mod tests {
         }];
         let est = McEstimator::new(1000, 2);
         let out = IndividualTopKSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1); // only one candidate exists
     }
@@ -118,7 +118,7 @@ mod tests {
         let q = StQuery::new(NodeId(0), NodeId(1), 3, 0.5);
         let est = McEstimator::new(500, 3);
         let out = IndividualTopKSelector
-            .select_with_candidates(&g, &q, &[], &est)
+            .select_with_candidates_budgeted(&g, &q, &[], &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
         assert!((out.gain()).abs() < 1e-9);

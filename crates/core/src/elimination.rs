@@ -11,7 +11,7 @@
 use crate::candidates::{CandidateEdge, CandidateSpace};
 use crate::query::StQuery;
 use relmax_sampling::{Budget, Estimator};
-use relmax_ugraph::{AsCsr, NodeId};
+use relmax_ugraph::{AsCsr, CsrGraph, NodeId};
 
 /// Algorithm 4: compute `C(s)`, `C(t)` and the reduced candidate-edge set.
 #[derive(Debug, Clone, Copy)]
@@ -42,29 +42,10 @@ impl SearchSpaceElimination {
         budget: Budget,
     ) -> (Vec<NodeId>, Vec<NodeId>) {
         let csr = g.as_csr();
-        let from_s: Vec<f64> = est
-            .from_estimates(&*csr, s, budget)
-            .into_iter()
-            .map(|e| e.value)
-            .collect();
-        let to_t: Vec<f64> = est
-            .to_estimates(&*csr, t, budget)
-            .into_iter()
-            .map(|e| e.value)
-            .collect();
-        (top_r(&from_s, self.r, s), top_r(&to_t, self.r, t))
-    }
-
-    /// [`SearchSpaceElimination::candidate_nodes_budgeted`] at the
-    /// estimator's default budget (pre-`Budget` shim).
-    pub fn candidate_nodes<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        s: NodeId,
-        t: NodeId,
-        est: &E,
-    ) -> (Vec<NodeId>, Vec<NodeId>) {
-        self.candidate_nodes_budgeted(g, s, t, est, est.default_budget())
+        (
+            top_r(&csr, s, true, self.r, est, budget),
+            top_r(&csr, t, false, self.r, est, budget),
+        )
     }
 
     /// Full Algorithm 4: `C(s) × C(t)` minus existing edges, intersected
@@ -81,36 +62,41 @@ impl SearchSpaceElimination {
         let (cs, ct) = self.candidate_nodes_budgeted(&*csr, query.s, query.t, est, budget);
         CandidateSpace::from_node_sets(&*csr, &cs, &ct, query.zeta, query.h)
     }
-
-    /// [`SearchSpaceElimination::candidate_edges_budgeted`] at the
-    /// estimator's default budget (pre-`Budget` shim).
-    pub fn candidate_edges<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        query: &StQuery,
-        est: &E,
-    ) -> Vec<CandidateEdge> {
-        self.candidate_edges_budgeted(g, query, est, est.default_budget())
-    }
 }
 
-pub(crate) fn top_r(scores: &[f64], r: usize, always: NodeId) -> Vec<NodeId> {
-    let mut order: Vec<u32> = (0..scores.len() as u32)
-        .filter(|&v| scores[v as usize] > 0.0 || v == always.0)
+/// One endpoint's side of Algorithm 4: the `r` nodes most reliable from
+/// `v` (`forward`) or to `v`, by one whole-graph sweep under `budget`,
+/// best first with ties by node id. `v` itself is always kept.
+pub(crate) fn top_r<E: Estimator>(
+    csr: &CsrGraph,
+    v: NodeId,
+    forward: bool,
+    r: usize,
+    est: &E,
+    budget: Budget,
+) -> Vec<NodeId> {
+    let sweep = if forward {
+        est.from_estimates(csr, v, budget)
+    } else {
+        est.to_estimates(csr, v, budget)
+    };
+    let score = |u: u32| sweep[u as usize].value;
+    let mut order: Vec<u32> = (0..sweep.len() as u32)
+        .filter(|&u| score(u) > 0.0 || u == v.0)
         .collect();
     order.sort_by(|&a, &b| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
+        score(b)
+            .partial_cmp(&score(a))
             .expect("reliability scores never NaN")
             .then_with(|| a.cmp(&b))
     });
     order.truncate(r);
     let mut out: Vec<NodeId> = order.into_iter().map(NodeId).collect();
-    if !out.contains(&always) {
+    if !out.contains(&v) {
         if out.len() == r {
             out.pop();
         }
-        out.push(always);
+        out.push(v);
     }
     out
 }
@@ -145,7 +131,8 @@ mod tests {
         let g = corridor();
         let est = McEstimator::new(2000, 1);
         let elim = SearchSpaceElimination::new(4);
-        let (cs, ct) = elim.candidate_nodes(&g, NodeId(0), NodeId(3), &est);
+        let (cs, ct) =
+            elim.candidate_nodes_budgeted(&g, NodeId(0), NodeId(3), &est, est.default_budget());
         assert!(cs.contains(&NodeId(0)));
         assert!(ct.contains(&NodeId(3)));
         assert!(cs.len() <= 4 && ct.len() <= 4);
@@ -161,7 +148,8 @@ mod tests {
         let g = corridor();
         let est = McEstimator::new(2000, 2);
         let elim = SearchSpaceElimination::new(3);
-        let (cs, _) = elim.candidate_nodes(&g, NodeId(0), NodeId(3), &est);
+        let (cs, _) =
+            elim.candidate_nodes_budgeted(&g, NodeId(0), NodeId(3), &est, est.default_budget());
         assert_eq!(cs[0], NodeId(0)); // R(s, s) = 1
     }
 
@@ -172,7 +160,12 @@ mod tests {
         let q = crate::StQuery::new(NodeId(0), NodeId(3), 2, 0.6)
             .with_hop_limit(None)
             .with_r(5);
-        let cands = SearchSpaceElimination::new(5).candidate_edges(&g, &q, &est);
+        let cands = SearchSpaceElimination::new(5).candidate_edges_budgeted(
+            &g,
+            &q,
+            &est,
+            est.default_budget(),
+        );
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(!g.has_edge(c.src, c.dst));
@@ -195,8 +188,18 @@ mod tests {
         let q_big = crate::StQuery::new(NodeId(0), NodeId(3), 2, 0.5)
             .with_hop_limit(None)
             .with_r(6);
-        let small = SearchSpaceElimination::new(2).candidate_edges(&g, &q_small, &est);
-        let big = SearchSpaceElimination::new(6).candidate_edges(&g, &q_big, &est);
+        let small = SearchSpaceElimination::new(2).candidate_edges_budgeted(
+            &g,
+            &q_small,
+            &est,
+            est.default_budget(),
+        );
+        let big = SearchSpaceElimination::new(6).candidate_edges_budgeted(
+            &g,
+            &q_big,
+            &est,
+            est.default_budget(),
+        );
         assert!(
             small.len() < big.len(),
             "small={} big={}",
@@ -209,8 +212,13 @@ mod tests {
     fn endpoint_forced_in_even_with_tiny_r() {
         let g = corridor();
         let est = McEstimator::new(1000, 5);
-        let (cs, ct) =
-            SearchSpaceElimination::new(1).candidate_nodes(&g, NodeId(0), NodeId(3), &est);
+        let (cs, ct) = SearchSpaceElimination::new(1).candidate_nodes_budgeted(
+            &g,
+            NodeId(0),
+            NodeId(3),
+            &est,
+            est.default_budget(),
+        );
         assert_eq!(cs, vec![NodeId(0)]);
         assert_eq!(ct, vec![NodeId(3)]);
     }

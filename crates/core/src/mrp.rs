@@ -73,7 +73,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let out = MrpSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1);
         assert_eq!((out.added[0].src, out.added[0].dst), (s, a));
@@ -107,7 +107,7 @@ mod tests {
         ];
         let est = ExactEstimator::new();
         let out = MrpSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(out.added.len() <= 2);
         assert!(out.new_reliability >= out.base_reliability - 1e-12);
@@ -126,7 +126,7 @@ mod tests {
         }];
         let est = ExactEstimator::new();
         let out = MrpSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
         assert_eq!(out.new_reliability, 1.0);

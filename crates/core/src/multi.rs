@@ -18,6 +18,7 @@ use crate::baselines::esssp::select_esssp;
 use crate::baselines::ima::select_ima;
 use crate::candidates::{CandidateEdge, CandidateSpace};
 use crate::elimination::top_r;
+use crate::path_selection::batch::select_batches;
 use crate::path_selection::{build_subgraph, labeled_paths, BatchEdgeSelector, LabeledPath};
 use crate::query::StQuery;
 use crate::selector::EdgeSelector;
@@ -196,29 +197,6 @@ impl MultiSelector {
         self.select_on(&csr, query, &candidates, est, budget)
     }
 
-    /// [`MultiSelector::select_budgeted`] at the estimator's default
-    /// budget (pre-`Budget` shim).
-    pub fn select<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        query: &MultiQuery,
-        est: &E,
-    ) -> MultiOutcome {
-        self.select_budgeted(g, query, est, est.default_budget())
-    }
-
-    /// Run with an explicit candidate set at the estimator's default
-    /// budget (pre-`Budget` shim).
-    pub fn select_with_candidates<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        query: &MultiQuery,
-        candidates: &[CandidateEdge],
-        est: &E,
-    ) -> MultiOutcome {
-        self.select_with_candidates_budgeted(g, query, candidates, est, est.default_budget())
-    }
-
     /// Run with an explicit candidate set, spending `budget` per
     /// reliability estimate.
     pub fn select_with_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
@@ -317,43 +295,20 @@ pub fn multi_candidates_budgeted<G: AsCsr + ?Sized, E: Estimator>(
     budget: Budget,
 ) -> Vec<CandidateEdge> {
     let csr = g.as_csr();
-    let values = |ests: Vec<relmax_sampling::Estimate>| -> Vec<f64> {
-        ests.into_iter().map(|e| e.value).collect()
+    // Each endpoint's top-`r`, unioned in first-seen order.
+    let union = |ends: &[NodeId], forward: bool| -> Vec<NodeId> {
+        let mut seen: FxHashSet<u32> = FxHashSet::default();
+        ends.iter()
+            .flat_map(|&v| top_r(&csr, v, forward, query.r, est, budget))
+            .filter(|v| seen.insert(v.0))
+            .collect()
     };
-    let mut cs: Vec<NodeId> = Vec::new();
-    let mut seen_s: FxHashSet<u32> = FxHashSet::default();
-    for &s in &query.sources {
-        let from = values(est.from_estimates(&*csr, s, budget));
-        for v in top_r(&from, query.r, s) {
-            if seen_s.insert(v.0) {
-                cs.push(v);
-            }
-        }
-    }
-    let mut ct: Vec<NodeId> = Vec::new();
-    let mut seen_t: FxHashSet<u32> = FxHashSet::default();
-    for &t in &query.targets {
-        let to = values(est.to_estimates(&*csr, t, budget));
-        for v in top_r(&to, query.r, t) {
-            if seen_t.insert(v.0) {
-                ct.push(v);
-            }
-        }
-    }
+    let (cs, ct) = (union(&query.sources, true), union(&query.targets, false));
     CandidateSpace::from_node_sets(&*csr, &cs, &ct, query.zeta, query.h)
 }
 
-/// [`multi_candidates_budgeted`] at the estimator's default budget
-/// (pre-`Budget` shim).
-pub fn multi_candidates<G: AsCsr + ?Sized, E: Estimator>(
-    g: &G,
-    query: &MultiQuery,
-    est: &E,
-) -> Vec<CandidateEdge> {
-    multi_candidates_budgeted(g, query, est, est.default_budget())
-}
-
-/// §6.1: Average aggregate via one global path-batch selection.
+/// §6.1: Average aggregate via one global path-batch selection
+/// (Algorithm 6 over every pair's top-`l` paths, pooled).
 fn select_avg_batch<E: Estimator>(
     g: &CsrGraph,
     query: &MultiQuery,
@@ -361,7 +316,6 @@ fn select_avg_batch<E: Estimator>(
     est: &E,
     budget: Budget,
 ) -> Vec<CandidateEdge> {
-    // Per-pair top-l paths, pooled.
     let mut all_paths: Vec<LabeledPath> = Vec::new();
     for &s in &query.sources {
         for &t in &query.targets {
@@ -372,101 +326,28 @@ fn select_avg_batch<E: Estimator>(
             all_paths.extend(labeled_paths(g, &q, candidates));
         }
     }
-    // Batches by label; empty labels are free.
-    let mut free: Vec<&LabeledPath> = Vec::new();
-    let batches: Vec<(Vec<usize>, Vec<&LabeledPath>)> = {
-        use relmax_ugraph::fxhash::FxHashMap;
-        let mut by_label: FxHashMap<&[usize], Vec<&LabeledPath>> = FxHashMap::default();
-        for p in &all_paths {
-            if p.label.is_empty() {
-                free.push(p);
-            } else {
-                by_label.entry(&p.label).or_default().push(p);
-            }
-        }
-        let mut batches: Vec<_> = by_label
-            .into_iter()
-            .map(|(l, ps)| (l.to_vec(), ps))
-            .collect();
-        batches.sort_by(|a, b| a.0.cmp(&b.0));
-        batches
-    };
+    // Mean pair reliability on the path-induced subgraph: one forward
+    // sweep per source present in it, read at every target present.
     let avg_on = |paths: &[&LabeledPath]| -> f64 {
         let Some((sub, remap)) = build_subgraph(g, candidates, paths) else {
             return 0.0;
         };
-        let ms: Vec<Option<NodeId>> = query
-            .sources
-            .iter()
-            .map(|s| remap.get(&s.0).map(|&i| NodeId(i)))
-            .collect();
-        let mt: Vec<Option<NodeId>> = query
-            .targets
-            .iter()
-            .map(|t| remap.get(&t.0).map(|&i| NodeId(i)))
-            .collect();
         let mut sum = 0.0;
-        for s in &ms {
-            let from = s.map(|sv| {
-                est.from_estimates(&sub, sv, budget)
-                    .into_iter()
-                    .map(|e| e.value)
-                    .collect::<Vec<f64>>()
-            });
-            for t in &mt {
-                if let (Some(from), Some(tv)) = (&from, t) {
-                    sum += from[tv.index()];
+        for s in &query.sources {
+            let Some(&ms) = remap.get(&s.0) else { continue };
+            let from = est.from_estimates(&sub, NodeId(ms), budget);
+            for t in &query.targets {
+                if let Some(&mt) = remap.get(&t.0) {
+                    sum += from[mt as usize].value;
                 }
             }
         }
         sum / (query.sources.len() * query.targets.len()) as f64
     };
-    let mut e1: FxHashSet<usize> = FxHashSet::default();
-    let mut included = vec![false; batches.len()];
-    let mut selected: Vec<&LabeledPath> = free.clone();
-    let mut current = avg_on(&selected);
-    loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (bi, (label, _)) in batches.iter().enumerate() {
-            if included[bi] {
-                continue;
-            }
-            let new_edges = label.iter().filter(|i| !e1.contains(i)).count();
-            if new_edges == 0 || e1.len() + new_edges > query.k {
-                continue;
-            }
-            let mut trial_e1 = e1.clone();
-            trial_e1.extend(label.iter().copied());
-            let mut trial = free.clone();
-            for (bj, (lbl, ps)) in batches.iter().enumerate() {
-                if included[bj] || lbl.iter().all(|i| trial_e1.contains(i)) {
-                    trial.extend(ps.iter().copied());
-                }
-            }
-            let v = avg_on(&trial);
-            let marginal = (v - current) / new_edges as f64;
-            if best.is_none_or(|(bm, _)| marginal > bm) {
-                best = Some((marginal, bi));
-            }
-        }
-        let Some((_, bi)) = best else { break };
-        e1.extend(batches[bi].0.iter().copied());
-        included[bi] = true;
-        selected = free.clone();
-        for (bj, (lbl, ps)) in batches.iter().enumerate() {
-            if included[bj] || lbl.iter().all(|i| e1.contains(i)) {
-                included[bj] = true;
-                selected.extend(ps.iter().copied());
-            }
-        }
-        current = avg_on(&selected);
-        if e1.len() >= query.k {
-            break;
-        }
-    }
-    let mut idxs: Vec<usize> = e1.into_iter().collect();
-    idxs.sort_unstable();
-    idxs.into_iter().map(|i| candidates[i]).collect()
+    select_batches(&all_paths, query.k, avg_on)
+        .into_iter()
+        .map(|i| candidates[i])
+        .collect()
 }
 
 /// §6.2 / §6.3: Min (or Max) aggregate via `k1`-batched refinement of the
@@ -633,7 +514,7 @@ mod tests {
         let q = query(Aggregate::Minimum, 1);
         let est = McEstimator::new(3000, 1);
         let sel = MultiSelector::with_method(MultiMethod::BatchEdge);
-        let out = sel.select_with_candidates(&g, &q, &cands(), &est);
+        let out = sel.select_with_candidates_budgeted(&g, &q, &cands(), &est, est.default_budget());
         // The min pair is (s*, t1) with R = 0: the hub->t1 edge fixes it.
         assert_eq!(out.added.len(), 1);
         assert_eq!((out.added[0].src, out.added[0].dst), (NodeId(4), NodeId(3)));
@@ -648,7 +529,7 @@ mod tests {
         let q = query(Aggregate::Maximum, 1);
         let est = McEstimator::new(3000, 2);
         let sel = MultiSelector::with_method(MultiMethod::BatchEdge);
-        let out = sel.select_with_candidates(&g, &q, &cands(), &est);
+        let out = sel.select_with_candidates_budgeted(&g, &q, &cands(), &est, est.default_budget());
         assert_eq!(out.added.len(), 1);
         // Best pair is (s0, t0): the direct edge pushes it from 0.32 to
         // 1-(1-0.8)(1-0.32) = 0.864.
@@ -662,7 +543,7 @@ mod tests {
         let q = query(Aggregate::Average, 2);
         let est = McEstimator::new(3000, 3);
         let sel = MultiSelector::default();
-        let out = sel.select_with_candidates(&g, &q, &cands(), &est);
+        let out = sel.select_with_candidates_budgeted(&g, &q, &cands(), &est, est.default_budget());
         assert!(out.added.len() <= 2);
         assert!(out.gain() > 0.1, "gain={}", out.gain());
         // The irrelevant (5,6) edge must never be chosen.
@@ -674,18 +555,10 @@ mod tests {
         let g = multi_graph();
         let est = McEstimator::new(3000, 4);
         let q = query(Aggregate::Average, 2);
-        let be = MultiSelector::with_method(MultiMethod::BatchEdge).select_with_candidates(
-            &g,
-            &q,
-            &cands(),
-            &est,
-        );
-        let hc = MultiSelector::with_method(MultiMethod::HillClimbing).select_with_candidates(
-            &g,
-            &q,
-            &cands(),
-            &est,
-        );
+        let be = MultiSelector::with_method(MultiMethod::BatchEdge)
+            .select_with_candidates_budgeted(&g, &q, &cands(), &est, est.default_budget());
+        let hc = MultiSelector::with_method(MultiMethod::HillClimbing)
+            .select_with_candidates_budgeted(&g, &q, &cands(), &est, est.default_budget());
         assert!((be.new_value - hc.new_value).abs() < 0.1);
     }
 
@@ -694,11 +567,12 @@ mod tests {
         let g = multi_graph();
         let est = McEstimator::new(2000, 5);
         let q = query(Aggregate::Average, 1);
-        let out = MultiSelector::with_method(MultiMethod::Eigen).select_with_candidates(
+        let out = MultiSelector::with_method(MultiMethod::Eigen).select_with_candidates_budgeted(
             &g,
             &q,
             &cands(),
             &est,
+            est.default_budget(),
         );
         assert_eq!(out.added.len(), 1); // picks by eigen score, no guarantee of gain
     }
@@ -709,8 +583,13 @@ mod tests {
         let est = McEstimator::new(2000, 6);
         let q = query(Aggregate::Average, 2);
         for method in [MultiMethod::Esssp, MultiMethod::Ima] {
-            let out =
-                MultiSelector::with_method(method).select_with_candidates(&g, &q, &cands(), &est);
+            let out = MultiSelector::with_method(method).select_with_candidates_budgeted(
+                &g,
+                &q,
+                &cands(),
+                &est,
+                est.default_budget(),
+            );
             assert!(out.added.len() <= 2, "{method:?}");
             assert!(out.new_value >= out.base_value - 0.05, "{method:?}");
         }
@@ -724,7 +603,7 @@ mod tests {
             h: None,
             ..query(Aggregate::Average, 2)
         };
-        let cands = multi_candidates(&g, &q, &est);
+        let cands = multi_candidates_budgeted(&g, &q, &est, est.default_budget());
         assert!(!cands.is_empty());
         for c in &cands {
             assert!(!g.has_edge(c.src, c.dst));

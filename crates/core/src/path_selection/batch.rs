@@ -9,6 +9,10 @@
 //! reliability gain **normalized per newly added edge**, activating for
 //! free every batch whose label is already covered. Example 3 of the paper
 //! (Figure 4) is reproduced verbatim in the tests below.
+//!
+//! The greedy loop (`select_batches`) takes its objective as a closure, so
+//! the multi-pair Average aggregate (§6.1, [`crate::multi`]) runs the same
+//! loop over its pooled paths.
 
 use crate::candidates::CandidateEdge;
 use crate::path_selection::{labeled_paths, LabeledPath, SubgraphEval};
@@ -52,6 +56,60 @@ fn build_batches(paths: &[LabeledPath]) -> (Vec<&LabeledPath>, Vec<Batch<'_>>) {
     (free, batches)
 }
 
+/// Algorithm 6 over `paths` with budget `k`: group the paths into batches
+/// by label, then greedily take the batch whose `objective` gain per new
+/// edge is best, until `k` edges are spent or no batch fits. The
+/// objective always sees the existing-edge paths plus every batch whose
+/// label the chosen edges cover, so a covered batch joins for free.
+/// Returns the chosen candidate indices, sorted.
+///
+/// Single-pair BE maximizes `R(s, t)` on the path-induced subgraph; the
+/// multi-pair Average aggregate (§6.1) maximizes the mean over `S × T`.
+pub(crate) fn select_batches(
+    paths: &[LabeledPath],
+    k: usize,
+    mut objective: impl FnMut(&[&LabeledPath]) -> f64,
+) -> Vec<usize> {
+    let (free, batches) = build_batches(paths);
+    let covered = |e1: &FxHashSet<usize>| -> Vec<&LabeledPath> {
+        let mut sel = free.clone();
+        for b in &batches {
+            if b.label.iter().all(|i| e1.contains(i)) {
+                sel.extend(b.paths.iter().copied());
+            }
+        }
+        sel
+    };
+    let mut e1: FxHashSet<usize> = FxHashSet::default();
+    let mut current = objective(&covered(&e1));
+    loop {
+        let mut best: Option<(f64, &Batch<'_>)> = None;
+        for b in &batches {
+            let new_edges = b.label.iter().filter(|i| !e1.contains(i)).count();
+            if new_edges == 0 || e1.len() + new_edges > k {
+                continue;
+            }
+            let mut trial = e1.clone();
+            trial.extend(b.label.iter().copied());
+            // Marginal gain normalized by the number of new edges
+            // (§5.2.2: "normalized by the size of its candidate set").
+            let marginal = (objective(&covered(&trial)) - current) / new_edges as f64;
+            if best.is_none_or(|(bm, _)| marginal > bm) {
+                best = Some((marginal, b));
+            }
+        }
+        let Some((_, b)) = best else { break };
+        e1.extend(b.label.iter().copied());
+        if e1.len() >= k {
+            break;
+        }
+        current = objective(&covered(&e1));
+    }
+    let mut idxs: Vec<usize> = e1.into_iter().collect();
+    idxs.sort_unstable();
+    idxs
+}
+
 impl EdgeSelector for BatchEdgeSelector {
     fn name(&self) -> &'static str {
         "BE"
@@ -67,69 +125,8 @@ impl EdgeSelector for BatchEdgeSelector {
     ) -> Result<Outcome, SelectError> {
         let paths = labeled_paths(g, query, candidates);
         let eval = SubgraphEval::new(g, candidates, query);
-        let (free, batches) = build_batches(&paths);
-
-        let mut e1: FxHashSet<usize> = FxHashSet::default();
-        let mut included: Vec<bool> = vec![false; batches.len()];
-        // Current selection = free paths + every batch whose label ⊆ E1.
-        let selected_paths = |e1: &FxHashSet<usize>, included: &mut [bool]| -> Vec<&LabeledPath> {
-            let mut sel = free.clone();
-            for (bi, b) in batches.iter().enumerate() {
-                if b.label.iter().all(|i| e1.contains(i)) {
-                    included[bi] = true;
-                }
-                if included[bi] {
-                    sel.extend(b.paths.iter().copied());
-                }
-            }
-            sel
-        };
-        let mut current = eval.reliability(&selected_paths(&e1, &mut included), est, budget);
-
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            for (bi, b) in batches.iter().enumerate() {
-                if included[bi] {
-                    continue;
-                }
-                let new_edges: Vec<usize> = b
-                    .label
-                    .iter()
-                    .filter(|i| !e1.contains(i))
-                    .copied()
-                    .collect();
-                if new_edges.is_empty() || e1.len() + new_edges.len() > query.k {
-                    continue;
-                }
-                // Trial: E1 ∪ label activates this batch plus any other
-                // batch whose label becomes covered.
-                let mut trial_e1 = e1.clone();
-                trial_e1.extend(new_edges.iter().copied());
-                let mut trial_sel = free.clone();
-                for (bj, bb) in batches.iter().enumerate() {
-                    if included[bj] || bb.label.iter().all(|i| trial_e1.contains(i)) {
-                        trial_sel.extend(bb.paths.iter().copied());
-                    }
-                }
-                let r = eval.reliability(&trial_sel, est, budget);
-                // Marginal gain normalized by the number of new edges
-                // (§5.2.2: "normalized by the size of its candidate set").
-                let marginal = (r - current) / new_edges.len() as f64;
-                if best.is_none_or(|(bm, _)| marginal > bm) {
-                    best = Some((marginal, bi));
-                }
-            }
-            let Some((_, bi)) = best else { break };
-            e1.extend(batches[bi].label.iter().copied());
-            included[bi] = true;
-            current = eval.reliability(&selected_paths(&e1, &mut included), est, budget);
-            if e1.len() >= query.k {
-                break;
-            }
-        }
-        let mut idxs: Vec<usize> = e1.into_iter().collect();
-        idxs.sort_unstable();
-        let added: Vec<CandidateEdge> = idxs.into_iter().map(|i| candidates[i]).collect();
+        let chosen = select_batches(&paths, query.k, |sel| eval.reliability(sel, est, budget));
+        let added: Vec<CandidateEdge> = chosen.into_iter().map(|i| candidates[i]).collect();
         Ok(finish_outcome_budgeted(g, query, added, est, budget))
     }
 }
@@ -150,7 +147,7 @@ mod tests {
         let (g, cands, q) = fig4c();
         let est = ExactEstimator::new();
         let out = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut chosen: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         chosen.sort_unstable();
@@ -167,10 +164,10 @@ mod tests {
         let (g, cands, q) = fig4c();
         let est = ExactEstimator::new();
         let be = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let ip = IndividualPathSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(be.new_reliability >= ip.new_reliability - 1e-12);
     }
@@ -183,7 +180,7 @@ mod tests {
         let (g, cands, q) = fig4c();
         let est = ExactEstimator::new();
         let out = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         // Budget 2 used once: both sCBt and sCt paths live in the final
         // subgraph (reliability 0.3075 > 0.225 of sCBt alone).
@@ -192,12 +189,38 @@ mod tests {
     }
 
     #[test]
+    fn covered_batches_count_in_trials_and_cost_nothing() {
+        // Batch {0, 1} alone is worth 0.5, but taking it also covers batch
+        // {0}: 0.8 over 2 edges beats {2}'s 0.35 and {0}'s 0.3. Counting
+        // only the batch itself (0.25 per edge) would pick {2}, then {0}.
+        let path = |label: Vec<usize>, prob: f64| LabeledPath {
+            coins: Vec::new(),
+            label,
+            prob,
+        };
+        let paths = [
+            path(vec![], 0.1),
+            path(vec![0], 0.3),
+            path(vec![2], 0.35),
+            path(vec![0, 1], 0.5),
+        ];
+        let mut seen = Vec::new();
+        let chosen = select_batches(&paths, 2, |sel| {
+            seen.push(sel.len());
+            sel.iter().map(|p| p.prob).sum()
+        });
+        assert_eq!(chosen, vec![0, 1]);
+        // The free path is always in; the {0, 1} trial carries three paths.
+        assert_eq!(seen, vec![1, 2, 3, 2]);
+    }
+
+    #[test]
     fn budget_one_falls_back_to_single_edge_batch() {
         let (g, cands, mut q) = fig4c();
         q.k = 1;
         let est = ExactEstimator::new();
         let out = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(out.added.len(), 1);
         assert_eq!((out.added[0].src, out.added[0].dst), (NodeId(0), NodeId(2))); // sC
@@ -209,7 +232,7 @@ mod tests {
         let (g, cands, q) = fig4c();
         let est = McEstimator::new(20_000, 11);
         let out = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut chosen: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         chosen.sort_unstable();
@@ -222,7 +245,7 @@ mod tests {
         let q = StQuery::new(NodeId(0), NodeId(1), 2, 0.5);
         let est = ExactEstimator::new();
         let out = BatchEdgeSelector
-            .select_with_candidates(&g, &q, &[], &est)
+            .select_with_candidates_budgeted(&g, &q, &[], &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
         assert_eq!(out.new_reliability, 0.0);

@@ -86,7 +86,7 @@ mod tests {
         let (g, cands, q) = fig4c();
         let est = ExactEstimator::new();
         let out = IndividualPathSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut chosen: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         chosen.sort_unstable();
@@ -100,7 +100,7 @@ mod tests {
         q.k = 1;
         let est = ExactEstimator::new();
         let out = IndividualPathSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         // Only sCt fits in budget 1 (label {sC}); others need 2 edges.
         assert_eq!(out.added.len(), 1);
@@ -114,7 +114,7 @@ mod tests {
         q.k = 0;
         let est = ExactEstimator::new();
         let out = IndividualPathSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
     }
@@ -127,7 +127,7 @@ mod tests {
         let q = StQuery::new(NodeId(0), NodeId(2), 3, 0.5);
         let est = ExactEstimator::new();
         let out = IndividualPathSelector
-            .select_with_candidates(&g, &q, &[], &est)
+            .select_with_candidates_budgeted(&g, &q, &[], &est, est.default_budget())
             .unwrap();
         assert!(out.added.is_empty());
         assert!((out.new_reliability - 0.81).abs() < 1e-9);

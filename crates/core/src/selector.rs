@@ -78,9 +78,8 @@ impl std::error::Error for SelectError {}
 ///
 /// All methods receive an explicit candidate set so the harness can run
 /// them with or without search-space elimination (Tables 4 vs 5); the
-/// provided [`EdgeSelector::select`] / [`EdgeSelector::select_budgeted`]
-/// conveniences apply Algorithm 4 first, which is how the paper's §8
-/// experiments run.
+/// provided [`EdgeSelector::select_budgeted`] applies Algorithm 4 first,
+/// which is how the paper's §8 experiments run.
 ///
 /// Every method runs on a [`CsrGraph`] snapshot and sees its candidates
 /// as the `G⁺` overlay ([`GraphView`] over the snapshot). The provided
@@ -89,8 +88,8 @@ impl std::error::Error for SelectError {}
 /// frozen once per call.
 ///
 /// Every method consumes a [`Budget`] — the knob that used to be a raw
-/// `num_samples` — and its [`Outcome`] surfaces rich [`Estimate`]s. The
-/// budget-less methods are thin shims at the estimator's
+/// `num_samples` — and its [`Outcome`] surfaces rich [`Estimate`]s.
+/// Callers with no budget in hand pass the estimator's
 /// [`Estimator::default_budget`].
 ///
 /// Methods are generic over the [`Estimator`] (monomorphized all the way
@@ -124,18 +123,6 @@ pub trait EdgeSelector {
         self.select_on_snapshot(&g.as_csr(), query, candidates, est, budget)
     }
 
-    /// [`EdgeSelector::select_with_candidates_budgeted`] at the
-    /// estimator's default budget (pre-`Budget` shim).
-    fn select_with_candidates<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        query: &StQuery,
-        candidates: &[CandidateEdge],
-        est: &E,
-    ) -> Result<Outcome, SelectError> {
-        self.select_with_candidates_budgeted(g, query, candidates, est, est.default_budget())
-    }
-
     /// End-to-end run: search-space elimination with `query.r`, then
     /// selection, everything under `budget` and on one snapshot.
     fn select_budgeted<G: AsCsr + ?Sized, E: Estimator>(
@@ -149,17 +136,6 @@ pub trait EdgeSelector {
         let cands = SearchSpaceElimination::new(query.r)
             .candidate_edges_budgeted(&*csr, query, est, budget);
         self.select_on_snapshot(&csr, query, &cands, est, budget)
-    }
-
-    /// [`EdgeSelector::select_budgeted`] at the estimator's default
-    /// budget (pre-`Budget` shim).
-    fn select<G: AsCsr + ?Sized, E: Estimator>(
-        &self,
-        g: &G,
-        query: &StQuery,
-        est: &E,
-    ) -> Result<Outcome, SelectError> {
-        self.select_budgeted(g, query, est, est.default_budget())
     }
 }
 
@@ -523,10 +499,10 @@ mod tests {
             prob: 0.8,
         }];
         let via_enum = AnySelector::hill_climbing()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let direct = HillClimbingSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         assert_eq!(via_enum.added.len(), direct.added.len());
         assert_eq!(via_enum.new_reliability, direct.new_reliability);

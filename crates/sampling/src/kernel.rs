@@ -6,12 +6,18 @@ use std::sync::OnceLock;
 
 /// Which Monte Carlo kernel an estimator runs.
 ///
-/// Both kernels produce **bit-identical** estimates — [`Kernel::Packed`]
+/// Both kernels produce **bit-identical** estimates. [`Kernel::Packed`]
 /// is the default because it leads the breadth-first scalar kernel
 /// ([`crate::scalar`]) on every `BENCH_sampling.json` row: by 1.03–1.05x
 /// on a `relmax gen` batch of near pairs (out-degree 10), about 3x on
 /// near ring-chords pairs and candidate scans, and 10–35x on
-/// reachability vectors and a far Watts–Strogatz pair. The scalar kernel
+/// reachability vectors and a far Watts–Strogatz pair. It also wins on
+/// the 12 `set` bodies of the `serve-mixed` workload at one thread
+/// (0.79–1.24 s against 1.29–2.07 s). No benchmark row runs a hop-aware
+/// shape, and there packed is slower: the `query-local` pairs asked as
+/// `hops` took 0.52–0.64 s packed against 0.24–0.25 s scalar, and
+/// 0.58–0.80 s against 0.26–0.27 s under `% max-hops 1000000` (2-CPU
+/// host, one thread, 3 runs each, identical output). The scalar kernel
 /// is kept as the always-correct reference path for tests and
 /// cross-checks. The process default honours the `RELMAX_KERNEL`
 /// environment variable (`scalar` selects the reference path, anything

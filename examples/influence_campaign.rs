@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example influence_campaign`
 
-use relmax::core::multi::{multi_candidates, MultiMethod};
+use relmax::core::multi::{multi_candidates_budgeted, MultiMethod};
 use relmax::gen::proxy::DatasetProxy;
 use relmax::influence::influence_spread;
 use relmax::prelude::*;
@@ -51,7 +51,7 @@ fn main() {
     let mut query = query;
     query.r = 40;
     query.l = 10;
-    let candidates = multi_candidates(&g, &query, &est);
+    let candidates = multi_candidates_budgeted(&g, &query, &est, est.default_budget());
     println!(
         "{} candidate collaborations after elimination",
         candidates.len()
@@ -59,7 +59,13 @@ fn main() {
 
     for method in [MultiMethod::BatchEdge, MultiMethod::Eigen] {
         let selector = MultiSelector::with_method(method);
-        let out = selector.select_with_candidates(&g, &query, &candidates, &est);
+        let out = selector.select_with_candidates_budgeted(
+            &g,
+            &query,
+            &candidates,
+            &est,
+            est.default_budget(),
+        );
         let view = GraphView::new(&g, out.added.clone());
         let spread = influence_spread(&view, &seniors, Some(&juniors), samples, 1);
         println!(

@@ -71,7 +71,9 @@ fn main() {
         ("path batches (BE)", AnySelector::batch_edge()),
     ];
     for (desc, m) in methods {
-        let out = m.select(&g, &query, &est).expect("selection succeeds");
+        let out = m
+            .select_budgeted(&g, &query, &est, est.default_budget())
+            .expect("selection succeeds");
         println!(
             "{desc:<28} {:>10.3} {:>+8.3}",
             out.new_reliability,
@@ -80,7 +82,12 @@ fn main() {
     }
 
     // The restricted problem on its own: the best single corridor.
-    let cands = SearchSpaceElimination::new(40).candidate_edges(&g, &query, &est);
+    let cands = SearchSpaceElimination::new(40).candidate_edges_budgeted(
+        &g,
+        &query,
+        &est,
+        est.default_budget(),
+    );
     let triples: Vec<_> = cands.iter().map(|c| (c.src, c.dst, c.prob)).collect();
     let sol = improve_most_reliable_path(&g, depot, warehouse, 4, &triples);
     println!(

@@ -52,7 +52,13 @@ fn main() {
             .st_estimate(&lab.graph, s, t, est.default_budget())
             .value;
         let out = BatchEdgeSelector
-            .select_with_candidates(&lab.graph, &query, &candidates, &est)
+            .select_with_candidates_budgeted(
+                &lab.graph,
+                &query,
+                &candidates,
+                &est,
+                est.default_budget(),
+            )
             .expect("BE is infallible");
         println!(
             "{name}: {s} at ({:.0},{:.0}) -> {t} at ({:.0},{:.0})",
@@ -81,7 +87,12 @@ fn main() {
     println!("\nBE vs exhaustive search (Table 11 protocol, reduced candidates):");
     let (s, t) = (far_a, far_b);
     let query = StQuery::new(s, t, 3, zeta).with_hop_limit(None).with_r(12);
-    let reduced = SearchSpaceElimination::new(12).candidate_edges(&lab.graph, &query, &est);
+    let reduced = SearchSpaceElimination::new(12).candidate_edges_budgeted(
+        &lab.graph,
+        &query,
+        &est,
+        est.default_budget(),
+    );
     let reduced: Vec<CandidateEdge> = reduced
         .into_iter()
         .filter(|c| lab.distance(c.src, c.dst) <= MAX_NEW_LINK_DIST)
@@ -91,9 +102,15 @@ fn main() {
         reduced.len()
     );
     let be = BatchEdgeSelector
-        .select_with_candidates(&lab.graph, &query, &reduced, &est)
+        .select_with_candidates_budgeted(&lab.graph, &query, &reduced, &est, est.default_budget())
         .expect("BE is infallible");
-    match ExactSelector::default().select_with_candidates(&lab.graph, &query, &reduced, &est) {
+    match ExactSelector::default().select_with_candidates_budgeted(
+        &lab.graph,
+        &query,
+        &reduced,
+        &est,
+        est.default_budget(),
+    ) {
         Ok(es) => {
             println!(
                 "  BE: gain {:+.3}   ES (optimal): gain {:+.3}",

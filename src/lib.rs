@@ -69,15 +69,15 @@
 //!
 //! let query = StQuery::new(NodeId(0), NodeId(5), 2, 0.8);
 //! let estimator = McEstimator::new(2_000, 42);
+//! let budget = estimator.default_budget();
 //! let outcome = BatchEdgeSelector::default()
-//!     .select(&g, &query, &estimator)
+//!     .select_budgeted(&g, &query, &estimator, budget)
 //!     .unwrap();
 //! assert!(outcome.added.len() <= 2 && !outcome.added.is_empty());
 //! assert!(outcome.gain() > 0.0);
 //!
 //! // Estimates are layout-independent for a fixed seed:
 //! let frozen = g.freeze();
-//! let budget = estimator.default_budget();
 //! assert_eq!(
 //!     estimator.st_estimate(&g, NodeId(0), NodeId(5), budget),
 //!     estimator.st_estimate(&frozen, NodeId(0), NodeId(5), budget),

@@ -208,7 +208,7 @@ fn selectors_identical_across_global_thread_counts() {
         for global_threads in [1, 4] {
             ParallelRuntime::set_global_threads(global_threads);
             outcomes.push(
-                sel.select_with_candidates(&g, &q, &cands, &est)
+                sel.select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
                     .expect("selector runs"),
             );
         }

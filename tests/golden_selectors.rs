@@ -72,8 +72,13 @@ fn directed_instance() -> (UncertainGraph, Vec<CandidateEdge>, StQuery) {
         .with_hop_limit(Some(3))
         .with_r(6)
         .with_l(12);
-    let cands =
-        SearchSpaceElimination::new(q.r).candidate_edges(&g, &q, &McEstimator::new(2_000, 0xFEED));
+    let est = McEstimator::new(2_000, 0xFEED);
+    let cands = SearchSpaceElimination::new(q.r).candidate_edges_budgeted(
+        &g,
+        &q,
+        &est,
+        est.default_budget(),
+    );
     (g, cands, q)
 }
 
@@ -118,7 +123,7 @@ fn outcomes<G: AsCsr>(
     let est = McEstimator::new(2_000, 0xFEED);
     selectors
         .iter()
-        .map(|sel| sel.select_with_candidates(g, q, cands, &est))
+        .map(|sel| sel.select_with_candidates_budgeted(g, q, cands, &est, est.default_budget()))
         .collect()
 }
 

@@ -49,7 +49,7 @@ fn exhaustive_search_dominates_every_heuristic() {
         let (g, cands, s, t) = random_instance(&mut rng);
         let q = StQuery::new(s, t, 2, 0.6).with_hop_limit(None).with_l(20);
         let es = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .expect("small instance");
         for sel in [
             AnySelector::batch_edge(),
@@ -57,7 +57,9 @@ fn exhaustive_search_dominates_every_heuristic() {
             AnySelector::mrp(),
             AnySelector::hill_climbing(),
         ] {
-            let out = sel.select_with_candidates(&g, &q, &cands, &est).unwrap();
+            let out = sel
+                .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
+                .unwrap();
             assert!(
                 es.new_reliability >= out.new_reliability - 1e-9,
                 "trial {trial}: {} ({}) beat ES ({})",
@@ -82,11 +84,11 @@ fn be_is_at_least_as_good_as_mrp_on_average() {
         let (g, cands, s, t) = random_instance(&mut rng);
         let q = StQuery::new(s, t, 2, 0.6).with_hop_limit(None).with_l(20);
         be_total += BatchEdgeSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap()
             .new_reliability;
         mrp_total += MrpSelector
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap()
             .new_reliability;
     }
@@ -117,7 +119,7 @@ fn observation4_direct_st_edge_is_always_optimal_to_include() {
         cands.push(st_edge);
         let q = StQuery::new(s, t, 2, 0.6).with_hop_limit(None);
         let es = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         // Best solution that contains st: st + best single other edge.
         let others: Vec<CandidateEdge> = cands
@@ -172,7 +174,7 @@ fn table2_optimal_solutions_vary_with_parameters() {
         ];
         let est = ExactEstimator::new();
         let out = ExactSelector::default()
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .unwrap();
         let mut edges: Vec<(u32, u32)> = out.added.iter().map(|c| (c.src.0, c.dst.0)).collect();
         edges.sort_unstable();
@@ -206,7 +208,9 @@ fn zero_budget_changes_nothing_for_every_method() {
         AnySelector::mrp(),
         AnySelector::hill_climbing(),
     ] {
-        let out = sel.select_with_candidates(&g, &q, &cands, &est).unwrap();
+        let out = sel
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
+            .unwrap();
         assert!(out.added.is_empty(), "{} added edges with k=0", sel.name());
         assert!((out.gain()).abs() < 1e-12);
     }

@@ -184,6 +184,9 @@ fn influence_bits_are_pinned() {
 /// in order, and the bits of `base_value` and `new_value`.
 type MultiRun = (String, Vec<(u32, u32)>, u64, u64);
 
+/// A [`MultiRun`] as pinned below.
+type PinnedRun = (&'static str, &'static [(u32, u32)], u64, u64);
+
 /// BE under each aggregate, and hill climbing under Average, on a seeded
 /// proxy graph with 3 sources, 3 targets and a fixed 250-world budget.
 fn multi_runs() -> Vec<MultiRun> {
@@ -218,7 +221,7 @@ fn multi_runs() -> Vec<MultiRun> {
 
 #[test]
 fn multi_selector_outputs_are_pinned() {
-    let want: &[(&str, &[(u32, u32)], u64, u64)] = &[
+    let want: &[PinnedRun] = &[
         (
             "BE Average",
             &[(0, 10), (0, 12), (2, 12), (11, 1), (11, 12), (1, 10)],

@@ -2,7 +2,7 @@
 //! top-l paths → batch selection) on realistic proxy graphs, plus the §6
 //! multi-source/target extensions.
 
-use relmax::core::multi::{multi_candidates, MultiMethod};
+use relmax::core::multi::{multi_candidates_budgeted, MultiMethod};
 use relmax::gen::proxy::DatasetProxy;
 use relmax::gen::queries::st_queries;
 use relmax::prelude::*;
@@ -20,7 +20,9 @@ fn be_pipeline_respects_all_constraints() {
     assert!(!queries.is_empty(), "workload generation failed");
     for &(s, t) in &queries {
         let q = StQuery::new(s, t, 5, 0.5).with_r(40).with_l(15);
-        let out = BatchEdgeSelector.select(&g, &q, &est).expect("BE runs");
+        let out = BatchEdgeSelector
+            .select_budgeted(&g, &q, &est, est.default_budget())
+            .expect("BE runs");
         assert!(out.added.len() <= q.k, "budget violated");
         for e in &out.added {
             assert!(!g.has_edge(e.src, e.dst), "added an existing edge");
@@ -44,8 +46,12 @@ fn pipeline_is_deterministic() {
     let est = McEstimator::new(300, 9);
     let (s, t) = st_queries(&g, 1, 3, 5, 2)[0];
     let q = StQuery::new(s, t, 4, 0.5).with_r(30).with_l(10);
-    let a = BatchEdgeSelector.select(&g, &q, &est).unwrap();
-    let b = BatchEdgeSelector.select(&g, &q, &est).unwrap();
+    let a = BatchEdgeSelector
+        .select_budgeted(&g, &q, &est, est.default_budget())
+        .unwrap();
+    let b = BatchEdgeSelector
+        .select_budgeted(&g, &q, &est, est.default_budget())
+        .unwrap();
     assert_eq!(a.added.len(), b.added.len());
     for (x, y) in a.added.iter().zip(&b.added) {
         assert_eq!((x.src, x.dst), (y.src, y.dst));
@@ -59,7 +65,12 @@ fn elimination_shrinks_the_candidate_space() {
     let est = McEstimator::new(300, 11);
     let (s, t) = st_queries(&g, 1, 3, 5, 3)[0];
     let q = StQuery::new(s, t, 5, 0.5).with_r(25);
-    let reduced = SearchSpaceElimination::new(25).candidate_edges(&g, &q, &est);
+    let reduced = SearchSpaceElimination::new(25).candidate_edges_budgeted(
+        &g,
+        &q,
+        &est,
+        est.default_budget(),
+    );
     let full = CandidateSpace::all_missing(&g, 0.5, Some(3));
     assert!(!reduced.is_empty());
     assert!(
@@ -83,8 +94,12 @@ fn estimator_swap_mc_vs_rss_same_quality() {
     let q = StQuery::new(s, t, 4, 0.5).with_r(30).with_l(10);
     let mc = McEstimator::new(500, 13);
     let rss = RssEstimator::new(250, 13);
-    let out_mc = BatchEdgeSelector.select(&g, &q, &mc).unwrap();
-    let out_rss = BatchEdgeSelector.select(&g, &q, &rss).unwrap();
+    let out_mc = BatchEdgeSelector
+        .select_budgeted(&g, &q, &mc, mc.default_budget())
+        .unwrap();
+    let out_rss = BatchEdgeSelector
+        .select_budgeted(&g, &q, &rss, rss.default_budget())
+        .unwrap();
     // Judge both solutions with one referee configuration, routed through
     // the budgeted QueryEngine path (not the legacy f64 shims): freeze the
     // overlaid view and ask for a scalar estimate.
@@ -109,9 +124,9 @@ fn multi_aggregates_run_on_proxy() {
         let mut q = MultiQuery::new(sources.clone(), targets.clone(), 6, 0.5, agg);
         q.r = 20;
         q.l = 8;
-        let cands = multi_candidates(&g, &q, &est);
+        let cands = multi_candidates_budgeted(&g, &q, &est, est.default_budget());
         let out = MultiSelector::with_method(MultiMethod::BatchEdge)
-            .select_with_candidates(&g, &q, &cands, &est);
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget());
         assert!(out.added.len() <= q.k, "{agg:?} over budget");
         assert!(
             out.new_value >= out.base_value - 0.05,
@@ -125,12 +140,44 @@ fn multi_aggregates_run_on_proxy() {
 }
 
 #[test]
+fn multi_average_on_one_pair_picks_what_single_pair_be_picks() {
+    // With one source and one target, the Average objective is one
+    // `from[t]` read, which under a fixed budget equals the `st` estimate
+    // bit for bit; both then run the same Algorithm 6 loop.
+    let g = proxy();
+    let est = McEstimator::new(250, 29);
+    let budget = Budget::fixed(250);
+    let pairs = st_queries(&g, 4, 2, 4, 8);
+    assert!(!pairs.is_empty(), "workload generation failed");
+    for (s, t) in pairs {
+        assert_ne!(s, t);
+        let q = StQuery::new(s, t, 4, 0.5).with_r(20).with_l(10);
+        let cands = SearchSpaceElimination::new(q.r).candidate_edges_budgeted(&g, &q, &est, budget);
+        let single = BatchEdgeSelector
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, budget)
+            .unwrap();
+        let mut mq = MultiQuery::new(vec![s], vec![t], q.k, q.zeta, Aggregate::Average);
+        (mq.h, mq.r, mq.l) = (q.h, q.r, q.l);
+        let multi = MultiSelector::with_method(MultiMethod::BatchEdge)
+            .select_with_candidates_budgeted(&g, &mq, &cands, &est, budget);
+        assert!(!single.added.is_empty(), "({s}, {t}) added nothing");
+        assert_eq!(multi.added, single.added, "({s}, {t})");
+        assert_eq!(multi.new_value.to_bits(), single.new_reliability.to_bits());
+    }
+}
+
+#[test]
 fn all_selectors_run_on_the_same_candidates() {
     let g = proxy();
     let est = McEstimator::new(250, 23);
     let (s, t) = st_queries(&g, 1, 3, 4, 5)[0];
     let q = StQuery::new(s, t, 3, 0.5).with_r(20).with_l(8);
-    let cands = SearchSpaceElimination::new(20).candidate_edges(&g, &q, &est);
+    let cands = SearchSpaceElimination::new(20).candidate_edges_budgeted(
+        &g,
+        &q,
+        &est,
+        est.default_budget(),
+    );
     let selectors = [
         AnySelector::top_k(),
         AnySelector::hill_climbing(),
@@ -143,7 +190,7 @@ fn all_selectors_run_on_the_same_candidates() {
     ];
     for sel in selectors {
         let out = sel
-            .select_with_candidates(&g, &q, &cands, &est)
+            .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
             .expect("selector runs");
         assert!(out.added.len() <= q.k, "{} over budget", sel.name());
         for e in &out.added {
@@ -182,8 +229,12 @@ fn selection_identical_when_driven_from_frozen_estimates() {
         from.vector().expect("vector answer")
     );
     // And the end-to-end selection is deterministic on top of them.
-    let a = BatchEdgeSelector.select(&g, &q, &est).unwrap();
-    let b = BatchEdgeSelector.select(&g, &q, &est).unwrap();
+    let a = BatchEdgeSelector
+        .select_budgeted(&g, &q, &est, est.default_budget())
+        .unwrap();
+    let b = BatchEdgeSelector
+        .select_budgeted(&g, &q, &est, est.default_budget())
+        .unwrap();
     assert_eq!(a.added, b.added);
 }
 
@@ -199,7 +250,9 @@ fn be_finishes_at_ring_offset_five() {
     let est = McEstimator::new(200, 5);
     let q = StQuery::new(NodeId(100), NodeId(105), 2, 0.5);
     let started = Instant::now();
-    let out = BatchEdgeSelector.select(&g, &q, &est).expect("BE runs");
+    let out = BatchEdgeSelector
+        .select_budgeted(&g, &q, &est, est.default_budget())
+        .expect("BE runs");
     let elapsed = started.elapsed();
     assert!(out.added.len() <= q.k, "budget violated");
     assert!(out.gain() >= 0.0, "negative gain {}", out.gain());

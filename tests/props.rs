@@ -313,7 +313,9 @@ fn selectors_respect_budget_and_candidates() {
         let q = StQuery::new(s, t, k, 0.5).with_hop_limit(None).with_l(10);
         let est = McEstimator::new(300, 1);
         for sel in [AnySelector::batch_edge(), AnySelector::individual_path()] {
-            let out = sel.select_with_candidates(&g, &q, &cands, &est).unwrap();
+            let out = sel
+                .select_with_candidates_budgeted(&g, &q, &cands, &est, est.default_budget())
+                .unwrap();
             assert!(out.added.len() <= k);
             for e in &out.added {
                 assert!(cands.iter().any(|c| (c.src, c.dst) == (e.src, e.dst)));
