@@ -57,7 +57,7 @@ pub fn betweenness_centrality<G: ProbGraph>(g: &G, pivots: Option<(usize, u64)>)
             order.push(v.0);
             let dv = dist[v.index()];
             let sv = sigma[v.index()];
-            for (u, _p, _c) in g.out_arcs(v) {
+            for u in g.out_arcs(v).map(|a| a.node) {
                 if dist[u.index()] < 0 {
                     dist[u.index()] = dv + 1;
                     queue.push_back(u);

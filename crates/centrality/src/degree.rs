@@ -9,9 +9,9 @@ pub fn degree_centrality<G: ProbGraph>(g: &G) -> Vec<f64> {
     (0..g.num_nodes() as u32)
         .map(NodeId)
         .map(|v| {
-            let mut sum: f64 = g.out_arcs(v).map(|(_, p, _)| p).sum();
+            let mut sum: f64 = g.out_arcs(v).map(|a| a.prob).sum();
             if g.is_directed() {
-                sum += g.in_arcs(v).map(|(_, p, _)| p).sum::<f64>();
+                sum += g.in_arcs(v).map(|a| a.prob).sum::<f64>();
             }
             sum
         })

@@ -42,12 +42,12 @@ fn matvec<G: ProbGraph>(g: &G, x: &[f64], transpose: bool, out: &mut [f64]) {
         // out = A^T x for left iteration (transpose=false uses out-edges as
         // rows): (A x)[v] = sum over out-edges (v -> u) of p * x[u].
         if transpose {
-            for (u, p, _c) in g.out_arcs(NodeId(v)) {
-                out[u.index()] += p * xv;
+            for a in g.out_arcs(NodeId(v)) {
+                out[a.node.index()] += a.prob * xv;
             }
         } else {
-            for (u, p, _c) in g.out_arcs(NodeId(v)) {
-                out[v as usize] += p * x[u.index()];
+            for a in g.out_arcs(NodeId(v)) {
+                out[v as usize] += a.prob * x[a.node.index()];
             }
         }
     }

@@ -77,7 +77,7 @@ pub fn eigen_topk_pairs<G: ProbGraph>(g: &G, k: usize, zeta: f64) -> Vec<Candida
     let j_set = top_k_nodes(&eig.right, k + dout);
     let mut pairs: Vec<(f64, CandidateEdge)> = Vec::new();
     for &i in &i_set {
-        let adjacent: FxHashSet<u32> = g.out_arcs(i).map(|(v, _, _)| v.0).collect();
+        let adjacent: FxHashSet<u32> = g.out_arcs(i).map(|a| a.node.0).collect();
         for &j in &j_set {
             if i != j && !adjacent.contains(&j.0) {
                 pairs.push((

@@ -62,20 +62,12 @@ fn expected_distances<G: ProbGraph>(g: &G, start: NodeId, reverse: bool) -> Vec<
             continue;
         }
         done[v.index()] = true;
-        let mut relax = |u: NodeId, p: f64| {
-            let w = weight(p);
+        let arcs = if reverse { g.in_arcs(v) } else { g.out_arcs(v) };
+        for a in arcs {
+            let (u, w) = (a.node, weight(a.prob));
             if w.is_finite() && !done[u.index()] && d + w < dist[u.index()] {
                 dist[u.index()] = d + w;
                 heap.push(Entry { d: d + w, v: u });
-            }
-        };
-        if reverse {
-            for (u, p, _c) in g.in_arcs(v) {
-                relax(u, p);
-            }
-        } else {
-            for (u, p, _c) in g.out_arcs(v) {
-                relax(u, p);
             }
         }
     }

@@ -72,7 +72,7 @@ impl CandidateSpace {
         zeta: f64,
         h: Option<u32>,
     ) -> Vec<CandidateEdge> {
-        let adjacent: FxHashSet<u32> = g.out_arcs(u).map(|(v, _, _)| v.0).collect();
+        let adjacent: FxHashSet<u32> = g.out_arcs(u).map(|a| a.node.0).collect();
         let allowed: Option<FxHashSet<u32>> =
             h.map(|hops| within_hops(g, u, hops).into_iter().map(|v| v.0).collect());
         vs.iter()

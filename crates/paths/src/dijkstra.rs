@@ -171,7 +171,8 @@ impl Search {
                 found = Some(prob);
                 break;
             }
-            for (u, p, c) in g.out_arcs(v) {
+            for a in g.out_arcs(v) {
+                let (u, p, c) = (a.node, a.prob, a.coin);
                 if p <= 0.0 || self.done[u.index()] || blocked(u, c) {
                     continue;
                 }

@@ -101,12 +101,12 @@ pub fn improve_most_reliable_path<G: ProbGraph>(
     // Build the layered adjacency once: (target_vnode, weight, red_idx).
     let mut adj: Vec<Vec<(u32, f64, u32)>> = vec![Vec::new(); nv];
     for v in 0..n as u32 {
-        for (u, p, _c) in g.out_arcs(NodeId(v)) {
-            if p > 0.0 {
-                let w = neg_log(p);
+        for a in g.out_arcs(NodeId(v)) {
+            if a.prob > 0.0 {
+                let w = neg_log(a.prob);
                 for layer in 0..layers {
                     let from = (layer * n) as u32 + v;
-                    let to = (layer * n) as u32 + u.0;
+                    let to = (layer * n) as u32 + a.node.0;
                     adj[from as usize].push((to, w, NO_RED));
                 }
             }

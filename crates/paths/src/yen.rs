@@ -240,10 +240,10 @@ mod tests {
                 out.push((path.clone(), prob));
                 return;
             }
-            for (u, p, _) in g.out_arcs(v) {
-                if p > 0.0 && !path.contains(&u) {
-                    path.push(u);
-                    dfs(g, u, t, path, prob * p, out);
+            for a in g.out_arcs(v) {
+                if a.prob > 0.0 && !path.contains(&a.node) {
+                    path.push(a.node);
+                    dfs(g, a.node, t, path, prob * a.prob, out);
                     path.pop();
                 }
             }
@@ -534,7 +534,7 @@ mod tests {
             assert_eq!(p.coins.len() + 1, p.nodes.len());
             assert!(p.prob > 0.0);
             for (w, &c) in p.nodes.windows(2).zip(&p.coins) {
-                assert!(g.out_arcs(w[0]).any(|(u, _, c2)| u == w[1] && c2 == c));
+                assert!(g.out_arcs(w[0]).any(|a| a.node == w[1] && a.coin == c));
             }
             let prod: f64 = p.coins.iter().map(|&c| g.coin_prob(c)).product();
             assert!((prod - p.prob).abs() < 1e-12, "{prod} vs {}", p.prob);

@@ -91,7 +91,7 @@
 //! fixpoint here, run one arc loop.
 
 use crate::coins::{splitmix64, SAMPLE_MUL};
-use relmax_ugraph::{CoinId, ExtraEdge, NodeId, ProbGraph};
+use relmax_ugraph::{Arc, CoinId, ExtraEdge, NodeId, ProbGraph};
 use std::cell::RefCell;
 
 /// Worlds per block: the bit width of the lane word.
@@ -850,22 +850,20 @@ fn step_arcs<const SPARSE: bool, G: ProbGraph>(
     reverse: bool,
     on_arc: &mut impl FnMut(usize, u64, usize),
 ) {
-    let mut step = |(u, th, c): (NodeId, u64, CoinId)| {
+    let step = |a: Arc| {
         #[cfg(test)]
         tests::ARCS.with(|a| a.set(a.get() + 1));
-        let mask = coins.lanes(c, th);
-        let st = &mut state[u.index()];
+        let (u, mask) = (a.node.index(), coins.lanes(a.coin, a.thresh));
+        let st = &mut state[u];
         let add = new_bits & mask & !st.reached;
         st.reached |= add;
         st.pending |= add;
-        let joined = enqueue::<SPARSE>(next, live, u.index(), add);
-        on_arc(u.index(), add, joined);
+        let joined = enqueue::<SPARSE>(next, live, u, add);
+        on_arc(u, add, joined);
     };
-    if reverse {
-        g.in_flips(NodeId(v as u32)).for_each(&mut step);
-    } else {
-        g.out_flips(NodeId(v as u32)).for_each(&mut step);
-    }
+    let v = NodeId(v as u32);
+    let arcs = if reverse { g.in_arcs(v) } else { g.out_arcs(v) };
+    arcs.for_each(step);
 }
 
 /// One side of [`meet`]: its round bookkeeping and how many nodes its
@@ -1339,12 +1337,13 @@ mod tests {
                     reach[s.index()] = true;
                     let mut stack = vec![s];
                     while let Some(v) = stack.pop() {
-                        g.out_flips(v).for_each(|(u, th, c)| {
+                        for a in g.out_arcs(v) {
+                            let (u, th, c) = (a.node, a.thresh, a.coin);
                             if !reach[u.index()] && coin_raw(11, sample, c) < th {
                                 reach[u.index()] = true;
                                 stack.push(u);
                             }
-                        });
+                        }
                     }
                     reach[t.index()] as u64
                 })
@@ -1382,12 +1381,13 @@ mod tests {
             reach[s.index()] = true;
             let mut stack = vec![s];
             while let Some(v) = stack.pop() {
-                g.out_flips(v).for_each(|(u, th, c)| {
+                for a in g.out_arcs(v) {
+                    let (u, th, c) = (a.node, a.thresh, a.coin);
                     if !reach[u.index()] && coin_raw(seed, sample, c) < th {
                         reach[u.index()] = true;
                         stack.push(u);
                     }
-                });
+                }
             }
             for (c, r) in counts.iter_mut().zip(reach) {
                 *c += r as u64;
@@ -1594,7 +1594,8 @@ mod tests {
                     continue;
                 }
                 let mut found = None;
-                g.out_flips(v).for_each(|(u, th, c)| {
+                for a in g.out_arcs(v) {
+                    let (u, th, c) = (a.node, a.thresh, a.coin);
                     if dist[u.index()] == u32::MAX && coin_raw(seed, sample, c) < th {
                         dist[u.index()] = dv + 1;
                         if targets.contains(&u) && found.is_none() {
@@ -1602,7 +1603,7 @@ mod tests {
                         }
                         queue.push_back(u);
                     }
-                });
+                }
                 arrival = found;
             }
             if let Some(d) = arrival {

@@ -172,22 +172,20 @@ impl<G: ProbGraph> Ctx<'_, G> {
         let mut boundary: Vec<(CoinId, NodeId)> = Vec::new();
         let states = &self.states;
         while let Some(v) = stack.pop() {
-            let mut step = |u: NodeId, c: CoinId| match states[c as usize] {
-                St::Present => {
-                    if scratch.visit(u) {
-                        stack.push(u);
-                    }
-                }
-                St::Unknown => boundary.push((c, u)),
-                St::Absent => {}
-            };
-            if self.reverse {
-                for (u, _p, c) in self.g.in_arcs(v) {
-                    step(u, c);
-                }
+            let arcs = if self.reverse {
+                self.g.in_arcs(v)
             } else {
-                for (u, _p, c) in self.g.out_arcs(v) {
-                    step(u, c);
+                self.g.out_arcs(v)
+            };
+            for a in arcs {
+                match states[a.coin as usize] {
+                    St::Present => {
+                        if scratch.visit(a.node) {
+                            stack.push(a.node);
+                        }
+                    }
+                    St::Unknown => boundary.push((a.coin, a.node)),
+                    St::Absent => {}
                 }
             }
         }

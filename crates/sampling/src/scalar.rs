@@ -80,16 +80,12 @@ pub(crate) fn world_search<G: ProbGraph>(
         }
         let v = sc.stack[head];
         head += 1;
-        let arcs = if reverse {
-            g.in_flips(v)
-        } else {
-            g.out_flips(v)
-        };
+        let arcs = if reverse { g.in_arcs(v) } else { g.out_arcs(v) };
         // Internal iteration: overlay `Chain`s split into two tight loops
         // instead of paying a state check per arc.
-        arcs.for_each(|(u, th, c): (NodeId, u64, CoinId)| {
-            let take = sc.take_if(u, present(c, th));
-            sc.stack[tail] = u;
+        arcs.for_each(|a| {
+            let take = sc.take_if(a.node, present(a.coin, a.thresh));
+            sc.stack[tail] = a.node;
             tail += take as usize;
         });
         if targets.iter().any(|&t| sc.visited(t)) {

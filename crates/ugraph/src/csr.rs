@@ -6,8 +6,8 @@
 //! per-node heap indirection plus an edge-table lookup per arc costs more
 //! than the coin flip it feeds. [`CsrGraph`] is the freeze-to-snapshot
 //! answer: one pass over any [`ProbGraph`] lays every neighborhood out as
-//! contiguous `(target, probability, coin)` triples in three parallel flat
-//! arrays, prefix-indexed by node.
+//! contiguous `(target, probability, flip threshold, coin)` records in four
+//! parallel flat columns, prefix-indexed by node.
 //!
 //! Two properties matter beyond locality:
 //!
@@ -26,7 +26,7 @@
 //! bucket lookups on top of the flat-array walk.
 
 use crate::graph::{NodeId, UncertainGraph};
-use crate::{flip_threshold, Arc, CoinId, FlipArc, ProbGraph};
+use crate::{flip_threshold, Arc, CoinId, ProbGraph};
 use relmax_store::Block;
 use std::borrow::Cow;
 use std::fmt;
@@ -45,7 +45,7 @@ use std::fmt;
 /// let csr = CsrGraph::freeze(&g);
 /// assert_eq!(csr.num_nodes(), 3);
 /// assert_eq!(csr.num_coins(), 2);
-/// let arcs: Vec<_> = csr.out_arcs(NodeId(1)).collect();
+/// let arcs: Vec<_> = csr.out_arcs(NodeId(1)).map(|a| (a.node, a.prob, a.coin)).collect();
 /// assert_eq!(arcs, vec![(NodeId(2), 0.8, 1)]);
 /// ```
 /// Every column is a [`Block`]: owned on the heap after a `freeze`, or
@@ -99,31 +99,44 @@ impl CsrGraph {
             coin_dst[c as usize] = d.0;
         }
 
-        let (out_off, out_dst, out_prob, out_coin) = build_side(n, |v| g.out_arcs(v));
-        let (in_off, in_dst, in_prob, in_coin) = if directed {
+        let out = build_side(n, |v| g.out_arcs(v));
+        let inn = if directed {
             build_side(n, |v| g.in_arcs(v))
         } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
+            Side::default()
         };
+        let coins = (coin_prob.into(), coin_src.into(), coin_dst.into());
+        CsrGraph::from_sides(directed, n, out, inn, coins)
+    }
 
-        let out_thresh: Vec<u64> = out_prob.iter().map(|&p| flip_threshold(p)).collect();
-        let in_thresh: Vec<u64> = in_prob.iter().map(|&p| flip_threshold(p)).collect();
+    /// Assemble a snapshot from owned arc columns and a coin table
+    /// `(prob, src, dst)`, deriving each side's flip thresholds. `inn` is
+    /// empty for undirected graphs.
+    pub(crate) fn from_sides(
+        directed: bool,
+        num_nodes: usize,
+        out: Side,
+        inn: Side,
+        (coin_prob, coin_src, coin_dst): (Block<f64>, Block<u32>, Block<u32>),
+    ) -> CsrGraph {
+        let thresholds =
+            |prob: &[f64]| -> Vec<u64> { prob.iter().map(|&p| flip_threshold(p)).collect() };
         CsrGraph {
             directed,
-            num_nodes: n,
-            out_off: out_off.into(),
-            out_dst: out_dst.into(),
-            out_prob: out_prob.into(),
-            out_coin: out_coin.into(),
-            out_thresh: out_thresh.into(),
-            in_off: in_off.into(),
-            in_dst: in_dst.into(),
-            in_prob: in_prob.into(),
-            in_coin: in_coin.into(),
-            in_thresh: in_thresh.into(),
-            coin_prob: coin_prob.into(),
-            coin_src: coin_src.into(),
-            coin_dst: coin_dst.into(),
+            num_nodes,
+            out_thresh: thresholds(&out.2).into(),
+            out_off: out.0.into(),
+            out_dst: out.1.into(),
+            out_prob: out.2.into(),
+            out_coin: out.3.into(),
+            in_thresh: thresholds(&inn.2).into(),
+            in_off: inn.0.into(),
+            in_dst: inn.1.into(),
+            in_prob: inn.2.into(),
+            in_coin: inn.3.into(),
+            coin_prob,
+            coin_src,
+            coin_dst,
         }
     }
 
@@ -138,47 +151,6 @@ impl CsrGraph {
     pub fn out_degree(&self, v: NodeId) -> usize {
         let i = v.index();
         (self.out_off[i + 1] - self.out_off[i]) as usize
-    }
-
-    /// The out-neighborhood of `v` as parallel slices
-    /// `(targets, probabilities, coins)` — the rawest possible view for
-    /// hand-tuned kernels; [`ProbGraph::out_arcs`] compiles to the same
-    /// loads.
-    #[inline]
-    pub fn out_slices(&self, v: NodeId) -> (&[u32], &[f64], &[u32]) {
-        let (lo, hi) = self.range(&self.out_off, v);
-        (
-            &self.out_dst[lo..hi],
-            &self.out_prob[lo..hi],
-            &self.out_coin[lo..hi],
-        )
-    }
-
-    /// The out-neighborhood of `v` in world-sampling form:
-    /// `(targets, thresholds, coins)` parallel slices.
-    #[inline]
-    pub fn out_flip_slices(&self, v: NodeId) -> (&[u32], &[u64], &[u32]) {
-        let (lo, hi) = self.range(&self.out_off, v);
-        (
-            &self.out_dst[lo..hi],
-            &self.out_thresh[lo..hi],
-            &self.out_coin[lo..hi],
-        )
-    }
-
-    /// The in-neighborhood of `v` as parallel slices (aliases the
-    /// out-neighborhood for undirected graphs).
-    #[inline]
-    pub fn in_slices(&self, v: NodeId) -> (&[u32], &[f64], &[u32]) {
-        if !self.directed {
-            return self.out_slices(v);
-        }
-        let (lo, hi) = self.range(&self.in_off, v);
-        (
-            &self.in_dst[lo..hi],
-            &self.in_prob[lo..hi],
-            &self.in_coin[lo..hi],
-        )
     }
 
     #[inline]
@@ -263,25 +235,28 @@ impl CsrGraph {
     }
 }
 
-/// Build one CSR side (offsets + three parallel arc arrays) from a
-/// per-node arc iterator, preserving iteration order.
-fn build_side<'g, I>(
-    n: usize,
-    arcs_of: impl Fn(NodeId) -> I,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>, Vec<u32>)
+/// One CSR side as owned columns: offsets, then the target, probability
+/// and coin of every arc.
+pub(crate) type Side = (Vec<u32>, Vec<u32>, Vec<f64>, Vec<u32>);
+
+/// Build one CSR side from a per-node arc iterator, preserving iteration
+/// order.
+fn build_side<'g, I>(n: usize, arcs_of: impl Fn(NodeId) -> I) -> Side
 where
     I: Iterator<Item = Arc> + 'g,
 {
-    let mut off = Vec::with_capacity(n + 1);
-    let mut dst: Vec<u32> = Vec::new();
-    let mut prob: Vec<f64> = Vec::new();
-    let mut coin: Vec<u32> = Vec::new();
+    let (mut off, mut dst, mut prob, mut coin) = (
+        Vec::with_capacity(n + 1),
+        Vec::new(),
+        Vec::new(),
+        Vec::new(),
+    );
     off.push(0);
     for v in 0..n as u32 {
-        for (u, p, c) in arcs_of(NodeId(v)) {
-            dst.push(u.0);
-            prob.push(p);
-            coin.push(c);
+        for a in arcs_of(NodeId(v)) {
+            dst.push(a.node.0);
+            prob.push(a.prob);
+            coin.push(a.coin);
         }
         assert!(
             dst.len() <= u32::MAX as usize,
@@ -292,74 +267,71 @@ where
     (off, dst, prob, coin)
 }
 
-/// Arc iterator over one CSR neighborhood: a lockstep walk of three
-/// contiguous slices.
-pub struct CsrArcs<'a> {
-    dst: &'a [u32],
-    prob: &'a [f64],
-    coin: &'a [u32],
-    i: usize,
-}
+type Cols<'a> = std::iter::Zip<
+    std::iter::Zip<
+        std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, f64>>,
+        std::slice::Iter<'a, u64>,
+    >,
+    std::slice::Iter<'a, u32>,
+>;
+
+/// Arc iterator over one CSR neighborhood: a lockstep walk of its four
+/// column slices. The slices are zipped, so one length check covers all
+/// four per arc, and a caller that ignores a field pays neither its load
+/// nor a bounds check for it per arc (only the slice cut when the walk
+/// starts).
+pub struct CsrArcs<'a>(Cols<'a>);
 
 impl Iterator for CsrArcs<'_> {
     type Item = Arc;
 
     #[inline]
     fn next(&mut self) -> Option<Arc> {
-        let i = self.i;
-        if i < self.dst.len() {
-            self.i = i + 1;
-            Some((NodeId(self.dst[i]), self.prob[i], self.coin[i]))
-        } else {
-            None
-        }
+        self.0.next().map(|(((&dst, &prob), &thresh), &coin)| Arc {
+            node: NodeId(dst),
+            prob,
+            thresh,
+            coin,
+        })
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.dst.len() - self.i;
-        (rem, Some(rem))
+        self.0.size_hint()
     }
 }
 
 impl ExactSizeIterator for CsrArcs<'_> {}
 
-/// World-sampling iterator over one CSR neighborhood: a lockstep walk of
-/// the target/threshold/coin arrays (thresholds precomputed at freeze).
-pub struct CsrFlips<'a> {
-    dst: &'a [u32],
-    thresh: &'a [u64],
-    coin: &'a [u32],
-    i: usize,
-}
-
-impl Iterator for CsrFlips<'_> {
-    type Item = FlipArc;
-
+impl CsrGraph {
+    /// The arcs of `v` on one side (the out side for undirected graphs).
     #[inline]
-    fn next(&mut self) -> Option<FlipArc> {
-        let i = self.i;
-        if i < self.dst.len() {
-            self.i = i + 1;
-            Some((NodeId(self.dst[i]), self.thresh[i], self.coin[i]))
+    fn side_arcs(&self, v: NodeId, inn: bool) -> CsrArcs<'_> {
+        let (off, dst, prob, thresh, coin) = if inn && self.directed {
+            (
+                &self.in_off,
+                &self.in_dst,
+                &self.in_prob,
+                &self.in_thresh,
+                &self.in_coin,
+            )
         } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.dst.len() - self.i;
-        (rem, Some(rem))
+            (
+                &self.out_off,
+                &self.out_dst,
+                &self.out_prob,
+                &self.out_thresh,
+                &self.out_coin,
+            )
+        };
+        let (lo, hi) = self.range(off, v);
+        let cols = dst[lo..hi].iter().zip(&prob[lo..hi]);
+        CsrArcs(cols.zip(&thresh[lo..hi]).zip(&coin[lo..hi]))
     }
 }
-
-impl ExactSizeIterator for CsrFlips<'_> {}
 
 impl ProbGraph for CsrGraph {
-    type OutArcs<'a> = CsrArcs<'a>;
-    type InArcs<'a> = CsrArcs<'a>;
-    type FlipArcs<'a> = CsrFlips<'a>;
+    type Arcs<'a> = CsrArcs<'a>;
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -378,49 +350,12 @@ impl ProbGraph for CsrGraph {
 
     #[inline]
     fn out_arcs(&self, v: NodeId) -> CsrArcs<'_> {
-        let (dst, prob, coin) = self.out_slices(v);
-        CsrArcs {
-            dst,
-            prob,
-            coin,
-            i: 0,
-        }
+        self.side_arcs(v, false)
     }
 
     #[inline]
     fn in_arcs(&self, v: NodeId) -> CsrArcs<'_> {
-        let (dst, prob, coin) = self.in_slices(v);
-        CsrArcs {
-            dst,
-            prob,
-            coin,
-            i: 0,
-        }
-    }
-
-    #[inline]
-    fn out_flips(&self, v: NodeId) -> CsrFlips<'_> {
-        let (lo, hi) = self.range(&self.out_off, v);
-        CsrFlips {
-            dst: &self.out_dst[lo..hi],
-            thresh: &self.out_thresh[lo..hi],
-            coin: &self.out_coin[lo..hi],
-            i: 0,
-        }
-    }
-
-    #[inline]
-    fn in_flips(&self, v: NodeId) -> CsrFlips<'_> {
-        if !self.directed {
-            return self.out_flips(v);
-        }
-        let (lo, hi) = self.range(&self.in_off, v);
-        CsrFlips {
-            dst: &self.in_dst[lo..hi],
-            thresh: &self.in_thresh[lo..hi],
-            coin: &self.in_coin[lo..hi],
-            i: 0,
-        }
+        self.side_arcs(v, true)
     }
 
     #[inline]
@@ -571,16 +506,16 @@ mod tests {
     }
 
     #[test]
-    fn slices_align_with_arcs() {
+    fn arcs_walk_the_columns_in_order() {
         let g = diamond();
         let csr = g.freeze();
-        let (dst, prob, coin) = csr.out_slices(NodeId(0));
-        assert_eq!(dst, &[1, 2]);
-        assert_eq!(prob, &[0.5, 0.6]);
-        assert_eq!(coin, &[0, 1]);
-        let (idst, _, icoin) = csr.in_slices(NodeId(3));
-        assert_eq!(idst, &[1, 2]);
-        assert_eq!(icoin, &[2, 3]);
+        let out: Vec<_> = csr.out_arcs(NodeId(0)).collect();
+        assert_eq!(
+            out,
+            vec![Arc::new(NodeId(1), 0.5, 0), Arc::new(NodeId(2), 0.6, 1)]
+        );
+        let inn: Vec<_> = csr.in_arcs(NodeId(3)).map(|a| (a.node.0, a.coin)).collect();
+        assert_eq!(inn, vec![(1, 2), (2, 3)]);
     }
 
     #[test]

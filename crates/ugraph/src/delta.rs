@@ -30,10 +30,11 @@
 //! from the CSR arrays with a retired-coin filter, appended arcs from
 //! small per-node buckets (the [`crate::GraphView`] idiom).
 
-use crate::csr::{CsrArcs, CsrFlips, CsrGraph};
+use crate::csr::{CsrArcs, CsrGraph};
 use crate::error::GraphError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::{flip_threshold, CoinId, NodeId, ProbGraph};
+use crate::view::{Buckets, ExtraArcs, ExtraEdge};
+use crate::{CoinId, NodeId, ProbGraph};
 use std::fmt;
 use std::sync::Arc;
 
@@ -72,16 +73,6 @@ pub enum GraphUpdate {
     },
 }
 
-/// An edge appended by the overlay. Retired appends keep their record
-/// (probability at append time) so later coin ids never shift.
-#[derive(Debug, Clone, Copy)]
-struct AddedEdge {
-    src: NodeId,
-    dst: NodeId,
-    prob: f64,
-    live: bool,
-}
-
 /// A mutable delta of edge updates layered over a frozen [`CsrGraph`].
 ///
 /// ```
@@ -109,15 +100,12 @@ struct AddedEdge {
 #[derive(Clone)]
 pub struct DeltaOverlay {
     base: Arc<CsrGraph>,
-    /// Coins appended by this overlay; coin `base_coins + i` is `added[i]`.
-    added: Vec<AddedEdge>,
+    /// Coins appended by this overlay; coin `base_coins + i` is edge `i`.
+    /// Retired appends stay (unlinked, with their probability at append
+    /// time) so later coin ids never shift.
+    added: Buckets,
     /// Bitset over base coins: retired (deleted or re-probed) base edges.
     retired: Vec<u64>,
-    /// `extra_out[v]` = indices into `added` of live appended edges leaving
-    /// (or, undirected, incident to) `v`, in append order.
-    extra_out: Vec<Vec<u32>>,
-    /// `extra_in[v]` for directed graphs; unused (empty) when undirected.
-    extra_in: Vec<Vec<u32>>,
     /// Live edges by (normalized) node pair -> current coin id.
     pairs: FxHashMap<(u32, u32), CoinId>,
     /// Every node incident to any applied update (for index bypass).
@@ -142,25 +130,16 @@ impl DeltaOverlay {
         let mut pairs = FxHashMap::default();
         pairs.reserve(m);
         for v in 0..n as u32 {
-            for (u, _, c) in ProbGraph::out_arcs(base.as_ref(), NodeId(v)) {
-                let key = if directed || v <= u.0 {
-                    (v, u.0)
-                } else {
-                    (u.0, v)
-                };
-                pairs.insert(key, c);
+            for a in ProbGraph::out_arcs(base.as_ref(), NodeId(v)) {
+                let u = a.node.0;
+                let key = if directed || v <= u { (v, u) } else { (u, v) };
+                pairs.insert(key, a.coin);
             }
         }
         DeltaOverlay {
             base,
-            added: Vec::new(),
+            added: Buckets::new(n, directed),
             retired: vec![0u64; m.div_ceil(64)],
-            extra_out: vec![Vec::new(); n],
-            extra_in: if directed {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
             pairs,
             touched: FxHashSet::default(),
             inserted: 0,
@@ -218,34 +197,12 @@ impl DeltaOverlay {
             self.retired[(coin >> 6) as usize] |= 1 << (coin & 63);
             return;
         }
-        let i = coin - m as CoinId;
-        let e = self.added[i as usize];
-        debug_assert!(e.live, "retiring an already-retired appended coin");
-        self.added[i as usize].live = false;
-        self.extra_out[e.src.index()].retain(|&j| j != i);
-        if ProbGraph::is_directed(self.base.as_ref()) {
-            self.extra_in[e.dst.index()].retain(|&j| j != i);
-        } else {
-            self.extra_out[e.dst.index()].retain(|&j| j != i);
-        }
+        self.added.unlink(coin - m as CoinId);
     }
 
     /// Append a live edge and return its (fresh) coin id.
     fn push_added(&mut self, src: NodeId, dst: NodeId, prob: f64) -> CoinId {
-        let i = self.added.len() as u32;
-        self.added.push(AddedEdge {
-            src,
-            dst,
-            prob,
-            live: true,
-        });
-        self.extra_out[src.index()].push(i);
-        if ProbGraph::is_directed(self.base.as_ref()) {
-            self.extra_in[dst.index()].push(i);
-        } else {
-            self.extra_out[dst.index()].push(i);
-        }
-        self.base_coins() as CoinId + i
+        self.base_coins() as CoinId + self.added.push(ExtraEdge { src, dst, prob })
     }
 
     fn touch(&mut self, u: NodeId, v: NodeId) {
@@ -376,134 +333,46 @@ impl fmt::Debug for DeltaOverlay {
     }
 }
 
-/// Arc iterator over a [`DeltaOverlay`] adjacency: the base CSR arcs with
-/// retired coins filtered out, chained with the live appended arcs of the
-/// per-node bucket.
-pub struct DeltaArcs<'a> {
+/// The base CSR arcs of one [`DeltaOverlay`] neighbourhood with retired
+/// coins filtered out. [`ProbGraph::out_arcs`] chains the node's live
+/// appended arcs after them.
+pub struct LiveArcs<'a> {
     base: CsrArcs<'a>,
     retired: &'a [u64],
-    added: &'a [AddedEdge],
-    bucket: std::slice::Iter<'a, u32>,
-    v: NodeId,
-    base_coins: CoinId,
-    reverse: bool,
 }
 
-impl Iterator for DeltaArcs<'_> {
-    type Item = (NodeId, f64, CoinId);
+impl Iterator for LiveArcs<'_> {
+    type Item = crate::Arc;
 
     #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        for (u, p, c) in self.base.by_ref() {
-            if (self.retired[(c >> 6) as usize] >> (c & 63)) & 1 == 0 {
-                return Some((u, p, c));
-            }
-        }
-        self.bucket.next().map(|&i| {
-            let e = &self.added[i as usize];
-            let anchor = if self.reverse { e.dst } else { e.src };
-            let other = if anchor == self.v {
-                if self.reverse {
-                    e.src
-                } else {
-                    e.dst
-                }
-            } else {
-                anchor
-            };
-            (other, e.prob, self.base_coins + i)
-        })
+    fn next(&mut self) -> Option<crate::Arc> {
+        let retired = self.retired;
+        self.base
+            .find(|a| (retired[(a.coin >> 6) as usize] >> (a.coin & 63)) & 1 == 0)
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let (lo, hi) = self.base.size_hint();
-        let extra = self.bucket.len();
-        // Base arcs may be filtered, so only the upper bound survives.
-        (extra.min(lo + extra), hi.map(|h| h + extra))
-    }
-}
-
-/// [`DeltaArcs`] in world-sampling form: base thresholds stream
-/// precomputed from the CSR arrays; appended arcs derive theirs on the
-/// fly via [`flip_threshold`].
-pub struct DeltaFlips<'a> {
-    base: CsrFlips<'a>,
-    retired: &'a [u64],
-    added: &'a [AddedEdge],
-    bucket: std::slice::Iter<'a, u32>,
-    v: NodeId,
-    base_coins: CoinId,
-    reverse: bool,
-}
-
-impl Iterator for DeltaFlips<'_> {
-    type Item = (NodeId, u64, CoinId);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        for (u, thresh, c) in self.base.by_ref() {
-            if (self.retired[(c >> 6) as usize] >> (c & 63)) & 1 == 0 {
-                return Some((u, thresh, c));
-            }
-        }
-        self.bucket.next().map(|&i| {
-            let e = &self.added[i as usize];
-            let anchor = if self.reverse { e.dst } else { e.src };
-            let other = if anchor == self.v {
-                if self.reverse {
-                    e.src
-                } else {
-                    e.dst
-                }
-            } else {
-                anchor
-            };
-            (other, flip_threshold(e.prob), self.base_coins + i)
-        })
+        (0, self.base.size_hint().1)
     }
 }
 
 impl DeltaOverlay {
-    fn arcs<'a>(&'a self, v: NodeId, base: CsrArcs<'a>, reverse: bool) -> DeltaArcs<'a> {
-        let bucket = if reverse && ProbGraph::is_directed(self.base.as_ref()) {
-            &self.extra_in[v.index()]
-        } else {
-            &self.extra_out[v.index()]
-        };
-        DeltaArcs {
-            base,
-            retired: &self.retired,
-            added: &self.added,
-            bucket: bucket.iter(),
-            v,
-            base_coins: self.base_coins() as CoinId,
-            reverse: reverse && ProbGraph::is_directed(self.base.as_ref()),
-        }
-    }
-
-    fn flips<'a>(&'a self, v: NodeId, base: CsrFlips<'a>, reverse: bool) -> DeltaFlips<'a> {
-        let bucket = if reverse && ProbGraph::is_directed(self.base.as_ref()) {
-            &self.extra_in[v.index()]
-        } else {
-            &self.extra_out[v.index()]
-        };
-        DeltaFlips {
-            base,
-            retired: &self.retired,
-            added: &self.added,
-            bucket: bucket.iter(),
-            v,
-            base_coins: self.base_coins() as CoinId,
-            reverse: reverse && ProbGraph::is_directed(self.base.as_ref()),
-        }
+    #[inline]
+    fn arcs<'a>(
+        &'a self,
+        v: NodeId,
+        base: CsrArcs<'a>,
+        inn: bool,
+    ) -> <Self as ProbGraph>::Arcs<'a> {
+        let retired = &self.retired;
+        let added = self.added.arcs(v, inn, self.base_coins());
+        LiveArcs { base, retired }.chain(added)
     }
 }
 
 impl ProbGraph for DeltaOverlay {
-    type OutArcs<'a> = DeltaArcs<'a>;
-    type InArcs<'a> = DeltaArcs<'a>;
-    type FlipArcs<'a> = DeltaFlips<'a>;
+    type Arcs<'a> = std::iter::Chain<LiveArcs<'a>, ExtraArcs<'a>>;
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -512,7 +381,7 @@ impl ProbGraph for DeltaOverlay {
 
     #[inline]
     fn num_coins(&self) -> usize {
-        self.base_coins() + self.added.len()
+        self.base_coins() + self.added.edges.len()
     }
 
     #[inline]
@@ -521,23 +390,13 @@ impl ProbGraph for DeltaOverlay {
     }
 
     #[inline]
-    fn out_arcs(&self, v: NodeId) -> DeltaArcs<'_> {
+    fn out_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
         self.arcs(v, ProbGraph::out_arcs(self.base.as_ref(), v), false)
     }
 
     #[inline]
-    fn in_arcs(&self, v: NodeId) -> DeltaArcs<'_> {
+    fn in_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
         self.arcs(v, ProbGraph::in_arcs(self.base.as_ref(), v), true)
-    }
-
-    #[inline]
-    fn out_flips(&self, v: NodeId) -> DeltaFlips<'_> {
-        self.flips(v, ProbGraph::out_flips(self.base.as_ref(), v), false)
-    }
-
-    #[inline]
-    fn in_flips(&self, v: NodeId) -> DeltaFlips<'_> {
-        self.flips(v, ProbGraph::in_flips(self.base.as_ref(), v), true)
     }
 
     #[inline]
@@ -546,7 +405,7 @@ impl ProbGraph for DeltaOverlay {
         if (c as usize) < m {
             ProbGraph::coin_prob(self.base.as_ref(), c)
         } else {
-            self.added[c as usize - m].prob
+            self.added.edges[c as usize - m].prob
         }
     }
 
@@ -556,7 +415,7 @@ impl ProbGraph for DeltaOverlay {
         if (c as usize) < m {
             ProbGraph::coin_endpoints(self.base.as_ref(), c)
         } else {
-            let e = &self.added[c as usize - m];
+            let e = &self.added.edges[c as usize - m];
             (e.src, e.dst)
         }
     }
@@ -576,12 +435,10 @@ mod tests {
         g
     }
 
-    type Arcs = Vec<(u32, f64, u32)>;
-
-    fn collect_arcs<G: ProbGraph>(g: &G, v: NodeId) -> (Arcs, Arcs) {
-        let out = g.out_arcs(v).map(|(u, p, c)| (u.0, p, c)).collect();
-        let inn = g.in_arcs(v).map(|(u, p, c)| (u.0, p, c)).collect();
-        (out, inn)
+    /// Out- and in-arcs of `v`, whole records: comparing them compares
+    /// thresholds too.
+    fn collect_arcs<G: ProbGraph>(g: &G, v: NodeId) -> (Vec<crate::Arc>, Vec<crate::Arc>) {
+        (g.out_arcs(v).collect(), g.in_arcs(v).collect())
     }
 
     /// Apply `updates` to both an overlay and a mirror mutable graph;
@@ -624,12 +481,6 @@ mod tests {
                 collect_arcs(&mirror, NodeId(v)),
                 "arcs of node {v}"
             );
-            let flips: Vec<_> = delta.out_flips(NodeId(v)).collect();
-            let expect: Vec<_> = delta
-                .out_arcs(NodeId(v))
-                .map(|(u, p, c)| (u, flip_threshold(p), c))
-                .collect();
-            assert_eq!(flips, expect, "flips of node {v}");
         }
         // The strongest form: folding the overlay equals a full re-freeze.
         assert!(

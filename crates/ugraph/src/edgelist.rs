@@ -37,7 +37,6 @@
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::flip_threshold;
 use crate::graph::{NodeId, UncertainGraph};
 use std::collections::{HashSet, TryReserveError};
 use std::fmt;
@@ -708,25 +707,10 @@ where
         peak_transient_bytes: pass1_bytes.max(pass2_bytes),
     };
 
-    let out_thresh: Vec<u64> = out_prob.iter().map(|&p| flip_threshold(p)).collect();
-    let in_thresh: Vec<u64> = in_prob.iter().map(|&p| flip_threshold(p)).collect();
-    let csr = CsrGraph {
-        directed,
-        num_nodes: n,
-        out_off: out_off.into(),
-        out_dst: out_dst.into(),
-        out_prob: out_prob.into(),
-        out_coin: out_coin.into(),
-        out_thresh: out_thresh.into(),
-        in_off: in_off.into(),
-        in_dst: in_dst.into(),
-        in_prob: in_prob.into(),
-        in_coin: in_coin.into(),
-        in_thresh: in_thresh.into(),
-        coin_prob: coin_prob.into(),
-        coin_src: coin_src.into(),
-        coin_dst: coin_dst.into(),
-    };
+    let out = (out_off, out_dst, out_prob, out_coin);
+    let inn = (in_off, in_dst, in_prob, in_coin);
+    let coins = (coin_prob.into(), coin_src.into(), coin_dst.into());
+    let csr = CsrGraph::from_sides(directed, n, out, inn, coins);
     Ok((csr, stats))
 }
 

@@ -86,7 +86,8 @@ impl<G: ProbGraph> Solver<'_, G> {
             if reached {
                 break;
             }
-            self.g.for_each_out(v, &mut |u, _p, c| {
+            self.g.out_arcs(v).for_each(|a| {
+                let (u, c) = (a.node, a.coin);
                 if reached {
                     return;
                 }

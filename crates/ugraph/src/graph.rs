@@ -2,7 +2,7 @@
 
 use crate::error::GraphError;
 use crate::fxhash::FxHashMap;
-use crate::{CoinId, ProbGraph};
+use crate::{Arc, CoinId, ProbGraph};
 use std::collections::TryReserveError;
 use std::fmt;
 
@@ -419,22 +419,23 @@ impl fmt::Debug for UncertainGraph {
 
 /// Slice-backed arc iterator over an [`UncertainGraph`] adjacency list.
 ///
-/// Resolves each `(neighbor, edge-id)` pair against the edge table to
-/// yield `(neighbor, probability, coin)`. Fully inlinable once the caller
-/// is monomorphized over [`UncertainGraph`].
+/// Resolves each `(neighbor, edge-id)` pair against the edge table and
+/// derives the flip threshold on the fly (the frozen [`crate::CsrGraph`]
+/// precomputes it instead — that is the hot path). Fully inlinable once
+/// the caller is monomorphized over [`UncertainGraph`].
 pub struct AdjArcs<'a> {
     edges: &'a [Edge],
     iter: std::slice::Iter<'a, (NodeId, EdgeId)>,
 }
 
 impl Iterator for AdjArcs<'_> {
-    type Item = (NodeId, f64, CoinId);
+    type Item = Arc;
 
     #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next(&mut self) -> Option<Arc> {
         self.iter
             .next()
-            .map(|&(u, e)| (u, self.edges[e.index()].prob, e.0))
+            .map(|&(u, e)| Arc::new(u, self.edges[e.index()].prob, e.0))
     }
 
     #[inline]
@@ -445,34 +446,8 @@ impl Iterator for AdjArcs<'_> {
 
 impl ExactSizeIterator for AdjArcs<'_> {}
 
-/// [`AdjArcs`] in world-sampling form: thresholds are derived from the
-/// edge table on the fly (the frozen [`crate::CsrGraph`] precomputes them
-/// instead — that is the hot path).
-pub struct AdjFlips<'a> {
-    edges: &'a [Edge],
-    iter: std::slice::Iter<'a, (NodeId, EdgeId)>,
-}
-
-impl Iterator for AdjFlips<'_> {
-    type Item = (NodeId, u64, CoinId);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.iter
-            .next()
-            .map(|&(u, e)| (u, crate::flip_threshold(self.edges[e.index()].prob), e.0))
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.iter.size_hint()
-    }
-}
-
 impl ProbGraph for UncertainGraph {
-    type OutArcs<'a> = AdjArcs<'a>;
-    type InArcs<'a> = AdjArcs<'a>;
-    type FlipArcs<'a> = AdjFlips<'a>;
+    type Arcs<'a> = AdjArcs<'a>;
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -500,22 +475,6 @@ impl ProbGraph for UncertainGraph {
     #[inline]
     fn in_arcs(&self, v: NodeId) -> AdjArcs<'_> {
         AdjArcs {
-            edges: &self.edges,
-            iter: self.in_edges(v).iter(),
-        }
-    }
-
-    #[inline]
-    fn out_flips(&self, v: NodeId) -> AdjFlips<'_> {
-        AdjFlips {
-            edges: &self.edges,
-            iter: self.out_adj[v.index()].iter(),
-        }
-    }
-
-    #[inline]
-    fn in_flips(&self, v: NodeId) -> AdjFlips<'_> {
-        AdjFlips {
             edges: &self.edges,
             iter: self.in_edges(v).iter(),
         }
@@ -615,12 +574,13 @@ mod tests {
     #[test]
     fn prob_graph_trait_visits_all_edges() {
         let g = diamond();
-        let mut seen: Vec<(u32, f64, CoinId)> = Vec::new();
-        g.for_each_out(NodeId(0), |u, p, c| seen.push((u.0, p, c)));
+        let mut seen: Vec<(u32, f64, CoinId)> = g
+            .out_arcs(NodeId(0))
+            .map(|a| (a.node.0, a.prob, a.coin))
+            .collect();
         seen.sort_by_key(|a| a.0);
         assert_eq!(seen, vec![(1, 0.5, 0), (2, 0.6, 1)]);
-        let mut inc = Vec::new();
-        g.for_each_in(NodeId(3), |u: NodeId, _, _| inc.push(u.0));
+        let mut inc: Vec<u32> = g.in_arcs(NodeId(3)).map(|a| a.node.0).collect();
         inc.sort_unstable();
         assert_eq!(inc, vec![1, 2]);
         assert_eq!(g.coin_endpoints(3), (NodeId(2), NodeId(3)));

@@ -48,8 +48,8 @@
 //! sampled randomness, so leaving it out (`relmax query --no-index`, or
 //! no index passed to the engine) changes no estimate value.
 
-use crate::csr::CsrGraph;
-use crate::{flip_threshold, CoinId, NodeId, ProbGraph};
+use crate::csr::{CsrGraph, Side};
+use crate::{Arc, CoinId, NodeId, ProbGraph};
 
 /// The persisted form of a [`RelIndex`]: two per-node label arrays, stored
 /// as the optional index section of a version-2 `.rgs` snapshot (see
@@ -719,42 +719,23 @@ fn build_condensed(csr: &CsrGraph, super_of: &[u32], num_super: usize) -> CsrGra
         }
         (n_off, n_dst, n_prob, n_coin)
     };
-    let (out_off, out_dst, out_prob, out_coin) =
-        build_side(&csr.out_off, &csr.out_dst, &csr.out_prob, &csr.out_coin);
-    let out_thresh: Vec<u64> = out_prob.iter().map(|&p| flip_threshold(p)).collect();
-    let (in_off, in_dst, in_prob, in_coin) = if csr.directed {
+    let out = build_side(&csr.out_off, &csr.out_dst, &csr.out_prob, &csr.out_coin);
+    let inn = if csr.directed {
         build_side(&csr.in_off, &csr.in_dst, &csr.in_prob, &csr.in_coin)
     } else {
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new())
+        Side::default()
     };
-    let in_thresh: Vec<u64> = in_prob.iter().map(|&p| flip_threshold(p)).collect();
-    CsrGraph {
-        directed: csr.directed,
-        num_nodes: num_super,
-        out_off: out_off.into(),
-        out_dst: out_dst.into(),
-        out_prob: out_prob.into(),
-        out_coin: out_coin.into(),
-        out_thresh: out_thresh.into(),
-        in_off: in_off.into(),
-        in_dst: in_dst.into(),
-        in_prob: in_prob.into(),
-        in_coin: in_coin.into(),
-        in_thresh: in_thresh.into(),
-        coin_prob: csr.coin_prob.clone(),
-        coin_src: csr
-            .coin_src
-            .iter()
+    let remap = |ends: &[u32]| {
+        ends.iter()
             .map(|&s| super_of[s as usize])
             .collect::<Vec<u32>>()
-            .into(),
-        coin_dst: csr
-            .coin_dst
-            .iter()
-            .map(|&d| super_of[d as usize])
-            .collect::<Vec<u32>>()
-            .into(),
-    }
+    };
+    let coins = (
+        csr.coin_prob.clone(),
+        remap(&csr.coin_src).into(),
+        remap(&csr.coin_dst).into(),
+    );
+    CsrGraph::from_sides(csr.directed, num_super, out, inn, coins)
 }
 
 /// Connected components of the possible graph (`p > 0` arcs, both
@@ -975,34 +956,26 @@ impl<'a, G: ProbGraph> PrunedGraph<'a, G> {
     }
 }
 
-/// Iterator adapter behind [`PrunedGraph`]: filters arcs by target node.
+/// Iterator adapter behind [`PrunedGraph`]: filters arcs by far end.
 pub struct MaskedArcs<'a, I> {
     inner: I,
     allowed: &'a [u64],
 }
 
-impl<T, I: Iterator<Item = (NodeId, T, CoinId)>> Iterator for MaskedArcs<'_, I> {
-    type Item = (NodeId, T, CoinId);
+impl<I: Iterator<Item = Arc>> Iterator for MaskedArcs<'_, I> {
+    type Item = Arc;
 
     #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next(&mut self) -> Option<Arc> {
         let allowed = self.allowed;
         self.inner
-            .find(|&(u, _, _)| allowed[u.index() >> 6] >> (u.index() & 63) & 1 == 1)
+            .find(|a| allowed[a.node.index() >> 6] >> (a.node.index() & 63) & 1 == 1)
     }
 }
 
 impl<G: ProbGraph> ProbGraph for PrunedGraph<'_, G> {
-    type OutArcs<'b>
-        = MaskedArcs<'b, G::OutArcs<'b>>
-    where
-        Self: 'b;
-    type InArcs<'b>
-        = MaskedArcs<'b, G::InArcs<'b>>
-    where
-        Self: 'b;
-    type FlipArcs<'b>
-        = MaskedArcs<'b, G::FlipArcs<'b>>
+    type Arcs<'b>
+        = MaskedArcs<'b, G::Arcs<'b>>
     where
         Self: 'b;
 
@@ -1018,30 +991,16 @@ impl<G: ProbGraph> ProbGraph for PrunedGraph<'_, G> {
         self.base.is_directed()
     }
 
-    fn out_arcs(&self, v: NodeId) -> Self::OutArcs<'_> {
+    fn out_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
         MaskedArcs {
             inner: self.base.out_arcs(v),
             allowed: self.allowed,
         }
     }
 
-    fn in_arcs(&self, v: NodeId) -> Self::InArcs<'_> {
+    fn in_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
         MaskedArcs {
             inner: self.base.in_arcs(v),
-            allowed: self.allowed,
-        }
-    }
-
-    fn out_flips(&self, v: NodeId) -> Self::FlipArcs<'_> {
-        MaskedArcs {
-            inner: self.base.out_flips(v),
-            allowed: self.allowed,
-        }
-    }
-
-    fn in_flips(&self, v: NodeId) -> Self::FlipArcs<'_> {
-        MaskedArcs {
-            inner: self.base.in_flips(v),
             allowed: self.allowed,
         }
     }
@@ -1104,7 +1063,7 @@ mod tests {
         let c = idx.condensed();
         assert_eq!(c.num_nodes(), 2);
         let arcs: Vec<_> = c.out_arcs(NodeId(0)).collect();
-        assert_eq!(arcs, vec![(NodeId(1), 0.5, 2)]);
+        assert_eq!(arcs, vec![Arc::new(NodeId(1), 0.5, 2)]);
     }
 
     #[test]
@@ -1191,9 +1150,7 @@ mod tests {
         let pg = PrunedGraph::new(&csr, &allowed);
         assert_eq!(pg.num_nodes(), 3);
         let arcs: Vec<_> = pg.out_arcs(NodeId(0)).collect();
-        assert_eq!(arcs, vec![(NodeId(1), 0.5, 0)]);
-        let flips: Vec<_> = pg.out_flips(NodeId(0)).map(|(u, _, c)| (u, c)).collect();
-        assert_eq!(flips, vec![(NodeId(1), 0)]);
+        assert_eq!(arcs, vec![Arc::new(NodeId(1), 0.5, 0)]);
     }
 
     #[test]
@@ -1552,7 +1509,7 @@ mod tests {
         looped.in_thresh = looped
             .in_prob
             .iter()
-            .map(|&p| flip_threshold(p))
+            .map(|&p| crate::flip_threshold(p))
             .collect::<Vec<_>>()
             .into();
         let idx = RelIndex::build(&looped);

@@ -34,12 +34,10 @@
 //!   ground truth in tests and as the paper's `ES` baseline (Table 11).
 //!
 //! The [`ProbGraph`] trait abstracts "something that looks like an uncertain
-//! graph". Traversal is exposed as slice-backed iterators
-//! ([`ProbGraph::out_arcs`] / [`ProbGraph::in_arcs`]) so that estimators
-//! monomorphize over the concrete graph type and the compiler inlines the
-//! whole edge-visit loop; the closure-based [`ProbGraph::for_each_out`] /
-//! [`ProbGraph::for_each_in`] forms are kept as default methods for
-//! call sites where a closure reads better. The trait is deliberately not
+//! graph". Traversal is exposed as slice-backed iterators of [`Arc`]
+//! records ([`ProbGraph::out_arcs`] / [`ProbGraph::in_arcs`]) so that
+//! estimators monomorphize over the concrete graph type and the compiler
+//! inlines the whole edge-visit loop. The trait is deliberately not
 //! object-safe — virtual dispatch per edge visit per sampled world was the
 //! single largest cost in the pre-CSR estimator stack (see
 //! `BENCH_sampling.json`).
@@ -86,13 +84,42 @@ pub use world::PossibleWorld;
 /// entries, one coin) and overlay edges sample correctly.
 pub type CoinId = u32;
 
-/// One traversable arc: `(neighbor, probability, coin)`.
-pub type Arc = (NodeId, f64, CoinId);
-
-/// One arc in world-sampling form: `(neighbor, flip threshold, coin)`.
+/// One traversable arc, as every [`ProbGraph`] neighbourhood walk yields it.
 ///
-/// See [`flip_threshold`] for the threshold encoding.
-pub type FlipArc = (NodeId, u64, CoinId);
+/// Path and elimination code reads `prob` (paths are weighted by
+/// `−log p`); world samplers read `thresh`, the same probability as a
+/// [`flip_threshold`], against which one integer compare flips the coin.
+/// Both always describe the coin `coin`: `prob == coin_prob(coin)` and
+/// `thresh == flip_threshold(prob)`. Once the walk is inlined, a caller
+/// that ignores a field pays no per-arc load for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arc {
+    /// The neighbour at the far end: the head of an out-arc, the tail of
+    /// an in-arc, the other endpoint of an undirected edge.
+    pub node: NodeId,
+    /// Existence probability of the edge.
+    pub prob: f64,
+    /// [`flip_threshold`] of `prob`.
+    pub thresh: u64,
+    /// The coin behind the edge (shared by both arcs of an undirected
+    /// edge).
+    pub coin: CoinId,
+}
+
+impl Arc {
+    /// The arc to `node` over coin `coin` of probability `prob`, its
+    /// threshold derived on the fly.
+    #[inline]
+    pub fn new(node: NodeId, prob: f64, coin: CoinId) -> Arc {
+        let thresh = flip_threshold(prob);
+        Arc {
+            node,
+            prob,
+            thresh,
+            coin,
+        }
+    }
+}
 
 /// Integer threshold `T` such that a uniform 53-bit draw `k` satisfies
 /// `k · 2⁻⁵³ < prob ⇔ k < T`.
@@ -136,26 +163,22 @@ pub(crate) fn threshold_of_bits(bits: u64) -> u64 {
 
 /// A graph-shaped collection of probabilistic edges.
 ///
-/// Neighborhood access is iterator-based and monomorphized: every sampled
-/// world runs a BFS over [`ProbGraph::out_arcs`], so the iterator types are
-/// generic associated types that compile down to plain slice walks for
-/// [`UncertainGraph`] and [`CsrGraph`]. The `Sync` supertrait lets samplers
-/// fan work out across threads; every implementor is plain immutable data
-/// during estimation.
+/// Every neighbourhood walk — a most-reliable-path search reading
+/// probabilities, or a sampled world flipping coins against thresholds —
+/// goes through one iterator type, [`ProbGraph::Arcs`], yielding one
+/// [`Arc`] record per arc, in the same order and with the same coin ids
+/// for both reads. For [`CsrGraph`] it is a zipped walk over the frozen
+/// column slices (thresholds precomputed at freeze), so a caller pays only
+/// for the fields it reads; [`UncertainGraph`] derives each threshold per
+/// arc, and overlays and views chain or filter their base's iterator,
+/// deriving thresholds on the fly for the few arcs they add. Every
+/// implementor is monomorphized into its callers; none is reached through
+/// a trait object. The `Sync` supertrait lets
+/// samplers fan work out across threads; every implementor is plain
+/// immutable data during estimation.
 pub trait ProbGraph: Sync {
-    /// Iterator over the out-arcs of a node.
-    type OutArcs<'a>: Iterator<Item = Arc> + 'a
-    where
-        Self: 'a;
-
-    /// Iterator over the in-arcs of a node.
-    type InArcs<'a>: Iterator<Item = Arc> + 'a
-    where
-        Self: 'a;
-
-    /// Iterator over a node's arcs in world-sampling form (shared by both
-    /// directions; see [`ProbGraph::out_flips`]).
-    type FlipArcs<'a>: Iterator<Item = FlipArc> + 'a
+    /// Iterator over the arcs of one node, in either direction.
+    type Arcs<'a>: Iterator<Item = Arc> + 'a
     where
         Self: 'a;
 
@@ -168,47 +191,19 @@ pub trait ProbGraph: Sync {
     /// Whether edges are directed.
     fn is_directed(&self) -> bool;
 
-    /// Every out-arc of `v` as `(neighbor, probability, coin)`.
-    ///
-    /// For undirected graphs this visits all incident edges.
-    fn out_arcs(&self, v: NodeId) -> Self::OutArcs<'_>;
+    /// Every out-arc of `v`. For undirected graphs this visits all
+    /// incident edges.
+    fn out_arcs(&self, v: NodeId) -> Self::Arcs<'_>;
 
-    /// Every in-arc of `v` as `(neighbor, probability, coin)`.
-    ///
-    /// For undirected graphs this is identical to [`ProbGraph::out_arcs`].
-    fn in_arcs(&self, v: NodeId) -> Self::InArcs<'_>;
-
-    /// Every out-arc of `v` as `(neighbor, flip threshold, coin)` — the
-    /// form sampled-world traversals consume. Equivalent to mapping
-    /// [`ProbGraph::out_arcs`] through [`flip_threshold`]; [`CsrGraph`]
-    /// serves it from a precomputed per-arc array instead.
-    fn out_flips(&self, v: NodeId) -> Self::FlipArcs<'_>;
-
-    /// Every in-arc of `v` in world-sampling form.
-    fn in_flips(&self, v: NodeId) -> Self::FlipArcs<'_>;
+    /// Every in-arc of `v`. For undirected graphs this is identical to
+    /// [`ProbGraph::out_arcs`].
+    fn in_arcs(&self, v: NodeId) -> Self::Arcs<'_>;
 
     /// Probability of the coin `c`.
     fn coin_prob(&self, c: CoinId) -> f64;
 
     /// Endpoints `(src, dst)` of the logical edge behind coin `c`.
     fn coin_endpoints(&self, c: CoinId) -> (NodeId, NodeId);
-
-    /// Visit every out-arc of `v` with a closure (default method over
-    /// [`ProbGraph::out_arcs`]; statically dispatched and inlinable).
-    #[inline]
-    fn for_each_out(&self, v: NodeId, mut f: impl FnMut(NodeId, f64, CoinId)) {
-        for (u, p, c) in self.out_arcs(v) {
-            f(u, p, c);
-        }
-    }
-
-    /// Visit every in-arc of `v` with a closure.
-    #[inline]
-    fn for_each_in(&self, v: NodeId, mut f: impl FnMut(NodeId, f64, CoinId)) {
-        for (u, p, c) in self.in_arcs(v) {
-            f(u, p, c);
-        }
-    }
 }
 
 #[cfg(test)]

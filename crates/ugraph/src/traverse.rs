@@ -42,7 +42,7 @@ fn bfs_impl<G: ProbGraph>(g: &G, start: NodeId, limit: Option<u32>) -> Vec<u32> 
                 continue;
             }
         }
-        for (u, _, _) in g.out_arcs(v) {
+        for u in g.out_arcs(v).map(|a| a.node) {
             if dist[u.index()] == UNREACHABLE {
                 dist[u.index()] = dv + 1;
                 queue.push_back(u);
@@ -62,7 +62,7 @@ pub fn world_reaches<G: ProbGraph>(g: &G, world: &PossibleWorld, s: NodeId, t: N
     seen[s.index()] = true;
     let mut stack = vec![s];
     while let Some(v) = stack.pop() {
-        for (u, _, c) in g.out_arcs(v) {
+        for (u, c) in g.out_arcs(v).map(|a| (a.node, a.coin)) {
             if world.contains(c) && !seen[u.index()] {
                 if u == t {
                     return true;
@@ -97,7 +97,7 @@ pub fn world_hop_distance<G: ProbGraph>(
     queue.push_back(s);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v.index()];
-        for (u, _, c) in g.out_arcs(v) {
+        for (u, c) in g.out_arcs(v).map(|a| (a.node, a.coin)) {
             if world.contains(c) && dist[u.index()] == UNREACHABLE {
                 if u == t {
                     return Some(dv + 1);
@@ -143,7 +143,7 @@ pub fn world_set_reaches<G: ProbGraph>(
                 continue;
             }
         }
-        for (u, _, c) in g.out_arcs(v) {
+        for (u, c) in g.out_arcs(v).map(|a| (a.node, a.coin)) {
             if world.contains(c) && dist[u.index()] == UNREACHABLE {
                 if is_target[u.index()] {
                     return true;

@@ -1,7 +1,7 @@
 //! Zero-copy graph overlay: a base graph plus tentative extra edges.
 
 use crate::graph::{NodeId, UncertainGraph};
-use crate::{flip_threshold, Arc, CoinId, FlipArc, ProbGraph};
+use crate::{Arc, CoinId, ProbGraph};
 
 /// One tentative extra edge layered on top of a base graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,44 +34,25 @@ pub struct ExtraEdge {
 /// g.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
 /// let view = GraphView::new(&g, vec![ExtraEdge { src: NodeId(1), dst: NodeId(2), prob: 0.9 }]);
 /// assert_eq!(view.num_coins(), 2);
-/// let out: Vec<_> = view.out_arcs(NodeId(1)).collect();
+/// let out: Vec<_> = view.out_arcs(NodeId(1)).map(|a| (a.node, a.prob, a.coin)).collect();
 /// assert_eq!(out, vec![(NodeId(2), 0.9, 1)]);
 /// ```
 pub struct GraphView<'g, B: ProbGraph = UncertainGraph> {
     base: &'g B,
-    extra: Vec<ExtraEdge>,
-    /// `extra_out[v]` = indices into `extra` whose src is `v` (or either
-    /// endpoint, for undirected bases).
-    extra_out: Vec<Vec<u32>>,
-    /// Reverse buckets (dst -> extra index). For undirected bases this
-    /// mirrors `extra_out`.
-    extra_in: Vec<Vec<u32>>,
+    extra: Buckets,
 }
 
 impl<'g, B: ProbGraph> GraphView<'g, B> {
     /// Overlay `extra` edges on `base`. Extra edges follow the base graph's
     /// directedness.
     pub fn new(base: &'g B, extra: Vec<ExtraEdge>) -> Self {
-        let n = base.num_nodes();
-        let mut extra_out = vec![Vec::new(); n];
-        let mut extra_in = vec![Vec::new(); n];
-        for (i, e) in extra.iter().enumerate() {
-            debug_assert!(
-                e.src.index() < n && e.dst.index() < n,
-                "extra edge out of bounds"
-            );
-            extra_out[e.src.index()].push(i as u32);
-            if base.is_directed() {
-                extra_in[e.dst.index()].push(i as u32);
-            } else {
-                extra_out[e.dst.index()].push(i as u32);
-            }
+        let mut buckets = Buckets::new(base.num_nodes(), base.is_directed());
+        for e in extra {
+            buckets.push(e);
         }
         GraphView {
             base,
-            extra,
-            extra_out,
-            extra_in,
+            extra: buckets,
         }
     }
 
@@ -89,34 +70,20 @@ impl<'g, B: ProbGraph> GraphView<'g, B> {
     /// The extra edges.
     #[inline]
     pub fn extra(&self) -> &[ExtraEdge] {
-        &self.extra
+        &self.extra.edges
     }
 
     /// Append one more extra edge, returning its coin id.
     pub fn push_extra(&mut self, e: ExtraEdge) -> CoinId {
-        let i = self.extra.len() as u32;
-        self.extra_out[e.src.index()].push(i);
-        if self.base.is_directed() {
-            self.extra_in[e.dst.index()].push(i);
-        } else {
-            self.extra_out[e.dst.index()].push(i);
-        }
-        self.extra.push(e);
-        self.base.num_coins() as CoinId + i
+        self.base.num_coins() as CoinId + self.extra.push(e)
     }
 
     /// Remove the most recently pushed extra edge. Panics if none exist.
     pub fn pop_extra(&mut self) -> ExtraEdge {
-        let e = self.extra.pop().expect("pop_extra on empty overlay");
-        let i = self.extra.len() as u32;
-        let bucket = &mut self.extra_out[e.src.index()];
-        bucket.retain(|&x| x != i);
-        if self.base.is_directed() {
-            self.extra_in[e.dst.index()].retain(|&x| x != i);
-        } else {
-            self.extra_out[e.dst.index()].retain(|&x| x != i);
-        }
-        e
+        let last = self.extra.edges.len().checked_sub(1);
+        let last = last.expect("pop_extra on empty overlay");
+        self.extra.unlink(last as u32);
+        self.extra.edges.pop().unwrap()
     }
 }
 
@@ -125,7 +92,7 @@ impl GraphView<'_, UncertainGraph> {
     /// final). Extra edges that duplicate base edges are skipped.
     pub fn materialize(&self) -> UncertainGraph {
         let mut g = self.base.clone();
-        for e in &self.extra {
+        for e in self.extra() {
             // Ignore duplicates: the overlay is allowed to carry an edge the
             // base already has (e.g. when replaying a recorded solution).
             let _ = g.add_edge(e.src, e.dst, e.prob);
@@ -134,15 +101,91 @@ impl GraphView<'_, UncertainGraph> {
     }
 }
 
-/// Iterator over the overlay's extra arcs incident to one node.
+/// Edges layered over a base graph — a [`GraphView`]'s extra edges, a
+/// [`crate::DeltaOverlay`]'s appended ones — with per-node buckets of
+/// their indices. Edge `i` rides coin `base coins + i`.
+#[derive(Clone)]
+pub(crate) struct Buckets {
+    /// Every edge ever pushed, in push order; unlinked ones stay.
+    pub(crate) edges: Vec<ExtraEdge>,
+    /// `out[v]` = indices of linked edges whose src is `v` (or either
+    /// endpoint, when undirected), in push order.
+    out: Vec<Vec<u32>>,
+    /// `inn[v]` = indices of linked edges whose dst is `v`; empty when
+    /// undirected.
+    inn: Vec<Vec<u32>>,
+}
+
+impl Buckets {
+    pub(crate) fn new(n: usize, directed: bool) -> Self {
+        let inn = if directed {
+            vec![Vec::new(); n]
+        } else {
+            Vec::new()
+        };
+        Buckets {
+            edges: Vec::new(),
+            out: vec![Vec::new(); n],
+            inn,
+        }
+    }
+
+    /// The bucket that links an edge by its dst (`out` when undirected).
+    fn dst_bucket(&mut self, dst: NodeId) -> &mut Vec<u32> {
+        if self.inn.is_empty() {
+            &mut self.out[dst.index()]
+        } else {
+            &mut self.inn[dst.index()]
+        }
+    }
+
+    /// Append and link `e`, returning its index.
+    pub(crate) fn push(&mut self, e: ExtraEdge) -> u32 {
+        let n = self.out.len();
+        debug_assert!(
+            e.src.index() < n && e.dst.index() < n,
+            "extra edge out of bounds"
+        );
+        let i = self.edges.len() as u32;
+        self.out[e.src.index()].push(i);
+        self.dst_bucket(e.dst).push(i);
+        self.edges.push(e);
+        i
+    }
+
+    /// Drop edge `i` from its buckets; its record (and coin) stays.
+    pub(crate) fn unlink(&mut self, i: u32) {
+        let e = self.edges[i as usize];
+        let bucket = &mut self.out[e.src.index()];
+        debug_assert!(bucket.contains(&i), "unlinking an unlinked edge");
+        bucket.retain(|&j| j != i);
+        self.dst_bucket(e.dst).retain(|&j| j != i);
+    }
+
+    /// The linked arcs of `v` (its in-arcs when `inn` and directed).
+    #[inline]
+    pub(crate) fn arcs(&self, v: NodeId, inn: bool, base_coins: usize) -> ExtraArcs<'_> {
+        let bucket = if inn && !self.inn.is_empty() {
+            &self.inn[v.index()]
+        } else {
+            &self.out[v.index()]
+        };
+        ExtraArcs {
+            edges: &self.edges,
+            bucket: bucket.iter(),
+            v,
+            base_coins: base_coins as CoinId,
+        }
+    }
+}
+
+/// Iterator over the overlay arcs in one node's bucket, thresholds derived
+/// on the fly (overlays carry only a handful of edges).
 pub struct ExtraArcs<'a> {
-    extra: &'a [ExtraEdge],
+    edges: &'a [ExtraEdge],
     bucket: std::slice::Iter<'a, u32>,
     v: NodeId,
     base_coins: CoinId,
-    /// Resolve the "other" endpoint against `dst` (in-arcs) instead of
-    /// `src` (out-arcs).
-    reverse: bool,
 }
 
 impl Iterator for ExtraArcs<'_> {
@@ -151,18 +194,11 @@ impl Iterator for ExtraArcs<'_> {
     #[inline]
     fn next(&mut self) -> Option<Arc> {
         self.bucket.next().map(|&i| {
-            let e = &self.extra[i as usize];
-            let anchor = if self.reverse { e.dst } else { e.src };
-            let other = if anchor == self.v {
-                if self.reverse {
-                    e.src
-                } else {
-                    e.dst
-                }
-            } else {
-                anchor
-            };
-            (other, e.prob, self.base_coins + i)
+            let e = &self.edges[i as usize];
+            // `v` is an endpoint of every edge in its bucket, so the XOR of
+            // all three is the far end.
+            let node = NodeId(e.src.0 ^ e.dst.0 ^ self.v.0);
+            Arc::new(node, e.prob, self.base_coins + i)
         })
     }
 
@@ -172,35 +208,9 @@ impl Iterator for ExtraArcs<'_> {
     }
 }
 
-/// [`ExtraArcs`] in world-sampling form (thresholds computed on the fly —
-/// overlays carry only a handful of extra edges).
-pub struct ExtraFlips<'a>(ExtraArcs<'a>);
-
-impl Iterator for ExtraFlips<'_> {
-    type Item = FlipArc;
-
-    #[inline]
-    fn next(&mut self) -> Option<FlipArc> {
-        self.0.next().map(|(u, p, c)| (u, flip_threshold(p), c))
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
 impl<B: ProbGraph> ProbGraph for GraphView<'_, B> {
-    type OutArcs<'a>
-        = std::iter::Chain<B::OutArcs<'a>, ExtraArcs<'a>>
-    where
-        Self: 'a;
-    type InArcs<'a>
-        = std::iter::Chain<B::InArcs<'a>, ExtraArcs<'a>>
-    where
-        Self: 'a;
-    type FlipArcs<'a>
-        = std::iter::Chain<B::FlipArcs<'a>, ExtraFlips<'a>>
+    type Arcs<'a>
+        = std::iter::Chain<B::Arcs<'a>, ExtraArcs<'a>>
     where
         Self: 'a;
 
@@ -211,7 +221,7 @@ impl<B: ProbGraph> ProbGraph for GraphView<'_, B> {
 
     #[inline]
     fn num_coins(&self) -> usize {
-        self.base.num_coins() + self.extra.len()
+        self.base.num_coins() + self.extra.edges.len()
     }
 
     #[inline]
@@ -220,57 +230,15 @@ impl<B: ProbGraph> ProbGraph for GraphView<'_, B> {
     }
 
     #[inline]
-    fn out_arcs(&self, v: NodeId) -> Self::OutArcs<'_> {
-        self.base.out_arcs(v).chain(ExtraArcs {
-            extra: &self.extra,
-            bucket: self.extra_out[v.index()].iter(),
-            v,
-            base_coins: self.base.num_coins() as CoinId,
-            reverse: false,
-        })
+    fn out_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
+        let extra = self.extra.arcs(v, false, self.base.num_coins());
+        self.base.out_arcs(v).chain(extra)
     }
 
     #[inline]
-    fn in_arcs(&self, v: NodeId) -> Self::InArcs<'_> {
-        let bucket = if self.base.is_directed() {
-            &self.extra_in
-        } else {
-            &self.extra_out
-        };
-        self.base.in_arcs(v).chain(ExtraArcs {
-            extra: &self.extra,
-            bucket: bucket[v.index()].iter(),
-            v,
-            base_coins: self.base.num_coins() as CoinId,
-            reverse: true,
-        })
-    }
-
-    #[inline]
-    fn out_flips(&self, v: NodeId) -> Self::FlipArcs<'_> {
-        self.base.out_flips(v).chain(ExtraFlips(ExtraArcs {
-            extra: &self.extra,
-            bucket: self.extra_out[v.index()].iter(),
-            v,
-            base_coins: self.base.num_coins() as CoinId,
-            reverse: false,
-        }))
-    }
-
-    #[inline]
-    fn in_flips(&self, v: NodeId) -> Self::FlipArcs<'_> {
-        let bucket = if self.base.is_directed() {
-            &self.extra_in
-        } else {
-            &self.extra_out
-        };
-        self.base.in_flips(v).chain(ExtraFlips(ExtraArcs {
-            extra: &self.extra,
-            bucket: bucket[v.index()].iter(),
-            v,
-            base_coins: self.base.num_coins() as CoinId,
-            reverse: true,
-        }))
+    fn in_arcs(&self, v: NodeId) -> Self::Arcs<'_> {
+        let extra = self.extra.arcs(v, true, self.base.num_coins());
+        self.base.in_arcs(v).chain(extra)
     }
 
     #[inline]
@@ -279,7 +247,7 @@ impl<B: ProbGraph> ProbGraph for GraphView<'_, B> {
         if c < m {
             self.base.coin_prob(c)
         } else {
-            self.extra[(c - m) as usize].prob
+            self.extra.edges[(c - m) as usize].prob
         }
     }
 
@@ -289,7 +257,7 @@ impl<B: ProbGraph> ProbGraph for GraphView<'_, B> {
         if c < m {
             self.base.coin_endpoints(c)
         } else {
-            let e = &self.extra[(c - m) as usize];
+            let e = &self.extra.edges[(c - m) as usize];
             (e.src, e.dst)
         }
     }
@@ -327,14 +295,17 @@ mod tests {
         assert_eq!(view.num_coins(), 4);
         let mut out0: Vec<_> = view
             .out_arcs(NodeId(0))
-            .map(|(u, p, c)| (u.0, p, c))
+            .map(|a| (a.node.0, a.prob, a.coin))
             .collect();
         out0.sort_by_key(|a| a.2);
         assert_eq!(out0, vec![(1, 0.5, 0), (3, 0.1, 3)]);
         assert_eq!(view.coin_prob(3), 0.1);
         assert_eq!(view.coin_endpoints(2), (NodeId(2), NodeId(3)));
         // Reverse traversal sees extra edges too.
-        let mut in3: Vec<_> = view.in_arcs(NodeId(3)).map(|(u, _, c)| (u.0, c)).collect();
+        let mut in3: Vec<_> = view
+            .in_arcs(NodeId(3))
+            .map(|a| (a.node.0, a.coin))
+            .collect();
         in3.sort_unstable();
         assert_eq!(in3, vec![(0, 3), (2, 2)]);
     }
@@ -370,10 +341,10 @@ mod tests {
         );
         let from2: Vec<_> = view
             .out_arcs(NodeId(2))
-            .map(|(u, p, c)| (u.0, p, c))
+            .map(|a| (a.node.0, a.prob, a.coin))
             .collect();
         assert_eq!(from2, vec![(1, 0.7, 1)]);
-        let mut from1: Vec<_> = view.out_arcs(NodeId(1)).map(|(u, _, _)| u.0).collect();
+        let mut from1: Vec<_> = view.out_arcs(NodeId(1)).map(|a| a.node.0).collect();
         from1.sort_unstable();
         assert_eq!(from1, vec![0, 2]);
     }
@@ -428,8 +399,8 @@ mod tests {
         });
         assert_eq!(coin, 2);
         let out2: Vec<_> = view.out_arcs(NodeId(2)).collect();
-        assert_eq!(out2, vec![(NodeId(3), 0.4, 2)]);
+        assert_eq!(out2, vec![Arc::new(NodeId(3), 0.4, 2)]);
         let in1: Vec<_> = view.in_arcs(NodeId(1)).collect();
-        assert_eq!(in1, vec![(NodeId(0), 0.5, 0)]);
+        assert_eq!(in1, vec![Arc::new(NodeId(0), 0.5, 0)]);
     }
 }
