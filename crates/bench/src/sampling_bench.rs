@@ -72,7 +72,7 @@ impl AdaptiveScenario {
 #[derive(Debug, Clone)]
 pub struct PackedComparison {
     /// What was measured ("mc_st", "mc_from", "candidate_scan",
-    /// "mc_st_local", "mc_st_gen").
+    /// "mc_st_local", "mc_set_local", "mc_st_gen").
     pub kernel: &'static str,
     /// The graph it ran on: "watts_strogatz" (the scenario graph),
     /// "ring_chords" (out-degree 4) or "ring_chords_gen" (the `relmax
@@ -391,7 +391,8 @@ pub fn run_adaptive_scenario(
 /// once per 64 worlds — the regime the packed kernel exists for. The
 /// `mc_st_local` row covers the opposite regime on a ring-chords graph:
 /// `s-t` pairs 2–5 hops apart, where each block's front is a few nodes
-/// wide and crawls along the ring; `mc_st_gen` runs a `relmax query
+/// wide and crawls along the ring, and `mc_set_local` asks the same
+/// pairs as two-by-two `set`s and under a 5-hop cap; `mc_st_gen` runs a `relmax query
 /// --gen 50` batch on the `relmax gen` graph (out-degree 10), where a
 /// world reaches its target within a few levels. `smoke` shrinks the graphs and budgets
 /// to CI scale (bit-identity is still asserted; speedups of the tiny run
@@ -486,6 +487,34 @@ pub fn run_packed_scenario(smoke: bool) -> PackedScenario {
         scalar_s: scalar_local_s,
         packed_s: packed_local_s,
         bit_identical: scalar_local == packed_local,
+    });
+
+    // The same pairs asked hop-aware shapes: a two-source, two-target
+    // `set` per pair, and the pair under a 5-hop cap (`% max-hops 5`,
+    // which binds on the farthest pairs). Recorded, not gated.
+    let next = |v: NodeId, k: u32| NodeId((v.0 + k) % ring_nodes as u32);
+    let set_batch = |est: &McEstimator| -> Vec<_> {
+        pairs
+            .iter()
+            .flat_map(|&(s, t)| {
+                [
+                    est.set_estimate(&ring, &[s, next(s, 1)], &[t, next(t, 2)], None, st_budget),
+                    est.st_within_estimate(&ring, s, t, 5, st_budget),
+                ]
+            })
+            .collect()
+    };
+    let _ = set_batch(&packed);
+    let _ = set_batch(&scalar);
+    let (scalar_set, scalar_set_s) = best_of(reps, || set_batch(&scalar));
+    let (packed_set, packed_set_s) = best_of(reps, || set_batch(&packed));
+    kernels.push(PackedComparison {
+        kernel: "mc_set_local",
+        graph: "ring_chords",
+        samples: st_z,
+        scalar_s: scalar_set_s,
+        packed_s: packed_set_s,
+        bit_identical: scalar_set == packed_set,
     });
 
     // The CLI's own graph: `relmax gen` (ring-chords, out-degree 10,
@@ -889,11 +918,12 @@ mod tests {
         assert!(json.contains("\"geomean_speedup\""));
         assert!(json.contains("\"packed\""));
         assert!(json.contains("mc_st"));
+        assert!(json.contains("mc_set_local"));
         assert!(json.contains("\"adaptive\""));
         assert!(json.contains("\"savings\""));
 
         // Packed scenario: bit-identical to the scalar kernel.
-        assert_eq!(bench.packed.kernels.len(), 5);
+        assert_eq!(bench.packed.kernels.len(), 6);
         for c in &bench.packed.kernels {
             assert!(c.bit_identical, "packed {} diverged from scalar", c.kernel);
             assert!(c.scalar_s > 0.0 && c.packed_s > 0.0);

@@ -11,17 +11,17 @@ use std::sync::OnceLock;
 /// ([`crate::scalar`]) on every `BENCH_sampling.json` row: by 1.03–1.05x
 /// on a `relmax gen` batch of near pairs (out-degree 10), about 3x on
 /// near ring-chords pairs and candidate scans, and 10–35x on
-/// reachability vectors and a far Watts–Strogatz pair. It also wins on
-/// the 12 `set` bodies of the `serve-mixed` workload at one thread
-/// (0.79–1.24 s against 1.29–2.07 s). No benchmark row runs a hop-aware
-/// shape, and there packed is slower: the `query-local` pairs asked as
-/// `hops` took 0.52–0.64 s packed against 0.24–0.25 s scalar, and
-/// 0.58–0.80 s against 0.26–0.27 s under `% max-hops 1000000` (2-CPU
-/// host, one thread, 3 runs each, identical output). The scalar kernel
-/// is kept as the always-correct reference path for tests and
-/// cross-checks. The process default honours the `RELMAX_KERNEL`
-/// environment variable (`scalar` selects the reference path, anything
-/// else the packed one), read once and cached.
+/// reachability vectors and a far Watts–Strogatz pair. Since every
+/// reachability shape meets in the middle (sets and hop caps included),
+/// it also leads on the hop-aware shapes: the `query-local` pairs asked
+/// as `hops` took 0.08 s packed against 0.14 s scalar, and the 12 `set`
+/// bodies of the `serve-mixed` workload 0.07–0.10 s against 1.06–1.12 s
+/// (2-CPU host, one thread, 3 runs each, identical output;
+/// `docs/benchmarks.md`). The scalar kernel is kept as the
+/// always-correct reference path for tests and cross-checks. The process
+/// default honours the `RELMAX_KERNEL` environment variable (`scalar`
+/// selects the reference path, anything else the packed one), read once
+/// and cached.
 ///
 /// The estimators call the count methods below and never match on the
 /// variant themselves; each method takes an absolute sample range and
@@ -51,19 +51,20 @@ impl Kernel {
         })
     }
 
-    /// Worlds in `lo..hi` in which `t` is reachable from `s`.
+    /// Worlds in `lo..hi` in which some target is reachable from some
+    /// source.
     pub(crate) fn st_hits<G: ProbGraph>(
         self,
         g: &G,
         seed: u64,
-        s: NodeId,
-        t: NodeId,
+        sources: &[NodeId],
+        targets: &[NodeId],
         lo: u64,
         hi: u64,
     ) -> u64 {
         match self {
-            Kernel::Packed => packed::st_hits(g, seed, s, t, lo, hi),
-            Kernel::Scalar => scalar::st_hits(g, seed, s, t, lo, hi),
+            Kernel::Packed => packed::st_hits(g, seed, sources, targets, lo, hi),
+            Kernel::Scalar => scalar::st_hits(g, seed, sources, targets, lo, hi),
         }
     }
 

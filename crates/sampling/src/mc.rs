@@ -8,6 +8,7 @@ use crate::runtime::ParallelRuntime;
 use crate::Estimator;
 use relmax_ugraph::index::{PrunedGraph, RelIndex, StPlan, StVerdict};
 use relmax_ugraph::{ExtraEdge, NodeId, ProbGraph};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Monte Carlo sampler (Fishman 1986), the paper's default estimator.
@@ -193,17 +194,20 @@ impl Estimator for McEstimator {
         budget.assert_valid();
         match self.st_route(g, s, t) {
             Ok(decided) => decided,
-            Err(None) => self.st_sampled(g, s, t, budget),
+            Err(None) => self.st_sampled(g, &[s], &[t], budget),
             // Sample on the condensed graph, masked to the supernodes
             // that can lie on an s-t path. Both transformations preserve
             // every world's verdict, and coins stay keyed to original
             // ids, so hit counts — and hence the Estimate — are
             // bit-identical to unindexed sampling.
             Err(Some((idx, s, t, mask))) => match mask {
-                Some(mask) => {
-                    self.st_sampled(&PrunedGraph::new(idx.condensed(), &mask), s, t, budget)
-                }
-                None => self.st_sampled(idx.condensed(), s, t, budget),
+                Some(mask) => self.st_sampled(
+                    &PrunedGraph::new(idx.condensed(), &mask),
+                    &[s],
+                    &[t],
+                    budget,
+                ),
+                None => self.st_sampled(idx.condensed(), &[s], &[t], budget),
             },
         }
     }
@@ -358,16 +362,21 @@ impl Estimator for McEstimator {
         if sources.is_empty() || targets.is_empty() {
             return Some(Estimate::impossible());
         }
-        if sources.iter().any(|s| targets.contains(s)) {
+        let target_set: HashSet<NodeId> = targets.iter().copied().collect();
+        if sources.iter().any(|s| target_set.contains(s)) {
             return Some(Estimate::exact(1.0)); // shared node: 0-hop hit
         }
         if self.all_pairs_impossible(g, sources, targets) {
             return Some(Estimate::impossible());
         }
-        Some(
-            self.set_sampled(g, sources, targets, max_hops, budget)
-                .reliability,
-        )
+        Some(match max_hops {
+            // Reliability alone: the loose meet, as for a single pair.
+            None => self.st_sampled(g, sources, targets, budget),
+            Some(_) => {
+                self.set_sampled(g, sources, targets, max_hops, budget)
+                    .reliability
+            }
+        })
     }
 
     fn expected_hops_estimate<G: ProbGraph>(
@@ -421,22 +430,31 @@ impl McEstimator {
         })
     }
 
-    fn st_sampled<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId, budget: Budget) -> Estimate {
+    /// Budgeted hit sampling: the worlds in which some target is
+    /// reachable from some source (one of each for an `s-t` pair).
+    fn st_sampled<G: ProbGraph>(
+        &self,
+        g: &G,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        budget: Budget,
+    ) -> Estimate {
         let mut hits = [0u64];
         let (z, delta, stopped) = self.drive(
             budget,
             &mut hits,
             1,
             1,
-            |_, lo, hi| self.kernel.st_hits(g, self.seed, s, t, lo, hi),
+            |_, lo, hi| self.kernel.st_hits(g, self.seed, sources, targets, lo, hi),
             |c, _, h| c[0] += h,
         );
         Estimate::from_hits(hits[0], z, delta, stopped)
     }
 
-    /// Budgeted set-reliability / hop-moment sampling: the shared body
-    /// behind [`Estimator::st_within_estimate`], [`Estimator::set_estimate`],
-    /// and [`Estimator::expected_hops_estimate`]: the reliability estimate
+    /// Budgeted hop-aware sampling: the shared body behind
+    /// [`Estimator::st_within_estimate`], a hop-capped
+    /// [`Estimator::set_estimate`] and
+    /// [`Estimator::expected_hops_estimate`]: the reliability estimate
     /// plus the integer hop-distance sum over hitting worlds.
     fn set_sampled<G: ProbGraph>(
         &self,
@@ -470,20 +488,33 @@ impl McEstimator {
     /// hop bound (condensed certain-SCCs collapse hop counts, so
     /// `Certain` plans and condensation are never used for constrained
     /// shapes; impossibility is bound-independent).
+    ///
+    /// Pairs in different possible-graph components are impossible, so
+    /// the sources are grouped by component first and each target asks
+    /// only the sources of its own: ends that share no component are
+    /// settled in `O(|S| + |T|)`.
     fn all_pairs_impossible<G: ProbGraph>(
         &self,
         g: &G,
         sources: &[NodeId],
         targets: &[NodeId],
     ) -> bool {
-        match self.active_index(g) {
-            Some(idx) => sources.iter().all(|&s| {
-                targets
-                    .iter()
-                    .all(|&t| idx.st_verdict(s, t) == StVerdict::Impossible)
-            }),
-            None => false,
+        let Some(idx) = self.active_index(g) else {
+            return false;
+        };
+        let mut by_component: HashMap<u32, Vec<NodeId>> = HashMap::new();
+        for &s in sources {
+            by_component.entry(idx.component(s)).or_default().push(s);
         }
+        targets.iter().all(|&t| {
+            by_component.get(&idx.component(t)).is_none_or(|group| {
+                group.iter().all(|&s| {
+                    #[cfg(test)]
+                    tests::VERDICTS.with(|c| c.set(c.get() + 1));
+                    idx.st_verdict(s, t) == StVerdict::Impossible
+                })
+            })
+        })
     }
 
     /// Per-node reach estimates; under an accuracy budget the widest
@@ -628,7 +659,7 @@ fn component_groups(
     sources: &[NodeId],
     targets: &[NodeId],
 ) -> Vec<(Vec<u32>, Vec<u32>)> {
-    let mut slot: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    let mut slot: HashMap<u32, usize> = HashMap::new();
     let mut groups: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
     let mut group_of = |c: u32, groups: &mut Vec<(Vec<u32>, Vec<u32>)>| {
         *slot.entry(c).or_insert_with(|| {
@@ -1159,6 +1190,54 @@ mod tests {
         // Directed dead ends inside one weak component short-circuit too.
         let est = mc.st_estimate(&csr, NodeId(1), NodeId(0), Budget::fixed(10_000));
         assert_eq!((est.value, est.samples_used), (0.0, 0));
+    }
+
+    thread_local! {
+        /// Pairwise index verdicts asked on this thread.
+        pub(super) static VERDICTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn cross_component_sets_settle_without_pairwise_verdicts() {
+        // Two directed 500-node rings. A set from one to the other is
+        // impossible and must be settled in O(|S| + |T|): the shared-node
+        // test is one pass, and a target asks only the sources of its own
+        // possible-graph component.
+        let mut g = UncertainGraph::new(1000, true);
+        for base in [0u32, 500] {
+            for v in 0..500 {
+                let (a, b) = (base + v, base + (v + 1) % 500);
+                g.add_edge(NodeId(a), NodeId(b), 0.5).unwrap();
+            }
+        }
+        let csr = g.freeze();
+        let mc = indexed(&McEstimator::new(1_000, 3), &csr);
+        let budget = Budget::fixed(1_000);
+        let left: Vec<NodeId> = (0..500).map(NodeId).collect();
+        let right: Vec<NodeId> = (501..1000).map(NodeId).collect();
+        let verdicts = |sources: &[NodeId], max_hops| {
+            VERDICTS.with(|c| c.set(0));
+            let est = mc.set_estimate(&csr, sources, &right, max_hops, budget);
+            (est.unwrap(), VERDICTS.with(|c| c.get()))
+        };
+        for max_hops in [None, Some(3)] {
+            assert_eq!(
+                verdicts(&left, max_hops),
+                (Estimate::impossible(), 0),
+                "{max_hops:?}"
+            );
+        }
+        // A source on the targets' ring: only its own component asks, and
+        // the set samples exactly as without the index.
+        let mixed: Vec<NodeId> = left.iter().copied().chain([NodeId(500)]).collect();
+        let (est, asked) = verdicts(&mixed, None);
+        assert!(asked <= right.len() as u64, "{asked} verdicts");
+        let plain = McEstimator::new(1_000, 3).set_estimate(&csr, &mixed, &right, None, budget);
+        assert_eq!(Some(est), plain);
+        assert!(est.value > 0.0);
+        // Shared node: every world hits at depth 0.
+        let est = mc.set_estimate(&csr, &right, &right, None, budget).unwrap();
+        assert_eq!(est, Estimate::exact(1.0));
     }
 
     #[test]

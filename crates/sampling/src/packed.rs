@@ -70,25 +70,34 @@
 //! ascending node order, so they step the same arcs and hash the same
 //! coins.
 //!
-//! `s-t` hits do not flood. A forward search alone settles a world only
-//! once it reaches `t` or has used up `s`'s whole reachable set, so every
-//! miss costs a flood. [`st_hits`] runs **two searches per block**
-//! instead, one forward from `s` over out-arcs and one backward from `t`
-//! over in-arcs (the same arcs for an undirected graph), sharing the
-//! block's coin memo: an in-arc carries its out-arc's coin id, so each
-//! coin is still hashed at most once per block. Each round expands the
-//! side whose last round queued fewer nodes. A lane **hits** when a
-//! deposit lands on a node the other side has reached in that lane, and
-//! **retires** once it has hit or once either side deposits nothing for
-//! it in a round: that side's search is then complete in that world and
-//! disjoint from the other's, so `t` is unreachable there. Retired lanes
-//! are masked out of both frontiers, so a block ends with its last
-//! unsettled lane, and the coins its stragglers reach are drawn for
-//! those lanes alone. Before the first block the same meet runs once, in
-//! one lane, on the possible graph (every arc whose coin can come up):
-//! if it does not connect `s` and `t`, no world does, and the range is
-//! settled without hashing a coin. Both searches, and every other
-//! fixpoint here, run one arc loop.
+//! Reachability between ends does not flood. A forward search alone
+//! settles a world only once it reaches a target or has used up the
+//! sources' whole reachable set, so every miss costs a flood. [`st_hits`]
+//! and [`set_counts`] run **two searches per block** instead, one forward
+//! from the sources over out-arcs and one backward from the targets over
+//! in-arcs (the same arcs for an undirected graph), sharing the block's
+//! coin memo: an in-arc carries its out-arc's coin id, so each coin is
+//! still hashed at most once per block. Each round expands the side whose
+//! last round queued fewer nodes. A lane **hits** when a deposit lands on
+//! a node the other side has reached in that lane (or at once, when a
+//! node is both a source and a target), and **retires** once it has hit
+//! or once either side deposits nothing for it in a round: that side's
+//! search is then complete in that world and disjoint from the other's,
+//! so no target is reachable there. Retired lanes are masked out of both
+//! frontiers, so a block ends with its last unsettled lane, and the coins
+//! its stragglers reach are drawn for those lanes alone. Before the first
+//! block the same meet runs once, in one lane, on the possible graph
+//! (every arc whose coin can come up): if it does not connect the ends,
+//! no world does, and the range is settled without hashing a coin.
+//!
+//! Hop-aware shapes (`set` under a hop cap, hop-bounded `st`, `hops`)
+//! run the meet in **strict** rounds that expand exactly one level of
+//! one side, so after `r` rounds the sides have expanded `r` levels
+//! between them. A lane that meets in round `r` then has first-arrival
+//! depth exactly `r` (had it been closer, the sides would have met
+//! earlier), and once `r` reaches the cap every unmet lane retires as a
+//! miss. Every search here, both sides of a meet included, runs one arc
+//! loop.
 
 use crate::coins::{splitmix64, SAMPLE_MUL};
 use relmax_ugraph::{Arc, CoinId, ExtraEdge, NodeId, ProbGraph};
@@ -448,8 +457,8 @@ struct LaneScratch {
     cur: Frontier,
     next: Frontier,
     live: Vec<u64>,
-    /// Frontier snapshot buffer of [`fixpoint_levels`]: `(node, lanes)`
-    /// pairs drained from `cur`/`pending` before a round propagates, so
+    /// Frontier snapshot of a strict [`fixpoint_round`]: `(node, lanes)`
+    /// pairs drained from `cur`/`pending` before the round propagates, so
     /// deposits made during the round cannot leak into it.
     wave: Vec<(u32, u64)>,
 }
@@ -600,8 +609,8 @@ fn with_coin_memo<R>(f: impl FnOnce(&mut CoinMemo) -> R) -> R {
 /// than `1 / SPARSE_RATIO` as many nodes as the bitmap has words.
 const SPARSE_RATIO: usize = 16;
 
-/// Round-to-round bookkeeping shared by [`fixpoint`] and
-/// [`fixpoint_levels`]: how many nodes the last frontier held, and
+/// Round-to-round bookkeeping of a fixpoint or one side of a [`meet`]:
+/// how many nodes the last frontier held, and
 /// whether the current frontier's words are listed.
 ///
 /// A **sparse** round (the previous frontier was small next to the `n/64`
@@ -735,7 +744,8 @@ fn fixpoint<G: ProbGraph>(
     coins.narrow(lanes);
     let mut rounds = Rounds::seeded(ls, g.num_nodes());
     loop {
-        let round = fixpoint_round(g, ls, coins, reverse, lanes, &mut rounds, |_, _| {});
+        let round =
+            fixpoint_round::<false, G>(g, ls, coins, reverse, lanes, &mut rounds, |_, _| {});
         if round.walked == 0 {
             return;
         }
@@ -759,8 +769,15 @@ struct RoundOut {
 /// dense as `rounds` decides. (Progress is not tracked per arc: a round
 /// without it leaves the next frontier empty, and the next round's walk
 /// finds nothing.)
+///
+/// A `STRICT` round expands exactly one BFS level. A loose round lets a
+/// node still on the current frontier forward a deposit it received
+/// earlier in the same round, one level early: harmless for reachability
+/// verdicts, wrong for hop accounting. So a strict round first snapshots
+/// the whole frontier into `ls.wave` and only then steps arcs: round `r`
+/// advances exactly the lanes that arrived at depth `r − 1`.
 #[inline(always)]
-fn fixpoint_round<G: ProbGraph>(
+fn fixpoint_round<const STRICT: bool, G: ProbGraph>(
     g: &G,
     ls: &mut LaneScratch,
     coins: &mut impl Coins,
@@ -771,9 +788,9 @@ fn fixpoint_round<G: ProbGraph>(
 ) -> RoundOut {
     let sparse = rounds.sparse();
     let round = if sparse {
-        round_arcs::<true, G>(g, ls, coins, reverse, active, rounds, deposit)
+        round_arcs::<true, STRICT, G>(g, ls, coins, reverse, active, rounds, deposit)
     } else {
-        round_arcs::<false, G>(g, ls, coins, reverse, active, rounds, deposit)
+        round_arcs::<false, STRICT, G>(g, ls, coins, reverse, active, rounds, deposit)
     };
     if round.walked > 0 {
         std::mem::swap(&mut ls.cur, &mut ls.next);
@@ -783,9 +800,10 @@ fn fixpoint_round<G: ProbGraph>(
 }
 
 /// The arc loop of [`fixpoint_round`], monomorphized on the round's form
-/// so dense rounds carry no word-list bookkeeping per arc.
+/// so dense rounds carry no word-list bookkeeping per arc, and loose
+/// rounds no snapshot.
 #[inline(always)]
-fn round_arcs<const SPARSE: bool, G: ProbGraph>(
+fn round_arcs<const SPARSE: bool, const STRICT: bool, G: ProbGraph>(
     g: &G,
     ls: &mut LaneScratch,
     coins: &mut impl Coins,
@@ -799,32 +817,62 @@ fn round_arcs<const SPARSE: bool, G: ProbGraph>(
         cur,
         next,
         live,
-        ..
+        wave,
     } = ls;
     let (mut queued, mut lanes) = (0usize, 0u64);
-    let walked = rounds.walk(SPARSE, cur, |v| {
-        let new_bits = state[v].pending & active;
-        state[v].pending = 0;
-        if new_bits == 0 {
-            return;
-        }
+    let walked = if STRICT {
         let mut on_arc = |u: usize, add: u64, joined: usize| {
             queued += joined;
             lanes |= add;
             deposit(u, add);
         };
-        step_arcs::<SPARSE, G>(
-            g,
-            coins,
-            state,
-            next,
-            live,
-            v,
-            new_bits,
-            reverse,
-            &mut on_arc,
-        );
-    });
+        wave.clear();
+        let walked = rounds.walk(SPARSE, cur, |v| {
+            let new_bits = state[v].pending & active;
+            state[v].pending = 0;
+            if new_bits != 0 {
+                wave.push((v as u32, new_bits));
+            }
+        });
+        for &(v, new_bits) in wave.iter() {
+            step_arcs::<SPARSE, G>(
+                g,
+                coins,
+                state,
+                next,
+                live,
+                v as usize,
+                new_bits,
+                reverse,
+                &mut on_arc,
+            );
+        }
+        walked
+    } else {
+        rounds.walk(SPARSE, cur, |v| {
+            let new_bits = state[v].pending & active;
+            state[v].pending = 0;
+            if new_bits == 0 {
+                return;
+            }
+            let mut on_arc = |u: usize, add: u64, joined: usize| {
+                queued += joined;
+                lanes |= add;
+                deposit(u, add);
+            };
+            step_arcs::<SPARSE, G>(
+                g,
+                coins,
+                state,
+                next,
+                live,
+                v,
+                new_bits,
+                reverse,
+                &mut on_arc,
+            );
+        })
+    };
     RoundOut {
         walked,
         queued,
@@ -873,48 +921,69 @@ struct MeetSide {
     queued: usize,
 }
 
-/// Run the bidirectional `s-t` fixpoint over `lanes`: a forward search
-/// from `s` in `fwd` and a backward search (over in-arcs) from `t` in
-/// `bwd`, both drawing their arcs from `coins`. Returns the lanes in
-/// which the two searches met — the worlds where `t` is reachable from
-/// `s`.
+/// Run the bidirectional fixpoint over `lanes`: a forward search from
+/// every source in `fwd` and a backward search (over in-arcs) from every
+/// target in `bwd`, both drawing their arcs from `coins`. Returns
+/// `(hit, depth_sum)`: `hit` has the lanes in which the two searches met
+/// within `cap` hops — the worlds where some target is reachable from
+/// some source — and, for `LEVELS` searches, `depth_sum` adds up those
+/// lanes' first-arrival hop distances (0 where a node is both a source
+/// and a target).
 ///
 /// Each round expands the side whose last round queued fewer nodes. A
 /// lane hits when a deposit lands on a node the other side has reached
 /// in that lane, and retires once it hits or once a round of either side
 /// deposits nothing in it: that side's search is then complete in that
 /// world, and (no meeting having been seen) disjoint from the other
-/// side's, so `t` is unreachable there. Retired lanes are masked out of
-/// both frontiers, so the search ends with its last unsettled lane.
+/// side's, so no target is reachable there. Retired lanes are masked out
+/// of both frontiers, so the search ends with its last unsettled lane.
 ///
 /// The verdicts are the forward search's: whether the two reached sets
 /// of a world intersect does not depend on the order the arcs were
 /// stepped in, and coins are stateless, so which coins get hashed never
 /// changes any lane's draw.
-fn meet<G: ProbGraph>(
+///
+/// `LEVELS` searches run strict rounds ([`fixpoint_round`]), so after
+/// `r` rounds the two sides have expanded `L_f + L_b = r` whole levels
+/// between them. A lane that has not met by then has distance
+/// `d > L_f + L_b` (a shortest path of length `d ≤ L_f + L_b` has a node
+/// at most `L_f` hops from its source and `L_b` from its target, which
+/// both sides would have reached), so a lane that meets in round `r`
+/// has `d = r` exactly; once `r` reaches `cap` every unmet lane retires
+/// as a miss. Loose searches must pass `cap = u32::MAX`, and their
+/// `depth_sum` is meaningless.
+#[allow(clippy::too_many_arguments)]
+fn meet<const LEVELS: bool, G: ProbGraph>(
     g: &G,
-    s: NodeId,
-    t: NodeId,
+    sources: &[NodeId],
+    targets: &[NodeId],
     lanes: u64,
+    cap: u32,
     fwd: &mut LaneScratch,
     bwd: &mut LaneScratch,
     coins: &mut impl Coins,
-) -> u64 {
+) -> (u64, u64) {
+    debug_assert!(LEVELS || cap == u32::MAX, "a hop cap needs strict rounds");
     let n = g.num_nodes();
-    for (ls, v) in [(&mut *fwd, s), (&mut *bwd, t)] {
+    for (ls, seeds) in [(&mut *fwd, sources), (&mut *bwd, targets)] {
         ls.begin_block(n);
-        ls.seed(v, lanes);
+        for &v in seeds {
+            ls.seed(v, lanes);
+        }
     }
-    let side = |ls: &LaneScratch| MeetSide {
+    let side = |ls: &LaneScratch, seeds: &[NodeId]| MeetSide {
         rounds: Rounds::seeded(ls, n),
-        queued: 1,
+        queued: seeds.len(),
     };
-    let mut sides = [side(fwd), side(bwd)];
-    // Nonzero only when `s == t`: every lane hits before any round.
-    let mut hit = fwd.state[t.index()].reached;
-    let mut active = lanes & !hit;
+    let mut sides = [side(fwd, sources), side(bwd, targets)];
+    // Lanes in which a source is a target hit at depth 0.
+    let mut hit = targets
+        .iter()
+        .fold(0u64, |h, t| h | fwd.state[t.index()].reached);
+    let (mut active, mut depth, mut depth_sum) = (lanes & !hit, 0u64, 0u64);
     coins.narrow(active);
-    while active != 0 {
+    while active != 0 && depth < u64::from(cap) {
+        depth += 1;
         let reverse = sides[1].queued < sides[0].queued;
         let (ls, other, side) = if reverse {
             (&mut *bwd, &*fwd, &mut sides[1])
@@ -922,11 +991,19 @@ fn meet<G: ProbGraph>(
             (&mut *fwd, &*bwd, &mut sides[0])
         };
         let mut met = 0u64;
-        let round = fixpoint_round(g, ls, coins, reverse, active, &mut side.rounds, |u, add| {
-            met |= add & other.state[u].reached
-        });
+        let round = fixpoint_round::<LEVELS, G>(
+            g,
+            ls,
+            coins,
+            reverse,
+            active,
+            &mut side.rounds,
+            |u, add| met |= add & other.state[u].reached,
+        );
         side.queued = round.queued;
-        hit |= met & active;
+        met &= active;
+        hit |= met;
+        depth_sum += depth * met.count_ones() as u64;
         let live = active & round.lanes & !met;
         if live != active {
             // Retired lanes leave both frontiers, so recount each side
@@ -938,111 +1015,50 @@ fn meet<G: ProbGraph>(
             sides[1].queued = bwd.front_nodes(active, &sides[1].rounds);
         }
     }
-    hit
-}
-
-/// Run the *strictly* level-synchronous packed fixpoint for one block,
-/// tracking per-lane first arrival at any of `targets`.
-///
-/// [`fixpoint`] lets a node still on the current frontier forward
-/// same-round deposits one round early (harmless for reachability
-/// verdicts, wrong for hop accounting), so this variant snapshots the
-/// whole frontier into `ls.wave` **before** any propagation: round `r`
-/// advances exactly the lanes that arrived at depth `r − 1`, making a
-/// lane's arrival round equal to its world's shortest hop distance.
-///
-/// Returns `(hit, depth_sum)`: `hit` has a bit per lane whose world
-/// reaches some target within `max_hops` arcs, and `depth_sum` is the sum
-/// over hit lanes of the first-arrival hop distance (0 for lanes where a
-/// target was seeded). Hit lanes are masked out of further expansion —
-/// legal because coins are stateless, so pruning never changes a verdict.
-fn fixpoint_levels<G: ProbGraph>(
-    g: &G,
-    block: WorldBlock,
-    ls: &mut LaneScratch,
-    memo: &mut CoinMemo,
-    targets: &[NodeId],
-    max_hops: u32,
-) -> (u64, u64) {
-    let mut rounds = Rounds::seeded(ls, g.num_nodes());
-    // Lanes where a target is already reached at seed time: depth 0.
-    let mut hit = 0u64;
-    for &t in targets {
-        hit |= ls.state[t.index()].reached;
-    }
-    hit &= block.mask;
-    let mut depth_sum = 0u64;
-    let mut round = 0u32;
-    let mut wave = std::mem::take(&mut ls.wave);
-    while hit != block.mask && round < max_hops {
-        round += 1;
-        memo.narrow(block.mask & !hit);
-        // Snapshot the frontier before touching any state; the drained
-        // bitmap and its word list then collect this round's deposits.
-        let sparse = rounds.sparse();
-        wave.clear();
-        let state = &mut ls.state;
-        let walked = rounds.walk(sparse, &mut ls.cur, |v| {
-            let new_bits = state[v].pending & !hit;
-            state[v].pending = 0;
-            if new_bits != 0 {
-                wave.push((v as u32, new_bits));
-            }
-        });
-        if wave.is_empty() {
-            break;
-        }
-        if sparse {
-            levels_round::<true, G>(g, ls, memo, &wave);
-        } else {
-            levels_round::<false, G>(g, ls, memo, &wave);
-        }
-        rounds.advance(sparse, walked);
-        // Lanes whose first target arrival is this round.
-        let mut fresh = 0u64;
-        for &t in targets {
-            fresh |= ls.state[t.index()].reached;
-        }
-        fresh &= !hit & block.mask;
-        depth_sum += round as u64 * fresh.count_ones() as u64;
-        hit |= fresh;
-    }
-    ls.wave = wave;
     (hit, depth_sum)
 }
 
-/// One round of [`fixpoint_levels`]: propagate the snapshotted `wave`
-/// along out-arcs into the (drained) `cur` frontier. A round without
-/// progress leaves `cur` empty, so the next round's wave is empty. Kept
-/// out of line so each mode's arc loop gets the registers to itself.
-#[inline(never)]
-fn levels_round<const SPARSE: bool, G: ProbGraph>(
+/// The [`meet`] of every block of `lo..hi`, folded into `(hits,
+/// depth_sum)`. First, one single-lane meet on the possible graph (every
+/// arc whose coin can come up): no world connects, within `cap` hops,
+/// ends that graph does not, so such a range has no hits and hashes no
+/// coin — where a search from each end would flood both ends' components
+/// in every block.
+#[allow(clippy::too_many_arguments)]
+fn meet_counts<const LEVELS: bool, G: ProbGraph>(
     g: &G,
-    ls: &mut LaneScratch,
-    memo: &mut CoinMemo,
-    wave: &[(u32, u64)],
-) {
-    let LaneScratch {
-        state, cur, live, ..
-    } = ls;
-    for &(v, new_bits) in wave {
-        let v = v as usize;
-        step_arcs::<SPARSE, G>(
-            g,
-            memo,
-            state,
-            cur,
-            live,
-            v,
-            new_bits,
-            false,
-            &mut |_, _, _| {},
-        );
-    }
+    seed: u64,
+    sources: &[NodeId],
+    targets: &[NodeId],
+    cap: u32,
+    lo: u64,
+    hi: u64,
+) -> (u64, u64) {
+    let m = g.num_coins();
+    let (mut hits, mut depth_sum) = (0u64, 0u64);
+    with_lane_scratch(|fwd| {
+        with_lane_scratch(|bwd| {
+            if lo >= hi
+                || meet::<LEVELS, G>(g, sources, targets, 1, cap, fwd, bwd, &mut Possible).0 == 0
+            {
+                return;
+            }
+            with_coin_memo(|memo| {
+                for block in WorldBlock::span(lo, hi) {
+                    memo.begin(m, seed, block);
+                    let (hit, ds) =
+                        meet::<LEVELS, G>(g, sources, targets, block.mask, cap, fwd, bwd, memo);
+                    hits += hit.count_ones() as u64;
+                    depth_sum += ds;
+                }
+            });
+        });
+    });
+    (hits, depth_sum)
 }
 
 /// Packed set-reliability counts for the absolute sample range `lo..hi`:
-/// one multi-source strictly level-synchronous fixpoint per block.
+/// one strictly level-synchronous meet per block (see the module docs).
 ///
 /// Returns `(hits, depth_sum)`: `hits` counts the sampled worlds in which
 /// *any* source reaches *any* target within `max_hops` arcs (`None` =
@@ -1060,52 +1076,23 @@ pub fn set_counts<G: ProbGraph>(
     lo: u64,
     hi: u64,
 ) -> (u64, u64) {
-    let n = g.num_nodes();
-    let m = g.num_coins();
     let cap = max_hops.unwrap_or(u32::MAX);
-    let mut hits = 0u64;
-    let mut depth_sum = 0u64;
-    with_lane_scratch(|ls| {
-        with_coin_memo(|memo| {
-            for block in WorldBlock::span(lo, hi) {
-                ls.begin_block(n);
-                memo.begin(m, seed, block);
-                for &s in sources {
-                    ls.seed(s, block.mask);
-                }
-                let (hit, ds) = fixpoint_levels(g, block, ls, memo, targets, cap);
-                hits += hit.count_ones() as u64;
-                depth_sum += ds;
-            }
-        });
-    });
-    (hits, depth_sum)
+    meet_counts::<true, G>(g, seed, sources, targets, cap, lo, hi)
 }
 
-/// Packed `s-t` hit count for the absolute sample range `lo..hi`:
-/// bit-identical to the scalar per-world BFS count. Each block runs a
-/// bidirectional meet instead of flooding `s`'s reachable set. First,
-/// one single-lane meet on the possible graph: no world connects a pair
-/// that graph does not, so such a range has no hits and hashes no coin —
-/// where a search from each end would flood both ends' components in
-/// every block.
-pub fn st_hits<G: ProbGraph>(g: &G, seed: u64, s: NodeId, t: NodeId, lo: u64, hi: u64) -> u64 {
-    let m = g.num_coins();
-    let mut hits = 0u64;
-    with_lane_scratch(|fwd| {
-        with_lane_scratch(|bwd| {
-            if lo >= hi || meet(g, s, t, 1, fwd, bwd, &mut Possible) == 0 {
-                return;
-            }
-            with_coin_memo(|memo| {
-                for block in WorldBlock::span(lo, hi) {
-                    memo.begin(m, seed, block);
-                    hits += meet(g, s, t, block.mask, fwd, bwd, memo).count_ones() as u64;
-                }
-            });
-        });
-    });
-    hits
+/// Packed hit count for the absolute sample range `lo..hi`: the worlds
+/// in which some target is reachable from some source, bit-identical to
+/// the scalar per-world search count. Each block runs a loose
+/// bidirectional meet instead of flooding the sources' reachable set.
+pub fn st_hits<G: ProbGraph>(
+    g: &G,
+    seed: u64,
+    sources: &[NodeId],
+    targets: &[NodeId],
+    lo: u64,
+    hi: u64,
+) -> u64 {
+    meet_counts::<false, G>(g, seed, sources, targets, u32::MAX, lo, hi).0
 }
 
 /// Packed per-node reach counts (forward from `starts`, or reverse to
@@ -1348,7 +1335,11 @@ mod tests {
                     reach[t.index()] as u64
                 })
                 .sum();
-            assert_eq!(st_hits(&g, 11, s, t, lo, hi), scalar, "range {lo}..{hi}");
+            assert_eq!(
+                st_hits(&g, 11, &[s], &[t], lo, hi),
+                scalar,
+                "range {lo}..{hi}"
+            );
         }
     }
 
@@ -1433,18 +1424,28 @@ mod tests {
             // after it sweeps (dense), and the second chain runs sparse.
             let rounds = take_rounds();
             assert!(rounds.starts_with("ssssssssssdsss"), "{rounds}");
-            // Strict level-synchronous rounds take the same sparse and
-            // dense paths.
-            let targets = [NodeId(3008), NodeId(1)];
-            for max_hops in [Some(3), Some(14), None] {
-                let want = world_set_moments(&g, 21, &[s], &targets, max_hops, lo, hi);
-                let got = set_counts(&g, 21, &[s], &targets, max_hops, lo, hi);
-                assert_eq!(got, want, "max_hops={max_hops:?} range {lo}..{hi}");
+            // Strict rounds (the level-synchronous meet) take the same
+            // sparse and dense paths. The meet expands the smaller side,
+            // so a dense round needs both sides wide: 59 isolated targets
+            // keep the backward side at 60 nodes while the forward side
+            // walks the fan-out from node 2.
+            let wide: Vec<NodeId> = (4000..4059).chain([3008]).map(NodeId).collect();
+            for (sources, targets) in [
+                (&[s][..], &[NodeId(3008), NodeId(1)][..]),
+                (&[NodeId(2)][..], &wide[..]),
+            ] {
+                take_rounds();
+                for max_hops in [Some(3), Some(9), Some(10), Some(14), None] {
+                    let want = world_set_moments(&g, 21, sources, targets, max_hops, lo, hi);
+                    let got = set_counts(&g, 21, sources, targets, max_hops, lo, hi);
+                    assert_eq!(got, want, "max_hops={max_hops:?} range {lo}..{hi}");
+                }
             }
-            let deep = set_counts(&g, 21, &[s], &[NodeId(3008)], None, lo, hi);
-            assert!(deep.0 > 0, "some world must cross the funnel");
             let rounds = take_rounds();
             assert!(rounds.contains("sdsss"), "{rounds}");
+            let deep = set_counts(&g, 21, &[NodeId(2)], &wide, None, lo, hi);
+            assert!(deep.0 > 0, "some world must cross the funnel");
+            assert_eq!(deep.1, 10 * deep.0, "2 → fan-out → 3000 → 3008");
         }
     }
 
@@ -1479,7 +1480,7 @@ mod tests {
         for (s, t) in [(100u32, 108u32), (100, 114), (3995, 3)] {
             let (s, t) = (NodeId(s), NodeId(t));
             let mut hits = 0;
-            let meet = arcs_read(|| hits = st_hits(&g, 5, s, t, lo, hi));
+            let meet = arcs_read(|| hits = st_hits(&g, 5, &[s], &[t], lo, hi));
             let mut counts = vec![0u64; g.num_nodes()];
             let flood = arcs_read(|| reach_counts(&g, 5, &[s], false, lo, hi, &mut counts));
             // Same verdicts as the forward flood, from a fraction of its
@@ -1502,6 +1503,44 @@ mod tests {
     }
 
     #[test]
+    fn set_and_hop_capped_meets_read_fewer_arcs_than_the_forward_flood() {
+        let g = ring_chords(4000);
+        let (lo, hi) = (0u64, 640u64);
+        let n = |v: &[u32]| v.iter().map(|&v| NodeId(v)).collect::<Vec<_>>();
+        // A set 2–4 hops across, a pair under a binding cap, the same pair
+        // under a cap that never binds, and a pair wrapping past node 0.
+        let cases = [
+            (n(&[100, 103]), n(&[108, 114]), None),
+            (n(&[100]), n(&[114]), Some(4)),
+            (n(&[100]), n(&[114]), Some(1_000_000)),
+            (n(&[3995, 3998]), n(&[3, 9]), Some(5)),
+        ];
+        for (sources, targets, cap) in cases {
+            let mut got = (0, 0);
+            let meet = arcs_read(|| got = set_counts(&g, 5, &sources, &targets, cap, lo, hi));
+            let mut counts = vec![0u64; g.num_nodes()];
+            let flood = arcs_read(|| reach_counts(&g, 5, &sources, false, lo, hi, &mut counts));
+            let want = world_set_moments(&g, 5, &sources, &targets, cap, lo, hi);
+            assert_eq!(got, want, "{sources:?}->{targets:?} cap {cap:?}");
+            assert!(got.0 > 0 && got.0 < hi - lo, "{got:?}");
+            // Same counts as the per-world search, from a small fraction
+            // of the arcs a flood from the sources reads.
+            assert!(
+                meet * 10 < flood,
+                "{sources:?}->{targets:?} cap {cap:?}: meet {meet} arcs, flood {flood}"
+            );
+            if cap.is_none_or(|c| c > 100) {
+                // A cap that never binds costs about what the loose meet
+                // does: strict rounds add no arcs of their own.
+                let mut hits = 0;
+                let loose = arcs_read(|| hits = st_hits(&g, 5, &sources, &targets, lo, hi));
+                assert_eq!(hits, got.0);
+                assert!(meet < 2 * loose, "strict {meet} arcs, loose {loose}");
+            }
+        }
+    }
+
+    #[test]
     fn memo_misses_draw_only_the_live_lanes() {
         // Hashing all 64 lanes would cost 64 draws per miss. Most misses
         // come after most lanes of their block have settled, so they
@@ -1510,7 +1549,7 @@ mod tests {
         let (mut all_misses, mut all_draws) = (0, 0);
         for (s, t) in [(100u32, 108u32), (100, 114), (3995, 3)] {
             DRAWS.with(|d| d.set((0, 0)));
-            st_hits(&g, 5, NodeId(s), NodeId(t), 0, 640);
+            st_hits(&g, 5, &[NodeId(s)], &[NodeId(t)], 0, 640);
             let (misses, draws) = DRAWS.with(|d| d.get());
             assert!(
                 misses > 0 && draws < 64 * misses,
@@ -1550,13 +1589,13 @@ mod tests {
             let mut counts = vec![0u64; g.num_nodes()];
             reach_counts(&g, 9, &[s], false, lo, hi, &mut counts);
             let mut hits = 0;
-            arcs.push(arcs_read(|| hits = st_hits(&g, 9, s, t, lo, hi)));
+            arcs.push(arcs_read(|| hits = st_hits(&g, 9, &[s], &[t], lo, hi)));
             assert_eq!(hits, counts[t.index()], "p = {p}");
             assert_eq!(hits > 0, p == 0.5, "p = {p}");
         }
         // One lane of each ring versus ten blocks that flood them.
         assert!(arcs[0] * 5 < arcs[1], "arcs read: {arcs:?}");
-        assert_eq!(st_hits(&bridged(0.0), 9, s, s, lo, hi), hi - lo);
+        assert_eq!(st_hits(&bridged(0.0), 9, &[s], &[s], lo, hi), hi - lo);
     }
 
     /// Per-world multi-source level-synchronous BFS over stateless coins:

@@ -125,10 +125,17 @@ pub fn set_counts<G: ProbGraph>(
     })
 }
 
-/// Scalar `s-t` hit count for `lo..hi`: the worlds in which `t` is
-/// reachable from `s`.
-pub fn st_hits<G: ProbGraph>(g: &G, seed: u64, s: NodeId, t: NodeId, lo: u64, hi: u64) -> u64 {
-    set_counts(g, seed, &[s], &[t], None, lo, hi).0
+/// Scalar hit count for `lo..hi`: the worlds in which some target is
+/// reachable from some source.
+pub fn st_hits<G: ProbGraph>(
+    g: &G,
+    seed: u64,
+    sources: &[NodeId],
+    targets: &[NodeId],
+    lo: u64,
+    hi: u64,
+) -> u64 {
+    set_counts(g, seed, sources, targets, None, lo, hi).0
 }
 
 /// Scalar per-node reach counts (forward from `starts`, or reverse to

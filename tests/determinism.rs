@@ -844,12 +844,12 @@ fn assert_st_kernels_agree<G: ProbGraph>(label: &str, g: &G, seed: u64) -> Vec<u
     for (s, t) in ISLAND_PAIRS.map(|(s, t)| (NodeId(s), NodeId(t))) {
         for (lo, hi) in [(0u64, 1u64), (0, 64), (5, 70), (63, 200), (0, 1000)] {
             assert_eq!(
-                packed::st_hits(g, seed, s, t, lo, hi),
-                scalar::st_hits(g, seed, s, t, lo, hi),
+                packed::st_hits(g, seed, &[s], &[t], lo, hi),
+                scalar::st_hits(g, seed, &[s], &[t], lo, hi),
                 "{label} {s:?}->{t:?} worlds {lo}..{hi}"
             );
         }
-        totals.push(scalar::st_hits(g, seed, s, t, 0, 1000));
+        totals.push(scalar::st_hits(g, seed, &[s], &[t], 0, 1000));
         let want = scalar_est.st_estimate(g, s, t, budget);
         for threads in [1, 2, 3] {
             let est = McEstimator::with_threads(577, seed, threads).with_kernel(Kernel::Packed);
@@ -935,12 +935,73 @@ fn packed_meet_matches_scalar_forward_st() {
     }
 }
 
+/// Hops from `s` to `t` in the possible graph (every arc whose coin can
+/// come up), or `None` if it does not connect them: no world is closer.
+fn possible_distance<G: ProbGraph>(g: &G, s: NodeId, t: NodeId) -> Option<u32> {
+    let mut dist = vec![u32::MAX; g.num_nodes()];
+    let mut queue = std::collections::VecDeque::from([s]);
+    dist[s.index()] = 0;
+    while let Some(v) = queue.pop_front() {
+        if v == t {
+            return Some(dist[v.index()]);
+        }
+        for a in g.out_arcs(v) {
+            if a.thresh != 0 && dist[a.node.index()] == u32::MAX {
+                dist[a.node.index()] = dist[v.index()] + 1;
+                queue.push_back(a.node);
+            }
+        }
+    }
+    None
+}
+
+/// One set query: `(sources, targets, max_hops)`.
+type SetCase = (Vec<NodeId>, Vec<NodeId>, Option<u32>);
+
+/// The set queries asked of pair `(s, t)` on a 300-node graph of two
+/// 150-node islands: hop caps 0, 1, 3, the possible-graph distance `d`
+/// and `d ± 1`; overlapping ends and `s == t`; ends spanning both
+/// islands, and ends wholly across them.
+fn set_cases<G: ProbGraph>(g: &G, s: NodeId, t: NodeId) -> Vec<SetCase> {
+    let n = |v: u32| NodeId(v % 300);
+    let (s2, t2) = (n(s.0 + 2), n(t.0 + 3));
+    // Same island, `k` nodes on; and the other island's twin.
+    let near = |v: NodeId, k: u32| NodeId(v.0 - v.0 % 150 + (v.0 % 150 + k) % 150);
+    let twin = |v: NodeId| n(v.0 + 150);
+    let mut cases = vec![
+        (vec![s], vec![t], None),
+        (vec![s], vec![t], Some(0)),
+        (vec![s], vec![t], Some(1)),
+        (vec![s], vec![t], Some(3)),
+        (vec![s, s2], vec![t, t2], None),
+        (vec![s, s2], vec![t, t2], Some(4)),
+        (vec![s, s2], vec![s2, t], None),
+        (vec![s, s2], vec![s2, t], Some(0)),
+        (vec![s], vec![s], Some(1)),
+        (vec![s, twin(s)], vec![t, twin(t)], None),
+        (vec![s, twin(s)], vec![t, twin(t)], Some(4)),
+        (vec![s, near(s, 1)], vec![twin(t), twin(near(t, 1))], None),
+        (
+            vec![s, near(s, 1)],
+            vec![twin(t), twin(near(t, 1))],
+            Some(2),
+        ),
+    ];
+    if let Some(d) = possible_distance(g, s, t) {
+        for cap in [d - 1, d, d + 1] {
+            cases.push((vec![s], vec![t], Some(cap)));
+        }
+    }
+    cases
+}
+
 /// Packed == scalar where the coin memo draws per live lane: ranges that
 /// start with few lanes (`5..9`: one four-lane block; `63..65`: shards
 /// of one or two lanes) and full blocks whose lanes retire at staggered
-/// rounds (`0..1000`), for `st`, hop-bounded `st`, `set`, `hops` and the
-/// BE candidate scan — the raw counts summed over the shards that threads
-/// 1, 2 and 3 cut the range into.
+/// rounds (`0..1000`), for `st` and the BE candidate scan, and for the
+/// hit count and hop moments of every [`set_cases`] query (`set`,
+/// hop-bounded `st` and `hops` all run them) — the raw counts summed over
+/// the shards that threads 1, 2 and 3 cut the range into.
 #[test]
 fn packed_matches_scalar_as_live_lanes_shrink() {
     use relmax::sampling::{packed, scalar};
@@ -948,25 +1009,23 @@ fn packed_matches_scalar_as_live_lanes_shrink() {
     let ring = relmax::gen::synth::RingChords::new(1000, 4, 3).to_graph();
     let ring = CsrGraph::freeze(&ring);
     let islands = CsrGraph::freeze(&two_islands(true, 0x1a7e));
+    let undirected = CsrGraph::freeze(&two_islands(false, 0x1a7f));
     let seed = 0x11fe;
     let n = |v| NodeId(v);
     // 2-, 4- and 5-hop ring pairs, one wrapping past node 0; a same-island
     // pair and a cross-island one, which no world connects.
+    let island_pairs = [(n(3), n(9)), (n(149), n(2)), (n(5), n(200))];
     let instances = [
         (
             "ring",
             &ring,
             [(n(100), n(108)), (n(100), n(114)), (n(995), n(15))],
         ),
-        (
-            "islands",
-            &islands,
-            [(n(3), n(9)), (n(149), n(2)), (n(5), n(200))],
-        ),
+        ("islands", &islands, island_pairs),
+        ("undirected islands", &undirected, island_pairs),
     ];
     for (label, g, pairs) in instances {
         for (s, t) in pairs {
-            let (s2, t2) = (n((s.0 + 2) % 300), n((t.0 + 3) % 300));
             let cands = [
                 ExtraEdge {
                     src: s,
@@ -984,19 +1043,21 @@ fn packed_matches_scalar_as_live_lanes_shrink() {
                     prob: 0.8,
                 },
             ];
+            let cases = set_cases(g, s, t);
             for (lo, hi) in [(5u64, 9u64), (63, 65), (0, 1000)] {
                 let what = format!("{label} {s:?}->{t:?} worlds {lo}..{hi}");
                 let mut want_scan = vec![0; cands.len()];
                 scalar::scan_counts(g, seed, s, t, &cands, lo..hi, &mut want_scan);
-                let want = (
-                    scalar::st_hits(g, seed, s, t, lo, hi),
-                    scalar::set_counts(g, seed, &[s], &[t], Some(3), lo, hi),
-                    scalar::set_counts(g, seed, &[s, s2], &[t, t2], None, lo, hi),
-                    scalar::set_counts(g, seed, &[s], &[t], None, lo, hi),
-                    want_scan,
-                );
+                let want_sets: Vec<_> = cases
+                    .iter()
+                    .map(|(src, dst, cap)| {
+                        let (hits, depth_sum) = scalar::set_counts(g, seed, src, dst, *cap, lo, hi);
+                        (hits, depth_sum, scalar::st_hits(g, seed, src, dst, lo, hi))
+                    })
+                    .collect();
+                let want = (want_scan, want_sets);
                 for threads in [1, 2, 3] {
-                    let mut got = (0, (0, 0), (0, 0), (0, 0), vec![0; cands.len()]);
+                    let mut got = (vec![0; cands.len()], vec![(0, 0, 0); cases.len()]);
                     ParallelRuntime::new(threads).shard_samples(
                         1,
                         lo,
@@ -1004,28 +1065,36 @@ fn packed_matches_scalar_as_live_lanes_shrink() {
                         |_, a, b| {
                             let mut scan = vec![0; cands.len()];
                             packed::scan_counts(g, seed, s, t, &cands, a..b, &mut scan);
-                            (
-                                packed::st_hits(g, seed, s, t, a, b),
-                                packed::set_counts(g, seed, &[s], &[t], Some(3), a, b),
-                                packed::set_counts(g, seed, &[s, s2], &[t, t2], None, a, b),
-                                packed::set_counts(g, seed, &[s], &[t], None, a, b),
-                                scan,
-                            )
+                            let sets: Vec<_> = cases
+                                .iter()
+                                .map(|(src, dst, cap)| {
+                                    let (hits, depth_sum) =
+                                        packed::set_counts(g, seed, src, dst, *cap, a, b);
+                                    (hits, depth_sum, packed::st_hits(g, seed, src, dst, a, b))
+                                })
+                                .collect();
+                            (scan, sets)
                         },
-                        |_, part| {
-                            let add = |x: &mut (u64, u64), y: (u64, u64)| {
-                                *x = (x.0 + y.0, x.1 + y.1);
-                            };
-                            got.0 += part.0;
-                            add(&mut got.1, part.1);
-                            add(&mut got.2, part.2);
-                            add(&mut got.3, part.3);
-                            for (c, p) in got.4.iter_mut().zip(part.4) {
+                        |_, (scan, sets)| {
+                            for (c, p) in got.0.iter_mut().zip(scan) {
                                 *c += p;
+                            }
+                            for (c, p) in got.1.iter_mut().zip(sets) {
+                                *c = (c.0 + p.0, c.1 + p.1, c.2 + p.2);
                             }
                         },
                     );
-                    assert_eq!(want, got, "{what} t{threads}");
+                    assert_eq!(want, got, "{what} t{threads} cases {cases:?}");
+                }
+                // The cases bite: some capped pair hits at its possible
+                // distance, and none one below it.
+                let capped = &want.1[want.1.len().saturating_sub(3)..];
+                if hi - lo == 1000 && possible_distance(g, s, t).is_some() {
+                    assert_eq!(capped[0].0, 0, "{what}: no world beats the possible graph");
+                    assert!(
+                        capped[1].0 > 0,
+                        "{what}: some world at the possible distance"
+                    );
                 }
             }
         }

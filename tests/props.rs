@@ -151,10 +151,10 @@ fn engine_estimates_bit_identical_to_adjacency_walk() {
         let hits = |u: NodeId, v: NodeId| worlds.iter().filter(|w| w.reaches(&g, u, v)).count();
         let want = hits(s, t) as u64;
         let st_hits = [
-            scalar::st_hits(&g, seed, s, t, 0, 800),
-            scalar::st_hits(&*csr, seed, s, t, 0, 800),
-            packed::st_hits(&g, seed, s, t, 0, 800),
-            packed::st_hits(&*csr, seed, s, t, 0, 800),
+            scalar::st_hits(&g, seed, &[s], &[t], 0, 800),
+            scalar::st_hits(&*csr, seed, &[s], &[t], 0, 800),
+            packed::st_hits(&g, seed, &[s], &[t], 0, 800),
+            packed::st_hits(&*csr, seed, &[s], &[t], 0, 800),
         ];
         assert_eq!(st_hits, [want; 4], "oracle vs kernels trial {trial}");
         assert_eq!(
